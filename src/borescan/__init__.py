@@ -12,9 +12,7 @@ from .errors import (
     BorescanError,
     ConfigError,
     DomainError,
-    FrameMismatchError,
     ImageFormatError,
-    LineNotFoundError,
     ParseError,
     PlacementError,
     PlanIndexError,
@@ -33,9 +31,7 @@ __all__ = [
     "BorescanError",
     "ConfigError",
     "DomainError",
-    "FrameMismatchError",
     "ImageFormatError",
-    "LineNotFoundError",
     "ParseError",
     "PlacementError",
     "PlanIndexError",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_config, load_defect_list, parse_threshold_spec
-from .detect import connected_components, binarize, label_mask
+from .detect import DEFAULT_MIN_AREA, binarize, connected_components, label_mask
 from .errors import (
     BorescanError,
     ConfigError,
@@ -160,7 +160,7 @@ def _inspect_tile(entry, manifest, base_dir, out_dir, threshold, min_area):
         record_from_blob(
             blob, labels, j, k, manifest.plan, manifest.hole, manifest.optics
         )
-        for blob in connected_components(mask, 8, min_area)
+        for blob in connected_components(labels, min_area)
     ]
     return corrected, records
 
@@ -319,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threshold", default="fixed:0.5", help="otsu or fixed:<fraction>"
     )
     inspect.add_argument(
-        "--min-area", type=int, default=9, help="smallest blob kept, px"
+        "--min-area", type=int, default=DEFAULT_MIN_AREA,
+        help="smallest blob kept, px",
     )
     inspect.add_argument(
         "--threads", type=int, default=None,

@@ -1,9 +1,10 @@
 """INI run configuration and CSV defect lists.
 
 A run config collects the hole geometry, the imaging chain, the effective
-region, and the detection/synthesis knobs. Only [hole] is mandatory; every
-other key falls back to the reference rig (2.5 mm mirror probe imaging at
-2.16 um/pixel over a 1.5 x 1.5 mm effective region).
+region, and the synthesis knobs. Only [hole] is mandatory; every other key
+falls back to the reference rig (2.5 mm mirror probe imaging at
+2.16 um/pixel over a 1.5 x 1.5 mm effective region). Detection is set on
+the ``inspect`` command line, so a [detect] section is rejected.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 from .errors import DomainError, ParseError
 from .geometry import HoleSpec, OpticsConfig
 from .scanplan import EffectiveRegion
-from .synth import DefectSpec
+from .synth import DEFAULT_CONTRAST, DefectSpec
 
 __all__ = [
-    "DetectParams",
     "SynthParams",
     "RunConfig",
     "DEFAULT_OPTICS",
@@ -39,14 +39,6 @@ DEFAULT_OPTICS = OpticsConfig(
 
 
 @dataclass(frozen=True)
-class DetectParams:
-    threshold: str = "fixed:0.5"
-    polarity: str = "dark"
-    min_area_px: int = 9
-    segment_len_px: int = 64
-
-
-@dataclass(frozen=True)
 class SynthParams:
     background: int = 180
     bit_depth: int = 8
@@ -59,7 +51,6 @@ class RunConfig:
     hole: HoleSpec
     optics: OpticsConfig
     region: EffectiveRegion
-    detect: DetectParams
     synth: SynthParams
 
 
@@ -100,6 +91,11 @@ def load_config(path) -> RunConfig:
         raise ParseError(f"unreadable config {path}: {exc}") from exc
     if not parser.has_section("hole"):
         raise ParseError("missing section [hole]")
+    if parser.has_section("detect"):
+        raise ParseError(
+            "[detect] is not read from the config; set detection with "
+            "inspect --threshold and inspect --min-area"
+        )
     hole = HoleSpec(
         radius_mm=_get(parser, "hole", "radius_mm", float, required=True),
         depth_mm=_get(parser, "hole", "depth_mm", float, required=True),
@@ -128,26 +124,23 @@ def load_config(path) -> RunConfig:
             parser, "optics", "pixel_pitch_y_um", float, ref.pixel_pitch_y_um
         ),
     )
+    ref_region = EffectiveRegion()
     region = EffectiveRegion(
-        width_mm=_get(parser, "region", "width_mm", float, 1.5),
-        height_mm=_get(parser, "region", "height_mm", float, 1.5),
+        width_mm=_get(parser, "region", "width_mm", float, ref_region.width_mm),
+        height_mm=_get(parser, "region", "height_mm", float, ref_region.height_mm),
     )
-    detect = DetectParams(
-        threshold=_get(parser, "detect", "threshold", str, "fixed:0.5"),
-        polarity=_get(parser, "detect", "polarity", str, "dark"),
-        min_area_px=_get(parser, "detect", "min_area_px", int, 9),
-        segment_len_px=_get(parser, "detect", "segment_len_px", int, 64),
-    )
-    parse_threshold_spec(detect.threshold)  # fail at load time, not mid-run
+    ref_synth = SynthParams()
     synth = SynthParams(
-        background=_get(parser, "synth", "background", int, 180),
-        bit_depth=_get(parser, "synth", "bit_depth", int, 8),
-        noise_sigma=_get(parser, "synth", "noise_sigma", float, 0.0),
-        seed=_get(parser, "synth", "seed", int, 0),
+        background=_get(parser, "synth", "background", int, ref_synth.background),
+        bit_depth=_get(parser, "synth", "bit_depth", int, ref_synth.bit_depth),
+        noise_sigma=_get(
+            parser, "synth", "noise_sigma", float, ref_synth.noise_sigma
+        ),
+        seed=_get(parser, "synth", "seed", int, ref_synth.seed),
     )
     if synth.bit_depth not in (8, 16):
         raise ParseError(f"bit_depth must be 8 or 16, got {synth.bit_depth}")
-    return RunConfig(hole=hole, optics=optics, region=region, detect=detect, synth=synth)
+    return RunConfig(hole=hole, optics=optics, region=region, synth=synth)
 
 
 _DEFECT_COLUMNS = ["kind", "z_mm", "beta_deg", "size_mm", "length_mm", "contrast"]
@@ -157,7 +150,7 @@ def load_defect_list(path) -> list[DefectSpec]:
     """Defects to plant, one CSV row each.
 
     ``z_mm`` is measured up from the hole bottom. ``length_mm`` stays empty
-    for discs; an empty ``contrast`` means the default dark -120.
+    for discs; an empty ``contrast`` means ``synth.DEFAULT_CONTRAST``.
     """
     try:
         handle = open(path, "r", encoding="ascii", newline="")
@@ -181,7 +174,7 @@ def load_defect_list(path) -> list[DefectSpec]:
                         beta_deg=float(row["beta_deg"]),
                         size_mm=float(row["size_mm"]),
                         length_mm=float(length) if length else None,
-                        contrast=int(contrast) if contrast else -120,
+                        contrast=int(contrast) if contrast else DEFAULT_CONTRAST,
                     )
                 )
             except DomainError:

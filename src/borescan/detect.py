@@ -1,19 +1,18 @@
 """Defect extraction and measurement on corrected tiles.
 
 Binarization (fixed or Otsu threshold), 8-connected blob labeling, and
-physical-unit metrics via the pixel equivalents. All sizes come out in mm
-so downstream code never touches pixel units again.
+line widths in mm via the pixel pitch. Each tile is labelled once; the
+blob records and the line-width crops all read that one label image.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DomainError, FrameMismatchError, LineNotFoundError, ThresholdError
+from .errors import DomainError, ThresholdError
 from .unwrap import TileImage
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "otsu_threshold",
     "label_mask",
     "connected_components",
-    "blob_metrics",
-    "centroid_distance",
     "line_width",
     "DEFAULT_MIN_AREA",
     "DEFAULT_SEGMENT_LEN",
@@ -41,20 +38,15 @@ _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 class BlobRecord:
     """One connected foreground region.
 
+    ``label`` is the region's value in the label image it came from;
     ``centroid`` is (column m, row n) in fractional pixels; ``bbox`` is
-    (col_min, row_min, col_max, row_max), inclusive. The physical fields
-    stay None until :func:`blob_metrics` fills them in. ``frame`` tags the
-    coordinate frame (e.g. the tile index) so centroids from different
-    tiles cannot be subtracted by accident.
+    (col_min, row_min, col_max, row_max), inclusive.
     """
 
     label: int
     pixel_area: int
     centroid: tuple[float, float]
     bbox: tuple[int, int, int, int]
-    physical_area_mm2: float | None = None
-    equivalent_diameter_mm: float | None = None
-    frame: object = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,10 @@ def binarize(
 
 
 def label_mask(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
-    """Integer label image of connected foreground regions (0 = background)."""
+    """Integer label image of connected foreground regions (0 = background).
+
+    8-connectivity by default so thin diagonal cracks stay in one piece.
+    """
     if connectivity not in (4, 8):
         raise DomainError("connectivity must be 4 or 8")
     structure = _EIGHT if connectivity == 8 else _FOUR
@@ -134,16 +129,13 @@ def label_mask(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
 
 
 def connected_components(
-    mask: np.ndarray,
-    connectivity: int = 8,
-    min_area: int = DEFAULT_MIN_AREA,
+    labels: np.ndarray, min_area: int = DEFAULT_MIN_AREA
 ) -> list[BlobRecord]:
-    """Blob records for each connected region of at least ``min_area`` px.
+    """Blob records for each region of ``labels`` of at least ``min_area`` px.
 
-    8-connectivity by default so thin diagonal cracks stay in one piece.
-    Records come out in label (scan) order.
+    ``labels`` is a :func:`label_mask` image, so the connectivity is the
+    one it was labelled with. Records come out in label (scan) order.
     """
-    labels = label_mask(mask, connectivity)
     count = labels.max()
     if count == 0:
         return []
@@ -175,85 +167,20 @@ def connected_components(
     return records
 
 
-def blob_metrics(blob: BlobRecord, pitch_x_um: float, pitch_y_um: float) -> BlobRecord:
-    """Fill in physical area (mm^2) and equivalent-circle diameter (mm)."""
-    if pitch_x_um <= 0 or pitch_y_um <= 0:
-        raise DomainError("pixel pitches must be positive")
-    area_mm2 = blob.pixel_area * pitch_x_um * pitch_y_um * 1e-6
-    return replace(
-        blob,
-        physical_area_mm2=area_mm2,
-        equivalent_diameter_mm=2.0 * math.sqrt(area_mm2 / math.pi),
-    )
+def line_width(blob_crop: np.ndarray, pitch_x_um: float) -> LineMeasurement:
+    """Width of a line running along the bore axis, segment by segment.
 
-
-def centroid_distance(
-    a: BlobRecord, b: BlobRecord, pitch_x_um: float, pitch_y_um: float
-) -> float:
-    """Euclidean distance between blob centroids, mm.
-
-    Both blobs must live in the same coordinate frame; an unset frame is
-    treated as "caller knows what they are doing".
+    ``blob_crop`` is the boolean mask of one connected blob cut to its
+    bounding box, so every row holds part of the line. The rows are cut
+    into ``DEFAULT_SEGMENT_LEN``-row segments; each segment's width is its
+    mean foreground count per row times the column pitch, and the
+    headline number is the mean over segments.
     """
-    if a.frame is not None and b.frame is not None and a.frame != b.frame:
-        raise FrameMismatchError(
-            f"blobs come from different frames {a.frame!r} and {b.frame!r}"
-        )
-    dx_um = (a.centroid[0] - b.centroid[0]) * pitch_x_um
-    dy_um = (a.centroid[1] - b.centroid[1]) * pitch_y_um
-    return math.hypot(dx_um, dy_um) * 1e-3
-
-
-def line_width(
-    mask: np.ndarray,
-    axis: str = "vertical",
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    pitch_x_um: float = 2.16,
-    pitch_y_um: float = 2.16,
-) -> LineMeasurement:
-    """Width of the dominant line-like blob, measured segment by segment.
-
-    The largest component is cut along ``axis`` into ``segment_len``-pixel
-    segments; each segment's width is the mean foreground extent
-    perpendicular to the axis, and the headline number is the mean over
-    segments. Raises :class:`LineNotFoundError` when the largest component
-    is not elongated at least 3:1 along the requested axis.
-    """
-    if axis not in ("vertical", "horizontal"):
-        raise DomainError(f"unknown axis {axis!r}")
-    if segment_len < 1:
-        raise DomainError("segment length must be >= 1 px")
-    mask = np.asarray(mask, dtype=bool)
-    labels = label_mask(mask, 8)
-    if labels.max() == 0:
-        raise LineNotFoundError("mask has no foreground")
-    areas = np.bincount(labels.ravel())
-    areas[0] = 0
-    dominant = labels == int(areas.argmax())
-    if axis == "horizontal":
-        dominant = dominant.T
-        along_pitch, perp_pitch = pitch_x_um, pitch_y_um
-    else:
-        along_pitch, perp_pitch = pitch_y_um, pitch_x_um
-    rows = np.nonzero(dominant.any(axis=1))[0]
-    cols = np.nonzero(dominant.any(axis=0))[0]
-    along_extent = rows[-1] - rows[0] + 1
-    perp_extent = cols[-1] - cols[0] + 1
-    if along_extent < 3 * perp_extent:
-        raise LineNotFoundError(
-            f"largest component is {along_extent}x{perp_extent} px, "
-            f"not line-like along the {axis} axis"
-        )
-    per_row = dominant[rows[0] : rows[-1] + 1].sum(axis=1)
-    widths = []
-    for start in range(0, along_extent, segment_len):
-        chunk = per_row[start : start + segment_len]
-        filled = chunk[chunk > 0]
-        if filled.size == 0:
-            continue
-        widths.append(float(filled.mean()) * perp_pitch * 1e-3)
-    if not widths:
-        raise LineNotFoundError("no foreground rows in any segment")
+    per_row = blob_crop.sum(axis=1)
+    widths = [
+        float(per_row[start : start + DEFAULT_SEGMENT_LEN].mean()) * pitch_x_um * 1e-3
+        for start in range(0, per_row.size, DEFAULT_SEGMENT_LEN)
+    ]
     return LineMeasurement(
         segment_widths_mm=tuple(widths),
         mean_width_mm=float(np.mean(widths)),

@@ -25,14 +25,6 @@ class ThresholdError(BorescanError):
     """Histogram too degenerate for automatic threshold selection."""
 
 
-class LineNotFoundError(BorescanError):
-    """No line-like component present where one was required."""
-
-
-class FrameMismatchError(BorescanError):
-    """Blobs measured in different coordinate frames were combined."""
-
-
 class PlanIndexError(BorescanError, IndexError):
     """A (depth step, rotation step) pair is not part of the scan plan."""
 

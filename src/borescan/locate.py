@@ -24,7 +24,6 @@ from .unwrap import TileImage
 __all__ = [
     "DefectRecord",
     "defect_location",
-    "defect_area",
     "record_from_blob",
     "merge_duplicates",
     "stitch_panorama",
@@ -102,15 +101,6 @@ def defect_location(
     return z, beta
 
 
-def defect_area(pixel_count: int, pitch_x_um: float, pitch_y_um: float) -> float:
-    """Physical area in mm^2 of ``pixel_count`` pixels."""
-    if pixel_count < 0:
-        raise DomainError("pixel count cannot be negative")
-    if pitch_x_um <= 0 or pitch_y_um <= 0:
-        raise DomainError("pixel pitches must be positive")
-    return pixel_count * pitch_x_um * pitch_y_um * 1e-6
-
-
 def record_from_blob(
     blob: BlobRecord,
     labels: np.ndarray,
@@ -122,9 +112,10 @@ def record_from_blob(
 ) -> DefectRecord:
     """Classify and locate one blob from tile (j, k).
 
-    A blob at least 3x taller than wide is a line (scratches run along the
-    axis); its size is the segment-averaged width. Anything else is a disc
-    sized by equivalent diameter.
+    ``labels`` is the tile's label image that ``blob`` was read from. A
+    blob at least 3x taller than wide is a line (scratches run along the
+    axis); its size is the segment-averaged width of its own pixels inside
+    its bounding box. Anything else is a disc sized by equivalent diameter.
     """
     tile_shape = labels.shape
     z, beta = defect_location(
@@ -142,16 +133,11 @@ def record_from_blob(
     arc_center = (beta_lo + arc_half) % 360.0
     axial_px = row_max - row_min + 1
     arc_px = col_max - col_min + 1
-    area = defect_area(blob.pixel_area, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um)
+    area = blob.pixel_area * cfg.pixel_pitch_x_um * cfg.pixel_pitch_y_um * 1e-6
     if axial_px >= LINE_ASPECT * arc_px:
         kind = "line"
-        measured = line_width(
-            labels == blob.label,
-            axis="vertical",
-            pitch_x_um=cfg.pixel_pitch_x_um,
-            pitch_y_um=cfg.pixel_pitch_y_um,
-        )
-        size = measured.mean_width_mm
+        crop = labels[row_min : row_max + 1, col_min : col_max + 1] == blob.label
+        size = line_width(crop, cfg.pixel_pitch_x_um).mean_width_mm
     else:
         kind = "disc"
         size = 2.0 * math.sqrt(area / math.pi)

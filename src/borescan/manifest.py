@@ -20,7 +20,7 @@ from .errors import ParseError
 from .geometry import HoleSpec, OpticsConfig
 from .locate import DefectRecord
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
-from .synth import DefectSpec
+from .synth import DEFAULT_CONTRAST, DefectSpec
 
 __all__ = [
     "RunManifest",
@@ -166,7 +166,7 @@ def manifest_from_dict(data: dict) -> RunManifest:
                 beta_deg=_need(d, "beta_deg", "truth entry"),
                 size_mm=_need(d, "size_mm", "truth entry"),
                 length_mm=d.get("length_mm"),
-                contrast=d.get("contrast", -120),
+                contrast=d.get("contrast", DEFAULT_CONTRAST),
             )
             for d in data.get("truth", [])
         ]

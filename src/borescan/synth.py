@@ -28,6 +28,7 @@ from .unwrap import TileImage, pixel_to_arc
 __all__ = [
     "SurfaceTexture",
     "DefectSpec",
+    "DEFAULT_CONTRAST",
     "build_texture",
     "render_tile",
     "add_noise",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _SUPERSAMPLE = 4  # 4x4 subsamples per pixel for anti-aliased edges
+DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
 
 
 @dataclass(eq=False)
@@ -88,7 +90,7 @@ class DefectSpec:
     beta_deg: float
     size_mm: float
     length_mm: float | None = None
-    contrast: int = -120
+    contrast: int = DEFAULT_CONTRAST
 
     def __post_init__(self) -> None:
         if self.kind not in ("disc", "line"):

@@ -105,10 +105,6 @@ class RemapTable:
     center: float
     source: np.ndarray
 
-    def offsets(self) -> np.ndarray:
-        """Center-relative source coordinates (odd-symmetric)."""
-        return self.source - self.center
-
 
 def _as_float_array(value) -> tuple[np.ndarray, bool]:
     arr = np.asarray(value, dtype=np.float64)

@@ -175,7 +175,7 @@ def _labeling_agrees(mask, connectivity):
     reference = _partition(_flood_fill(mask, connectivity))
     if _partition(label_mask(mask, connectivity)) != reference:
         return False
-    blobs = connected_components(mask, connectivity, min_area=1)
+    blobs = connected_components(label_mask(mask, connectivity), min_area=1)
     return (len(blobs) == len(reference)
             and sorted(b.pixel_area for b in blobs)
             == sorted(len(g) for g in reference))
@@ -246,7 +246,7 @@ def _scan_records(texture, plan, hole, noise_sigma=0.0, seed=0):
         corrected = correct_tile(tile, hole.radius_mm)
         mask = binarize(corrected, method="fixed", threshold=0.5)
         labels = label_mask(mask, 8)
-        for blob in connected_components(mask, 8, DEFAULT_MIN_AREA):
+        for blob in connected_components(labels, DEFAULT_MIN_AREA):
             records.append(
                 record_from_blob(blob, labels, event.depth_step,
                                  event.rotation_step, plan, hole, OPTICS)

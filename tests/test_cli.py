@@ -56,6 +56,12 @@ class TestPlan:
         assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "depth_mm" in capsys.readouterr().err
 
+    def test_detect_section_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG + "[detect]\nmin_area_px = 9\n")
+        assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "inspect --min-area" in capsys.readouterr().err
+
     def test_degenerate_geometry_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(CONFIG + "[region]\nwidth_mm = 2.9\n")

@@ -30,7 +30,6 @@ class TestLoadConfig:
         assert cfg.hole.depth_mm == 47.0
         assert cfg.optics == DEFAULT_OPTICS
         assert cfg.region.width_mm == 1.5
-        assert cfg.detect.threshold == "fixed:0.5"
         assert cfg.synth.background == 180
 
     def test_minimal_config_fills_defaults(self, tmp_path):
@@ -38,7 +37,6 @@ class TestLoadConfig:
         assert cfg.hole.radius_mm == 0.9
         assert cfg.optics == DEFAULT_OPTICS
         assert cfg.synth.noise_sigma == 0.0
-        assert cfg.detect.min_area_px == 9
 
     def test_overrides_win(self, tmp_path):
         text = MINIMAL + "[optics]\npixel_pitch_x_um = 4.32\n[synth]\nseed = 9\n"
@@ -63,6 +61,13 @@ class TestLoadConfig:
     def test_bad_threshold_spec_fails_at_load(self, tmp_path):
         text = MINIMAL + "[detect]\nthreshold = fuzzy\n"
         with pytest.raises(ParseError):
+            load_config(write(tmp_path, text))
+
+    def test_detect_section_rejected_naming_flags(self, tmp_path):
+        # detection is set on the inspect command line; a config key for it
+        # would be parsed and then ignored
+        text = MINIMAL + "[detect]\nthreshold = fixed:0.5\n"
+        with pytest.raises(ParseError, match="--threshold.*--min-area"):
             load_config(write(tmp_path, text))
 
     def test_bad_bit_depth(self, tmp_path):

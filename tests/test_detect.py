@@ -1,28 +1,25 @@
-"""Thresholding, labeling, and physical blob metrics."""
+"""Thresholding, labeling, blob sizing in mm, and line widths."""
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from borescan.config import DEFAULT_OPTICS
 from borescan.detect import (
     BlobRecord,
     binarize,
-    blob_metrics,
-    centroid_distance,
     connected_components,
     label_mask,
     line_width,
     otsu_threshold,
 )
-from borescan.errors import (
-    DomainError,
-    FrameMismatchError,
-    LineNotFoundError,
-    ThresholdError,
-)
+from borescan.errors import ConfigError, DomainError, ThresholdError
 from borescan.geometry import HoleSpec
+from borescan.locate import record_from_blob
+from borescan.scanplan import EffectiveRegion, plan_scan
 from borescan.synth import DefectSpec, build_texture
 from borescan.unwrap import TileImage
 
@@ -58,6 +55,10 @@ def flood_fill_labels(mask, connectivity=8):
                         labels[nr, nc] = next_label
                         queue.append((nr, nc))
     return labels
+
+
+def blobs_of(mask, connectivity=8, min_area=1):
+    return connected_components(label_mask(mask, connectivity), min_area)
 
 
 def partition(labels):
@@ -138,13 +139,13 @@ class TestOtsu:
 
 class TestConnectedComponents:
     def test_empty_mask_yields_no_blobs(self):
-        assert connected_components(np.zeros((16, 16), dtype=bool)) == []
+        assert connected_components(label_mask(np.zeros((16, 16), dtype=bool))) == []
 
     def test_two_separate_squares(self):
         mask = np.zeros((20, 20), dtype=bool)
         mask[2:6, 2:6] = True
         mask[10:14, 10:14] = True
-        blobs = connected_components(mask)
+        blobs = connected_components(label_mask(mask))
         assert len(blobs) == 2
         assert all(b.pixel_area == 16 for b in blobs)
         assert blobs[0].centroid == (3.5, 3.5)
@@ -154,29 +155,29 @@ class TestConnectedComponents:
         mask = np.zeros((8, 8), dtype=bool)
         mask[1:3, 1:3] = True
         mask[3:6, 3:6] = True
-        assert len(connected_components(mask, connectivity=8, min_area=1)) == 1
-        assert len(connected_components(mask, connectivity=4, min_area=1)) == 2
+        assert len(blobs_of(mask, connectivity=8)) == 1
+        assert len(blobs_of(mask, connectivity=4)) == 2
 
     def test_min_area_drops_specks(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[1, 1] = True  # 1 px speck
         mask[8:12, 8:12] = True  # 16 px blob
-        blobs = connected_components(mask, min_area=9)
+        blobs = connected_components(label_mask(mask), min_area=9)
         assert len(blobs) == 1
         assert blobs[0].pixel_area == 16
 
     def test_areas_sum_to_foreground_count(self):
         rng = np.random.default_rng(3)
         mask = rng.random((64, 64)) < 0.3
-        blobs = connected_components(mask, min_area=1)
+        blobs = blobs_of(mask)
         assert sum(b.pixel_area for b in blobs) == int(mask.sum())
 
     def test_translation_moves_centroid_only(self):
         mask = np.zeros((32, 32), dtype=bool)
         mask[4:9, 6:10] = True
         shifted = np.roll(np.roll(mask, 7, axis=0), 5, axis=1)
-        a = connected_components(mask, min_area=1)[0]
-        b = connected_components(shifted, min_area=1)[0]
+        a = blobs_of(mask)[0]
+        b = blobs_of(shifted)[0]
         assert b.pixel_area == a.pixel_area
         assert b.centroid == (a.centroid[0] + 5, a.centroid[1] + 7)
 
@@ -191,29 +192,40 @@ class TestConnectedComponents:
 
 
 class TestBlobMetrics:
-    def test_single_pixel_area(self):
-        blob = BlobRecord(1, 1, (0.0, 0.0), (0, 0, 0, 0))
-        out = blob_metrics(blob, PITCH, PITCH)
-        # one 2.16 x 2.16 um cell
-        assert out.physical_area_mm2 == pytest.approx(4.6656e-6)
-        assert out.equivalent_diameter_mm == pytest.approx(
-            2 * math.sqrt(4.6656e-6 / math.pi)
+    """Blob sizes in mm, as :func:`record_from_blob` reports them."""
+
+    HOLE = HoleSpec(0.9, 2.0)
+    PLAN = plan_scan(HOLE, EffectiveRegion())
+
+    def record(self, blob, labels, pitch_x_um=PITCH, pitch_y_um=PITCH):
+        cfg = dataclasses.replace(
+            DEFAULT_OPTICS, pixel_pitch_x_um=pitch_x_um, pixel_pitch_y_um=pitch_y_um
         )
+        return record_from_blob(blob, labels, 0, 0, self.PLAN, self.HOLE, cfg)
+
+    def test_single_pixel_area(self):
+        labels = np.zeros((16, 16), dtype=int)
+        labels[5, 5] = 1
+        rec = self.record(BlobRecord(1, 1, (5.0, 5.0), (5, 5, 5, 5)), labels)
+        # one 2.16 x 2.16 um cell
+        assert rec.area_mm2 == pytest.approx(4.6656e-6)
+        assert rec.size_mm == pytest.approx(2 * math.sqrt(4.6656e-6 / math.pi))
 
     def test_rejects_bad_pitch(self):
-        blob = BlobRecord(1, 1, (0.0, 0.0), (0, 0, 0, 0))
-        with pytest.raises(DomainError):
-            blob_metrics(blob, 0.0, PITCH)
+        # sizing trusts the pitch: the optics config refuses a zero one
+        with pytest.raises(ConfigError):
+            dataclasses.replace(DEFAULT_OPTICS, pixel_pitch_x_um=0.0)
 
     def rasterized_diameter(self, size_mm, pitch_um):
-        hole = HoleSpec(0.9, 2.0)
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=180.0, size_mm=size_mm)
-        texture = build_texture(hole, [spot], pitch_um=pitch_um)
+        texture = build_texture(self.HOLE, [spot], pitch_um=pitch_um)
         img = TileImage(texture.pixels, texture.arc_pitch_um, pitch_um)
-        blobs = connected_components(binarize(img, threshold=0.5))
+        labels = label_mask(binarize(img, threshold=0.5))
+        blobs = connected_components(labels)
         assert len(blobs) == 1
-        out = blob_metrics(blobs[0], img.pixel_pitch_x_um, img.pixel_pitch_y_um)
-        return out.equivalent_diameter_mm
+        rec = self.record(blobs[0], labels, img.pixel_pitch_x_um, img.pixel_pitch_y_um)
+        assert rec.kind == "disc"
+        return rec.size_mm
 
     @pytest.mark.parametrize("size_mm", [0.1, 0.2])
     def test_equivalent_diameter_of_rasterized_disc(self, size_mm):
@@ -227,68 +239,11 @@ class TestBlobMetrics:
         assert fine < coarse
 
 
-class TestCentroidDistance:
-    def test_same_centroid_is_zero(self):
-        a = BlobRecord(1, 4, (10.0, 20.0), (9, 19, 11, 21))
-        assert centroid_distance(a, a, PITCH, PITCH) == 0.0
-
-    def test_horizontal_pair_in_mm(self):
-        a = BlobRecord(1, 4, (100.0, 50.0), (0, 0, 0, 0))
-        b = BlobRecord(2, 4, (100.0 + 400.0 / PITCH, 50.0), (0, 0, 0, 0))
-        assert centroid_distance(a, b, PITCH, PITCH) == pytest.approx(0.400)
-
-    def test_anisotropic_pitch(self):
-        a = BlobRecord(1, 4, (0.0, 0.0), (0, 0, 0, 0))
-        b = BlobRecord(2, 4, (3.0, 4.0), (0, 0, 0, 0))
-        got = centroid_distance(a, b, 2.0, 1.5)
-        assert got == pytest.approx(math.hypot(6.0, 6.0) * 1e-3)
-
-    def test_frame_mismatch_raises(self):
-        a = BlobRecord(1, 4, (0.0, 0.0), (0, 0, 0, 0), frame=(0, 0))
-        b = BlobRecord(2, 4, (1.0, 1.0), (0, 0, 0, 0), frame=(0, 1))
-        with pytest.raises(FrameMismatchError):
-            centroid_distance(a, b, PITCH, PITCH)
-
-    def test_unset_frame_is_wildcard(self):
-        a = BlobRecord(1, 4, (0.0, 0.0), (0, 0, 0, 0), frame=(0, 0))
-        b = BlobRecord(2, 4, (1.0, 0.0), (0, 0, 0, 0))
-        assert centroid_distance(a, b, PITCH, PITCH) > 0
-
-
 class TestLineWidth:
-    def band(self, width_px=139, height=695):
-        mask = np.zeros((height, 400), dtype=bool)
-        mask[:, 100 : 100 + width_px] = True
-        return mask
-
     def test_uniform_band_width(self):
-        got = line_width(self.band(), axis="vertical", pitch_x_um=PITCH, pitch_y_um=PITCH)
+        # the crop of a 139 px wide band running the full tile height
+        got = line_width(np.ones((695, 139), dtype=bool), pitch_x_um=PITCH)
         # 139 px * 2.16 um = 0.30024 mm in every segment
         assert got.mean_width_mm == pytest.approx(0.30024)
         assert got.segment_count == 11  # ceil(695 / 64)
         assert all(w == pytest.approx(0.30024) for w in got.segment_widths_mm)
-
-    def test_horizontal_axis_uses_row_pitch(self):
-        mask = self.band().T
-        got = line_width(mask, axis="horizontal", pitch_x_um=PITCH, pitch_y_um=4.32)
-        assert got.mean_width_mm == pytest.approx(139 * 4.32e-3)
-
-    def test_largest_component_wins(self):
-        mask = self.band()
-        mask[10:13, 300:303] = True  # speck elsewhere
-        got = line_width(mask, pitch_x_um=PITCH, pitch_y_um=PITCH)
-        assert got.mean_width_mm == pytest.approx(0.30024)
-
-    def test_empty_mask_raises(self):
-        with pytest.raises(LineNotFoundError):
-            line_width(np.zeros((32, 32), dtype=bool))
-
-    def test_square_blob_is_not_a_line(self):
-        mask = np.zeros((64, 64), dtype=bool)
-        mask[10:30, 10:30] = True
-        with pytest.raises(LineNotFoundError):
-            line_width(mask)
-
-    def test_segment_len_validated(self):
-        with pytest.raises(DomainError):
-            line_width(self.band(), segment_len=0)

@@ -1,17 +1,17 @@
 """Bore-coordinate mapping, duplicate merging, and panorama stitching."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from borescan.detect import binarize, connected_components
-from borescan.errors import DomainError, PlanIndexError
+from borescan.detect import BlobRecord, binarize, connected_components, label_mask
+from borescan.errors import ConfigError, DomainError, PlanIndexError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import (
     DefectRecord,
     circular_delta_deg,
-    defect_area,
     defect_location,
     merge_duplicates,
     record_from_blob,
@@ -109,24 +109,30 @@ class TestDefectLocation:
 
 
 class TestDefectArea:
+    """``record_from_blob(...).area_mm2``: pixel count times both pitches."""
+
+    def area(self, pixel_count):
+        # a square bbox keeps the blob a disc; its area needs only the count
+        blob = BlobRecord(1, pixel_count, (347.0, 347.0), (337, 337, 357, 357))
+        labels = np.zeros(TILE_SHAPE, dtype=int)
+        return record_from_blob(blob, labels, 0, 0, PLAN, HOLE, CFG).area_mm2
+
     def test_zero_and_reference_count(self):
-        assert defect_area(0, 2.16, 2.16) == 0.0
-        assert defect_area(1684, 2.16, 2.16) == pytest.approx(0.0078568704)
+        assert self.area(0) == 0.0
+        assert self.area(1684) == pytest.approx(0.0078568704)
 
     def test_linear_in_count(self):
-        one = defect_area(1, 2.16, 2.16)
-        assert defect_area(500, 2.16, 2.16) == pytest.approx(500 * one)
+        assert self.area(500) == pytest.approx(500 * self.area(1))
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            defect_area(-1, 2.16, 2.16)
-        with pytest.raises(DomainError):
-            defect_area(10, -2.16, 2.16)
+        # the product trusts the pitches: the optics config refuses bad ones
+        with pytest.raises(ConfigError):
+            dataclasses.replace(CFG, pixel_pitch_y_um=-2.16)
 
 
 class TestRecordFromBlob:
     def blob_from(self, labels):
-        blobs = connected_components(labels > 0, min_area=1)
+        blobs = connected_components(label_mask(labels > 0), min_area=1)
         assert len(blobs) == 1
         return blobs[0]
 
@@ -152,6 +158,19 @@ class TestRecordFromBlob:
         assert rec.axial_extent_mm == pytest.approx(0.69500 * 2.16)
         assert rec.z_min_mm == pytest.approx(47.0 - 1.5 - 347.5 * 2.16e-3)
         assert rec.z_max_mm == pytest.approx(47.0 - 1.5 + 347.5 * 2.16e-3)
+
+    def test_line_width_counts_only_its_own_label(self):
+        mask = np.zeros(TILE_SHAPE, dtype=bool)
+        mask[100:400, 300:310] = True  # 10 px wide line, 300 rows
+        mask[100:164, 304:310] = False  # 4 px wide over its first segment
+        mask[110:116, 306:310] = True  # disc pixels inside the line's bbox
+        labels = label_mask(mask)
+        line = max(connected_components(labels, min_area=1), key=lambda b: b.pixel_area)
+        assert line.bbox == (300, 100, 309, 399)
+        rec = record_from_blob(line, labels, 0, 0, PLAN, HOLE, CFG)
+        assert rec.kind == "line"
+        # segments of 4, 10, 10, 10 and 10 px; the disc adds nothing
+        assert rec.size_mm == pytest.approx(8.8 * 2.16e-3)
 
     def test_interval_halves_cover_bbox(self):
         labels = np.zeros(TILE_SHAPE, dtype=int)
@@ -279,8 +298,6 @@ class TestStitchPanorama:
         assert (pano.pixels == 180).all()
 
     def test_dimensions_ignore_plan_order(self):
-        import dataclasses
-
         reordered = dataclasses.replace(
             self.PLAN, schedule=tuple(reversed(self.PLAN.schedule))
         )
@@ -306,7 +323,7 @@ class TestStitchPanorama:
         tiles, _ = render_stack(texture, self.PLAN, CFG, REGION)
         corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
         pano = stitch_panorama(corrected, self.PLAN, self.HOLE, CFG)
-        blobs = connected_components(binarize(pano, threshold=0.5))
+        blobs = connected_components(label_mask(binarize(pano, threshold=0.5)))
         assert len(blobs) == 1
         u, v = blobs[0].centroid
         assert u == pytest.approx(100.0 / 360.0 * 2618, abs=3.0)

@@ -146,7 +146,7 @@ def test_build_remap_single_column():
 def test_build_remap_monotonic_and_odd():
     table = build_remap(695, R, PITCH)
     assert np.all(np.diff(table.source) > 0)
-    off = table.offsets()
+    off = table.source - table.center
     np.testing.assert_allclose(off, -off[::-1], atol=1e-9)
     assert np.all(np.abs(off) <= np.abs(np.arange(695) - table.center) + 1e-12)
 
@@ -155,7 +155,7 @@ def test_build_remap_edge_entry():
     # center-relative source of the last corrected column, m = 347:
     # (r/p) sin(347 p / r) = 338.9344414 (frozen oracle)
     table = build_remap(695, R, PITCH)
-    assert table.offsets()[-1] == pytest.approx(338.934441398, abs=1e-6)
+    assert table.source[-1] - table.center == pytest.approx(338.934441398, abs=1e-6)
 
 
 def test_build_remap_rejects_oversized_tile():
