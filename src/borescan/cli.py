@@ -112,12 +112,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pitch_um=cfg.optics.pixel_pitch_y_um,
         bit_depth=cfg.synth.bit_depth,
     )
-    tiles, manifest = render_stack(
-        texture, plan, cfg.optics, cfg.region, noise_sigma=sigma, seed=seed,
-        truth=defects,
+    manifest = RunManifest(
+        hole=cfg.hole, optics=cfg.optics, region=cfg.region, plan=plan,
+        truth=defects, seed=seed, noise_sigma=sigma,
     )
     out = _outdir(args.out)
-    for tile in tiles:
+    for tile in render_stack(
+        texture, plan, cfg.optics, cfg.region, noise_sigma=sigma, seed=seed
+    ):
         depth_step, rotation_step = tile.tile_index
         name = _tile_name(depth_step, rotation_step)
         write_pgm(out / name, tile.pixels)
@@ -126,7 +128,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     save_manifest(manifest, out / "manifest.yaml")
     print(
-        f"synth: {len(tiles)} tiles, {len(defects)} planted defects, "
+        f"synth: {len(manifest.images)} tiles, {len(defects)} planted defects, "
         f"seed={seed} sigma={sigma:g}"
     )
     return 0

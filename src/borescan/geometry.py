@@ -47,10 +47,9 @@ class HoleSpec:
     depth_mm: float
 
     def __post_init__(self) -> None:
-        if self.radius_mm <= 0:
-            raise DomainError(f"hole radius must be positive, got {self.radius_mm}")
-        if self.depth_mm <= 0:
-            raise DomainError(f"hole depth must be positive, got {self.depth_mm}")
+        for name, value in (("radius", self.radius_mm), ("depth", self.depth_mm)):
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"hole {name} must be finite and > 0, got {value}")
 
     @property
     def in_supported_range(self) -> bool:
@@ -105,8 +104,11 @@ class OpticsConfig:
             raise ConfigError("chain segment lengths must be non-negative")
         if self.optical_length_mm <= 0:
             raise ConfigError("total optical length must be positive")
-        if self.pixel_pitch_x_um <= 0 or self.pixel_pitch_y_um <= 0:
-            raise ConfigError("pixel pitches must be positive")
+        for pitch in (self.pixel_pitch_x_um, self.pixel_pitch_y_um):
+            if not (math.isfinite(pitch) and pitch > 0):
+                raise ConfigError(
+                    f"pixel pitches must be positive and finite, got {pitch}"
+                )
 
     @property
     def optical_length_mm(self) -> float:

@@ -19,7 +19,7 @@ from .detect import BlobRecord, line_width
 from .errors import DomainError, PlanIndexError
 from .geometry import HoleSpec, OpticsConfig
 from .scanplan import ScanPlan
-from .unwrap import TileImage
+from .unwrap import TileImage, _wrapped_segments
 
 __all__ = [
     "DefectRecord",
@@ -291,8 +291,8 @@ def stitch_panorama(
 
     Canvas dimensions depend only on the hole and the pixel pitch, never on
     the plan ordering. Overlaps resolve last-writer in schedule order; the
-    metadata records each placement plus any plan positions that had no
-    tile and any canvas pixels nothing covered.
+    metadata records any plan positions that had no tile and any canvas
+    pixels nothing covered.
     """
     width = round(
         2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um
@@ -308,7 +308,6 @@ def stitch_panorama(
         if img.pixels.dtype != dtype:
             raise DomainError("tiles mix bit depths")
         by_index[img.tile_index] = img
-    placements = []
     missing = []
     for event in plan.schedule:
         img = by_index.get((event.depth_step, event.rotation_step))
@@ -322,19 +321,15 @@ def stitch_panorama(
         r_hi = min(h, height - row0)
         if r_lo >= r_hi:
             continue
-        cols = (col0 + np.arange(w)) % width
-        rows = np.arange(row0 + r_lo, row0 + r_hi)
-        canvas[rows[:, None], cols[None, :]] = img.pixels[r_lo:r_hi]
-        covered[rows[:, None], cols[None, :]] = True
-        placements.append(
-            (event.depth_step, event.rotation_step, row0, int(cols[0]))
-        )
+        rows = slice(row0 + r_lo, row0 + r_hi)
+        for cols, src in _wrapped_segments(col0, w, width):
+            canvas[rows, cols] = img.pixels[r_lo:r_hi, src]
+            covered[rows, cols] = True
     return TileImage(
         canvas,
         cfg.pixel_pitch_x_um,
         cfg.pixel_pitch_y_um,
         meta={
-            "placements": placements,
             "missing_tiles": missing,
             "uncovered_px": int(covered.size - covered.sum()),
         },

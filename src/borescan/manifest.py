@@ -34,6 +34,9 @@ __all__ = [
     "report_to_dict",
 ]
 
+# libyaml's parser when PyYAML was built with it; same data, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass
 class RunManifest:
@@ -159,6 +162,14 @@ def manifest_from_dict(data: dict) -> RunManifest:
             step_mm=_need(plan_d, "step_mm", "plan"),
             schedule=schedule,
         )
+        for e in schedule:
+            if not (
+                0 <= e.depth_step < plan.n_depth and 0 <= e.rotation_step < plan.n_rot
+            ):
+                raise ParseError(
+                    f"schedule entry {e.order} names tile ({e.depth_step}, "
+                    f"{e.rotation_step}) outside the {plan.n_depth} x {plan.n_rot} plan"
+                )
         truth = [
             DefectSpec(
                 kind=_need(d, "kind", "truth entry"),
@@ -201,7 +212,7 @@ def save_manifest(manifest: RunManifest, path) -> None:
 def load_manifest(path) -> RunManifest:
     try:
         with open(path, "r", encoding="ascii") as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_LOADER)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ParseError(f"unreadable manifest {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -323,7 +334,7 @@ def read_report(path) -> dict:
     """Load a YAML report, checking the pieces report-compare relies on."""
     try:
         with open(path, "r", encoding="ascii") as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_LOADER)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ParseError(f"unreadable report {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, PlacementError
 from .geometry import HoleSpec, OpticsConfig
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
-from .unwrap import TileImage, pixel_to_arc
+from .unwrap import TileImage, _resample_columns, _wrapped_segments, pixel_to_arc
 
 __all__ = [
     "SurfaceTexture",
@@ -140,18 +140,6 @@ def _footprints_overlap(a: DefectSpec, b: DefectSpec, circumference_mm: float) -
     return gap_u * gap_u + gap_z * gap_z < (disc.size_mm / 2.0) ** 2
 
 
-def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[int, slice]]:
-    """Split [start, start+count) modulo width into contiguous chunks.
-
-    Returns (texture column start, source slice into the unwrapped range).
-    """
-    start %= width
-    if start + count <= width:
-        return [(start, slice(0, count))]
-    first = width - start
-    return [(start, slice(0, first)), (0, slice(first, count))]
-
-
 def build_texture(
     hole: HoleSpec,
     defects: list[DefectSpec],
@@ -218,13 +206,10 @@ def build_texture(
             cov_u = (np.abs(du) <= half_u).mean(axis=2)  # (1, C)
             cov_v = (np.abs(dv) <= half_z).mean(axis=2)  # (R, 1)
             coverage = cov_v.reshape(-1, 1) * cov_u.reshape(1, -1)
-        for col_start, chunk in _wrapped_segments(c_lo, len(cols), width):
-            n_cols = chunk.stop - chunk.start
-            window = pixels[r_lo : r_hi + 1, col_start : col_start + n_cols].astype(
-                np.float64
-            )
-            window += spec.contrast * coverage[:, chunk]
-            pixels[r_lo : r_hi + 1, col_start : col_start + n_cols] = np.rint(
+        for dst, src in _wrapped_segments(c_lo, len(cols), width):
+            window = pixels[r_lo : r_hi + 1, dst].astype(np.float64)
+            window += spec.contrast * coverage[:, src]
+            pixels[r_lo : r_hi + 1, dst] = np.rint(
                 np.clip(window, 0, max_value)
             ).astype(dtype)
 
@@ -283,20 +268,18 @@ def render_tile(
     v = (event.z_mm * 1e3 + n_rel * cfg.pixel_pitch_y_um) / texture.pitch_um
     on_surface = (v >= 0.0) & (v <= texture.height - 1)
 
-    u0 = np.floor(u)
-    fu = u - u0
-    c0 = u0.astype(np.int64) % texture.width
-    c1 = (u0.astype(np.int64) + 1) % texture.width
     v_cl = np.clip(v, 0.0, float(texture.height - 1))
     v0 = np.floor(v_cl).astype(np.int64)
     v0 = np.minimum(v0, max(texture.height - 2, 0))
-    fv = v_cl - v0
+    fv = (v_cl - v0)[:, None]
     v1 = np.minimum(v0 + 1, texture.height - 1)
 
+    # texture columns under the tile, unwrapped across the seam; rows blend first
+    base = math.floor(u[0])
+    band = np.arange(base, math.floor(u[-1]) + 2) % texture.width
     tex = texture.pixels
-    top = tex[np.ix_(v0, c0)] * (1.0 - fu) + tex[np.ix_(v0, c1)] * fu
-    bottom = tex[np.ix_(v1, c0)] * (1.0 - fu) + tex[np.ix_(v1, c1)] * fu
-    sampled = top * (1.0 - fv[:, None]) + bottom * fv[:, None]
+    rows = tex[np.ix_(v0, band)] * (1.0 - fv) + tex[np.ix_(v1, band)] * fv
+    sampled = _resample_columns(rows, u - base)
     sampled[~on_surface, :] = float(texture.background)
 
     pixels = np.rint(sampled).astype(tex.dtype)
@@ -320,10 +303,11 @@ def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
         pixels = img.pixels.copy()
     else:
         rng = np.random.default_rng(seed)
-        noisy = img.pixels.astype(np.float64) + rng.normal(
-            0.0, sigma, size=img.pixels.shape
-        )
-        pixels = np.rint(np.clip(noisy, 0, img.max_value)).astype(img.pixels.dtype)
+        # in place: one float64 buffer per tile, same sums as pixels + noise
+        noisy = rng.normal(0.0, sigma, size=img.pixels.shape)
+        noisy += img.pixels
+        np.clip(noisy, 0, img.max_value, out=noisy)
+        pixels = np.rint(noisy, out=noisy).astype(img.pixels.dtype)
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=img.pixel_pitch_x_um,
@@ -345,28 +329,13 @@ def render_stack(
     region: EffectiveRegion,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    truth: list[DefectSpec] | None = None,
 ):
-    """Render every scheduled tile; returns (tiles, manifest).
+    """Yield every scheduled tile, rendered and noisy, in plan order.
 
     Each tile gets an independent noise stream derived from the master
     seed and its order index, so re-renders are byte-identical no matter
     how the work is distributed.
     """
-    from .manifest import RunManifest  # deferred: manifest also names our types
-
-    tiles = []
     for event in plan.schedule:
         tile = render_tile(texture, event, cfg, region)
-        tiles.append(add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order)))
-    manifest = RunManifest(
-        hole=HoleSpec(radius_mm=texture.radius_mm, depth_mm=texture.depth_mm),
-        optics=cfg,
-        region=region,
-        plan=plan,
-        images=[],
-        truth=list(truth) if truth else [],
-        seed=seed,
-        noise_sigma=noise_sigma,
-    )
-    return tiles, manifest
+        yield add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))

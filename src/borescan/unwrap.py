@@ -205,8 +205,10 @@ def build_remap(width: int, radius_mm: float, pitch_um: float) -> RemapTable:
 def _resample_columns(pixels: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sample every row of ``pixels`` at fractional column positions ``cols``.
 
-    Returns float64; caller handles masking and dtype restoration. Columns
-    are clipped, so out-of-range requests must be masked by the caller.
+    The one array interpolation kernel: render, correct and forward
+    projection all resample through it. Returns float64; caller handles
+    masking and dtype restoration. Columns are clipped, so out-of-range
+    requests must be masked by the caller.
     """
     last = pixels.shape[1] - 1
     clipped = np.clip(cols, 0.0, float(last))
@@ -214,8 +216,24 @@ def _resample_columns(pixels: np.ndarray, cols: np.ndarray) -> np.ndarray:
     c0 = np.minimum(c0, last - 1) if last > 0 else c0
     frac = clipped - c0
     c1 = np.minimum(c0 + 1, last)
-    work = pixels.astype(np.float64)
-    return work[:, c0] * (1.0 - frac) + work[:, c1] * frac
+    # gather first: widening only the sampled columns is exact and cheaper
+    return pixels[:, c0] * (1.0 - frac) + pixels[:, c1] * frac
+
+
+def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[slice, slice]]:
+    """Split columns [start, start+count) modulo ``width`` at the 360-degree seam.
+
+    The one seam helper. Returns (wrapped columns, slice of the unwrapped
+    range) pairs: at most two, for ``count <= width``.
+    """
+    start %= width
+    if start + count <= width:
+        return [(slice(start, start + count), slice(0, count))]
+    first = width - start
+    return [
+        (slice(start, width), slice(0, first)),
+        (slice(0, count - first), slice(first, count)),
+    ]
 
 
 def correct_tile(img: TileImage, radius_mm: float) -> TileImage:

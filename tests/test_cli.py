@@ -1,6 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 
 import pytest
+import yaml
 
 from borescan.cli import main
 from borescan.manifest import load_manifest, read_report
@@ -62,6 +63,25 @@ class TestPlan:
         assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "inspect --min-area" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[hole]\nradius_mm = nan\ndepth_mm = 2.0\n",
+            "[hole]\nradius_mm = inf\ndepth_mm = 2.0\n",
+            "[hole]\nradius_mm = 0.9\ndepth_mm = nan\n",
+            "[hole]\nradius_mm = 0.9\ndepth_mm = inf\n",
+            CONFIG + "[optics]\npixel_pitch_x_um = nan\n",
+            CONFIG + "[optics]\npixel_pitch_y_um = inf\n",
+        ],
+        ids=["radius-nan", "radius-inf", "depth-nan", "depth-inf", "pitch-x-nan",
+             "pitch-y-inf"],
+    )
+    def test_non_finite_value_exits_3(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_degenerate_geometry_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(CONFIG + "[region]\nwidth_mm = 2.9\n")
@@ -75,12 +95,24 @@ class TestPlan:
 
 
 class TestSynth:
-    def test_writes_tiles_and_manifest(self, synth_dir):
-        manifest = load_manifest(synth_dir / "manifest.yaml")
+    def test_writes_tiles_and_manifest(self, tmp_path, config_path, capsys):
+        defects = tmp_path / "defects.csv"
+        defects.write_text(DEFECTS)
+        out = tmp_path / "tiles"
+        code = main(
+            ["synth", "--config", str(config_path), "--defects", str(defects),
+             "--out", str(out), "--seed", "5", "--noise-sigma", "3"]
+        )
+        assert code == 0
+        assert "synth: 8 tiles, 1 planted defects" in capsys.readouterr().out
+        manifest = load_manifest(out / "manifest.yaml")
         assert len(manifest.images) == 8
         assert len(manifest.truth) == 1
+        assert manifest.seed == 5
+        assert manifest.noise_sigma == 3.0
+        assert manifest.hole.depth_mm == 2.0
         for entry in manifest.images:
-            assert (synth_dir / entry["file"]).exists()
+            assert (out / entry["file"]).exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, config_path):
         defects = tmp_path / "defects.csv"
@@ -195,6 +227,16 @@ class TestInspect:
         bad = tmp_path / "bad.yaml"
         bad.write_text("{[")
         assert main(["inspect", "--manifest", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_out_of_plan_schedule_entry_exits_2(self, tmp_path, synth_dir, capsys):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["plan"]["schedule"][0]["depth_step"] = 99
+        data["images"][0]["depth_step"] = 99
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "(99, 0)" in capsys.readouterr().err
 
     def test_otsu_threshold_accepted(self, tmp_path, synth_dir):
         out = tmp_path / "otsu"

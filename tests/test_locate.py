@@ -17,7 +17,7 @@ from borescan.locate import (
     record_from_blob,
     stitch_panorama,
 )
-from borescan.scanplan import EffectiveRegion, plan_scan
+from borescan.scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan
 from borescan.synth import DefectSpec, build_texture, render_stack, tile_shape_for
 from borescan.unwrap import TileImage, correct_tile
 
@@ -317,10 +317,24 @@ class TestStitchPanorama:
         with pytest.raises(DomainError):
             stitch_panorama(tiles, self.PLAN, self.HOLE, CFG)
 
+    def test_seam_tile_splits_across_first_and_last_columns(self):
+        h, w = 4, 9
+        gradient = np.tile(np.arange(1, w + 1, dtype=np.uint8), (h, 1))
+        plan = ScanPlan(1, 1, 360.0, 1.5, (CaptureEvent(0, 0, 0, 1.0, 0.0),))
+        tile = TileImage(gradient, 2.16, 2.16, tile_index=(0, 0))
+        pano = stitch_panorama([tile], plan, self.HOLE, CFG)
+        row0 = round(1000.0 / 2.16) - (h - 1) // 2
+        unwrapped = np.zeros((926, 2618), dtype=np.uint8)
+        unwrapped[row0 : row0 + h, :w] = gradient
+        expected = np.roll(unwrapped, -((w - 1) // 2), axis=1)
+        assert np.array_equal(pano.pixels, expected)
+        assert pano.pixels[row0, 0] == 5 and pano.pixels[row0, -1] == 4
+        assert pano.meta["uncovered_px"] == 926 * 2618 - h * w
+
     def test_planted_disc_lands_at_its_bore_position(self):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
         texture = build_texture(self.HOLE, [spot])
-        tiles, _ = render_stack(texture, self.PLAN, CFG, REGION)
+        tiles = list(render_stack(texture, self.PLAN, CFG, REGION))
         corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
         pano = stitch_panorama(corrected, self.PLAN, self.HOLE, CFG)
         blobs = connected_components(label_mask(binarize(pano, threshold=0.5)))

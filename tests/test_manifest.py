@@ -103,6 +103,19 @@ class TestManifestRoundTrip:
         with pytest.raises(ParseError, match="lens_length_mm"):
             manifest_from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [("depth_step", 99), ("rotation_step", -1)])
+    def test_out_of_plan_schedule_entry_raises(self, key, value):
+        data = manifest_to_dict(sample_manifest())
+        data["plan"]["schedule"][0][key] = value
+        with pytest.raises(ParseError, match="outside"):
+            manifest_from_dict(data)
+
+    def test_non_finite_hole_radius_raises(self):
+        data = manifest_to_dict(sample_manifest())
+        data["hole"]["radius_mm"] = float("nan")
+        with pytest.raises(ParseError, match="finite"):
+            manifest_from_dict(data)
+
     def test_unparseable_yaml_raises(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("{[")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -169,6 +170,22 @@ def test_render_tile_bottom_overhang_background():
     assert np.any(tile.pixels[347:] <= 120)
 
 
+def test_render_tile_seam_matches_rolled_texture():
+    # a window straddling the 360-degree seam reads the same texture columns
+    # as the window opposite it on a texture turned by half a revolution
+    spec = DefectSpec("disc", z_mm=1.5, beta_deg=359.95, size_mm=0.2)
+    texture = build_texture(BORE, [spec])
+    assert texture.width % 2 == 0
+    turned = dataclasses.replace(
+        texture, pixels=np.roll(texture.pixels, texture.width // 2, axis=1)
+    )
+    at_seam = render_tile(texture, CaptureEvent(0, 0, 0, 1.5, 0.0), CFG, REGION)
+    opposite = render_tile(turned, CaptureEvent(0, 0, 0, 1.5, 180.0), CFG, REGION)
+    assert np.any(at_seam.pixels[:, :347] <= 120)
+    assert np.any(at_seam.pixels[:, 348:] <= 120)
+    assert np.array_equal(at_seam.pixels, opposite.pixels)
+
+
 def test_add_noise_zero_sigma_identity():
     texture = build_texture(BORE, [])
     tile = render_tile(texture, CaptureEvent(0, 0, 0, 0.0, 0.0), CFG, REGION)
@@ -200,28 +217,25 @@ def test_add_noise_sample_std():
     assert 4.8 <= diff.std(ddof=1) <= 5.2
 
 
-def test_render_stack_counts_and_manifest():
+def test_render_stack_counts_and_order():
     hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
     texture = build_texture(hole, [DefectSpec("disc", 0.6, 100.0, 0.2)])
     plan = plan_scan(hole, REGION)
     assert (plan.n_rot, plan.n_depth) == (9, 1)
-    tiles, manifest = render_stack(
-        texture, plan, CFG, REGION, noise_sigma=3.0, seed=5,
-        truth=[DefectSpec("disc", 0.6, 100.0, 0.2)],
-    )
+    tiles = list(render_stack(texture, plan, CFG, REGION, noise_sigma=3.0, seed=5))
     assert len(tiles) == 9
-    assert manifest.hole.depth_mm == 1.2
-    assert manifest.seed == 5
-    assert len(manifest.truth) == 1
-    assert manifest.images == []
+    assert [t.tile_index for t in tiles] == [
+        (e.depth_step, e.rotation_step) for e in plan.schedule
+    ]
 
 
 def test_render_stack_deterministic():
     hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
     texture = build_texture(hole, [])
     plan = plan_scan(hole, REGION)
-    first, _ = render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11)
-    second, _ = render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11)
+    first = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
+    second = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
+    assert len(first) == len(second) == 9
     for a, b in zip(first, second):
         assert np.array_equal(a.pixels, b.pixels)
 
@@ -232,6 +246,4 @@ def test_render_stack_empty_plan():
     hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
     texture = build_texture(hole, [])
     empty = ScanPlan(0, 0, 0.0, 1.5, tuple())
-    tiles, manifest = render_stack(texture, empty, CFG, REGION)
-    assert tiles == []
-    assert manifest.plan.n_rot == 0
+    assert list(render_stack(texture, empty, CFG, REGION)) == []
