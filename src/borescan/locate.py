@@ -300,7 +300,6 @@ def stitch_panorama(
     height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
     dtype = tiles[0].pixels.dtype if tiles else np.dtype(np.uint8)
     canvas = np.zeros((height, width), dtype=dtype)
-    covered = np.zeros((height, width), dtype=bool)
     by_index = {}
     for img in tiles:
         if img.tile_index is None:
@@ -309,6 +308,7 @@ def stitch_panorama(
             raise DomainError("tiles mix bit depths")
         by_index[img.tile_index] = img
     missing = []
+    pasted = []  # (row slice, column slice) of every paste, after the seam split
     for event in plan.schedule:
         img = by_index.get((event.depth_step, event.rotation_step))
         if img is None:
@@ -324,13 +324,32 @@ def stitch_panorama(
         rows = slice(row0 + r_lo, row0 + r_hi)
         for cols, src in _wrapped_segments(col0, w, width):
             canvas[rows, cols] = img.pixels[r_lo:r_hi, src]
-            covered[rows, cols] = True
+            pasted.append((rows, cols))
     return TileImage(
         canvas,
         cfg.pixel_pitch_x_um,
         cfg.pixel_pitch_y_um,
         meta={
             "missing_tiles": missing,
-            "uncovered_px": int(covered.size - covered.sum()),
+            "uncovered_px": height * width - _union_area(pasted),
         },
     )
+
+
+def _union_area(rects: list[tuple[slice, slice]]) -> int:
+    """Pixels covered by a union of (row slice, column slice) rectangles.
+
+    Exact, by coordinate compression: the rectangle edges cut the plane
+    into cells that each lie wholly inside or outside every rectangle.
+    """
+    if not rects:
+        return 0
+    row_edges = np.unique([e for rows, _ in rects for e in (rows.start, rows.stop)])
+    col_edges = np.unique([e for _, cols in rects for e in (cols.start, cols.stop)])
+    inside = np.zeros((len(row_edges) - 1, len(col_edges) - 1), dtype=bool)
+    for rows, cols in rects:
+        r0, r1 = np.searchsorted(row_edges, (rows.start, rows.stop))
+        c0, c1 = np.searchsorted(col_edges, (cols.start, cols.stop))
+        inside[r0:r1, c0:c1] = True
+    cells = np.outer(np.diff(row_edges), np.diff(col_edges))
+    return int(cells[inside].sum())

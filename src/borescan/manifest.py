@@ -10,6 +10,8 @@ as YAML for machines and CSV for spreadsheets.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import statistics
 from dataclasses import dataclass, field
 
@@ -120,6 +122,18 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, where: str, kind: type):
+    """``mapping[key]`` as ``kind``: an integer, or a finite float."""
+    value = _need(mapping, key, where)
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, wanted) and not isinstance(value, bool):
+        number = kind(value)
+        if kind is int or math.isfinite(number):
+            return number
+    noun = "an integer" if kind is int else "a finite number"
+    raise ParseError(f"{where} {key} must be {noun}, got {value!r}")
+
+
 def manifest_from_dict(data: dict) -> RunManifest:
     hole_d = _need(data, "hole", "manifest")
     optics_d = _need(data, "optics", "manifest")
@@ -147,19 +161,19 @@ def manifest_from_dict(data: dict) -> RunManifest:
         )
         schedule = tuple(
             CaptureEvent(
-                order=_need(e, "order", "schedule entry"),
-                depth_step=_need(e, "depth_step", "schedule entry"),
-                rotation_step=_need(e, "rotation_step", "schedule entry"),
-                z_mm=_need(e, "z_mm", "schedule entry"),
-                theta_deg=_need(e, "theta_deg", "schedule entry"),
+                order=_number(e, "order", "schedule entry", int),
+                depth_step=_number(e, "depth_step", "schedule entry", int),
+                rotation_step=_number(e, "rotation_step", "schedule entry", int),
+                z_mm=_number(e, "z_mm", "schedule entry", float),
+                theta_deg=_number(e, "theta_deg", "schedule entry", float),
             )
             for e in _need(plan_d, "schedule", "plan")
         )
         plan = ScanPlan(
-            n_rot=_need(plan_d, "n_rot", "plan"),
-            n_depth=_need(plan_d, "n_depth", "plan"),
-            alpha_deg=_need(plan_d, "alpha_deg", "plan"),
-            step_mm=_need(plan_d, "step_mm", "plan"),
+            n_rot=_number(plan_d, "n_rot", "plan", int),
+            n_depth=_number(plan_d, "n_depth", "plan", int),
+            alpha_deg=_number(plan_d, "alpha_deg", "plan", float),
+            step_mm=_number(plan_d, "step_mm", "plan", float),
             schedule=schedule,
         )
         for e in schedule:
@@ -189,7 +203,7 @@ def manifest_from_dict(data: dict) -> RunManifest:
             }
             for entry in data.get("images", [])
         ]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad manifest value: {exc}") from exc
     return RunManifest(
         hole=hole,

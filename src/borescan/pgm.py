@@ -18,16 +18,17 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ImageFormatError("PGM rasters are 2-D")
+    # written straight from a contiguous array: tobytes() would copy it first
     if pixels.dtype == np.uint8:
-        maxval, payload = 255, pixels.tobytes()
+        maxval, raster = 255, np.ascontiguousarray(pixels)
     elif pixels.dtype == np.uint16:
-        maxval, payload = 65535, pixels.astype(">u2").tobytes()
+        maxval, raster = 65535, np.ascontiguousarray(pixels, dtype=">u2")
     else:
         raise ImageFormatError(f"unsupported dtype {pixels.dtype} for PGM")
     height, width = pixels.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
-        handle.write(payload)
+        handle.write(raster)
 
 
 def _tokens(data: bytes):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,10 @@ __all__ = [
 ]
 
 _SUPERSAMPLE = 4  # 4x4 subsamples per pixel for anti-aliased edges
+# Rows per strip in render_tile and add_noise: a strip's float64 work arrays
+# (~350 KB at 695 px) stay in cache and are reused by the allocator, where
+# whole-tile temporaries made the heap trim and fault back in per tile.
+STRIP_ROWS = 64
 DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
 
 
@@ -277,12 +283,18 @@ def render_tile(
     # texture columns under the tile, unwrapped across the seam; rows blend first
     base = math.floor(u[0])
     band = np.arange(base, math.floor(u[-1]) + 2) % texture.width
+    cols = u - base
     tex = texture.pixels
-    rows = tex[np.ix_(v0, band)] * (1.0 - fv) + tex[np.ix_(v1, band)] * fv
-    sampled = _resample_columns(rows, u - base)
-    sampled[~on_surface, :] = float(texture.background)
-
-    pixels = np.rint(sampled).astype(tex.dtype)
+    pixels = np.empty((height, width), dtype=tex.dtype)
+    for lo in range(0, height, STRIP_ROWS):
+        rows = slice(lo, lo + STRIP_ROWS)
+        blend = (
+            tex[np.ix_(v0[rows], band)] * (1.0 - fv[rows])
+            + tex[np.ix_(v1[rows], band)] * fv[rows]
+        )
+        sampled = _resample_columns(blend, cols)
+        sampled[~on_surface[rows], :] = float(texture.background)
+        pixels[rows] = np.rint(sampled, out=sampled)
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=cfg.pixel_pitch_x_um,
@@ -303,11 +315,14 @@ def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
         pixels = img.pixels.copy()
     else:
         rng = np.random.default_rng(seed)
-        # in place: one float64 buffer per tile, same sums as pixels + noise
-        noisy = rng.normal(0.0, sigma, size=img.pixels.shape)
-        noisy += img.pixels
-        np.clip(noisy, 0, img.max_value, out=noisy)
-        pixels = np.rint(noisy, out=noisy).astype(img.pixels.dtype)
+        pixels = np.empty_like(img.pixels)
+        # strip by strip, the stream draws the same values in the same order
+        for lo in range(0, img.height, STRIP_ROWS):
+            rows = slice(lo, lo + STRIP_ROWS)
+            noisy = rng.normal(0.0, sigma, size=pixels[rows].shape)
+            noisy += img.pixels[rows]
+            np.clip(noisy, 0, img.max_value, out=noisy)
+            pixels[rows] = np.rint(noisy, out=noisy)
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=img.pixel_pitch_x_um,
@@ -329,13 +344,32 @@ def render_stack(
     region: EffectiveRegion,
     noise_sigma: float = 0.0,
     seed: int = 0,
+    threads: int = 1,
 ):
     """Yield every scheduled tile, rendered and noisy, in plan order.
 
-    Each tile gets an independent noise stream derived from the master
-    seed and its order index, so re-renders are byte-identical no matter
-    how the work is distributed.
+    Tiles render on ``threads`` worker threads; at most ``threads + 1``
+    are in flight, counting the one the caller holds. Each tile gets an
+    independent noise stream derived from the master seed and its order
+    index, so the tiles are byte-identical for any thread count. An error
+    raised for one tile is raised here in its place, after every tile
+    before it.
     """
-    for event in plan.schedule:
+
+    # not underscore-named: the benchmark's tracer skips calls made from a
+    # module's private helpers, and this is where render and noise spans start
+    def render(event: CaptureEvent) -> TileImage:
         tile = render_tile(texture, event, cfg, region)
-        yield add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))
+        return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))
+
+    pool = ThreadPoolExecutor(max_workers=threads)
+    pending = deque()
+    try:
+        for event in plan.schedule:
+            pending.append(pool.submit(render, event))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -41,13 +41,7 @@ from borescan.scanplan import (
     coverage_check,
     plan_scan,
 )
-from borescan.synth import (
-    DefectSpec,
-    add_noise,
-    build_texture,
-    render_tile,
-    tile_noise_seed,
-)
+from borescan.synth import DefectSpec, build_texture, render_stack
 from borescan.unwrap import TileImage, correct_tile, forward_project
 
 RADIUS = 2.0  # reference 4 mm bore
@@ -238,18 +232,15 @@ def test_07_plan_coverage(capsys):
 def _scan_records(texture, plan, hole, noise_sigma=0.0, seed=0):
     """Render, correct, and measure every scheduled tile in memory."""
     records = []
-    for event in plan.schedule:
-        tile = render_tile(texture, event, OPTICS, REGION)
-        if noise_sigma:
-            tile = add_noise(tile, noise_sigma,
-                             tile_noise_seed(seed, event.order))
+    for tile in render_stack(texture, plan, OPTICS, REGION, noise_sigma, seed):
+        depth_step, rotation_step = tile.tile_index
         corrected = correct_tile(tile, hole.radius_mm)
         mask = binarize(corrected, method="fixed", threshold=0.5)
         labels = label_mask(mask, 8)
         for blob in connected_components(labels, DEFAULT_MIN_AREA):
             records.append(
-                record_from_blob(blob, labels, event.depth_step,
-                                 event.rotation_step, plan, hole, OPTICS)
+                record_from_blob(blob, labels, depth_step, rotation_step,
+                                 plan, hole, OPTICS)
             )
     return merge_duplicates(records, radius_mm=hole.radius_mm)
 

@@ -3,8 +3,12 @@
 import pytest
 import yaml
 
+from borescan import synth
 from borescan.cli import main
+from borescan.config import load_config
+from borescan.errors import DomainError
 from borescan.manifest import load_manifest, read_report
+from borescan.scanplan import plan_scan
 
 CONFIG = "[hole]\nradius_mm = 0.9\ndepth_mm = 2.0\n"
 DEFECTS = (
@@ -130,6 +134,53 @@ class TestSynth:
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
 
+    def test_thread_count_does_not_change_output(self, tmp_path, config_path):
+        defects = tmp_path / "defects.csv"
+        defects.write_text(DEFECTS)
+        outs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}"
+            code = main(
+                ["synth", "--config", str(config_path), "--defects", str(defects),
+                 "--out", str(out), "--noise-sigma", "5", "--threads", threads]
+            )
+            assert code == 0
+            outs.append(out)
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert len(names) == 9 and "manifest.yaml" in names
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_bad_threads_env_exits_2(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.setenv("BORESCAN_THREADS", "0")
+        code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    def test_worker_error_exits_3_after_earlier_tiles(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        render_tile = synth.render_tile
+
+        def failing_render_tile(texture, event, cfg, region):
+            if event.order == 3:
+                raise DomainError("tile 3 cannot be rendered")
+            return render_tile(texture, event, cfg, region)
+
+        monkeypatch.setattr(synth, "render_tile", failing_render_tile)
+        out = tmp_path / "o"
+        code = main(
+            ["synth", "--config", str(config_path), "--out", str(out),
+             "--threads", "3"]
+        )
+        assert code == 3
+        cfg = load_config(config_path)
+        before = sorted(
+            f"tile_d{e.depth_step:02d}_r{e.rotation_step:02d}.pgm"
+            for e in plan_scan(cfg.hole, cfg.region).schedule if e.order < 3
+        )
+        assert sorted(path.name for path in out.iterdir()) == before
+
     def test_defect_outside_hole_exits_3(self, tmp_path, config_path, capsys):
         defects = tmp_path / "defects.csv"
         defects.write_text(
@@ -237,6 +288,31 @@ class TestInspect:
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "(99, 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("plan", "step_mm", "x"),
+            ("plan", "alpha_deg", None),
+            ("plan", "n_rot", 4.5),
+            ("plan", "n_depth", "2"),
+            ("plan", "step_mm", float("nan")),
+            ("schedule", "order", True),
+            ("schedule", "z_mm", "deep"),
+            ("schedule", "theta_deg", [90]),
+        ],
+    )
+    def test_non_numeric_plan_value_exits_2(
+        self, tmp_path, synth_dir, capsys, section, key, value
+    ):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        plan = data["plan"]
+        (plan if section == "plan" else plan["schedule"][0])[key] = value
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_otsu_threshold_accepted(self, tmp_path, synth_dir):
         out = tmp_path / "otsu"

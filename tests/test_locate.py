@@ -331,6 +331,28 @@ class TestStitchPanorama:
         assert pano.pixels[row0, 0] == 5 and pano.pixels[row0, -1] == 4
         assert pano.meta["uncovered_px"] == 926 * 2618 - h * w
 
+    # (z_mm, theta_deg, has a tile) per event; canvas 926 x 2618 px
+    LAYOUTS = {
+        "overlapping": [(1.0, 100.0, True), (1.05, 101.0, True), (0.98, 99.5, True)],
+        "seam-wrapping": [(1.0, 0.0, True), (1.0, 359.8, True), (1.01, 0.3, True)],
+        "missing-tile": [(0.5, 40.0, True), (0.55, 41.0, False), (1.5, 200.0, True)],
+        "clipped-rows": [(0.0, 10.0, True), (2.0, 10.05, True), (9.0, 50.0, True)],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_uncovered_px_matches_mask_oracle(self, layout):
+        events, tiles = [], []
+        for order, (z_mm, theta_deg, has_tile) in enumerate(self.LAYOUTS[layout]):
+            events.append(CaptureEvent(order, 0, order, z_mm, theta_deg))
+            if has_tile:
+                ones = np.ones((37 + 10 * order, 51 + 20 * order), dtype=np.uint8)
+                tiles.append(TileImage(ones, 2.16, 2.16, tile_index=(0, order)))
+        plan = ScanPlan(len(events), 1, 1.0, 1.5, tuple(events))
+        pano = stitch_panorama(tiles, plan, self.HOLE, CFG)
+        uncovered = pano.pixels == 0  # every tile pixel is 1
+        assert 0 < np.count_nonzero(uncovered) < uncovered.size
+        assert pano.meta["uncovered_px"] == np.count_nonzero(uncovered)
+
     def test_planted_disc_lands_at_its_bore_position(self):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
         texture = build_texture(self.HOLE, [spot])

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from borescan import synth
 from borescan.errors import DomainError, PlacementError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.scanplan import CaptureEvent, EffectiveRegion, plan_scan
 from borescan.synth import (
+    STRIP_ROWS,
     DefectSpec,
     add_noise,
     build_texture,
@@ -16,6 +18,7 @@ from borescan.synth import (
     render_tile,
     tile_shape_for,
 )
+from borescan.unwrap import TileImage, _resample_columns, pixel_to_arc
 
 CFG = OpticsConfig(
     mirror_diameter_mm=2.5,
@@ -186,6 +189,48 @@ def test_render_tile_seam_matches_rolled_texture():
     assert np.array_equal(at_seam.pixels, opposite.pixels)
 
 
+def whole_tile_render(texture, event):
+    """Reference render: the row blend and resample over the whole tile at once."""
+    height, width = tile_shape_for(CFG, REGION)
+    k_rel = np.arange(width, dtype=np.float64) - (width - 1) / 2.0
+    pitch_x = CFG.pixel_pitch_x_um
+    arc_um = pixel_to_arc(k_rel, texture.radius_mm, pitch_x) * pitch_x
+    u = event.theta_deg / 360.0 * texture.width + arc_um / texture.arc_pitch_um
+    n_rel = np.arange(height, dtype=np.float64) - (height - 1) / 2.0
+    v = (event.z_mm * 1e3 + n_rel * CFG.pixel_pitch_y_um) / texture.pitch_um
+    on_surface = (v >= 0.0) & (v <= texture.height - 1)
+    v_cl = np.clip(v, 0.0, float(texture.height - 1))
+    v0 = np.minimum(np.floor(v_cl).astype(np.int64), texture.height - 2)
+    fv = (v_cl - v0)[:, None]
+    v1 = v0 + 1
+    base = math.floor(u[0])
+    band = np.arange(base, math.floor(u[-1]) + 2) % texture.width
+    tex = texture.pixels
+    rows = tex[np.ix_(v0, band)] * (1.0 - fv) + tex[np.ix_(v1, band)] * fv
+    sampled = _resample_columns(rows, u - base)
+    sampled[~on_surface, :] = float(texture.background)
+    return np.rint(sampled).astype(tex.dtype)
+
+
+@pytest.mark.parametrize("bit_depth, background", [(8, 180), (16, 46000)])
+@pytest.mark.parametrize("cross_row", [STRIP_ROWS - 1, STRIP_ROWS, STRIP_ROWS + 0.5])
+def test_render_tile_strips_match_whole_tile_across_bottom_edge(
+    bit_depth, background, cross_row
+):
+    # the bottom tile's rows reach below z'=0; place that edge on, just
+    # before and inside a strip boundary, with a disc right above it
+    spec = DefectSpec("disc", z_mm=0.12, beta_deg=0.5, size_mm=0.2, contrast=-90)
+    texture = build_texture(BORE, [spec], background=background, bit_depth=bit_depth)
+    z_mm = (347 - cross_row) * 2.16e-3
+    event = CaptureEvent(0, 0, 0, z_mm, 0.0)
+    tile = render_tile(texture, event, CFG, REGION)
+    expected = whole_tile_render(texture, event)
+    assert tile.pixels.dtype == expected.dtype
+    assert np.array_equal(tile.pixels, expected)
+    assert np.all(tile.pixels[: math.floor(cross_row)] == background)
+    assert np.any(tile.pixels[math.ceil(cross_row) :] != background)
+
+
 def test_add_noise_zero_sigma_identity():
     texture = build_texture(BORE, [])
     tile = render_tile(texture, CaptureEvent(0, 0, 0, 0.0, 0.0), CFG, REGION)
@@ -204,9 +249,21 @@ def test_add_noise_deterministic():
     assert not np.array_equal(a.pixels, c.pixels)
 
 
-def test_add_noise_sample_std():
-    from borescan.unwrap import TileImage
+@pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 65535)])
+def test_add_noise_strips_match_whole_tile_draw(dtype, peak):
+    # 695 rows: ten full strips and a short one
+    assert 695 % STRIP_ROWS != 0
+    pixels = np.random.default_rng(4).integers(0, peak + 1, (695, 301)).astype(dtype)
+    clean = TileImage(pixels, 2.16, 2.16)
+    sigma = 5.0 if dtype == np.uint8 else 900.0
+    noisy = add_noise(clean, sigma, seed=21)
+    draw = np.random.default_rng(21).normal(0.0, sigma, pixels.shape)
+    expected = np.rint(np.clip(pixels + draw, 0, peak)).astype(dtype)
+    assert noisy.pixels.dtype == dtype
+    assert np.array_equal(noisy.pixels, expected)
 
+
+def test_add_noise_sample_std():
     clean = TileImage(
         np.full((512, 512), 128, dtype=np.uint8),
         pixel_pitch_x_um=2.16,
@@ -231,13 +288,35 @@ def test_render_stack_counts_and_order():
 
 def test_render_stack_deterministic():
     hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
-    texture = build_texture(hole, [])
+    texture = build_texture(hole, [DefectSpec("disc", 0.6, 100.0, 0.2)])
     plan = plan_scan(hole, REGION)
     first = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
-    second = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
+    second = list(
+        render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11, threads=3)
+    )
     assert len(first) == len(second) == 9
     for a, b in zip(first, second):
+        assert a.tile_index == b.tile_index
         assert np.array_equal(a.pixels, b.pixels)
+
+
+def test_render_stack_holds_at_most_threads_plus_one_tiles(monkeypatch):
+    hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
+    texture = build_texture(hole, [])
+    plan = plan_scan(hole, REGION)
+    started = []
+
+    def counting_render_tile(*args):
+        started.append(1)
+        return render_tile(*args)
+
+    monkeypatch.setattr(synth, "render_tile", counting_render_tile)
+    threads = 2
+    held = 0
+    for held, _ in enumerate(render_stack(texture, plan, CFG, REGION, threads=threads)):
+        # tiles rendered or rendering that the caller has not let go of
+        assert len(started) - held <= threads + 1
+    assert held + 1 == len(started) == 9
 
 
 def test_render_stack_empty_plan():
