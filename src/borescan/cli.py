@@ -98,7 +98,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    threads = _resolve_threads(args.threads)
+    threads = _resolve_threads(None)
     cfg = load_config(args.config)
     defects = load_defect_list(args.defects) if args.defects else []
     seed = cfg.synth.seed if args.seed is None else args.seed
@@ -294,13 +294,6 @@ def cmd_report_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_threads_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help=f"worker threads (default: ${THREADS_ENV} or CPU count)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="borescan", description="Inner-bore surface inspection tools."
@@ -321,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--noise-sigma", type=float, default=None, help="sensor noise, DN at 8 bit"
     )
-    _add_threads_option(synth)
     synth.set_defaults(func=cmd_synth)
 
     inspect = sub.add_parser("inspect", help="detect and report defects")
@@ -334,7 +326,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--min-area", type=int, default=DEFAULT_MIN_AREA,
         help="smallest blob kept, px",
     )
-    _add_threads_option(inspect)
+    inspect.add_argument(
+        "--threads", type=int, default=None,
+        help=f"worker threads (default: ${THREADS_ENV} or CPU count)",
+    )
     inspect.set_defaults(func=cmd_inspect)
 
     compare = sub.add_parser(

@@ -134,15 +134,18 @@ class TestSynth:
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, config_path):
+    def test_thread_count_does_not_change_output(
+        self, tmp_path, config_path, monkeypatch
+    ):
         defects = tmp_path / "defects.csv"
         defects.write_text(DEFECTS)
         outs = []
         for threads in ("1", "3"):
+            monkeypatch.setenv("BORESCAN_THREADS", threads)
             out = tmp_path / f"t{threads}"
             code = main(
                 ["synth", "--config", str(config_path), "--defects", str(defects),
-                 "--out", str(out), "--noise-sigma", "5", "--threads", threads]
+                 "--out", str(out), "--noise-sigma", "5"]
             )
             assert code == 0
             outs.append(out)
@@ -168,11 +171,9 @@ class TestSynth:
             return render_tile(texture, event, cfg, region)
 
         monkeypatch.setattr(synth, "render_tile", failing_render_tile)
+        monkeypatch.setenv("BORESCAN_THREADS", "3")
         out = tmp_path / "o"
-        code = main(
-            ["synth", "--config", str(config_path), "--out", str(out),
-             "--threads", "3"]
-        )
+        code = main(["synth", "--config", str(config_path), "--out", str(out)])
         assert code == 3
         cfg = load_config(config_path)
         before = sorted(
