@@ -68,6 +68,10 @@ def _resolve_threads(flag: int | None) -> int:
         if value < 1:
             raise ParseError(f"bad {THREADS_ENV} value {env!r}")
         return value
+    # the CPUs this process may run on: a pinned process has fewer than
+    # os.cpu_count() reports, and more threads would only contend for them
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

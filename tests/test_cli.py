@@ -1,9 +1,11 @@
 """End-to-end command line behavior and exit codes."""
 
+import os
+
 import pytest
 import yaml
 
-from borescan import synth
+from borescan import cli, synth
 from borescan.cli import main
 from borescan.config import load_config
 from borescan.errors import DomainError
@@ -154,6 +156,24 @@ class TestSynth:
         assert names == sorted(path.name for path in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_default_threads_are_the_cpus_it_may_run_on(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        seen = []
+        real_render_stack = cli.render_stack
+
+        def spy(*args, threads, **kwargs):
+            seen.append(threads)
+            return real_render_stack(*args, threads=threads, **kwargs)
+
+        monkeypatch.delenv("BORESCAN_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli, "render_stack", spy)
+        code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert seen == [1]
 
     def test_bad_threads_env_exits_2(self, tmp_path, config_path, monkeypatch):
         monkeypatch.setenv("BORESCAN_THREADS", "0")
