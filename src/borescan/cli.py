@@ -4,9 +4,10 @@ Four subcommands cover the workflow: ``plan`` computes the capture
 schedule for a hole, ``synth`` renders a ground-truth tile set, ``inspect``
 turns a tile set into a defect report and panorama, and ``report-compare``
 scores reports against the planted truth. Exit codes are stable: 2 for
-unparseable input, 3 for invalid geometry or a degenerate plan, 4 for an
-unwritable output directory, 5 for a missing or corrupt image, 6 when a
-comparison has no truth or no trials to work with.
+unparseable input, 3 for invalid geometry, a degenerate plan or any other
+input the library rejects, 4 for an unwritable output directory, 5 for a
+missing, corrupt or wrongly sized image, 6 when a comparison has no truth
+or no trials to work with.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +43,7 @@ from .manifest import (
 )
 from .pgm import read_pgm, write_pgm
 from .scanplan import plan_scan
-from .synth import build_texture, render_stack
+from .synth import _map_in_order, build_texture, render_stack, tile_shape_for
 from .unwrap import TileImage, correct_tile
 
 THREADS_ENV = "BORESCAN_THREADS"
@@ -150,6 +150,12 @@ def _inspect_tile(entry, manifest, base_dir, out_dir, threshold, min_area):
     except OSError as exc:
         raise ImageFormatError(f"{path}: {exc}") from exc
     cfg = manifest.optics
+    expected = tile_shape_for(cfg, manifest.region)
+    if pixels.shape != expected:
+        raise ImageFormatError(
+            f"{path}: tile is {pixels.shape[0]}x{pixels.shape[1]} px, the "
+            f"manifest's optics and region give {expected[0]}x{expected[1]}"
+        )
     tile = TileImage(
         pixels, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um, tile_index=(j, k)
     )
@@ -196,19 +202,24 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     entries = sorted(
         manifest.images, key=lambda e: order[(e["depth_step"], e["rotation_step"])]
     )
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda entry: _inspect_tile(
-                    entry, manifest, base_dir, corrected_dir, threshold, args.min_area
-                ),
-                entries,
-            )
-        )
-    tiles = [corrected for corrected, _ in results]
-    records = [rec for _, recs in results for rec in recs]
+    records = []
+
+    def corrected_tiles():
+        # each tile's records are kept; the tile itself only until it is pasted
+        for corrected, tile_records in _map_in_order(
+            lambda entry: _inspect_tile(
+                entry, manifest, base_dir, corrected_dir, threshold, args.min_area
+            ),
+            entries,
+            workers,
+        ):
+            records.extend(tile_records)
+            yield corrected
+
+    panorama = stitch_panorama(
+        corrected_tiles(), manifest.plan, manifest.hole, manifest.optics
+    )
     merged = merge_duplicates(records, radius_mm=manifest.hole.radius_mm)
-    panorama = stitch_panorama(tiles, manifest.plan, manifest.hole, manifest.optics)
     write_pgm(out / "panorama.pgm", panorama.pixels)
     write_report(
         merged,
@@ -218,7 +229,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         out / "report.yaml",
         source=Path(args.manifest).name,
     )
-    print(f"inspect: {len(merged)} defects from {len(tiles)} tiles")
+    print(f"inspect: {len(merged)} defects from {len(entries)} tiles")
     for rec in merged:
         print(
             f"  [{rec.id}] {rec.kind} z={rec.z_mm:.3f} mm "
@@ -365,6 +376,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4
+    except BorescanError as exc:
+        # any other input the library rejects (a plan index, a threshold)
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ while stitching split detections back together.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,38 +283,39 @@ def merge_duplicates(
 
 
 def stitch_panorama(
-    tiles: list[TileImage],
+    tiles: Iterable[TileImage],
     plan: ScanPlan,
     hole: HoleSpec,
     cfg: OpticsConfig,
 ) -> TileImage:
     """Paste corrected tiles into one unwrapped panorama of the bore wall.
 
-    Canvas dimensions depend only on the hole and the pixel pitch, never on
-    the plan ordering. Overlaps resolve last-writer in schedule order; the
-    metadata records any plan positions that had no tile and any canvas
-    pixels nothing covered.
+    ``tiles`` may be any iterable, a generator included: each tile is
+    pasted as it arrives and not kept, so give them in schedule order for
+    overlaps to resolve last-writer in schedule order. Canvas dimensions
+    depend only on the hole and the pixel pitch, never on the plan
+    ordering. The metadata records any plan positions that had no tile and
+    any canvas pixels nothing covered.
     """
     width = round(
         2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um
     )
     height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
-    dtype = tiles[0].pixels.dtype if tiles else np.dtype(np.uint8)
-    canvas = np.zeros((height, width), dtype=dtype)
-    by_index = {}
+    events = {(e.depth_step, e.rotation_step): e for e in plan.schedule}
+    canvas = None
+    seen = set()
+    pasted = []  # (row slice, column slice) of every paste, after the seam split
     for img in tiles:
         if img.tile_index is None:
             raise DomainError("tiles must carry a (depth_step, rotation_step) index")
-        if img.pixels.dtype != dtype:
+        event = events.get(img.tile_index)
+        if event is None:
+            raise DomainError(f"tile {img.tile_index} is not in the plan")
+        if canvas is None:
+            canvas = np.zeros((height, width), dtype=img.pixels.dtype)
+        elif img.pixels.dtype != canvas.dtype:
             raise DomainError("tiles mix bit depths")
-        by_index[img.tile_index] = img
-    missing = []
-    pasted = []  # (row slice, column slice) of every paste, after the seam split
-    for event in plan.schedule:
-        img = by_index.get((event.depth_step, event.rotation_step))
-        if img is None:
-            missing.append((event.depth_step, event.rotation_step))
-            continue
+        seen.add(img.tile_index)
         h, w = img.pixels.shape
         row0 = round(event.z_mm * 1e3 / cfg.pixel_pitch_y_um) - (h - 1) // 2
         col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
@@ -325,12 +327,14 @@ def stitch_panorama(
         for cols, src in _wrapped_segments(col0, w, width):
             canvas[rows, cols] = img.pixels[r_lo:r_hi, src]
             pasted.append((rows, cols))
+    if canvas is None:
+        canvas = np.zeros((height, width), dtype=np.uint8)
     return TileImage(
         canvas,
         cfg.pixel_pitch_x_um,
         cfg.pixel_pitch_y_um,
         meta={
-            "missing_tiles": missing,
+            "missing_tiles": [index for index in events if index not in seen],
             "uncovered_px": height * width - _union_area(pasted),
         },
     )

@@ -25,7 +25,13 @@ import numpy as np
 from .errors import DomainError, PlacementError
 from .geometry import HoleSpec, OpticsConfig
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
-from .unwrap import TileImage, _resample_columns, _wrapped_segments, pixel_to_arc
+from .unwrap import (
+    STRIP_ROWS,
+    TileImage,
+    _resample_columns,
+    _wrapped_segments,
+    pixel_to_arc,
+)
 
 __all__ = [
     "SurfaceTexture",
@@ -39,10 +45,6 @@ __all__ = [
 ]
 
 _SUPERSAMPLE = 4  # 4x4 subsamples per pixel for anti-aliased edges
-# Rows per strip in render_tile and add_noise: a strip's float64 work arrays
-# (~350 KB at 695 px) stay in cache and are reused by the allocator, where
-# whole-tile temporaries made the heap trim and fault back in per tile.
-STRIP_ROWS = 64
 DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
 
 
@@ -362,11 +364,23 @@ def render_stack(
         tile = render_tile(texture, event, cfg, region)
         return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))
 
+    yield from _map_in_order(render, plan.schedule, threads)
+
+
+def _map_in_order(work, items, threads: int):
+    """Yield ``work(item)`` for every item, in item order, from a thread pool.
+
+    The one pool loop, shared by ``synth`` and ``inspect``. Items are
+    submitted as results are taken, so at most ``threads + 1`` are started
+    and not yet let go, counting the result the caller holds. An error
+    raised for one item is raised here in its place, after every result
+    before it; items not yet started are cancelled.
+    """
     pool = ThreadPoolExecutor(max_workers=threads)
     pending = deque()
     try:
-        for event in plan.schedule:
-            pending.append(pool.submit(render, event))
+        for item in items:
+            pending.append(pool.submit(work, item))
             if len(pending) > threads:
                 yield pending.popleft().result()
         while pending:

@@ -2,14 +2,16 @@
 
 import os
 
+import numpy as np
 import pytest
 import yaml
 
 from borescan import cli, synth
 from borescan.cli import main
 from borescan.config import load_config
-from borescan.errors import DomainError
+from borescan.errors import DomainError, PlanIndexError, ThresholdError
 from borescan.manifest import load_manifest, read_report
+from borescan.pgm import write_pgm
 from borescan.scanplan import plan_scan
 
 CONFIG = "[hole]\nradius_mm = 0.9\ndepth_mm = 2.0\n"
@@ -295,6 +297,65 @@ class TestInspect:
         assert code == 5
         assert "tile_d00_r01.pgm" in capsys.readouterr().err
 
+    def test_corrupt_tile_midway_writes_no_report_or_panorama(
+        self, tmp_path, synth_dir, capsys
+    ):
+        target = synth_dir / "tile_d01_r01.pgm"
+        target.write_bytes(target.read_bytes()[:40])
+        out = tmp_path / "o"
+        code = main(
+            ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+             "--out", str(out), "--threads", "3"]
+        )
+        assert code == 5
+        assert "tile_d01_r01.pgm" in capsys.readouterr().err
+        assert not (out / "report.yaml").exists()
+        assert not (out / "panorama.pgm").exists()
+
+    @pytest.mark.parametrize("shape", [(600, 640), (900, 1200)])
+    def test_wrongly_sized_tile_exits_5_naming_file(
+        self, tmp_path, synth_dir, capsys, shape
+    ):
+        write_pgm(synth_dir / "tile_d00_r02.pgm", np.full(shape, 180, dtype=np.uint8))
+        code = main(
+            ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "tile_d00_r02.pgm" in err
+        assert f"{shape[0]}x{shape[1]}" in err
+
+    def test_holds_at_most_threads_plus_one_tiles(
+        self, tmp_path, synth_dir, monkeypatch
+    ):
+        started, pasted = [], []
+        inspect_tile, stitch = cli._inspect_tile, cli.stitch_panorama
+
+        def counting_inspect_tile(*args):
+            started.append(1)
+            return inspect_tile(*args)
+
+        def counting_stitch(tiles, *args):
+            def arriving():
+                for count, tile in enumerate(tiles):
+                    # tiles read or being read that the stitch has not pasted
+                    pasted.append(count)
+                    assert len(started) - count <= threads + 1
+                    yield tile
+
+            return stitch(arriving(), *args)
+
+        monkeypatch.setattr(cli, "_inspect_tile", counting_inspect_tile)
+        monkeypatch.setattr(cli, "stitch_panorama", counting_stitch)
+        threads = 2
+        code = main(
+            ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+             "--out", str(tmp_path / "o"), "--threads", str(threads)]
+        )
+        assert code == 0
+        assert len(started) == len(pasted) == 8
+
     def test_corrupt_manifest_exits_2(self, tmp_path, synth_dir):
         bad = tmp_path / "bad.yaml"
         bad.write_text("{[")
@@ -390,6 +451,19 @@ class TestReportCompare:
              "--out", str(tmp_path / "c")]
         )
         assert code == 6
+
+
+@pytest.mark.parametrize("error", [PlanIndexError, ThresholdError])
+def test_unmapped_library_error_exits_3(
+    tmp_path, config_path, capsys, monkeypatch, error
+):
+    def failing_plan_scan(hole, region):
+        raise error("tile (7, 0) outside plan")
+
+    monkeypatch.setattr(cli, "plan_scan", failing_plan_scan)
+    code = main(["plan", "--config", str(config_path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "tile (7, 0) outside plan" in capsys.readouterr().err
 
 
 class TestArgparse:

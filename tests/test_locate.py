@@ -311,6 +311,31 @@ class TestStitchPanorama:
         assert pano.meta["missing_tiles"] == [(1, 2)]
         assert pano.meta["uncovered_px"] > 0
 
+    def test_generator_gives_the_same_panorama_as_a_list(self):
+        # distinct random tiles, so any change in paste order shows in the overlaps
+        rng = np.random.default_rng(3)
+        tiles = [
+            TileImage(
+                rng.integers(1, 256, (695, 695), dtype=np.uint8), 2.16, 2.16,
+                tile_index=(event.depth_step, event.rotation_step),
+            )
+            for event in self.PLAN.schedule
+            if (event.depth_step, event.rotation_step) != (0, 3)
+        ]
+        listed = stitch_panorama(tiles, self.PLAN, self.HOLE, CFG)
+        streamed = stitch_panorama(
+            (tile for tile in tiles), self.PLAN, self.HOLE, CFG
+        )
+        assert np.array_equal(streamed.pixels, listed.pixels)
+        assert streamed.meta == listed.meta
+        assert listed.meta["missing_tiles"] == [(0, 3)]
+
+    def test_out_of_plan_tile_rejected(self):
+        tiles = self.uniform_tiles()
+        tiles[3] = TileImage(tiles[3].pixels, 2.16, 2.16, tile_index=(5, 0))
+        with pytest.raises(DomainError, match=r"\(5, 0\)"):
+            stitch_panorama(iter(tiles), self.PLAN, self.HOLE, CFG)
+
     def test_unindexed_tile_rejected(self):
         tiles = self.uniform_tiles()
         tiles[0] = TileImage(tiles[0].pixels, 2.16, 2.16)

@@ -10,7 +10,6 @@ from borescan.errors import DomainError, PlacementError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.scanplan import CaptureEvent, EffectiveRegion, plan_scan
 from borescan.synth import (
-    STRIP_ROWS,
     DefectSpec,
     add_noise,
     build_texture,
@@ -18,7 +17,7 @@ from borescan.synth import (
     render_tile,
     tile_shape_for,
 )
-from borescan.unwrap import TileImage, _resample_columns, pixel_to_arc
+from borescan.unwrap import STRIP_ROWS, TileImage, _resample_columns, pixel_to_arc
 
 CFG = OpticsConfig(
     mirror_diameter_mm=2.5,

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from borescan.errors import ConfigError, DomainError
 from borescan.unwrap import (
+    STRIP_ROWS,
     RemapTable,
     TileImage,
+    _resample_columns,
     arc_to_pixel,
     bilinear_sample,
     build_remap,
@@ -196,6 +198,18 @@ def test_correct_tile_preserves_uint16():
     img = random_tile(rng, width=61, height=9, dtype=np.uint16)
     out = correct_tile(img, R)
     assert out.pixels.dtype == np.uint16
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("height", [1, STRIP_ROWS, STRIP_ROWS + 1, 695])
+def test_correct_tile_strips_match_whole_tile(dtype, height):
+    rng = np.random.default_rng(height)
+    img = random_tile(rng, width=695, height=height, dtype=dtype)
+    source = build_remap(695, R, PITCH).source
+    expected = np.rint(_resample_columns(img.pixels, source)).astype(dtype)
+    out = correct_tile(img, R)
+    assert out.pixels.dtype == dtype
+    assert np.array_equal(out.pixels, expected)
 
 
 def test_correct_tile_row_independence():
