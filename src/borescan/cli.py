@@ -107,8 +107,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     defects = load_defect_list(args.defects) if args.defects else []
     seed = cfg.synth.seed if args.seed is None else args.seed
     sigma = cfg.synth.noise_sigma if args.noise_sigma is None else args.noise_sigma
-    if sigma < 0:
-        raise DomainError("noise sigma cannot be negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise DomainError(f"noise sigma must be finite and >= 0, got {sigma}")
     plan = plan_scan(cfg.hole, cfg.region)
     texture = build_texture(
         cfg.hole,

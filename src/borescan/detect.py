@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, ThresholdError
 from .unwrap import TileImage
@@ -123,6 +122,9 @@ def label_mask(mask: np.ndarray, connectivity: int = 8) -> np.ndarray:
     """
     if connectivity not in (4, 8):
         raise DomainError("connectivity must be 4 or 8")
+    # scipy loads here, not at import: plan and synth never label
+    from scipy import ndimage
+
     structure = _EIGHT if connectivity == 8 else _FOUR
     labels, _ = ndimage.label(np.asarray(mask, dtype=bool), structure=structure)
     return labels
@@ -139,6 +141,8 @@ def connected_components(
     count = labels.max()
     if count == 0:
         return []
+    from scipy import ndimage
+
     rows, cols = np.nonzero(labels)
     ids = labels[rows, cols]
     areas = np.bincount(ids, minlength=count + 1)

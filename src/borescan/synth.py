@@ -1,9 +1,11 @@
 """Synthetic bore surfaces and camera-tile rendering.
 
 Software stand-in for a machined test piece: defects of known size and
-position are rasterized onto an unwrapped wall texture, and per-tile
-captures are produced by the exact forward projection of the imaging
-model, so every downstream measurement can be checked against truth.
+position become anti-aliased stamps on an unwrapped wall texture, and
+per-tile captures are produced by the exact forward projection of the
+imaging model, so every downstream measurement can be checked against
+truth. Tiles are rendered strip by strip from the stamps that meet each
+strip; the whole wall is rasterized only as a test oracle.
 
 Texture geometry: the grid covers arc length u in [0, circumference) and
 depth z' in [0, depth], z' measured from the hole bottom. The column count
@@ -19,6 +21,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,38 +51,115 @@ _SUPERSAMPLE = 4  # 4x4 subsamples per pixel for anti-aliased edges
 DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
 
 
+class Stamp(NamedTuple):
+    """One defect's anti-aliased footprint, ready to add onto the wall.
+
+    Covers texture rows ``row_lo`` to ``row_hi`` (exclusive) and the
+    columns from ``col_lo`` on, unwrapped: they wrap at the texture width.
+    ``coverage`` is the covered fraction of each pixel in that box.
+    """
+
+    row_lo: int
+    row_hi: int
+    col_lo: int
+    coverage: np.ndarray
+    contrast: int
+
+
 @dataclass(eq=False)
 class SurfaceTexture:
     """Unwrapped ground-truth intensity map of the bore wall.
 
-    ``pixels[v, u]``: row v at depth ``z' = v * pitch_um`` from the hole
-    bottom, column u at angle ``u / width * 360`` degrees. Columns wrap.
+    Row v lies at depth ``z' = v * pitch_um`` from the hole bottom, column
+    u at angle ``u / width * 360`` degrees; columns wrap. The wall is the
+    background with the defect ``stamps`` added in list order. No raster of
+    the whole wall is held: :meth:`window` rasterizes any part of it.
     """
 
-    pixels: np.ndarray
     pitch_um: float
     background: int
     radius_mm: float
     depth_mm: float
+    width: int
+    height: int
+    bit_depth: int
+    stamps: tuple[Stamp, ...]
 
     def __post_init__(self) -> None:
         if self.pitch_um <= 0:
             raise DomainError("texture pitch must be positive")
         if self.radius_mm <= 0 or self.depth_mm <= 0:
             raise DomainError("texture radius and depth must be positive")
+        # one row per stamp: first row, end row, first column, column count
+        self._boxes = np.array(
+            [(s.row_lo, s.row_hi, s.col_lo, s.coverage.shape[1]) for s in self.stamps],
+            dtype=np.int64,
+        ).reshape(-1, 4)
 
     @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+    def dtype(self) -> type:
+        return np.uint8 if self.bit_depth == 8 else np.uint16
 
     @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    def max_value(self) -> int:
+        return 255 if self.bit_depth == 8 else 65535
 
     @property
     def arc_pitch_um(self) -> float:
         """Exact arc length per column; the wrap at 360 degrees is seamless."""
         return 2.0 * math.pi * self.radius_mm * 1e3 / self.width
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The whole wall as one raster: the test oracle for :meth:`window`.
+
+        About 127 MB for the 4 mm x 47 mm reference bore; the render path
+        never takes it.
+        """
+        return self.window(0, self.height, 0, self.width)
+
+    def stamps_meeting(self, top: int, bottom: int, left: int, count: int) -> np.ndarray:
+        """Indices, in list order, of the stamps that meet a window.
+
+        The window is rows ``top`` to ``bottom`` (exclusive) and ``count``
+        columns from ``left``, modulo the width.
+        """
+        row_lo, row_hi, col_lo, n_cols = self._boxes.T
+        # each stamp's first column, counted from the window's along the wrap
+        first = (col_lo - left) % self.width
+        meets = (
+            (row_lo < bottom)
+            & (row_hi > top)
+            & ((first < count) | (first + n_cols > self.width))
+        )
+        return np.flatnonzero(meets)
+
+    def window(self, top: int, bottom: int, left: int, count: int) -> np.ndarray:
+        """Pixels of rows ``top`` to ``bottom`` and ``count`` columns from ``left``.
+
+        Columns wrap at the width. The window starts as the background,
+        and each stamp that meets it is added in list order, clipped to the
+        intensity range and rounded, as if the whole wall were rasterized.
+        """
+        pixels = np.full((bottom - top, count), self.background, dtype=self.dtype)
+        for index in self.stamps_meeting(top, bottom, left, count):
+            stamp = self.stamps[index]
+            r_lo, r_hi = max(top, stamp.row_lo), min(bottom, stamp.row_hi)
+            rows = slice(r_lo - top, r_hi - top)
+            cover = stamp.coverage[r_lo - stamp.row_lo : r_hi - stamp.row_lo]
+            # the stamp's columns counted from the window's first, along the wrap
+            for dst, src in _wrapped_segments(
+                stamp.col_lo - left, cover.shape[1], self.width
+            ):
+                cols = slice(dst.start, min(dst.stop, count))
+                if cols.start >= cols.stop:
+                    continue
+                block = pixels[rows, cols].astype(np.float64)
+                block += stamp.contrast * cover[:, src][:, : cols.stop - cols.start]
+                pixels[rows, cols] = np.rint(
+                    np.clip(block, 0, self.max_value)
+                ).astype(self.dtype)
+        return pixels
 
 
 @dataclass(frozen=True)
@@ -103,6 +183,10 @@ class DefectSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("disc", "line"):
             raise DomainError(f"unknown defect kind {self.kind!r}")
+        for name in ("z_mm", "size_mm", "length_mm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"defect {name} must be finite, got {value}")
         if self.size_mm <= 0:
             raise DomainError("defect size must be positive")
         if not 0.0 <= self.beta_deg < 360.0:
@@ -155,15 +239,15 @@ def build_texture(
     pitch_um: float = 2.16,
     bit_depth: int = 8,
 ) -> SurfaceTexture:
-    """Rasterize defects onto a uniform wall texture, anti-aliased.
+    """Stamp anti-aliased defects onto a uniform wall texture.
 
     Every defect footprint must lie on the surface axially (columns wrap,
     rows do not). Overlapping defects are legal but warned about, since
-    overlap makes the per-defect truth areas ambiguous.
+    overlap makes the per-defect truth areas ambiguous. Only each defect's
+    coverage is computed here; :meth:`SurfaceTexture.window` rasterizes.
     """
     if bit_depth not in (8, 16):
         raise DomainError("bit depth must be 8 or 16")
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
     max_value = 255 if bit_depth == 8 else 65535
     if not 0 <= background <= max_value:
         raise DomainError("background outside intensity range")
@@ -173,9 +257,9 @@ def build_texture(
     arc_pitch_mm = circumference_mm / width
     pitch_mm = pitch_um * 1e-3
 
-    pixels = np.full((height, width), background, dtype=dtype)
     offsets = _subsample_offsets()
     placed: list[DefectSpec] = []
+    stamps: list[Stamp] = []
 
     for spec in defects:
         half_u, half_z = spec.half_extent_mm()
@@ -214,19 +298,17 @@ def build_texture(
             cov_u = (np.abs(du) <= half_u).mean(axis=2)  # (1, C)
             cov_v = (np.abs(dv) <= half_z).mean(axis=2)  # (R, 1)
             coverage = cov_v.reshape(-1, 1) * cov_u.reshape(1, -1)
-        for dst, src in _wrapped_segments(c_lo, len(cols), width):
-            window = pixels[r_lo : r_hi + 1, dst].astype(np.float64)
-            window += spec.contrast * coverage[:, src]
-            pixels[r_lo : r_hi + 1, dst] = np.rint(
-                np.clip(window, 0, max_value)
-            ).astype(dtype)
+        stamps.append(Stamp(r_lo, r_hi + 1, c_lo, coverage, spec.contrast))
 
     return SurfaceTexture(
-        pixels=pixels,
         pitch_um=pitch_um,
         background=background,
         radius_mm=hole.radius_mm,
         depth_mm=hole.depth_mm,
+        width=width,
+        height=height,
+        bit_depth=bit_depth,
+        stamps=tuple(stamps),
     )
 
 
@@ -253,7 +335,9 @@ def render_tile(
     ``pixel_to_arc(k) * p_x`` from the tile center: window extraction and
     forward projection are fused, so the 360-degree seam wraps exactly and
     no sentinel columns appear. Rows outside the surface (the bottom tile
-    reaches below z'=0) read as the texture background.
+    reaches below z'=0) read as the texture background. Each strip of rows
+    rasterizes only the texture window under it, and a strip that no
+    defect stamp meets is the background throughout.
     """
     height, width = tile_shape_for(cfg, region)
     half_width_mm = (width / 2.0) * cfg.pixel_pitch_x_um * 1e-3
@@ -284,16 +368,19 @@ def render_tile(
 
     # texture columns under the tile, unwrapped across the seam; rows blend first
     base = math.floor(u[0])
-    band = np.arange(base, math.floor(u[-1]) + 2) % texture.width
+    count = math.floor(u[-1]) + 2 - base
     cols = u - base
-    tex = texture.pixels
-    pixels = np.empty((height, width), dtype=tex.dtype)
+    pixels = np.empty((height, width), dtype=texture.dtype)
     for lo in range(0, height, STRIP_ROWS):
         rows = slice(lo, lo + STRIP_ROWS)
-        blend = (
-            tex[np.ix_(v0[rows], band)] * (1.0 - fv[rows])
-            + tex[np.ix_(v1[rows], band)] * fv[rows]
-        )
+        # v0 and v1 rise with the row, so the strip reads texture rows top..bottom
+        top, bottom = int(v0[rows][0]), int(v1[rows][-1]) + 1
+        if not texture.stamps_meeting(top, bottom, base, count).size:
+            # a blend of equal integers rounds back to them
+            pixels[rows] = texture.background
+            continue
+        tex = texture.window(top, bottom, base, count)
+        blend = tex[v0[rows] - top] * (1.0 - fv[rows]) + tex[v1[rows] - top] * fv[rows]
         sampled = _resample_columns(blend, cols)
         sampled[~on_surface[rows], :] = float(texture.background)
         pixels[rows] = np.rint(sampled, out=sampled)

@@ -1,6 +1,8 @@
 """End-to-end command line behavior and exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +225,86 @@ class TestSynth:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "row",
+        ["disc,nan,100.0,0.2,,", "disc,1.0,100.0,inf,,", "line,1.0,100.0,0.05,nan,",
+         "line,1.0,100.0,0.05,inf,"],
+        ids=["z-nan", "size-inf", "length-nan", "length-inf"],
+    )
+    def test_non_finite_defect_exits_3(self, tmp_path, config_path, capsys, row):
+        defects = tmp_path / "defects.csv"
+        defects.write_text("kind,z_mm,beta_deg,size_mm,length_mm,contrast\n" + row + "\n")
+        out = tmp_path / "o"
+        code = main(
+            ["synth", "--config", str(config_path), "--defects", str(defects),
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_exits_3(self, tmp_path, capsys, where, sigma):
+        config = tmp_path / "run.ini"
+        flags = []
+        if where == "flag":
+            config.write_text(CONFIG)
+            flags = ["--noise-sigma", sigma]
+        else:
+            config.write_text(CONFIG + f"[synth]\nnoise_sigma = {sigma}\n")
+        out = tmp_path / "o"
+        code = main(["synth", "--config", str(config), "--out", str(out), *flags])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_never_rasterizes_the_whole_bore(self, tmp_path, monkeypatch):
+        # a 4 x 10 mm bore: 4,630 x 5,818 px of wall, 63 tiles
+        config = tmp_path / "run.ini"
+        config.write_text("[hole]\nradius_mm = 2.0\ndepth_mm = 10.0\n")
+        defects = tmp_path / "defects.csv"
+        defects.write_text(
+            "kind,z_mm,beta_deg,size_mm,length_mm,contrast\n"
+            "disc,5.0,100.0,0.2,,\nline,3.0,359.9,0.3,3.0,\n"
+        )
+
+        def oracle(texture):
+            raise AssertionError("the whole-bore raster was built")
+
+        largest = []
+        window = synth.SurfaceTexture.window
+
+        def spy(texture, top, bottom, left, count):
+            largest.append((bottom - top) * count)
+            return window(texture, top, bottom, left, count)
+
+        monkeypatch.setattr(synth.SurfaceTexture, "pixels", property(oracle))
+        monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
+        monkeypatch.setenv("BORESCAN_THREADS", "2")
+        code = main(
+            ["synth", "--config", str(config), "--defects", str(defects),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 0
+        # at most a strip's 65 texture rows under a tile's ~714-column band
+        assert largest and max(largest) <= 65 * 720
+
+
+def test_plan_and_synth_do_not_load_scipy():
+    code = "import sys, borescan.cli; print('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestInspect:

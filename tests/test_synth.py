@@ -50,6 +50,13 @@ def test_defect_spec_validation():
         DefectSpec("disc", 1.0, 0.0, 0.1, length_mm=1.0)
     with pytest.raises(DomainError):
         DefectSpec("disc", 1.0, 0.0, 0.1, contrast=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            DefectSpec("disc", bad, 0.0, 0.1)
+        with pytest.raises(DomainError, match="finite"):
+            DefectSpec("disc", 1.0, 0.0, bad)
+        with pytest.raises(DomainError, match="finite"):
+            DefectSpec("line", 1.0, 0.0, 0.1, length_mm=bad)
 
 
 def test_build_texture_uniform():
@@ -172,22 +179,6 @@ def test_render_tile_bottom_overhang_background():
     assert np.any(tile.pixels[347:] <= 120)
 
 
-def test_render_tile_seam_matches_rolled_texture():
-    # a window straddling the 360-degree seam reads the same texture columns
-    # as the window opposite it on a texture turned by half a revolution
-    spec = DefectSpec("disc", z_mm=1.5, beta_deg=359.95, size_mm=0.2)
-    texture = build_texture(BORE, [spec])
-    assert texture.width % 2 == 0
-    turned = dataclasses.replace(
-        texture, pixels=np.roll(texture.pixels, texture.width // 2, axis=1)
-    )
-    at_seam = render_tile(texture, CaptureEvent(0, 0, 0, 1.5, 0.0), CFG, REGION)
-    opposite = render_tile(turned, CaptureEvent(0, 0, 0, 1.5, 180.0), CFG, REGION)
-    assert np.any(at_seam.pixels[:, :347] <= 120)
-    assert np.any(at_seam.pixels[:, 348:] <= 120)
-    assert np.array_equal(at_seam.pixels, opposite.pixels)
-
-
 def whole_tile_render(texture, event):
     """Reference render: the row blend and resample over the whole tile at once."""
     height, width = tile_shape_for(CFG, REGION)
@@ -228,6 +219,157 @@ def test_render_tile_strips_match_whole_tile_across_bottom_edge(
     assert np.array_equal(tile.pixels, expected)
     assert np.all(tile.pixels[: math.floor(cross_row)] == background)
     assert np.any(tile.pixels[math.ceil(cross_row) :] != background)
+
+
+# (defects, tile centre z' mm, tile angle deg): each tile is rendered from
+# the defect stamps and compared with the whole-bore raster oracle; the
+# bottom overhang has its own test above
+ORACLE_CASES = {
+    "seam-disc": ([DefectSpec("disc", 1.5, 359.95, 0.2)], 1.5, 0.0),
+    "top-edge": ([DefectSpec("disc", 2.85, 10.0, 0.25)], 3.0, 10.0),
+    # the clip at 0 makes the sum order-dependent where the discs overlap
+    "overlap-dark-first": (
+        [DefectSpec("disc", 1.5, 40.0, 0.2, contrast=-170),
+         DefectSpec("disc", 1.52, 40.5, 0.2, contrast=120)],
+        1.5, 40.0,
+    ),
+    "overlap-bright-first": (
+        [DefectSpec("disc", 1.52, 40.5, 0.2, contrast=120),
+         DefectSpec("disc", 1.5, 40.0, 0.2, contrast=-170)],
+        1.5, 40.0,
+    ),
+    "long-line": ([DefectSpec("line", 1.5, 200.0, 0.3, length_mm=3.0)], 1.5, 195.0),
+    "no-defect-in-view": ([DefectSpec("disc", 1.5, 180.0, 0.2)], 1.5, 0.0),
+}
+
+
+def depth_texture(defects, bit_depth):
+    background = 180 if bit_depth == 8 else 46000
+    scale = 1 if bit_depth == 8 else 256
+    scaled = [dataclasses.replace(d, contrast=d.contrast * scale) for d in defects]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overlap cases
+        return build_texture(BORE, scaled, background=background, bit_depth=bit_depth)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_render_tile_matches_whole_bore_oracle(case, bit_depth):
+    defects, z_mm, theta_deg = ORACLE_CASES[case]
+    texture = depth_texture(defects, bit_depth)
+    event = CaptureEvent(0, 0, 0, z_mm, theta_deg)
+    tile = render_tile(texture, event, CFG, REGION)
+    expected = whole_tile_render(texture, event)
+    assert tile.pixels.dtype == expected.dtype == texture.dtype
+    assert np.array_equal(tile.pixels, expected)
+    # every case but the last has a defect in view
+    in_view = np.any(tile.pixels != texture.background)
+    assert in_view == (case != "no-defect-in-view")
+
+
+def test_overlap_order_decides_pixels():
+    # a pixel both discs cover in full: each stamp is clipped in turn,
+    # 180 - 170 + 120 = 130 against min(180 + 120, 255) - 170 = 85
+    first = depth_texture(ORACLE_CASES["overlap-dark-first"][0], 8)
+    second = depth_texture(ORACLE_CASES["overlap-bright-first"][0], 8)
+    row = round(1.51 / (first.pitch_um * 1e-3))
+    col = round(40.25 / 360.0 * first.width)
+    assert first.window(row, row + 1, col, 1)[0, 0] == 130
+    assert second.window(row, row + 1, col, 1)[0, 0] == 85
+    event = CaptureEvent(0, 0, 0, 1.5, 40.0)
+    a = render_tile(first, event, CFG, REGION).pixels
+    b = render_tile(second, event, CFG, REGION).pixels
+    assert not np.array_equal(a, b)
+
+
+def test_render_tile_seam_matches_whole_bore_oracle():
+    # a tile centred on the 360-degree seam reads both ends of the wall
+    texture = depth_texture(ORACLE_CASES["seam-disc"][0], 8)
+    event = CaptureEvent(0, 0, 0, 1.5, 0.0)
+    tile = render_tile(texture, event, CFG, REGION)
+    assert np.any(tile.pixels[:, :347] <= 120)
+    assert np.any(tile.pixels[:, 348:] <= 120)
+    assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
+
+
+def test_window_matches_oracle_slices():
+    # windows across the seam, the stamp edges and the surface ends
+    defects = [
+        DefectSpec("disc", 1.5, 359.95, 0.2),
+        DefectSpec("line", 1.5, 200.0, 0.3, length_mm=3.0),
+        DefectSpec("disc", 1.52, 200.2, 0.2, contrast=90),
+    ]
+    texture = depth_texture(defects, 8)
+    oracle = texture.pixels
+    assert oracle.shape == (texture.height, texture.width)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        top = int(rng.integers(0, texture.height))
+        bottom = int(rng.integers(top + 1, texture.height + 1))
+        left = int(rng.integers(-texture.width, 2 * texture.width))
+        count = int(rng.integers(1, texture.width + 1))
+        cols = np.arange(left, left + count) % texture.width
+        expected = oracle[top:bottom][:, cols]
+        assert np.array_equal(texture.window(top, bottom, left, count), expected)
+
+
+def test_stamp_rows_meet_windows_at_their_ends_only():
+    texture = depth_texture([DefectSpec("disc", 1.5, 90.0, 0.2)], 8)
+    (stamp,) = texture.stamps
+    left, count = stamp.col_lo, stamp.coverage.shape[1]
+    assert texture.stamps_meeting(stamp.row_lo - 64, stamp.row_lo, left, count).size == 0
+    assert texture.stamps_meeting(stamp.row_hi, stamp.row_hi + 64, left, count).size == 0
+    assert list(texture.stamps_meeting(stamp.row_lo, stamp.row_lo + 1, left, count)) == [0]
+    assert list(texture.stamps_meeting(stamp.row_hi - 1, stamp.row_hi, left, count)) == [0]
+    # column arcs, modulo the width
+    assert texture.stamps_meeting(0, texture.height, left + count, 10).size == 0
+    assert texture.stamps_meeting(0, texture.height, left - 10, 10).size == 0
+    wrapped = left + count - 1 + texture.width
+    assert list(texture.stamps_meeting(0, texture.height, wrapped, 1)) == [0]
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_render_tile_with_stamp_starting_on_a_strip_boundary(bit_depth, monkeypatch):
+    # the strip of tile rows 128..191 begins on the disc's first texture row
+    texture = depth_texture([DefectSpec("disc", 1.5, 20.0, 0.2)], bit_depth)
+    (stamp,) = texture.stamps
+    z_mm = (stamp.row_lo + 0.25 + 347 - 2 * STRIP_ROWS) * texture.pitch_um * 1e-3
+    event = CaptureEvent(0, 0, 0, z_mm, 20.0)
+    windows = []
+    window = synth.SurfaceTexture.window
+
+    def spy(self, top, bottom, left, count):
+        windows.append((top, bottom))
+        return window(self, top, bottom, left, count)
+
+    monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
+    tile = render_tile(texture, event, CFG, REGION)
+    # the strip above reads the disc's first row only as its last v1 row
+    assert windows[:2] == [
+        (stamp.row_lo - STRIP_ROWS, stamp.row_lo + 1),
+        (stamp.row_lo, stamp.row_lo + STRIP_ROWS + 1),
+    ]
+    monkeypatch.undo()
+    assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
+
+
+def test_render_tile_rasterizes_only_strips_a_stamp_meets(monkeypatch):
+    texture = depth_texture([DefectSpec("disc", 1.5, 40.0, 0.2)], 8)
+    windows = []
+    window = synth.SurfaceTexture.window
+
+    def spy(self, *args):
+        windows.append(args)
+        return window(self, *args)
+
+    monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
+    tile = render_tile(texture, CaptureEvent(0, 1, 1, 1.5, 40.0), CFG, REGION)
+    # the 0.2 mm disc's 96 stamp rows meet two of the 11 strips, or three
+    assert 2 <= len(windows) <= 3
+    assert all(bottom - top == STRIP_ROWS + 1 for top, bottom, _, _ in windows)
+    monkeypatch.undo()
+    expected = whole_tile_render(texture, CaptureEvent(0, 1, 1, 1.5, 40.0))
+    assert np.array_equal(tile.pixels, expected)
 
 
 def test_add_noise_zero_sigma_identity():
