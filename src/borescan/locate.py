@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import BlobRecord, line_width
+from .detect import BlobRecord, RunLabels, line_width
 from .errors import DomainError, PlanIndexError
 from .geometry import HoleSpec, OpticsConfig
 from .scanplan import ScanPlan
@@ -104,7 +104,7 @@ def defect_location(
 
 def record_from_blob(
     blob: BlobRecord,
-    labels: np.ndarray,
+    labels: RunLabels,
     j: int,
     k: int,
     plan: ScanPlan,
@@ -113,10 +113,11 @@ def record_from_blob(
 ) -> DefectRecord:
     """Classify and locate one blob from tile (j, k).
 
-    ``labels`` is the tile's label image that ``blob`` was read from. A
-    blob at least 3x taller than wide is a line (scratches run along the
-    axis); its size is the segment-averaged width of its own pixels inside
-    its bounding box. Anything else is a disc sized by equivalent diameter.
+    ``labels`` are the tile's labelled row runs that ``blob`` was read
+    from. A blob at least 3x taller than wide is a line (scratches run
+    along the axis); its size is the segment-averaged width of its own
+    runs, counted row by row over its bounding box. Anything else is a
+    disc sized by equivalent diameter.
     """
     tile_shape = labels.shape
     z, beta = defect_location(
@@ -137,8 +138,15 @@ def record_from_blob(
     area = blob.pixel_area * cfg.pixel_pitch_x_um * cfg.pixel_pitch_y_um * 1e-6
     if axial_px >= LINE_ASPECT * arc_px:
         kind = "line"
-        crop = labels[row_min : row_max + 1, col_min : col_max + 1] == blob.label
-        size = line_width(crop, cfg.pixel_pitch_x_um).mean_width_mm
+        # runs are in raster order, so the blob's rows are one slice of them
+        lo, hi = np.searchsorted(labels.row, (row_min, row_max + 1))
+        own = labels.label[lo:hi] == blob.label
+        per_row = np.bincount(
+            labels.row[lo:hi][own] - row_min,
+            weights=(labels.stop[lo:hi] - labels.start[lo:hi])[own],
+            minlength=axial_px,
+        )
+        size = line_width(per_row, cfg.pixel_pitch_x_um).mean_width_mm
     else:
         kind = "disc"
         size = 2.0 * math.sqrt(area / math.pi)

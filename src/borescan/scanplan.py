@@ -41,8 +41,11 @@ class EffectiveRegion:
     height_mm: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.width_mm <= 0 or self.height_mm <= 0:
-            raise ConfigError("effective region extents must be positive")
+        for name, value in (("width", self.width_mm), ("height", self.height_mm)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"effective region {name} must be finite and > 0, got {value}"
+                )
 
 
 @dataclass(frozen=True)

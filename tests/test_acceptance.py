@@ -165,9 +165,18 @@ def _partition(labels):
     return frozenset(frozenset(g) for g in groups.values())
 
 
+def _run_partition(runs):
+    """The same canonical form, from labelled row runs."""
+    groups = collections.defaultdict(set)
+    for row, start, stop, label in zip(runs.row.tolist(), runs.start.tolist(),
+                                       runs.stop.tolist(), runs.label.tolist()):
+        groups[label].update((row, col) for col in range(start, stop))
+    return frozenset(frozenset(g) for g in groups.values())
+
+
 def _labeling_agrees(mask, connectivity):
     reference = _partition(_flood_fill(mask, connectivity))
-    if _partition(label_mask(mask, connectivity)) != reference:
+    if _run_partition(label_mask(mask, connectivity)) != reference:
         return False
     blobs = connected_components(label_mask(mask, connectivity), min_area=1)
     return (len(blobs) == len(reference)

@@ -92,6 +92,16 @@ class TestPlan:
         assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["width_mm = nan", "height_mm = inf"], ids=["width-nan", "height-inf"]
+    )
+    def test_non_finite_region_exits_3(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG + f"[region]\n{line}\n")
+        assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
     def test_degenerate_geometry_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(CONFIG + "[region]\nwidth_mm = 2.9\n")
@@ -295,16 +305,41 @@ class TestSynth:
         assert largest and max(largest) <= 65 * 720
 
 
-def test_plan_and_synth_do_not_load_scipy():
-    code = "import sys, borescan.cli; print('scipy' in sys.modules)"
+# Runs plan, synth and inspect in one process where ``import scipy`` fails.
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from borescan.cli import main
+config, defects, out = sys.argv[1:]
+for argv in (
+    ["plan", "--config", config, "--out", out + "/plan"],
+    ["synth", "--config", config, "--defects", defects, "--out", out + "/tiles"],
+    ["inspect", "--manifest", out + "/tiles/manifest.yaml", "--out", out + "/inspect"],
+):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_no_command_loads_scipy(tmp_path, config_path, synth_dir):
+    defects = tmp_path / "defects.csv"  # written by synth_dir
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p
     ))
+    out = tmp_path / "subprocess"
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _NO_SCIPY, str(config_path), str(defects), str(out)],
+        capture_output=True, text=True, env=env,
     )
-    assert done.stdout.strip() == "False"
+    assert done.returncode == 0, done.stderr
+    assert main(
+        ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+         "--out", str(tmp_path / "inprocess")]
+    ) == 0
+    made = (out / "inspect" / "report.yaml").read_text()
+    assert made == (tmp_path / "inprocess" / "report.yaml").read_text()
 
 
 class TestInspect:
@@ -437,6 +472,17 @@ class TestInspect:
         )
         assert code == 0
         assert len(started) == len(pasted) == 8
+
+    @pytest.mark.parametrize("key", ["width_mm", "height_mm"])
+    def test_non_finite_manifest_region_exits_3(self, tmp_path, synth_dir, capsys, key):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["region"][key] = float("nan")
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
 
     def test_corrupt_manifest_exits_2(self, tmp_path, synth_dir):
         bad = tmp_path / "bad.yaml"

@@ -61,6 +61,14 @@ def blobs_of(mask, connectivity=8, min_area=1):
     return connected_components(label_mask(mask, connectivity), min_area)
 
 
+def paint(runs):
+    """The label image of labelled runs: each run's label over its columns."""
+    labels = np.zeros(runs.shape, dtype=int)
+    for row, start, stop, label in zip(runs.row, runs.start, runs.stop, runs.label):
+        labels[row, start:stop] = label
+    return labels
+
+
 def partition(labels):
     """Canonical form of a labeling: the set of per-label pixel sets."""
     groups = collections.defaultdict(set)
@@ -186,7 +194,7 @@ class TestConnectedComponents:
         rng = np.random.default_rng(17)
         for _ in range(200):
             mask = rng.random((32, 32)) < rng.uniform(0.2, 0.7)
-            got = partition(label_mask(mask, connectivity))
+            got = partition(paint(label_mask(mask, connectivity)))
             want = partition(flood_fill_labels(mask, connectivity))
             assert got == want
 
@@ -204,8 +212,9 @@ class TestBlobMetrics:
         return record_from_blob(blob, labels, 0, 0, self.PLAN, self.HOLE, cfg)
 
     def test_single_pixel_area(self):
-        labels = np.zeros((16, 16), dtype=int)
-        labels[5, 5] = 1
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[5, 5] = True
+        labels = label_mask(mask)
         rec = self.record(BlobRecord(1, 1, (5.0, 5.0), (5, 5, 5, 5)), labels)
         # one 2.16 x 2.16 um cell
         assert rec.area_mm2 == pytest.approx(4.6656e-6)
@@ -241,8 +250,8 @@ class TestBlobMetrics:
 
 class TestLineWidth:
     def test_uniform_band_width(self):
-        # the crop of a 139 px wide band running the full tile height
-        got = line_width(np.ones((695, 139), dtype=bool), pitch_x_um=PITCH)
+        # a 139 px wide band running the full tile height
+        got = line_width(np.full(695, 139), pitch_x_um=PITCH)
         # 139 px * 2.16 um = 0.30024 mm in every segment
         assert got.mean_width_mm == pytest.approx(0.30024)
         assert got.segment_count == 11  # ceil(695 / 64)

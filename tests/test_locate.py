@@ -114,7 +114,7 @@ class TestDefectArea:
     def area(self, pixel_count):
         # a square bbox keeps the blob a disc; its area needs only the count
         blob = BlobRecord(1, pixel_count, (347.0, 347.0), (337, 337, 357, 357))
-        labels = np.zeros(TILE_SHAPE, dtype=int)
+        labels = label_mask(np.zeros(TILE_SHAPE, dtype=bool))
         return record_from_blob(blob, labels, 0, 0, PLAN, HOLE, CFG).area_mm2
 
     def test_zero_and_reference_count(self):
@@ -131,15 +131,16 @@ class TestDefectArea:
 
 
 class TestRecordFromBlob:
-    def blob_from(self, labels):
-        blobs = connected_components(label_mask(labels > 0), min_area=1)
+    def blob_from(self, mask):
+        labels = label_mask(mask)
+        blobs = connected_components(labels, min_area=1)
         assert len(blobs) == 1
-        return blobs[0]
+        return blobs[0], labels
 
     def test_square_blob_is_disc_with_equivalent_diameter(self):
-        labels = np.zeros(TILE_SHAPE, dtype=int)
-        labels[337:357, 337:357] = 1
-        rec = record_from_blob(self.blob_from(labels), labels, 0, 0, PLAN, HOLE, CFG)
+        mask = np.zeros(TILE_SHAPE, dtype=bool)
+        mask[337:357, 337:357] = True
+        rec = record_from_blob(*self.blob_from(mask), 0, 0, PLAN, HOLE, CFG)
         assert rec.kind == "disc"
         assert rec.area_mm2 == pytest.approx(400 * 4.6656e-6)
         assert rec.size_mm == pytest.approx(2 * math.sqrt(rec.area_mm2 / math.pi))
@@ -148,9 +149,9 @@ class TestRecordFromBlob:
         assert rec.source_tiles == ((0, 0),)
 
     def test_tall_blob_is_line_with_measured_width(self):
-        labels = np.zeros(TILE_SHAPE, dtype=int)
-        labels[:, 278:417] = 1  # 139 px wide, full height
-        rec = record_from_blob(self.blob_from(labels), labels, 1, 2, PLAN, HOLE, CFG)
+        mask = np.zeros(TILE_SHAPE, dtype=bool)
+        mask[:, 278:417] = True  # 139 px wide, full height
+        rec = record_from_blob(*self.blob_from(mask), 1, 2, PLAN, HOLE, CFG)
         assert rec.kind == "line"
         assert rec.size_mm == pytest.approx(0.30024)
         assert rec.beta_deg == pytest.approx(80.0)
@@ -173,9 +174,9 @@ class TestRecordFromBlob:
         assert rec.size_mm == pytest.approx(8.8 * 2.16e-3)
 
     def test_interval_halves_cover_bbox(self):
-        labels = np.zeros(TILE_SHAPE, dtype=int)
-        labels[100:120, 600:640] = 1
-        rec = record_from_blob(self.blob_from(labels), labels, 0, 0, PLAN, HOLE, CFG)
+        mask = np.zeros(TILE_SHAPE, dtype=bool)
+        mask[100:120, 600:640] = True
+        rec = record_from_blob(*self.blob_from(mask), 0, 0, PLAN, HOLE, CFG)
         arc_px = 40 * 2.16e-3
         assert rec.arc_extent_mm(2.0) == pytest.approx(arc_px)
         assert rec.axial_extent_mm == pytest.approx(20 * 2.16e-3)
