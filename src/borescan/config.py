@@ -1,22 +1,27 @@
 """INI run configuration and CSV defect lists.
 
 A run config collects the hole geometry, the imaging chain, the effective
-region, and the synthesis knobs. Only [hole] is mandatory; every other key
-falls back to the reference rig (2.5 mm mirror probe imaging at
-2.16 um/pixel over a 1.5 x 1.5 mm effective region). Detection is set on
-the ``inspect`` command line, so a [detect] section is rejected.
+region, and the synthesis knobs: one section per ``RunConfig`` field,
+one key per field of that section's dataclass. Only [hole] is mandatory;
+a missing key takes its field's default, which for the optics and region
+is the reference rig (2.5 mm mirror probe imaging at 2.16 um/pixel over a
+1.5 x 1.5 mm effective region). A section or key that names no field is
+rejected, and so is [detect]: detection is set on the ``inspect`` command
+line.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import typing
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError
+from .errors import ParseError
 from .geometry import HoleSpec, OpticsConfig
 from .scanplan import EffectiveRegion
-from .synth import DEFAULT_CONTRAST, DefectSpec
+from .schema import field_types, read_text
+from .synth import DefectSpec
 
 __all__ = [
     "SynthParams",
@@ -27,15 +32,7 @@ __all__ = [
     "load_defect_list",
 ]
 
-DEFAULT_OPTICS = OpticsConfig(
-    mirror_diameter_mm=2.5,
-    image_diameter_mm=2.0,
-    image_to_eyepiece_mm=15.0,
-    lens_length_mm=230.0,
-    lens_to_mirror_mm=94.0,
-    pixel_pitch_x_um=2.16,
-    pixel_pitch_y_um=2.16,
-)
+DEFAULT_OPTICS = OpticsConfig()
 
 
 @dataclass(frozen=True)
@@ -54,6 +51,9 @@ class RunConfig:
     synth: SynthParams
 
 
+_SECTIONS = typing.get_type_hints(RunConfig)
+
+
 def parse_threshold_spec(spec: str) -> tuple[str, float | None]:
     """Split a threshold spec: "otsu", or "fixed:<fraction of full scale>"."""
     spec = spec.strip()
@@ -70,80 +70,34 @@ def parse_threshold_spec(spec: str) -> tuple[str, float | None]:
     raise ParseError(f"bad threshold spec {spec!r} (want 'otsu' or 'fixed:<frac>')")
 
 
-def _get(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ParseError(f"missing key {key!r} in section [{section}]")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ParseError(f"bad value {raw!r} for {key!r} in [{section}]") from exc
-
-
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="ascii") as handle:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ParseError(f"unreadable config {path}: {exc}") from exc
-    if not parser.has_section("hole"):
-        raise ParseError("missing section [hole]")
     if parser.has_section("detect"):
         raise ParseError(
             "[detect] is not read from the config; set detection with "
             "inspect --threshold and inspect --min-area"
         )
-    hole = HoleSpec(
-        radius_mm=_get(parser, "hole", "radius_mm", float, required=True),
-        depth_mm=_get(parser, "hole", "depth_mm", float, required=True),
-    )
-    ref = DEFAULT_OPTICS
-    optics = OpticsConfig(
-        mirror_diameter_mm=_get(
-            parser, "optics", "mirror_diameter_mm", float, ref.mirror_diameter_mm
-        ),
-        image_diameter_mm=_get(
-            parser, "optics", "image_diameter_mm", float, ref.image_diameter_mm
-        ),
-        image_to_eyepiece_mm=_get(
-            parser, "optics", "image_to_eyepiece_mm", float, ref.image_to_eyepiece_mm
-        ),
-        lens_length_mm=_get(
-            parser, "optics", "lens_length_mm", float, ref.lens_length_mm
-        ),
-        lens_to_mirror_mm=_get(
-            parser, "optics", "lens_to_mirror_mm", float, ref.lens_to_mirror_mm
-        ),
-        pixel_pitch_x_um=_get(
-            parser, "optics", "pixel_pitch_x_um", float, ref.pixel_pitch_x_um
-        ),
-        pixel_pitch_y_um=_get(
-            parser, "optics", "pixel_pitch_y_um", float, ref.pixel_pitch_y_um
-        ),
-    )
-    ref_region = EffectiveRegion()
-    region = EffectiveRegion(
-        width_mm=_get(parser, "region", "width_mm", float, ref_region.width_mm),
-        height_mm=_get(parser, "region", "height_mm", float, ref_region.height_mm),
-    )
-    ref_synth = SynthParams()
-    synth = SynthParams(
-        background=_get(parser, "synth", "background", int, ref_synth.background),
-        bit_depth=_get(parser, "synth", "bit_depth", int, ref_synth.bit_depth),
-        noise_sigma=_get(
-            parser, "synth", "noise_sigma", float, ref_synth.noise_sigma
-        ),
-        seed=_get(parser, "synth", "seed", int, ref_synth.seed),
-    )
-    if synth.bit_depth not in (8, 16):
-        raise ParseError(f"bit_depth must be 8 or 16, got {synth.bit_depth}")
-    return RunConfig(hole=hole, optics=optics, region=region, synth=synth)
-
-
-_DEFECT_COLUMNS = ["kind", "z_mm", "beta_deg", "size_mm", "length_mm", "contrast"]
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ParseError(
+                f"unknown section [{name}] (want {', '.join(_SECTIONS)})"
+            )
+    if not parser.has_section("hole"):
+        raise ParseError("missing section [hole]")
+    config = RunConfig(**{
+        name: read_text(
+            cls, parser.items(name) if parser.has_section(name) else (), f"[{name}]"
+        )
+        for name, cls in _SECTIONS.items()
+    })
+    if config.synth.bit_depth not in (8, 16):
+        raise ParseError(f"bit_depth must be 8 or 16, got {config.synth.bit_depth}")
+    return config
 
 
 def load_defect_list(path) -> list[DefectSpec]:
@@ -159,26 +113,12 @@ def load_defect_list(path) -> list[DefectSpec]:
     with handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
-        missing = [col for col in _DEFECT_COLUMNS if col not in header]
+        missing = [col for col in field_types(DefectSpec)[0] if col not in header]
         if missing:
             raise ParseError(f"defect list missing column {missing[0]!r}")
         defects = []
         for line_no, row in enumerate(reader, start=2):
-            try:
-                length = row["length_mm"].strip()
-                contrast = row["contrast"].strip()
-                defects.append(
-                    DefectSpec(
-                        kind=row["kind"].strip(),
-                        z_mm=float(row["z_mm"]),
-                        beta_deg=float(row["beta_deg"]),
-                        size_mm=float(row["size_mm"]),
-                        length_mm=float(length) if length else None,
-                        contrast=int(contrast) if contrast else DEFAULT_CONTRAST,
-                    )
-                )
-            except DomainError:
-                raise  # semantically invalid defect, not a parse problem
-            except (ValueError, AttributeError) as exc:
-                raise ParseError(f"bad defect row {line_no} in {path}: {exc}") from exc
+            defects.append(
+                read_text(DefectSpec, row.items(), f"defect row {line_no} in {path}")
+            )
     return defects

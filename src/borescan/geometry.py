@@ -66,6 +66,9 @@ class HoleSpec:
 class OpticsConfig:
     """Geometry of the sight-pipe imaging chain plus camera pixel equivalents.
 
+    The defaults are the reference rig: a 2.5 mm mirror probe imaging at
+    2.16 µm/pixel.
+
     Attributes
     ----------
     mirror_diameter_mm:
@@ -84,13 +87,13 @@ class OpticsConfig:
         horizontal and vertical (µm/pixel).
     """
 
-    mirror_diameter_mm: float
-    image_diameter_mm: float
-    image_to_eyepiece_mm: float
-    lens_length_mm: float
-    lens_to_mirror_mm: float
-    pixel_pitch_x_um: float
-    pixel_pitch_y_um: float
+    mirror_diameter_mm: float = 2.5
+    image_diameter_mm: float = 2.0
+    image_to_eyepiece_mm: float = 15.0
+    lens_length_mm: float = 230.0
+    lens_to_mirror_mm: float = 94.0
+    pixel_pitch_x_um: float = 2.16
+    pixel_pitch_y_um: float = 2.16
 
     def __post_init__(self) -> None:
         # Diameters of 0 are legal (degenerate aperture); negative is not.

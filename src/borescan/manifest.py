@@ -10,19 +10,18 @@ as YAML for machines and CSV for spreadsheets.
 from __future__ import annotations
 
 import csv
-import math
-import numbers
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
 from . import __version__
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .geometry import HoleSpec, OpticsConfig
 from .locate import DefectRecord
-from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
-from .synth import DEFAULT_CONTRAST, DefectSpec
+from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_counts
+from .schema import check_keys, field_types, read_fields
+from .synth import DefectSpec
 
 __all__ = [
     "RunManifest",
@@ -55,64 +54,23 @@ class RunManifest:
     version: str = __version__
 
 
+_IMAGE_KEYS = {"depth_step": int, "rotation_step": int, "file": str}
+_REPORT_KEYS = {"kind": str, "z_mm": float, "beta_deg": float, "size_mm": float}
+
+
 def manifest_to_dict(manifest: RunManifest) -> dict:
-    cfg = manifest.optics
     return {
         "version": manifest.version,
-        "seed": int(manifest.seed),
-        "noise_sigma": float(manifest.noise_sigma),
-        "hole": {
-            "radius_mm": manifest.hole.radius_mm,
-            "depth_mm": manifest.hole.depth_mm,
-        },
-        "optics": {
-            "mirror_diameter_mm": cfg.mirror_diameter_mm,
-            "image_diameter_mm": cfg.image_diameter_mm,
-            "image_to_eyepiece_mm": cfg.image_to_eyepiece_mm,
-            "lens_length_mm": cfg.lens_length_mm,
-            "lens_to_mirror_mm": cfg.lens_to_mirror_mm,
-            "pixel_pitch_x_um": cfg.pixel_pitch_x_um,
-            "pixel_pitch_y_um": cfg.pixel_pitch_y_um,
-        },
-        "region": {
-            "width_mm": manifest.region.width_mm,
-            "height_mm": manifest.region.height_mm,
-        },
-        "plan": {
-            "n_rot": manifest.plan.n_rot,
-            "n_depth": manifest.plan.n_depth,
-            "alpha_deg": manifest.plan.alpha_deg,
-            "step_mm": manifest.plan.step_mm,
-            "schedule": [
-                {
-                    "order": e.order,
-                    "depth_step": e.depth_step,
-                    "rotation_step": e.rotation_step,
-                    "z_mm": e.z_mm,
-                    "theta_deg": e.theta_deg,
-                }
-                for e in manifest.plan.schedule
-            ],
-        },
+        "seed": manifest.seed,
+        "noise_sigma": manifest.noise_sigma,
+        "hole": asdict(manifest.hole),
+        "optics": asdict(manifest.optics),
+        "region": asdict(manifest.region),
+        "plan": asdict(manifest.plan),
         "images": [
-            {
-                "depth_step": entry["depth_step"],
-                "rotation_step": entry["rotation_step"],
-                "file": entry["file"],
-            }
-            for entry in manifest.images
+            {key: entry[key] for key in _IMAGE_KEYS} for entry in manifest.images
         ],
-        "truth": [
-            {
-                "kind": d.kind,
-                "z_mm": d.z_mm,
-                "beta_deg": d.beta_deg,
-                "size_mm": d.size_mm,
-                "length_mm": d.length_mm,
-                "contrast": d.contrast,
-            }
-            for d in manifest.truth
-        ],
+        "truth": [asdict(defect) for defect in manifest.truth],
     }
 
 
@@ -122,99 +80,75 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _number(mapping: dict, key: str, where: str, kind: type):
-    """``mapping[key]`` as ``kind``: an integer, or a finite float."""
-    value = _need(mapping, key, where)
-    wanted = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, wanted) and not isinstance(value, bool):
-        number = kind(value)
-        if kind is int or math.isfinite(number):
-            return number
-    noun = "an integer" if kind is int else "a finite number"
-    raise ParseError(f"{where} {key} must be {noun}, got {value!r}")
+def _list(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _section(data: dict, key: str, cls):
+    """The hole, optics or region section, with every key required: the
+    tiles were made with these values, whatever the defaults are now."""
+    return cls(**check_keys(_need(data, key, "manifest"), field_types(cls)[0], key))
+
+
+def _check_plan(plan: ScanPlan, hole: HoleSpec, region: EffectiveRegion) -> None:
+    """Raise unless ``plan`` is the one ``plan_scan`` gives the hole and region.
+
+    Tiles are placed by their (depth, rotation) step as well as by their
+    schedule entry's ``z_mm`` and ``theta_deg``, so the two must agree. The
+    tile count is compared first, so that no hole or region in a file can
+    build a plan larger than the file's own.
+    """
+    n_rot, n_depth = shot_counts(hole, region)
+    if len(plan.schedule) != n_rot * n_depth:
+        raise ParseError(
+            f"plan schedule has {len(plan.schedule)} entries, but the hole and "
+            f"region give {n_rot} x {n_depth}"
+        )
+    expected = plan_scan(hole, region)
+    for key in field_types(ScanPlan)[0]:
+        got, want = getattr(plan, key), getattr(expected, key)
+        if got != want:
+            raise ParseError(
+                f"plan {key} is {got!r}, but the hole and region give {want!r}"
+            )
+    for n, (got, want) in enumerate(zip(plan.schedule, expected.schedule)):
+        for key in field_types(CaptureEvent)[0]:
+            if getattr(got, key) != getattr(want, key):
+                raise ParseError(
+                    f"schedule entry {n} names tile ({got.depth_step}, "
+                    f"{got.rotation_step}), outside the plan the hole and region "
+                    f"give: its {key} is {getattr(got, key)!r}, not "
+                    f"{getattr(want, key)!r}"
+                )
 
 
 def manifest_from_dict(data: dict) -> RunManifest:
-    hole_d = _need(data, "hole", "manifest")
-    optics_d = _need(data, "optics", "manifest")
-    region_d = _need(data, "region", "manifest")
-    plan_d = _need(data, "plan", "manifest")
     try:
-        hole = HoleSpec(
-            radius_mm=_need(hole_d, "radius_mm", "hole"),
-            depth_mm=_need(hole_d, "depth_mm", "hole"),
-        )
-        optics = OpticsConfig(
-            **{key: _need(optics_d, key, "optics") for key in (
-                "mirror_diameter_mm",
-                "image_diameter_mm",
-                "image_to_eyepiece_mm",
-                "lens_length_mm",
-                "lens_to_mirror_mm",
-                "pixel_pitch_x_um",
-                "pixel_pitch_y_um",
-            )}
-        )
-        region = EffectiveRegion(
-            width_mm=_need(region_d, "width_mm", "region"),
-            height_mm=_need(region_d, "height_mm", "region"),
-        )
+        hole = _section(data, "hole", HoleSpec)
+        optics = _section(data, "optics", OpticsConfig)
+        region = _section(data, "region", EffectiveRegion)
+        plan_d = _need(data, "plan", "manifest")
         schedule = tuple(
-            CaptureEvent(
-                order=_number(e, "order", "schedule entry", int),
-                depth_step=_number(e, "depth_step", "schedule entry", int),
-                rotation_step=_number(e, "rotation_step", "schedule entry", int),
-                z_mm=_number(e, "z_mm", "schedule entry", float),
-                theta_deg=_number(e, "theta_deg", "schedule entry", float),
-            )
-            for e in _need(plan_d, "schedule", "plan")
+            read_fields(CaptureEvent, entry, "schedule entry")
+            for entry in _list(_need(plan_d, "schedule", "plan"), "plan schedule")
         )
-        plan = ScanPlan(
-            n_rot=_number(plan_d, "n_rot", "plan", int),
-            n_depth=_number(plan_d, "n_depth", "plan", int),
-            alpha_deg=_number(plan_d, "alpha_deg", "plan", float),
-            step_mm=_number(plan_d, "step_mm", "plan", float),
-            schedule=schedule,
-        )
-        for e in schedule:
-            if not (
-                0 <= e.depth_step < plan.n_depth and 0 <= e.rotation_step < plan.n_rot
-            ):
-                raise ParseError(
-                    f"schedule entry {e.order} names tile ({e.depth_step}, "
-                    f"{e.rotation_step}) outside the {plan.n_depth} x {plan.n_rot} plan"
-                )
+        plan = read_fields(ScanPlan, plan_d, "plan", schedule=schedule)
+        _check_plan(plan, hole, region)
         truth = [
-            DefectSpec(
-                kind=_need(d, "kind", "truth entry"),
-                z_mm=_need(d, "z_mm", "truth entry"),
-                beta_deg=_need(d, "beta_deg", "truth entry"),
-                size_mm=_need(d, "size_mm", "truth entry"),
-                length_mm=d.get("length_mm"),
-                contrast=d.get("contrast", DEFAULT_CONTRAST),
-            )
-            for d in data.get("truth", [])
+            read_fields(DefectSpec, entry, "truth entry")
+            for entry in _list(data.get("truth", []), "manifest truth")
         ]
-        images = [
-            {
-                "depth_step": _need(entry, "depth_step", "image entry"),
-                "rotation_step": _need(entry, "rotation_step", "image entry"),
-                "file": _need(entry, "file", "image entry"),
-            }
-            for entry in data.get("images", [])
-        ]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except DomainError as exc:
         raise ParseError(f"bad manifest value: {exc}") from exc
-    return RunManifest(
-        hole=hole,
-        optics=optics,
-        region=region,
-        plan=plan,
-        images=images,
-        truth=truth,
-        seed=int(data.get("seed", 0)),
-        noise_sigma=float(data.get("noise_sigma", 0.0)),
-        version=str(data.get("version", "")),
+    images = [
+        check_keys(entry, _IMAGE_KEYS, "image entry")
+        for entry in _list(data.get("images", []), "manifest images")
+    ]
+    return read_fields(
+        RunManifest, data, "manifest", hole=hole, optics=optics, region=region,
+        plan=plan, images=images, truth=truth,
     )
 
 
@@ -353,8 +287,8 @@ def read_report(path) -> dict:
         raise ParseError(f"unreadable report {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"report {path} is not a mapping")
-    records = _need(data, "records", f"report {path}")
+    records = _list(_need(data, "records", f"report {path}"), f"report {path} records")
     for rec in records:
-        for key in ("kind", "z_mm", "beta_deg", "size_mm"):
-            _need(rec, key, f"report {path} record")
+        values = check_keys(rec, _REPORT_KEYS, f"report {path} record")
+        rec.update(values)  # floats, which report-compare subtracts
     return data

@@ -101,9 +101,14 @@ def shot_counts(hole: HoleSpec, region: EffectiveRegion) -> tuple[int, int]:
             "plan would be degenerate"
         )
     circumference = 2.0 * math.pi * hole.radius_mm
-    n_rot = math.ceil(circumference / region.width_mm)
-    n_depth = math.floor(hole.depth_mm / region.height_mm) + 1
-    return n_rot, n_depth
+    rotations = circumference / region.width_mm
+    depths = hole.depth_mm / region.height_mm
+    if not (math.isfinite(rotations) and math.isfinite(depths)):
+        raise ConfigError(
+            f"a radius-{hole.radius_mm} mm, {hole.depth_mm} mm deep bore needs "
+            "more tiles than can be counted"
+        )
+    return math.ceil(rotations), math.floor(depths) + 1
 
 
 def plan_scan(hole: HoleSpec, region: EffectiveRegion) -> ScanPlan:

@@ -176,9 +176,10 @@ def _run_partition(runs):
 
 def _labeling_agrees(mask, connectivity):
     reference = _partition(_flood_fill(mask, connectivity))
-    if _run_partition(label_mask(mask, connectivity)) != reference:
+    runs = label_mask(mask, connectivity)
+    if _run_partition(runs) != reference:
         return False
-    blobs = connected_components(label_mask(mask, connectivity), min_area=1)
+    blobs = connected_components(runs, min_area=1)
     return (len(blobs) == len(reference)
             and sorted(b.pixel_area for b in blobs)
             == sorted(len(g) for g in reference))

@@ -74,6 +74,22 @@ class TestPlan:
         assert "inspect --min-area" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, name",
+        [
+            (CONFIG + "[optics]\npixel_pitch_um = 3.0\n", "pixel_pitch_um"),
+            (CONFIG + "[synthh]\nseed = 4\n", "synthh"),
+        ],
+        ids=["misspelt-key", "misspelt-section"],
+    )
+    def test_unknown_config_name_exits_2(self, tmp_path, capsys, text, name):
+        # a misspelt name must not leave the run on a default without a word
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "text",
         [
             "[hole]\nradius_mm = nan\ndepth_mm = 2.0\n",
@@ -101,6 +117,12 @@ class TestPlan:
         assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+
+    def test_uncountable_plan_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[hole]\nradius_mm = 1e308\ndepth_mm = 2.0\n")
+        assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "more tiles than can be counted" in capsys.readouterr().err
 
     def test_degenerate_geometry_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -524,6 +546,31 @@ class TestInspect:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ((), "seed", "abc"),
+            ((), "noise_sigma", [1]),
+            (("images", 0), "file", 5),
+            (("images", 0), "depth_step", [0]),
+            (("hole",), "radius_mm", True),
+        ],
+    )
+    def test_mistyped_manifest_value_exits_2(
+        self, tmp_path, synth_dir, capsys, where, key, value
+    ):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        section = data
+        for step in where:
+            section = section[step]
+        section[key] = value
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     def test_otsu_threshold_accepted(self, tmp_path, synth_dir):
         out = tmp_path / "otsu"
         code = main(
@@ -563,6 +610,27 @@ class TestReportCompare:
         assert trials == "2"
         assert std == "0.0"
         assert abs(float(mean) - 0.2) < 0.005
+
+    @pytest.mark.parametrize(
+        "key, value", [("z_mm", "abc"), ("size_mm", "abc"), ("beta_deg", None)]
+    )
+    def test_mistyped_report_value_exits_2(
+        self, tmp_path, synth_dir, capsys, key, value
+    ):
+        (report,) = self.run_inspections(tmp_path, synth_dir, count=1)
+        with open(report) as handle:
+            data = yaml.safe_load(handle)
+        data["records"][0][key] = value
+        with open(report, "w") as handle:
+            yaml.safe_dump(data, handle, sort_keys=False)
+        capsys.readouterr()
+        code = main(
+            ["report-compare", "--manifest", str(synth_dir / "manifest.yaml"),
+             "--out", str(tmp_path / "compare"), report]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     def test_no_truth_exits_6(self, tmp_path, config_path, capsys):
         out = tmp_path / "clean"

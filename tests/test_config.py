@@ -58,6 +58,12 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="radius_mm"):
             load_config(write(tmp_path, text))
 
+    def test_percent_sign_is_a_bad_value(self, tmp_path):
+        # read as text, not as an interpolation that fails with a traceback
+        text = "[hole]\nradius_mm = 2%\ndepth_mm = 47\n"
+        with pytest.raises(ParseError, match="'2%' for 'radius_mm'"):
+            load_config(write(tmp_path, text))
+
     def test_bad_threshold_spec_fails_at_load(self, tmp_path):
         text = MINIMAL + "[detect]\nthreshold = fuzzy\n"
         with pytest.raises(ParseError):
@@ -120,6 +126,20 @@ class TestDefectList:
     def test_missing_column_named(self, tmp_path):
         text = "kind,z_mm,beta_deg,size_mm\ndisc,1,0,0.1\n"
         with pytest.raises(ParseError, match="length_mm"):
+            load_defect_list(write(tmp_path, text, "d.csv"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind,z_mm,beta_deg,size_mm,length_mm,contrast,depth\n"
+             "disc,1.0,0.0,0.1,,,3\n", "'depth' in defect row 2"),
+            (HEADER + "disc,1.0,0.0,0.1,,,3\n", "None in defect row 2"),
+            (HEADER + "disc,,0.0,0.1,,\n", "'z_mm' in defect row 2"),
+        ],
+        ids=["unknown-column", "extra-cell", "empty-required-cell"],
+    )
+    def test_cells_that_name_no_field_or_miss_one(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
             load_defect_list(write(tmp_path, text, "d.csv"))
 
     def test_bad_value_names_row(self, tmp_path):

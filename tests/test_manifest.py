@@ -110,6 +110,42 @@ class TestManifestRoundTrip:
         with pytest.raises(ParseError, match="outside"):
             manifest_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("n_rot",), 5, "plan n_rot is 5"),
+            (("alpha_deg",), 45.0, "plan alpha_deg is 45.0"),
+            (("step_mm",), 1.0, "plan step_mm is 1.0"),
+            (("schedule", 1, "order"), 5, r"entry 1 names tile \(1, 0\).*order"),
+            (("schedule", 3, "z_mm"), 0.5, r"entry 3 names tile \(1, 1\).*z_mm is 0.5"),
+            (("schedule", 2, "theta_deg"), 91.0, "entry 2.*theta_deg is 91.0, not 90.0"),
+        ],
+    )
+    def test_plan_other_than_hole_and_region_give_raises(self, path, value, message):
+        # tiles are placed by their steps and by their entry's z_mm and
+        # theta_deg, so a plan the hole and region do not give is refused
+        data = manifest_to_dict(sample_manifest())
+        node = data["plan"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ParseError, match=message):
+            manifest_from_dict(data)
+
+    def test_plan_with_too_few_entries_raises(self):
+        data = manifest_to_dict(sample_manifest())
+        data["plan"]["schedule"] = data["plan"]["schedule"][:-1]
+        with pytest.raises(ParseError, match="7 entries.*4 x 2"):
+            manifest_from_dict(data)
+
+    def test_tile_count_is_compared_first(self):
+        # so a hole or region in a file never builds a plan larger than the
+        # file's own before it is refused
+        data = manifest_to_dict(sample_manifest())
+        data["hole"]["depth_mm"] = 15000.0
+        with pytest.raises(ParseError, match="8 entries.*4 x 10001"):
+            manifest_from_dict(data)
+
     def test_non_finite_hole_radius_raises(self):
         data = manifest_to_dict(sample_manifest())
         data["hole"]["radius_mm"] = float("nan")

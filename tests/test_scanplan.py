@@ -57,6 +57,19 @@ def test_shot_counts_degenerate_region():
     assert n_rot == 3
 
 
+@pytest.mark.parametrize(
+    "hole, region",
+    [
+        (HoleSpec(1e308, 47.0), EffectiveRegion()),
+        (HoleSpec(2.0, 1e308), EffectiveRegion(1.5, 1e-300)),
+    ],
+    ids=["rotations", "depths"],
+)
+def test_shot_counts_too_many_to_count(hole, region):
+    with pytest.raises(ConfigError, match="more tiles than can be counted"):
+        shot_counts(hole, region)
+
+
 def test_plan_scan_reference():
     plan = plan_scan(HOLE, REGION)
     assert len(plan.schedule) == 288
