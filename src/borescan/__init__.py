@@ -20,9 +20,9 @@ from .errors import (
 )
 from .geometry import DeviationSpec, HoleSpec, OpticsConfig
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_counts
-from .unwrap import RemapTable, TileImage, build_remap, correct_tile, forward_project
+from .unwrap import TileImage, build_remap, correct_tile, forward_project
 from .synth import DefectSpec, SurfaceTexture, build_texture, render_stack
-from .detect import BlobRecord, LineMeasurement, binarize, connected_components
+from .detect import BlobRecord, binarize, connected_components
 from .locate import DefectRecord, defect_location, merge_duplicates, stitch_panorama
 from .manifest import RunManifest, load_manifest, save_manifest
 
@@ -44,7 +44,6 @@ __all__ = [
     "ScanPlan",
     "plan_scan",
     "shot_counts",
-    "RemapTable",
     "TileImage",
     "build_remap",
     "correct_tile",
@@ -54,7 +53,6 @@ __all__ = [
     "build_texture",
     "render_stack",
     "BlobRecord",
-    "LineMeasurement",
     "binarize",
     "connected_components",
     "DefectRecord",

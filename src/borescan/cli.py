@@ -46,7 +46,6 @@ from .scanplan import plan_scan
 from .synth import _map_in_order, build_texture, render_stack, tile_shape_for
 from .unwrap import TileImage, correct_tile
 
-THREADS_ENV = "BORESCAN_THREADS"
 MATCH_RADIUS_MM = 0.25  # truth-to-record association distance for comparisons
 
 
@@ -59,15 +58,6 @@ def _resolve_threads(flag: int | None) -> int:
         if flag < 1:
             raise ParseError("--threads must be >= 1")
         return flag
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ParseError(f"bad {THREADS_ENV} value {env!r}") from exc
-        if value < 1:
-            raise ParseError(f"bad {THREADS_ENV} value {env!r}")
-        return value
     # the CPUs this process may run on: a pinned process has fewer than
     # os.cpu_count() reports, and more threads would only contend for them
     if hasattr(os, "sched_getaffinity"):
@@ -183,8 +173,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     missing = missing_image_entries(manifest)
     if missing:
-        print(f"error: no image recorded for tile {missing[0]}", file=sys.stderr)
-        return 5
+        raise ImageFormatError(f"no image recorded for tile {missing[0]}")
     threshold = parse_threshold_spec(args.threshold)
     out = _outdir(args.out)
     corrected_dir = _outdir(out / "corrected")
@@ -343,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     inspect.add_argument(
         "--threads", type=int, default=None,
-        help=f"worker threads (default: ${THREADS_ENV} or CPU count)",
+        help="worker threads (default: the CPUs this process may run on)",
     )
     inspect.set_defaults(func=cmd_inspect)
 

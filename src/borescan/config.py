@@ -26,14 +26,10 @@ from .synth import DefectSpec
 __all__ = [
     "SynthParams",
     "RunConfig",
-    "DEFAULT_OPTICS",
     "load_config",
     "parse_threshold_spec",
     "load_defect_list",
 ]
-
-DEFAULT_OPTICS = OpticsConfig()
-
 
 @dataclass(frozen=True)
 class SynthParams:

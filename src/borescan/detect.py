@@ -19,7 +19,6 @@ from .unwrap import TileImage
 
 __all__ = [
     "BlobRecord",
-    "LineMeasurement",
     "RunLabels",
     "binarize",
     "otsu_threshold",
@@ -67,15 +66,6 @@ class RunLabels:
     stop: np.ndarray
     label: np.ndarray
     count: int
-
-
-@dataclass(frozen=True)
-class LineMeasurement:
-    """Per-segment widths of a line-like feature."""
-
-    segment_widths_mm: tuple[float, ...]
-    mean_width_mm: float
-    segment_count: int
 
 
 def otsu_threshold(img: TileImage) -> float:
@@ -279,21 +269,18 @@ def connected_components(
     ]
 
 
-def line_width(per_row: np.ndarray, pitch_x_um: float) -> LineMeasurement:
-    """Width of a line running along the bore axis, segment by segment.
+def line_width(per_row: np.ndarray, pitch_x_um: float) -> float:
+    """Mean width in mm of a line running along the bore axis.
 
     ``per_row`` holds one connected blob's pixel count in each row of its
     bounding box, top to bottom, so every row holds part of the line. The
     rows are cut into ``DEFAULT_SEGMENT_LEN``-row segments; each segment's
     width is its mean count per row times the column pitch, and the
-    headline number is the mean over segments.
+    result is the mean over segments, so a short last segment weighs as
+    much as a full one.
     """
     widths = [
         float(per_row[start : start + DEFAULT_SEGMENT_LEN].mean()) * pitch_x_um * 1e-3
         for start in range(0, per_row.size, DEFAULT_SEGMENT_LEN)
     ]
-    return LineMeasurement(
-        segment_widths_mm=tuple(widths),
-        mean_width_mm=float(np.mean(widths)),
-        segment_count=len(widths),
-    )
+    return float(np.mean(widths))

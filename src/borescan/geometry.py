@@ -97,14 +97,16 @@ class OpticsConfig:
 
     def __post_init__(self) -> None:
         # Diameters of 0 are legal (degenerate aperture); negative is not.
-        if self.mirror_diameter_mm < 0 or self.image_diameter_mm < 0:
-            raise ConfigError("diameters must be non-negative")
-        if (
-            self.image_to_eyepiece_mm < 0
-            or self.lens_length_mm < 0
-            or self.lens_to_mirror_mm < 0
+        for name in (
+            "mirror_diameter_mm",
+            "image_diameter_mm",
+            "image_to_eyepiece_mm",
+            "lens_length_mm",
+            "lens_to_mirror_mm",
         ):
-            raise ConfigError("chain segment lengths must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.optical_length_mm <= 0:
             raise ConfigError("total optical length must be positive")
         for pitch in (self.pixel_pitch_x_um, self.pixel_pitch_y_um):

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 LINE_ASPECT = 3.0  # axial:arc extent ratio at which a blob counts as a line
+MERGE_TOL_Z_MM = 0.05  # axial gap across which split records still merge
+MERGE_TOL_ARC_MM = 0.05  # arc gap across which split records still merge
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,7 @@ class DefectRecord:
     arc_center_deg: float
     arc_half_deg: float
     source_tiles: tuple[tuple[int, int], ...]
-    centroids_px: tuple[tuple[float, float], ...]
     id: int = -1
-
-    @property
-    def axial_extent_mm(self) -> float:
-        return self.z_max_mm - self.z_min_mm
-
-    def arc_extent_mm(self, radius_mm: float) -> float:
-        return 2.0 * math.radians(self.arc_half_deg) * radius_mm
 
 
 def circular_delta_deg(a: float, b: float) -> float:
@@ -146,7 +140,7 @@ def record_from_blob(
             weights=(labels.stop[lo:hi] - labels.start[lo:hi])[own],
             minlength=axial_px,
         )
-        size = line_width(per_row, cfg.pixel_pitch_x_um).mean_width_mm
+        size = line_width(per_row, cfg.pixel_pitch_x_um)
     else:
         kind = "disc"
         size = 2.0 * math.sqrt(area / math.pi)
@@ -161,7 +155,6 @@ def record_from_blob(
         arc_center_deg=arc_center,
         arc_half_deg=arc_half,
         source_tiles=((j, k),),
-        centroids_px=(blob.centroid,),
     )
 
 
@@ -233,31 +226,22 @@ def _merge_cluster(members: list[DefectRecord], radius_mm: float) -> DefectRecor
         arc_center_deg=arc_center,
         arc_half_deg=arc_half,
         source_tiles=tuple(sorted(set(t for rec in members for t in rec.source_tiles))),
-        centroids_px=tuple(c for rec in members for c in rec.centroids_px),
     )
 
 
-def merge_duplicates(
-    records: list[DefectRecord],
-    tol_z_mm: float = 0.05,
-    tol_beta_deg: float | None = None,
-    *,
-    radius_mm: float | None = None,
-    tol_arc_mm: float = 0.05,
-) -> list[DefectRecord]:
+def merge_duplicates(records: list[DefectRecord], radius_mm: float) -> list[DefectRecord]:
     """Collapse split detections of one physical feature into one record.
 
-    Two records merge when their axial intervals come within ``tol_z_mm``
-    AND their arc intervals come within the angular tolerance (given
-    directly as ``tol_beta_deg`` or derived as ``tol_arc_mm / radius``).
-    Merging repeats until stable, so the result is a fixed point: merging
-    the output again changes nothing. Records that merge keep the largest
-    member's area estimate; positions are area-weighted.
+    Two records merge when their axial intervals come within
+    ``MERGE_TOL_Z_MM`` AND their arc intervals come within
+    ``MERGE_TOL_ARC_MM`` on a bore of ``radius_mm``. Merging repeats until
+    stable, so the result is a fixed point: merging the output again
+    changes nothing. Records that merge keep the largest member's area
+    estimate; positions are area-weighted.
     """
-    if radius_mm is None or radius_mm <= 0:
-        raise DomainError("radius_mm is required to merge in arc units")
-    if tol_beta_deg is None:
-        tol_beta_deg = math.degrees(tol_arc_mm / radius_mm)
+    if not radius_mm > 0:
+        raise DomainError(f"radius_mm must be positive, got {radius_mm}")
+    arc_tol_deg = math.degrees(MERGE_TOL_ARC_MM / radius_mm)
     merged = list(records)
     while True:
         parent = list(range(len(merged)))
@@ -270,9 +254,9 @@ def merge_duplicates(
 
         for i in range(len(merged)):
             for j in range(i + 1, len(merged)):
-                if _z_gap_mm(merged[i], merged[j]) > tol_z_mm:
+                if _z_gap_mm(merged[i], merged[j]) > MERGE_TOL_Z_MM:
                     continue
-                if _arc_gap_deg(merged[i], merged[j]) > tol_beta_deg:
+                if _arc_gap_deg(merged[i], merged[j]) > arc_tol_deg:
                     continue
                 ri, rj = find(i), find(j)
                 if ri != rj:

@@ -10,6 +10,7 @@ as YAML for machines and CSV for spreadsheets.
 from __future__ import annotations
 
 import csv
+import os
 import statistics
 from dataclasses import asdict, dataclass, field
 
@@ -124,6 +125,20 @@ def _check_plan(plan: ScanPlan, hole: HoleSpec, region: EffectiveRegion) -> None
                 )
 
 
+def _image_entry(entry) -> dict:
+    """An image entry, whose ``file`` is a plain name in the manifest's
+    directory: ``inspect`` reads the tile there and writes its corrected
+    tile under the same name in its own output directory."""
+    values = check_keys(entry, _IMAGE_KEYS, "image entry")
+    name = values["file"]
+    if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
+        raise ParseError(
+            f"image entry for tile ({values['depth_step']}, "
+            f"{values['rotation_step']}) names {name!r}, not a plain file name"
+        )
+    return values
+
+
 def manifest_from_dict(data: dict) -> RunManifest:
     try:
         hole = _section(data, "hole", HoleSpec)
@@ -143,8 +158,7 @@ def manifest_from_dict(data: dict) -> RunManifest:
     except DomainError as exc:
         raise ParseError(f"bad manifest value: {exc}") from exc
     images = [
-        check_keys(entry, _IMAGE_KEYS, "image entry")
-        for entry in _list(data.get("images", []), "manifest images")
+        _image_entry(entry) for entry in _list(data.get("images", []), "manifest images")
     ]
     return read_fields(
         RunManifest, data, "manifest", hole=hole, optics=optics, region=region,

@@ -27,6 +27,10 @@ __all__ = [
     "coverage_check",
 ]
 
+# Far above the 416 tiles of a 6 mm x 47 mm bore, the largest the probe
+# reaches, and far below a schedule that would exhaust memory.
+MAX_TILES = 100_000
+
 
 @dataclass(frozen=True)
 class EffectiveRegion:
@@ -92,7 +96,8 @@ def shot_counts(hole: HoleSpec, region: EffectiveRegion) -> tuple[int, int]:
     Circumferential count rounds up so ``n_rot`` tiles of width
     ``region.width_mm`` close the full circumference; the axial count is
     ``floor(depth / height) + 1``, which may duplicate an overlap row when
-    the depth divides exactly.
+    the depth divides exactly. A plan of more than ``MAX_TILES`` tiles is
+    refused before any schedule is built.
     """
     if region.width_mm >= math.pi * hole.radius_mm:
         raise ConfigError(
@@ -108,7 +113,13 @@ def shot_counts(hole: HoleSpec, region: EffectiveRegion) -> tuple[int, int]:
             f"a radius-{hole.radius_mm} mm, {hole.depth_mm} mm deep bore needs "
             "more tiles than can be counted"
         )
-    return math.ceil(rotations), math.floor(depths) + 1
+    n_rot, n_depth = math.ceil(rotations), math.floor(depths) + 1
+    if n_rot * n_depth > MAX_TILES:
+        raise ConfigError(
+            f"a radius-{hole.radius_mm} mm, {hole.depth_mm} mm deep bore needs "
+            f"{n_rot} x {n_depth} tiles, more than the {MAX_TILES} a plan may hold"
+        )
+    return n_rot, n_depth
 
 
 def plan_scan(hole: HoleSpec, region: EffectiveRegion) -> ScanPlan:

@@ -27,7 +27,6 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "TileImage",
-    "RemapTable",
     "pixel_to_arc",
     "arc_to_pixel",
     "bilinear_sample",
@@ -97,20 +96,6 @@ class TileImage:
         return 255 if self.bit_depth == 8 else 65535
 
 
-@dataclass(frozen=True)
-class RemapTable:
-    """Precomputed source column for every corrected column.
-
-    ``source[m]`` is the fractional flat-image column feeding corrected
-    column ``m``; both are absolute indices. ``center`` is the fixed point
-    of the transform at ``(width - 1) / 2``.
-    """
-
-    width: int
-    center: float
-    source: np.ndarray
-
-
 def _as_float_array(value) -> tuple[np.ndarray, bool]:
     arr = np.asarray(value, dtype=np.float64)
     return arr, arr.ndim == 0
@@ -165,7 +150,9 @@ def bilinear_sample(img: TileImage, x: float, y: float) -> float:
     """Intensity at fractional coordinates (x, y), standard bilinear weights.
 
     Exact at integer coordinates. Out-of-bounds points raise; padding policy
-    is the caller's business.
+    is the caller's business. The pipeline resamples whole rows through
+    ``_resample_columns``; this scalar form is its test oracle
+    (``test_correct_tile_matches_scalar_bilinear``).
     """
     if not (0.0 <= x <= img.width - 1) or not (0.0 <= y <= img.height - 1):
         raise DomainError(
@@ -186,11 +173,14 @@ def bilinear_sample(img: TileImage, x: float, y: float) -> float:
     )
 
 
-def build_remap(width: int, radius_mm: float, pitch_um: float) -> RemapTable:
-    """Build the per-column source table for a tile of the given width.
+def build_remap(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
+    """The source column of every corrected column of a tile ``width`` px wide.
 
-    The whole tile must sit inside the visible half-cylinder: the physical
-    half-width ``(width/2) * pitch`` has to stay below the bore radius.
+    Entry ``m`` is the fractional flat-image column feeding corrected
+    column ``m``; both are absolute indices, and the transform's fixed
+    point is the tile center ``(width - 1) / 2``. The whole tile must sit
+    inside the visible half-cylinder: the physical half-width
+    ``(width/2) * pitch`` has to stay below the bore radius.
     """
     if width < 1:
         raise ConfigError(f"width must be >= 1, got {width}")
@@ -203,8 +193,7 @@ def build_remap(width: int, radius_mm: float, pitch_um: float) -> RemapTable:
         )
     center = (width - 1) / 2.0
     m_rel = np.arange(width, dtype=np.float64) - center
-    source = center + arc_to_pixel(m_rel, radius_mm, pitch_um)
-    return RemapTable(width=width, center=center, source=source)
+    return center + arc_to_pixel(m_rel, radius_mm, pitch_um)
 
 
 def _resample_columns(pixels: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -249,11 +238,11 @@ def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
     source coordinates fall inside the input (the flat image is a
     compressed view of the arc), so no fill is needed.
     """
-    table = build_remap(img.width, radius_mm, img.pixel_pitch_x_um)
+    source = build_remap(img.width, radius_mm, img.pixel_pitch_x_um)
     out = np.empty_like(img.pixels)
     for lo in range(0, img.height, STRIP_ROWS):
         rows = slice(lo, lo + STRIP_ROWS)
-        resampled = _resample_columns(img.pixels[rows], table.source)
+        resampled = _resample_columns(img.pixels[rows], source)
         out[rows] = np.rint(resampled, out=resampled)
     return TileImage(
         pixels=out,
@@ -273,9 +262,11 @@ def forward_project(texture_window: TileImage, radius_mm: float) -> TileImage:
     as 0 and listed in ``meta["sentinel_columns"]``.
     """
     img = texture_window
-    table = build_remap(img.width, radius_mm, img.pixel_pitch_x_um)
-    k_rel = np.arange(img.width, dtype=np.float64) - table.center
-    m_abs = table.center + pixel_to_arc(k_rel, radius_mm, img.pixel_pitch_x_um)
+    # only for its checks: a tile too wide for the bore fails as in correct_tile
+    build_remap(img.width, radius_mm, img.pixel_pitch_x_um)
+    center = (img.width - 1) / 2.0
+    k_rel = np.arange(img.width, dtype=np.float64) - center
+    m_abs = center + pixel_to_arc(k_rel, radius_mm, img.pixel_pitch_x_um)
     valid = (m_abs >= 0.0) & (m_abs <= img.width - 1)
     resampled = _resample_columns(img.pixels, m_abs)
     resampled[:, ~valid] = 0.0

@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from borescan.cli import main as cli_main
-from borescan.config import DEFAULT_OPTICS
 from borescan.detect import (
     DEFAULT_MIN_AREA,
     binarize,
@@ -26,6 +25,7 @@ from borescan.detect import (
 from borescan.geometry import (
     DeviationSpec,
     HoleSpec,
+    OpticsConfig,
     arc_expansion,
     deviation_total,
     object_extent,
@@ -46,7 +46,7 @@ from borescan.unwrap import TileImage, correct_tile, forward_project
 
 RADIUS = 2.0  # reference 4 mm bore
 PITCH = 2.16  # um per pixel, both axes
-OPTICS = DEFAULT_OPTICS
+OPTICS = OpticsConfig()
 REGION = EffectiveRegion(1.5, 1.5)
 
 

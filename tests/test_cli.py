@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from borescan import cli, synth
+from borescan import cli, scanplan, synth
 from borescan.cli import main
 from borescan.config import load_config
 from borescan.errors import DomainError, PlanIndexError, ThresholdError
@@ -41,6 +41,16 @@ def synth_dir(tmp_path, config_path):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture
+def no_schedule(monkeypatch):
+    """Fail at the first schedule entry built, so no test builds a huge plan."""
+
+    def refuse(**fields):
+        raise AssertionError("a schedule entry was built")
+
+    monkeypatch.setattr(scanplan, "CaptureEvent", refuse)
 
 
 class TestPlan:
@@ -98,9 +108,11 @@ class TestPlan:
             "[hole]\nradius_mm = 0.9\ndepth_mm = inf\n",
             CONFIG + "[optics]\npixel_pitch_x_um = nan\n",
             CONFIG + "[optics]\npixel_pitch_y_um = inf\n",
+            CONFIG + "[optics]\nmirror_diameter_mm = nan\n",
+            CONFIG + "[optics]\nlens_length_mm = inf\n",
         ],
         ids=["radius-nan", "radius-inf", "depth-nan", "depth-inf", "pitch-x-nan",
-             "pitch-y-inf"],
+             "pitch-y-inf", "mirror-nan", "lens-inf"],
     )
     def test_non_finite_value_exits_3(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.ini"
@@ -117,6 +129,14 @@ class TestPlan:
         assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+
+    def test_plan_over_tile_limit_exits_3(self, tmp_path, capsys, no_schedule):
+        bad = tmp_path / "bad.ini"
+        # 9 x 666,666,666,667 tiles
+        bad.write_text("[hole]\nradius_mm = 2.0\ndepth_mm = 1e12\n")
+        assert main(["plan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"more than the {scanplan.MAX_TILES}" in err and "Traceback" not in err
 
     def test_uncountable_plan_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -178,8 +198,9 @@ class TestSynth:
         defects = tmp_path / "defects.csv"
         defects.write_text(DEFECTS)
         outs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("BORESCAN_THREADS", threads)
+        for threads in (1, 3):
+            cpus = set(range(threads))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             out = tmp_path / f"t{threads}"
             code = main(
                 ["synth", "--config", str(config_path), "--defects", str(defects),
@@ -203,18 +224,12 @@ class TestSynth:
             seen.append(threads)
             return real_render_stack(*args, threads=threads, **kwargs)
 
-        monkeypatch.delenv("BORESCAN_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(cli, "render_stack", spy)
         code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert code == 0
         assert seen == [1]
-
-    def test_bad_threads_env_exits_2(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setenv("BORESCAN_THREADS", "0")
-        code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
-        assert code == 2
 
     def test_worker_error_exits_3_after_earlier_tiles(
         self, tmp_path, config_path, monkeypatch
@@ -227,7 +242,7 @@ class TestSynth:
             return render_tile(texture, event, cfg, region)
 
         monkeypatch.setattr(synth, "render_tile", failing_render_tile)
-        monkeypatch.setenv("BORESCAN_THREADS", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         out = tmp_path / "o"
         code = main(["synth", "--config", str(config_path), "--out", str(out)])
         assert code == 3
@@ -317,7 +332,7 @@ class TestSynth:
 
         monkeypatch.setattr(synth.SurfaceTexture, "pixels", property(oracle))
         monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
-        monkeypatch.setenv("BORESCAN_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         code = main(
             ["synth", "--config", str(config), "--defects", str(defects),
              "--out", str(tmp_path / "o")]
@@ -399,23 +414,6 @@ class TestInspect:
         assert (outs[0] / "panorama.pgm").read_bytes() == (
             outs[1] / "panorama.pgm"
         ).read_bytes()
-
-    def test_threads_env_used(self, tmp_path, synth_dir, monkeypatch):
-        monkeypatch.setenv("BORESCAN_THREADS", "2")
-        out = tmp_path / "env"
-        code = main(
-            ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
-             "--out", str(out)]
-        )
-        assert code == 0
-
-    def test_bad_threads_env_exits_2(self, tmp_path, synth_dir, monkeypatch):
-        monkeypatch.setenv("BORESCAN_THREADS", "lots")
-        code = main(
-            ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
 
     def test_missing_tile_exits_5_naming_file(self, tmp_path, synth_dir, capsys):
         (synth_dir / "tile_d01_r02.pgm").unlink()
@@ -570,6 +568,97 @@ class TestInspect:
         assert code == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mirror_diameter_mm", float("nan")), ("lens_length_mm", float("inf"))],
+        ids=["mirror-nan", "lens-inf"],
+    )
+    def test_non_finite_manifest_optics_exits_3(
+        self, tmp_path, synth_dir, capsys, key, value
+    ):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["optics"][key] = value
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err and "Traceback" not in err
+
+    def test_manifest_over_tile_limit_exits_3(
+        self, tmp_path, synth_dir, capsys, no_schedule
+    ):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["hole"]["depth_mm"] = 1e12
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"more than the {scanplan.MAX_TILES}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name",
+        ["tile\0.pgm", "OUTSIDE", "../outside.pgm", "sub/tile_d00_r00.pgm", "",
+         ".", ".."],
+        ids=["nul", "absolute", "parent", "subdirectory", "empty", "dot", "dot-dot"],
+    )
+    def test_image_name_not_a_plain_file_name_exits_2(
+        self, tmp_path, synth_dir, capsys, name
+    ):
+        # a tile outside the manifest's directory, which inspect must not
+        # read, nor overwrite with its corrected tile
+        outside = tmp_path / "outside.pgm"
+        tile = (synth_dir / "tile_d00_r00.pgm").read_bytes()
+        outside.write_bytes(tile)
+        (synth_dir / "sub").mkdir()
+        (synth_dir / "sub" / "tile_d00_r00.pgm").write_bytes(tile)
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["images"][0]["file"] = str(outside) if name == "OUTSIDE" else name
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        out = tmp_path / "o"
+        code = main(
+            ["inspect", "--manifest", str(path), "--out", str(out), "--threads", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "image entry for tile (0, 0)" in err and "Traceback" not in err
+        assert outside.read_bytes() == tile
+        assert not out.exists()
+
+    def test_plan_without_images_exits_5(self, tmp_path, config_path, capsys):
+        plan = tmp_path / "plan"
+        assert main(["plan", "--config", str(config_path), "--out", str(plan)]) == 0
+        code = main(
+            ["inspect", "--manifest", str(plan / "plan.yaml"), "--out", str(tmp_path / "o")]
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "no image recorded for tile (0, 0)" in err and "Traceback" not in err
+
+    def test_image_entry_outside_plan_exits_2(self, tmp_path, synth_dir, capsys):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["images"].append(
+            {"depth_step": 5, "rotation_step": 0, "file": "tile_d00_r00.pgm"}
+        )
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "(5, 0)" in err and "not in the plan" in err and "Traceback" not in err
+
+    def test_duplicate_image_entry_exits_2(self, tmp_path, synth_dir, capsys):
+        path = synth_dir / "manifest.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["images"].append(dict(data["images"][3]))
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duplicate image entry" in err and "Traceback" not in err
 
     def test_otsu_threshold_accepted(self, tmp_path, synth_dir):
         out = tmp_path / "otsu"

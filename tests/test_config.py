@@ -4,13 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from borescan.config import (
-    DEFAULT_OPTICS,
-    load_config,
-    load_defect_list,
-    parse_threshold_spec,
-)
+from borescan.config import load_config, load_defect_list, parse_threshold_spec
 from borescan.errors import DomainError, ParseError
+from borescan.geometry import OpticsConfig
 from borescan.synth import DefectSpec
 
 MINIMAL = "[hole]\nradius_mm = 0.9\ndepth_mm = 2.0\n"
@@ -28,14 +24,14 @@ class TestLoadConfig:
         cfg = load_config(example)
         assert cfg.hole.radius_mm == 2.0
         assert cfg.hole.depth_mm == 47.0
-        assert cfg.optics == DEFAULT_OPTICS
+        assert cfg.optics == OpticsConfig()
         assert cfg.region.width_mm == 1.5
         assert cfg.synth.background == 180
 
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
         assert cfg.hole.radius_mm == 0.9
-        assert cfg.optics == DEFAULT_OPTICS
+        assert cfg.optics == OpticsConfig()
         assert cfg.synth.noise_sigma == 0.0
 
     def test_overrides_win(self, tmp_path):

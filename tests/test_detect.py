@@ -1,13 +1,11 @@
 """Thresholding, labeling, blob sizing in mm, and line widths."""
 
 import collections
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from borescan.config import DEFAULT_OPTICS
 from borescan.detect import (
     BlobRecord,
     binarize,
@@ -17,7 +15,7 @@ from borescan.detect import (
     otsu_threshold,
 )
 from borescan.errors import ConfigError, DomainError, ThresholdError
-from borescan.geometry import HoleSpec
+from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import record_from_blob
 from borescan.scanplan import EffectiveRegion, plan_scan
 from borescan.synth import DefectSpec, build_texture
@@ -206,9 +204,7 @@ class TestBlobMetrics:
     PLAN = plan_scan(HOLE, EffectiveRegion())
 
     def record(self, blob, labels, pitch_x_um=PITCH, pitch_y_um=PITCH):
-        cfg = dataclasses.replace(
-            DEFAULT_OPTICS, pixel_pitch_x_um=pitch_x_um, pixel_pitch_y_um=pitch_y_um
-        )
+        cfg = OpticsConfig(pixel_pitch_x_um=pitch_x_um, pixel_pitch_y_um=pitch_y_um)
         return record_from_blob(blob, labels, 0, 0, self.PLAN, self.HOLE, cfg)
 
     def test_single_pixel_area(self):
@@ -223,7 +219,7 @@ class TestBlobMetrics:
     def test_rejects_bad_pitch(self):
         # sizing trusts the pitch: the optics config refuses a zero one
         with pytest.raises(ConfigError):
-            dataclasses.replace(DEFAULT_OPTICS, pixel_pitch_x_um=0.0)
+            OpticsConfig(pixel_pitch_x_um=0.0)
 
     def rasterized_diameter(self, size_mm, pitch_um):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=180.0, size_mm=size_mm)
@@ -250,9 +246,12 @@ class TestBlobMetrics:
 
 class TestLineWidth:
     def test_uniform_band_width(self):
-        # a 139 px wide band running the full tile height
-        got = line_width(np.full(695, 139), pitch_x_um=PITCH)
-        # 139 px * 2.16 um = 0.30024 mm in every segment
-        assert got.mean_width_mm == pytest.approx(0.30024)
-        assert got.segment_count == 11  # ceil(695 / 64)
-        assert all(w == pytest.approx(0.30024) for w in got.segment_widths_mm)
+        # a 139 px wide band running the full tile height: 11 segments,
+        # the last of 55 rows, each 139 px * 2.16 um = 0.30024 mm wide
+        assert line_width(np.full(695, 139), pitch_x_um=PITCH) == pytest.approx(0.30024)
+
+    def test_mean_over_segments_not_rows(self):
+        # one full 64-row segment of 10 px, then a 6-row segment of 40 px:
+        # the segment means are 10 and 40 px, the row mean 12.57 px
+        per_row = np.array([10] * 64 + [40] * 6)
+        assert line_width(per_row, pitch_x_um=PITCH) == pytest.approx(25 * 2.16e-3)

@@ -67,6 +67,17 @@ def test_optics_config_rejects_negative_lengths():
         OpticsConfig(2.5, 2.0, 15.0, 230.0, 94.0, 0.0, 2.16)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["mirror_diameter_mm", "image_diameter_mm", "image_to_eyepiece_mm",
+     "lens_length_mm", "lens_to_mirror_mm"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_optics_config_rejects_non_finite_lengths(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        OpticsConfig(**{name: value})
+
+
 def test_fov_half_angle_reference():
     # atan(4.5 / 678), frozen from a 50-digit evaluation
     assert fov_half_angle(REF) == pytest.approx(0.00663707068399, abs=1e-12)

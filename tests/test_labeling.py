@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from borescan.config import DEFAULT_OPTICS
 from borescan.detect import BlobRecord, connected_components, label_mask, line_width
-from borescan.geometry import HoleSpec
+from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import LINE_ASPECT, record_from_blob
 from borescan.scanplan import EffectiveRegion, plan_scan
 
@@ -158,6 +157,7 @@ class TestRecordFromBlob:
 
     HOLE = HoleSpec(2.0, 47.0)
     PLAN = plan_scan(HOLE, EffectiveRegion())
+    OPTICS = OpticsConfig()
 
     @settings(max_examples=100, deadline=None)
     @given(mask=masks())
@@ -165,12 +165,12 @@ class TestRecordFromBlob:
         want, _ = scipy_label(mask, 8)
         runs = label_mask(mask, 8)
         for blob in connected_components(runs, 1):
-            rec = record_from_blob(blob, runs, 0, 0, self.PLAN, self.HOLE, DEFAULT_OPTICS)
+            rec = record_from_blob(blob, runs, 0, 0, self.PLAN, self.HOLE, self.OPTICS)
             col_min, row_min, col_max, row_max = blob.bbox
             if row_max - row_min + 1 < LINE_ASPECT * (col_max - col_min + 1):
                 assert rec.kind == "disc"
                 continue
             crop = want[row_min : row_max + 1, col_min : col_max + 1] == blob.label
-            expected = line_width(crop.sum(axis=1), DEFAULT_OPTICS.pixel_pitch_x_um)
+            expected = line_width(crop.sum(axis=1), self.OPTICS.pixel_pitch_x_um)
             assert rec.kind == "line"
-            assert rec.size_mm == expected.mean_width_mm
+            assert rec.size_mm == expected

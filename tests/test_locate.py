@@ -57,7 +57,6 @@ def make_record(
         arc_center_deg=beta % 360.0,
         arc_half_deg=arc_half,
         source_tiles=tuple(tiles),
-        centroids_px=((0.0, 0.0),),
     )
 
 
@@ -156,7 +155,7 @@ class TestRecordFromBlob:
         assert rec.size_mm == pytest.approx(0.30024)
         assert rec.beta_deg == pytest.approx(80.0)
         # 695 rows cover 695 * 2.16 um of axis
-        assert rec.axial_extent_mm == pytest.approx(0.69500 * 2.16)
+        assert rec.z_max_mm - rec.z_min_mm == pytest.approx(0.69500 * 2.16)
         assert rec.z_min_mm == pytest.approx(47.0 - 1.5 - 347.5 * 2.16e-3)
         assert rec.z_max_mm == pytest.approx(47.0 - 1.5 + 347.5 * 2.16e-3)
 
@@ -178,8 +177,8 @@ class TestRecordFromBlob:
         mask[100:120, 600:640] = True
         rec = record_from_blob(*self.blob_from(mask), 0, 0, PLAN, HOLE, CFG)
         arc_px = 40 * 2.16e-3
-        assert rec.arc_extent_mm(2.0) == pytest.approx(arc_px)
-        assert rec.axial_extent_mm == pytest.approx(20 * 2.16e-3)
+        assert 2.0 * math.radians(rec.arc_half_deg) * 2.0 == pytest.approx(arc_px)
+        assert rec.z_max_mm - rec.z_min_mm == pytest.approx(20 * 2.16e-3)
 
 
 class TestMergeDuplicates:
@@ -194,7 +193,7 @@ class TestMergeDuplicates:
 
     def test_radius_required(self):
         with pytest.raises(DomainError):
-            merge_duplicates([make_record(0.0, 1.0)])
+            merge_duplicates([make_record(0.0, 1.0)], radius_mm=0)
 
     def test_overlapping_duplicates_merge_with_weighted_position(self):
         a = make_record(100.0, 30.0, area=0.03, arc_half=2.0)
@@ -266,12 +265,6 @@ class TestMergeDuplicates:
         out = merge_duplicates(pieces, radius_mm=2.0)
         assert len(out) == 1
         assert out[0].kind == "line"
-
-    def test_beta_tolerance_override(self):
-        a = make_record(10.0, 10.0, arc_half=0.1)
-        b = make_record(30.0, 10.0, arc_half=0.1)
-        assert len(merge_duplicates([a, b], radius_mm=2.0)) == 2
-        assert len(merge_duplicates([a, b], tol_beta_deg=25.0, radius_mm=2.0)) == 1
 
 
 class TestStitchPanorama:

@@ -57,7 +57,6 @@ def sample_record(**overrides):
         arc_center_deg=100.0,
         arc_half_deg=6.4,
         source_tiles=((1, 1),),
-        centroids_px=((347.0, 115.0),),
         id=0,
     )
     base.update(overrides)

@@ -5,6 +5,7 @@ import pytest
 from borescan.errors import ConfigError
 from borescan.geometry import HoleSpec
 from borescan.scanplan import (
+    MAX_TILES,
     CaptureEvent,
     EffectiveRegion,
     ScanPlan,
@@ -68,6 +69,19 @@ def test_shot_counts_degenerate_region():
 def test_shot_counts_too_many_to_count(hole, region):
     with pytest.raises(ConfigError, match="more tiles than can be counted"):
         shot_counts(hole, region)
+
+
+def test_shot_counts_tile_limit():
+    # the largest bore the probe reaches, 6 mm x 47 mm, is far inside it
+    n_rot, n_depth = shot_counts(HoleSpec(3.0, 47.0), REGION)
+    assert n_rot * n_depth == 416
+    # 9 rotations x 11,111 depths is the last plan it allows
+    assert shot_counts(HoleSpec(2.0, 11110 * 1.5), REGION) == (9, 11111)
+    assert 9 * 11111 <= MAX_TILES < 9 * 11112
+    with pytest.raises(ConfigError, match=f"9 x 11112 tiles, more than the {MAX_TILES}"):
+        shot_counts(HoleSpec(2.0, 11111 * 1.5), REGION)
+    with pytest.raises(ConfigError, match="9 x 666666666667 tiles"):
+        shot_counts(HoleSpec(2.0, 1e12), REGION)
 
 
 def test_plan_scan_reference():

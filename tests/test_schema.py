@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borescan import schema
-from borescan.config import DEFAULT_OPTICS, load_config, load_defect_list
+from borescan.config import load_config, load_defect_list
 from borescan.errors import BorescanError
-from borescan.geometry import HoleSpec
+from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import DefectRecord
 from borescan.manifest import (
     RunManifest,
@@ -43,7 +43,7 @@ PLAN = plan_scan(HOLE, EffectiveRegion())
 MANIFEST = manifest_to_dict(
     RunManifest(
         hole=HOLE,
-        optics=DEFAULT_OPTICS,
+        optics=OpticsConfig(),
         region=EffectiveRegion(),
         plan=PLAN,
         images=[
@@ -139,7 +139,7 @@ def write_valid_report(path):
         DefectRecord(
             kind=kind, z_mm=1.0, beta_deg=beta, size_mm=0.2, area_mm2=0.03,
             z_min_mm=0.9, z_max_mm=1.1, arc_center_deg=beta, arc_half_deg=6.0,
-            source_tiles=((0, 0),), centroids_px=((1.0, 1.0),), id=n,
+            source_tiles=((0, 0),), id=n,
         )
         for n, (kind, beta) in enumerate([("disc", 100.0), ("line", 40.0)])
     ]

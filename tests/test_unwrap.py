@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from borescan.errors import ConfigError, DomainError
 from borescan.unwrap import (
     STRIP_ROWS,
-    RemapTable,
     TileImage,
     _resample_columns,
     arc_to_pixel,
@@ -139,32 +138,31 @@ def test_bilinear_stays_within_neighbors(x, y, seed):
 
 
 def test_build_remap_single_column():
-    table = build_remap(1, R, PITCH)
-    assert table.width == 1
-    assert table.center == 0.0
-    assert table.source[0] == pytest.approx(0.0)
+    source = build_remap(1, R, PITCH)
+    assert source.shape == (1,)
+    assert source[0] == pytest.approx(0.0)
 
 
 def test_build_remap_monotonic_and_odd():
-    table = build_remap(695, R, PITCH)
-    assert np.all(np.diff(table.source) > 0)
-    off = table.source - table.center
+    source = build_remap(695, R, PITCH)
+    assert np.all(np.diff(source) > 0)
+    off = source - 347.0  # the tile center, fixed by the transform
     np.testing.assert_allclose(off, -off[::-1], atol=1e-9)
-    assert np.all(np.abs(off) <= np.abs(np.arange(695) - table.center) + 1e-12)
+    assert np.all(np.abs(off) <= np.abs(np.arange(695) - 347.0) + 1e-12)
 
 
 def test_build_remap_edge_entry():
     # center-relative source of the last corrected column, m = 347:
     # (r/p) sin(347 p / r) = 338.9344414 (frozen oracle)
-    table = build_remap(695, R, PITCH)
-    assert table.source[-1] - table.center == pytest.approx(338.934441398, abs=1e-6)
+    source = build_remap(695, R, PITCH)
+    assert source[-1] - 347.0 == pytest.approx(338.934441398, abs=1e-6)
 
 
 def test_build_remap_rejects_oversized_tile():
     # 1852 px * 2.16 um = 4.0004 mm >= bore diameter
     with pytest.raises(ConfigError):
         build_remap(1852, R, PITCH)
-    assert isinstance(build_remap(1851, R, PITCH), RemapTable)
+    assert build_remap(1851, R, PITCH).shape == (1851,)
 
 
 def test_correct_tile_constant_unchanged():
@@ -185,11 +183,11 @@ def test_correct_tile_matches_scalar_bilinear():
     # dual route: the vectorized remap must agree with per-pixel sampling
     rng = np.random.default_rng(11)
     img = random_tile(rng, width=61, height=9)
-    table = build_remap(61, R, PITCH)
+    source = build_remap(61, R, PITCH)
     out = correct_tile(img, R)
     for n in range(img.height):
         for m in range(img.width):
-            expected = bilinear_sample(img, float(table.source[m]), float(n))
+            expected = bilinear_sample(img, float(source[m]), float(n))
             assert out.pixels[n, m] == round(expected)
 
 
@@ -205,7 +203,7 @@ def test_correct_tile_preserves_uint16():
 def test_correct_tile_strips_match_whole_tile(dtype, height):
     rng = np.random.default_rng(height)
     img = random_tile(rng, width=695, height=height, dtype=dtype)
-    source = build_remap(695, R, PITCH).source
+    source = build_remap(695, R, PITCH)
     expected = np.rint(_resample_columns(img.pixels, source)).astype(dtype)
     out = correct_tile(img, R)
     assert out.pixels.dtype == dtype
