@@ -3,11 +3,12 @@
 Four subcommands cover the workflow: ``plan`` computes the capture
 schedule for a hole, ``synth`` renders a ground-truth tile set, ``inspect``
 turns a tile set into a defect report and panorama, and ``report-compare``
-scores reports against the planted truth. Exit codes are stable: 2 for
-unparseable input, 3 for invalid geometry, a degenerate plan or any other
-input the library rejects, 4 for an unwritable output directory, 5 for a
-missing, corrupt or wrongly sized image, 6 when a comparison has no truth
-or no trials to work with.
+scores reports against the planted truth. Tile (j, k) of a run is the
+file ``tile_dJJ_rKK.pgm`` next to its manifest. Exit codes are stable and
+live on the error classes: 2 for unparseable input, 3 for invalid
+geometry, a degenerate plan or any other input the library rejects, 4 for
+an unwritable output directory, 5 for a missing, corrupt or wrongly sized
+image, 6 when a comparison has no truth or no trials to work with.
 """
 
 from __future__ import annotations
@@ -25,18 +26,15 @@ from .config import load_config, load_defect_list, parse_threshold_spec
 from .detect import DEFAULT_MIN_AREA, binarize, connected_components, label_mask
 from .errors import (
     BorescanError,
-    ConfigError,
     DomainError,
     ImageFormatError,
     ParseError,
-    PlacementError,
     ThresholdError,
 )
 from .locate import circular_delta_deg, merge_duplicates, record_from_blob, stitch_panorama
 from .manifest import (
     RunManifest,
     load_manifest,
-    missing_image_entries,
     read_report,
     save_manifest,
     write_report,
@@ -51,6 +49,8 @@ MATCH_RADIUS_MM = 0.25  # truth-to-record association distance for comparisons
 
 class _CompareEmpty(BorescanError):
     """Nothing to compare: no planted truth or no report trials."""
+
+    exit_code = 6
 
 
 def _resolve_threads(flag: int | None) -> int:
@@ -72,6 +72,7 @@ def _outdir(path: str) -> Path:
 
 
 def _tile_name(depth_step: int, rotation_step: int) -> str:
+    """The file of plan tile (depth_step, rotation_step), next to its manifest."""
     return f"tile_d{depth_step:02d}_r{rotation_step:02d}.pgm"
 
 
@@ -116,25 +117,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
         texture, plan, cfg.optics, cfg.region, noise_sigma=sigma, seed=seed,
         threads=threads,
     ):
-        depth_step, rotation_step = tile.tile_index
-        name = _tile_name(depth_step, rotation_step)
-        write_pgm(out / name, tile.pixels)
-        manifest.images.append(
-            {"depth_step": depth_step, "rotation_step": rotation_step, "file": name}
-        )
+        write_pgm(out / _tile_name(*tile.tile_index), tile.pixels)
     save_manifest(manifest, out / "manifest.yaml")
     print(
-        f"synth: {len(manifest.images)} tiles, {len(defects)} planted defects, "
+        f"synth: {len(plan.schedule)} tiles, {len(defects)} planted defects, "
         f"seed={seed} sigma={sigma:g}"
     )
     return 0
 
 
-def _inspect_tile(entry, manifest, base_dir, out_dir, threshold, min_area):
+def _inspect_tile(event, manifest, base_dir, out_dir, threshold, min_area):
     """Read, correct, and measure one tile. Runs on a worker thread."""
     method, value = threshold
-    j, k = entry["depth_step"], entry["rotation_step"]
-    path = base_dir / entry["file"]
+    j, k = event.depth_step, event.rotation_step
+    name = _tile_name(j, k)
+    path = base_dir / name
     try:
         pixels = read_pgm(path)
     except OSError as exc:
@@ -150,7 +147,7 @@ def _inspect_tile(entry, manifest, base_dir, out_dir, threshold, min_area):
         pixels, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um, tile_index=(j, k)
     )
     corrected = correct_tile(tile, manifest.hole.radius_mm)
-    write_pgm(out_dir / entry["file"], corrected.pixels)
+    write_pgm(out_dir / name, corrected.pixels)
     try:
         if method == "otsu":
             mask = binarize(corrected, method="otsu")
@@ -171,35 +168,21 @@ def _inspect_tile(entry, manifest, base_dir, out_dir, threshold, min_area):
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    missing = missing_image_entries(manifest)
-    if missing:
-        raise ImageFormatError(f"no image recorded for tile {missing[0]}")
     threshold = parse_threshold_spec(args.threshold)
     out = _outdir(args.out)
     corrected_dir = _outdir(out / "corrected")
     base_dir = Path(args.manifest).parent
     workers = _resolve_threads(args.threads)
-    order = {
-        (e.depth_step, e.rotation_step): e.order for e in manifest.plan.schedule
-    }
-    for entry in manifest.images:
-        if (entry["depth_step"], entry["rotation_step"]) not in order:
-            raise ParseError(
-                f"image entry for tile ({entry['depth_step']}, "
-                f"{entry['rotation_step']}) is not in the plan"
-            )
-    entries = sorted(
-        manifest.images, key=lambda e: order[(e["depth_step"], e["rotation_step"])]
-    )
+    schedule = manifest.plan.schedule
     records = []
 
     def corrected_tiles():
         # each tile's records are kept; the tile itself only until it is pasted
         for corrected, tile_records in _map_in_order(
-            lambda entry: _inspect_tile(
-                entry, manifest, base_dir, corrected_dir, threshold, args.min_area
+            lambda event: _inspect_tile(
+                event, manifest, base_dir, corrected_dir, threshold, args.min_area
             ),
-            entries,
+            schedule,
             workers,
         ):
             records.extend(tile_records)
@@ -218,7 +201,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         out / "report.yaml",
         source=Path(args.manifest).name,
     )
-    print(f"inspect: {len(merged)} defects from {len(entries)} tiles")
+    print(f"inspect: {len(merged)} defects from {len(schedule)} tiles")
     for rec in merged:
         print(
             f"  [{rec.id}] {rec.kind} z={rec.z_mm:.3f} mm "
@@ -350,25 +333,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except BorescanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, DomainError, PlacementError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ImageFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except _CompareEmpty as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return exc.exit_code
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4
-    except BorescanError as exc:
-        # any other input the library rejects (a plan index, a threshold)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

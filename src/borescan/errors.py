@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the package.
 
-Everything raised on purpose derives from :class:`BorescanError`, so CLI
-code can map library failures onto exit codes without fishing for builtins.
+Everything raised on purpose derives from :class:`BorescanError`, and each
+class carries the exit code the command line ends with when it is raised.
 """
 
 
 class BorescanError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package: input the library
+    rejects, such as invalid geometry or a degenerate plan."""
+
+    exit_code = 3
 
 
 class ConfigError(BorescanError):
@@ -32,6 +35,10 @@ class PlanIndexError(BorescanError, IndexError):
 class ImageFormatError(BorescanError):
     """A raster file is missing, truncated, or not a graymap we can read."""
 
+    exit_code = 5
+
 
 class ParseError(BorescanError):
     """A config, manifest, defect list, or report file failed to parse."""
+
+    exit_code = 2

@@ -1,23 +1,23 @@
 """Run manifests and defect reports.
 
 A manifest ties a tile set to the geometry, optics, and plan that produced
-it, plus any planted ground truth. Serialization is plain YAML with stable
-key order and no timestamps: rerunning the same job must write the same
-bytes. Reports carry the merged defect records with per-kind statistics,
-as YAML for machines and CSV for spreadsheets.
+it, plus any planted ground truth. It lists no images: tile (j, k) of the
+plan is the file ``tile_dJJ_rKK.pgm`` next to the manifest. Serialization
+is plain YAML with stable key order and no timestamps: rerunning the same
+job must write the same bytes. Reports carry the merged defect records
+with per-kind statistics, as YAML for machines and CSV for spreadsheets.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import statistics
 from dataclasses import asdict, dataclass, field
 
 import yaml
 
 from . import __version__
-from .errors import DomainError, ParseError
+from .errors import ParseError
 from .geometry import HoleSpec, OpticsConfig
 from .locate import DefectRecord
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_counts
@@ -30,7 +30,6 @@ __all__ = [
     "manifest_from_dict",
     "save_manifest",
     "load_manifest",
-    "missing_image_entries",
     "write_report",
     "read_report",
     "report_to_dict",
@@ -48,14 +47,12 @@ class RunManifest:
     optics: OpticsConfig
     region: EffectiveRegion
     plan: ScanPlan
-    images: list[dict] = field(default_factory=list)
     truth: list[DefectSpec] = field(default_factory=list)
     seed: int = 0
     noise_sigma: float = 0.0
     version: str = __version__
 
 
-_IMAGE_KEYS = {"depth_step": int, "rotation_step": int, "file": str}
 _REPORT_KEYS = {"kind": str, "z_mm": float, "beta_deg": float, "size_mm": float}
 
 
@@ -68,9 +65,6 @@ def manifest_to_dict(manifest: RunManifest) -> dict:
         "optics": asdict(manifest.optics),
         "region": asdict(manifest.region),
         "plan": asdict(manifest.plan),
-        "images": [
-            {key: entry[key] for key in _IMAGE_KEYS} for entry in manifest.images
-        ],
         "truth": [asdict(defect) for defect in manifest.truth],
     }
 
@@ -90,7 +84,9 @@ def _list(value, where: str) -> list:
 def _section(data: dict, key: str, cls):
     """The hole, optics or region section, with every key required: the
     tiles were made with these values, whatever the defaults are now."""
-    return cls(**check_keys(_need(data, key, "manifest"), field_types(cls)[0], key))
+    section = _need(data, key, "manifest")
+    check_keys(section, field_types(cls)[0], key)  # no key takes its default
+    return read_fields(cls, section, key)
 
 
 def _check_plan(plan: ScanPlan, hole: HoleSpec, region: EffectiveRegion) -> None:
@@ -125,44 +121,24 @@ def _check_plan(plan: ScanPlan, hole: HoleSpec, region: EffectiveRegion) -> None
                 )
 
 
-def _image_entry(entry) -> dict:
-    """An image entry, whose ``file`` is a plain name in the manifest's
-    directory: ``inspect`` reads the tile there and writes its corrected
-    tile under the same name in its own output directory."""
-    values = check_keys(entry, _IMAGE_KEYS, "image entry")
-    name = values["file"]
-    if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
-        raise ParseError(
-            f"image entry for tile ({values['depth_step']}, "
-            f"{values['rotation_step']}) names {name!r}, not a plain file name"
-        )
-    return values
-
-
 def manifest_from_dict(data: dict) -> RunManifest:
-    try:
-        hole = _section(data, "hole", HoleSpec)
-        optics = _section(data, "optics", OpticsConfig)
-        region = _section(data, "region", EffectiveRegion)
-        plan_d = _need(data, "plan", "manifest")
-        schedule = tuple(
-            read_fields(CaptureEvent, entry, "schedule entry")
-            for entry in _list(_need(plan_d, "schedule", "plan"), "plan schedule")
-        )
-        plan = read_fields(ScanPlan, plan_d, "plan", schedule=schedule)
-        _check_plan(plan, hole, region)
-        truth = [
-            read_fields(DefectSpec, entry, "truth entry")
-            for entry in _list(data.get("truth", []), "manifest truth")
-        ]
-    except DomainError as exc:
-        raise ParseError(f"bad manifest value: {exc}") from exc
-    images = [
-        _image_entry(entry) for entry in _list(data.get("images", []), "manifest images")
+    hole = _section(data, "hole", HoleSpec)
+    optics = _section(data, "optics", OpticsConfig)
+    region = _section(data, "region", EffectiveRegion)
+    plan_d = _need(data, "plan", "manifest")
+    schedule = tuple(
+        read_fields(CaptureEvent, entry, "schedule entry")
+        for entry in _list(_need(plan_d, "schedule", "plan"), "plan schedule")
+    )
+    plan = read_fields(ScanPlan, plan_d, "plan", schedule=schedule)
+    _check_plan(plan, hole, region)
+    truth = [
+        read_fields(DefectSpec, entry, "truth entry")
+        for entry in _list(data.get("truth", []), "manifest truth")
     ]
     return read_fields(
         RunManifest, data, "manifest", hole=hole, optics=optics, region=region,
-        plan=plan, images=images, truth=truth,
+        plan=plan, truth=truth,
     )
 
 
@@ -180,21 +156,6 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(data, dict):
         raise ParseError(f"manifest {path} is not a mapping")
     return manifest_from_dict(data)
-
-
-def missing_image_entries(manifest: RunManifest) -> list[tuple[int, int]]:
-    """Plan positions with no image entry. Duplicate entries are an error."""
-    seen: set[tuple[int, int]] = set()
-    for entry in manifest.images:
-        key = (entry["depth_step"], entry["rotation_step"])
-        if key in seen:
-            raise ParseError(f"duplicate image entry for tile {key}")
-        seen.add(key)
-    return [
-        (e.depth_step, e.rotation_step)
-        for e in manifest.plan.schedule
-        if (e.depth_step, e.rotation_step) not in seen
-    ]
 
 
 def _round3(value: float) -> float:

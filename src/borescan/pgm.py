@@ -32,7 +32,11 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def _tokens(data: bytes):
-    """Header tokens, skipping whitespace and # comments, tracking position."""
+    """Header tokens, skipping whitespace and # comments, tracking position.
+
+    The tokens stop where the data does, so a cut-off header reads as
+    malformed.
+    """
     pos = 0
     while True:
         while pos < len(data) and data[pos : pos + 1].isspace():
@@ -45,7 +49,7 @@ def _tokens(data: bytes):
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ImageFormatError("truncated PGM header")
+            return
         yield data[start:pos], pos
 
 

@@ -2,10 +2,10 @@
 
 A config section, a defect-list row and each part of a manifest hold the
 fields of one dataclass: the field's name is the key, its annotation the
-type, and its default what a missing key takes. ``read_fields`` checks
-values a YAML parser has already typed; ``read_text`` casts the strings of
-an INI section or a CSV row. Range checks stay in each class's
-``__post_init__``.
+type, and its default what a missing key takes; a key that names no field
+is refused. ``read_fields`` checks values a YAML parser has already typed;
+``read_text`` casts the strings of an INI section or a CSV row. Range
+checks stay in each class's ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -74,9 +74,17 @@ def check_keys(data, kinds: dict, where: str, optional=frozenset()) -> dict:
 
 
 def read_fields(cls, data, where: str, **nested):
-    """A ``cls`` from a parsed mapping; ``nested`` gives its non-scalar fields."""
+    """A ``cls`` from a parsed mapping; ``nested`` gives its non-scalar fields.
+
+    A key that names neither a scalar field nor one of ``nested`` is an
+    error, so no key is read and then ignored.
+    """
     kinds, optional = field_types(cls)
-    return cls(**check_keys(data, kinds, where, optional), **nested)
+    values = check_keys(data, kinds, where, optional)
+    for key in data:
+        if key not in kinds and key not in nested:
+            raise ParseError(f"unknown key {key!r} in {where}")
+    return cls(**values, **nested)
 
 
 def read_text(cls, items, where: str):

@@ -398,8 +398,8 @@ def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
     Deterministic for a given seed; ``sigma`` is in intensity levels of
     the image's own bit depth.
     """
-    if sigma < 0:
-        raise DomainError("noise sigma must be non-negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise DomainError(f"noise sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         pixels = img.pixels.copy()
     else:

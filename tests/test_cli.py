@@ -43,6 +43,19 @@ def synth_dir(tmp_path, config_path):
     return out
 
 
+def set_in_manifest(directory, path, value):
+    """Set the value at ``path`` in the manifest in ``directory``; returns
+    the manifest file."""
+    manifest = directory / "manifest.yaml"
+    data = yaml.safe_load(manifest.read_text())
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    manifest.write_text(yaml.safe_dump(data, sort_keys=False))
+    return manifest
+
+
 @pytest.fixture
 def no_schedule(monkeypatch):
     """Fail at the first schedule entry built, so no test builds a huge plan."""
@@ -62,7 +75,7 @@ class TestPlan:
         manifest = load_manifest(out / "plan.yaml")
         assert manifest.plan.n_rot == 4
         assert manifest.plan.alpha_deg == 90.0
-        assert manifest.images == []
+        assert "images" not in yaml.safe_load((out / "plan.yaml").read_text())
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(
@@ -168,13 +181,15 @@ class TestSynth:
         assert code == 0
         assert "synth: 8 tiles, 1 planted defects" in capsys.readouterr().out
         manifest = load_manifest(out / "manifest.yaml")
-        assert len(manifest.images) == 8
         assert len(manifest.truth) == 1
         assert manifest.seed == 5
         assert manifest.noise_sigma == 3.0
         assert manifest.hole.depth_mm == 2.0
-        for entry in manifest.images:
-            assert (out / entry["file"]).exists()
+        assert "images" not in yaml.safe_load((out / "manifest.yaml").read_text())
+        schedule = manifest.plan.schedule
+        tiles = sorted(cli._tile_name(e.depth_step, e.rotation_step) for e in schedule)
+        assert len(tiles) == 8
+        assert sorted(path.name for path in out.glob("tile_*.pgm")) == tiles
 
     def test_rerun_is_byte_identical(self, tmp_path, config_path):
         defects = tmp_path / "defects.csv"
@@ -415,6 +430,22 @@ class TestInspect:
             outs[1] / "panorama.pgm"
         ).read_bytes()
 
+    def test_reads_each_plan_tile_by_its_name(self, tmp_path, synth_dir, monkeypatch):
+        read, read_pgm = [], cli.read_pgm
+
+        def spy(path):
+            read.append(path)
+            return read_pgm(path)
+
+        monkeypatch.setattr(cli, "read_pgm", spy)
+        path = synth_dir / "manifest.yaml"
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert sorted(read) == sorted(
+            synth_dir / cli._tile_name(e.depth_step, e.rotation_step)
+            for e in load_manifest(path).plan.schedule
+        )
+
     def test_missing_tile_exits_5_naming_file(self, tmp_path, synth_dir, capsys):
         (synth_dir / "tile_d01_r02.pgm").unlink()
         code = main(
@@ -495,14 +526,52 @@ class TestInspect:
 
     @pytest.mark.parametrize("key", ["width_mm", "height_mm"])
     def test_non_finite_manifest_region_exits_3(self, tmp_path, synth_dir, capsys, key):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["region"][key] = float("nan")
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        path = set_in_manifest(synth_dir, ("region", key), float("nan"))
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            (("hole",), "radius_mm", float("nan")),
+            (("truth", 0), "size_mm", float("inf")),
+        ],
+        ids=["hole-radius-nan", "truth-size-inf"],
+    )
+    def test_rejected_manifest_hole_or_truth_value_exits_3(
+        self, tmp_path, synth_dir, capsys, where, key, value
+    ):
+        # as from a config or a defect list: well typed, but out of range
+        path = set_in_manifest(synth_dir, (*where, key), value)
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            ((), "noise_sigmaa"),
+            (("hole",), "radius"),
+            (("optics",), "pixel_pitch_um"),
+            (("region",), "widht_mm"),
+            (("plan",), "nrot"),
+            (("plan", "schedule", 0), "zmm"),
+            (("truth", 0), "lenght_mm"),
+        ],
+        ids=["top", "hole", "optics", "region", "plan", "schedule-entry", "truth-entry"],
+    )
+    def test_unknown_manifest_key_exits_2(
+        self, tmp_path, synth_dir, capsys, where, key
+    ):
+        # a misspelt key must not be read and then ignored
+        path = set_in_manifest(synth_dir, (*where, key), 1.0)
+        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r}" in err and "Traceback" not in err
 
     def test_corrupt_manifest_exits_2(self, tmp_path, synth_dir):
         bad = tmp_path / "bad.yaml"
@@ -510,11 +579,7 @@ class TestInspect:
         assert main(["inspect", "--manifest", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_out_of_plan_schedule_entry_exits_2(self, tmp_path, synth_dir, capsys):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["plan"]["schedule"][0]["depth_step"] = 99
-        data["images"][0]["depth_step"] = 99
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        path = set_in_manifest(synth_dir, ("plan", "schedule", 0, "depth_step"), 99)
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "(99, 0)" in capsys.readouterr().err
@@ -535,11 +600,8 @@ class TestInspect:
     def test_non_numeric_plan_value_exits_2(
         self, tmp_path, synth_dir, capsys, section, key, value
     ):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        plan = data["plan"]
-        (plan if section == "plan" else plan["schedule"][0])[key] = value
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        where = ("plan",) if section == "plan" else ("plan", "schedule", 0)
+        path = set_in_manifest(synth_dir, (*where, key), value)
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert key in capsys.readouterr().err
@@ -549,21 +611,13 @@ class TestInspect:
         [
             ((), "seed", "abc"),
             ((), "noise_sigma", [1]),
-            (("images", 0), "file", 5),
-            (("images", 0), "depth_step", [0]),
             (("hole",), "radius_mm", True),
         ],
     )
     def test_mistyped_manifest_value_exits_2(
         self, tmp_path, synth_dir, capsys, where, key, value
     ):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        section = data
-        for step in where:
-            section = section[step]
-        section[key] = value
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        path = set_in_manifest(synth_dir, (*where, key), value)
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
@@ -577,10 +631,7 @@ class TestInspect:
     def test_non_finite_manifest_optics_exits_3(
         self, tmp_path, synth_dir, capsys, key, value
     ):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["optics"][key] = value
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        path = set_in_manifest(synth_dir, ("optics", key), value)
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
@@ -589,76 +640,42 @@ class TestInspect:
     def test_manifest_over_tile_limit_exits_3(
         self, tmp_path, synth_dir, capsys, no_schedule
     ):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["hole"]["depth_mm"] = 1e12
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        path = set_in_manifest(synth_dir, ("hole", "depth_mm"), 1e12)
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert f"more than the {scanplan.MAX_TILES}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "name",
-        ["tile\0.pgm", "OUTSIDE", "../outside.pgm", "sub/tile_d00_r00.pgm", "",
-         ".", ".."],
-        ids=["nul", "absolute", "parent", "subdirectory", "empty", "dot", "dot-dot"],
-    )
-    def test_image_name_not_a_plain_file_name_exits_2(
-        self, tmp_path, synth_dir, capsys, name
-    ):
-        # a tile outside the manifest's directory, which inspect must not
-        # read, nor overwrite with its corrected tile
+    def test_manifest_with_image_list_exits_2(self, tmp_path, synth_dir, capsys):
+        # a manifest that still lists images, here naming a tile outside its
+        # directory, is refused before inspect reads or writes any tile
         outside = tmp_path / "outside.pgm"
         tile = (synth_dir / "tile_d00_r00.pgm").read_bytes()
         outside.write_bytes(tile)
-        (synth_dir / "sub").mkdir()
-        (synth_dir / "sub" / "tile_d00_r00.pgm").write_bytes(tile)
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["images"][0]["file"] = str(outside) if name == "OUTSIDE" else name
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        entry = {"depth_step": 0, "rotation_step": 0, "file": str(outside)}
+        path = set_in_manifest(synth_dir, ("images",), [entry])
         out = tmp_path / "o"
         code = main(
             ["inspect", "--manifest", str(path), "--out", str(out), "--threads", "1"]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "image entry for tile (0, 0)" in err and "Traceback" not in err
+        assert "'images'" in err and "Traceback" not in err
         assert outside.read_bytes() == tile
         assert not out.exists()
 
     def test_plan_without_images_exits_5(self, tmp_path, config_path, capsys):
         plan = tmp_path / "plan"
         assert main(["plan", "--config", str(config_path), "--out", str(plan)]) == 0
+        out = tmp_path / "o"
         code = main(
-            ["inspect", "--manifest", str(plan / "plan.yaml"), "--out", str(tmp_path / "o")]
+            ["inspect", "--manifest", str(plan / "plan.yaml"), "--out", str(out)]
         )
         assert code == 5
         err = capsys.readouterr().err
-        assert "no image recorded for tile (0, 0)" in err and "Traceback" not in err
-
-    def test_image_entry_outside_plan_exits_2(self, tmp_path, synth_dir, capsys):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["images"].append(
-            {"depth_step": 5, "rotation_step": 0, "file": "tile_d00_r00.pgm"}
-        )
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
-        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "(5, 0)" in err and "not in the plan" in err and "Traceback" not in err
-
-    def test_duplicate_image_entry_exits_2(self, tmp_path, synth_dir, capsys):
-        path = synth_dir / "manifest.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["images"].append(dict(data["images"][3]))
-        path.write_text(yaml.safe_dump(data, sort_keys=False))
-        code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "duplicate image entry" in err and "Traceback" not in err
+        assert "tile_d00_r00.pgm" in err and "Traceback" not in err
+        assert not (out / "report.yaml").exists()
+        assert not (out / "panorama.pgm").exists()
 
     def test_otsu_threshold_accepted(self, tmp_path, synth_dir):
         out = tmp_path / "otsu"
@@ -720,6 +737,18 @@ class TestReportCompare:
         assert code == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    def test_manifest_with_image_list_exits_2(self, tmp_path, synth_dir, capsys):
+        reports = self.run_inspections(tmp_path, synth_dir, count=1)
+        path = set_in_manifest(synth_dir, ("images",), [])
+        capsys.readouterr()
+        code = main(
+            ["report-compare", "--manifest", str(path), "--out", str(tmp_path / "c")]
+            + reports
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'images'" in err and "Traceback" not in err
 
     def test_no_truth_exits_6(self, tmp_path, config_path, capsys):
         out = tmp_path / "clean"

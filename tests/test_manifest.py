@@ -3,7 +3,7 @@
 import yaml
 import pytest
 
-from borescan.errors import ParseError
+from borescan.errors import DomainError, ParseError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import DefectRecord
 from borescan.manifest import (
@@ -11,7 +11,6 @@ from borescan.manifest import (
     load_manifest,
     manifest_from_dict,
     manifest_to_dict,
-    missing_image_entries,
     read_report,
     save_manifest,
     write_report,
@@ -25,17 +24,11 @@ REGION = EffectiveRegion()
 
 
 def sample_manifest():
-    plan = plan_scan(HOLE, REGION)
     return RunManifest(
         hole=HOLE,
         optics=OPTICS,
         region=REGION,
-        plan=plan,
-        images=[
-            {"depth_step": e.depth_step, "rotation_step": e.rotation_step,
-             "file": f"t{e.order}.pgm"}
-            for e in plan.schedule
-        ],
+        plan=plan_scan(HOLE, REGION),
         truth=[
             DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2),
             DefectSpec("line", z_mm=1.0, beta_deg=40.0, size_mm=0.1, length_mm=0.8),
@@ -73,7 +66,6 @@ class TestManifestRoundTrip:
         assert back.optics == manifest.optics
         assert back.region == manifest.region
         assert back.plan == manifest.plan
-        assert back.images == manifest.images
         assert back.truth == manifest.truth
         assert back.seed == 7
         assert back.noise_sigma == 5.0
@@ -148,7 +140,7 @@ class TestManifestRoundTrip:
     def test_non_finite_hole_radius_raises(self):
         data = manifest_to_dict(sample_manifest())
         data["hole"]["radius_mm"] = float("nan")
-        with pytest.raises(ParseError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             manifest_from_dict(data)
 
     def test_unparseable_yaml_raises(self, tmp_path):
@@ -162,24 +154,6 @@ class TestManifestRoundTrip:
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ParseError):
             load_manifest(path)
-
-
-class TestMissingImages:
-    def test_complete_set_has_no_gaps(self):
-        assert missing_image_entries(sample_manifest()) == []
-
-    def test_plan_only_manifest_lists_every_tile(self):
-        manifest = sample_manifest()
-        manifest.images = []
-        missing = missing_image_entries(manifest)
-        assert len(missing) == len(manifest.plan.schedule)
-        assert missing[0] == (0, 0)
-
-    def test_duplicate_entry_rejected(self):
-        manifest = sample_manifest()
-        manifest.images.append(dict(manifest.images[0]))
-        with pytest.raises(ParseError, match="duplicate"):
-            missing_image_entries(manifest)
 
 
 class TestReports:

@@ -71,7 +71,8 @@ def test_result_is_writable(tmp_path):
 def test_malformed_files_raise(tmp_path, payload):
     path = tmp_path / "bad.pgm"
     path.write_bytes(payload)
-    with pytest.raises(ImageFormatError):
+    # named, so the command line can say which tile of a run is bad
+    with pytest.raises(ImageFormatError, match="bad.pgm"):
         read_pgm(path)
 
 

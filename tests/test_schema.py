@@ -39,18 +39,12 @@ HUGE = 10**400
 EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.ini"
 
 HOLE = HoleSpec(0.9, 2.0)
-PLAN = plan_scan(HOLE, EffectiveRegion())
 MANIFEST = manifest_to_dict(
     RunManifest(
         hole=HOLE,
         optics=OpticsConfig(),
         region=EffectiveRegion(),
-        plan=PLAN,
-        images=[
-            {"depth_step": e.depth_step, "rotation_step": e.rotation_step,
-             "file": f"t{e.order}.pgm"}
-            for e in PLAN.schedule
-        ],
+        plan=plan_scan(HOLE, EffectiveRegion()),
         truth=[
             DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2),
             DefectSpec("line", z_mm=1.0, beta_deg=40.0, size_mm=0.1, length_mm=0.8),

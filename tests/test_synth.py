@@ -380,6 +380,14 @@ def test_add_noise_zero_sigma_identity():
     assert np.array_equal(out.pixels, tile.pixels)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_add_noise_refuses_sigma_not_finite_and_non_negative(sigma):
+    # nan once cast to an all-zero tile, and inf saturated it
+    clean = TileImage(np.full((8, 8), 128, dtype=np.uint8), 2.16, 2.16)
+    with pytest.raises(DomainError, match="finite"):
+        add_noise(clean, sigma, seed=1)
+
+
 def test_add_noise_deterministic():
     texture = build_texture(BORE, [])
     tile = render_tile(texture, CaptureEvent(0, 0, 0, 0.0, 0.0), CFG, REGION)
