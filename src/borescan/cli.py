@@ -8,7 +8,9 @@ file ``tile_dJJ_rKK.pgm`` next to its manifest. Exit codes are stable and
 live on the error classes: 2 for unparseable input, 3 for invalid
 geometry, a degenerate plan or any other input the library rejects, 4 for
 an unwritable output directory, 5 for a missing, corrupt or wrongly sized
-image, 6 when a comparison has no truth or no trials to work with.
+image, 6 when a comparison has no truth or no trials to work with. Each
+command prints only after its files are written, so a closed stdout is
+not an error: the command still exits 0.
 """
 
 from __future__ import annotations
@@ -23,15 +25,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_config, load_defect_list, parse_threshold_spec
-from .detect import DEFAULT_MIN_AREA, binarize, connected_components, label_mask
-from .errors import (
-    BorescanError,
-    DomainError,
-    ImageFormatError,
-    ParseError,
-    ThresholdError,
-)
-from .locate import circular_delta_deg, merge_duplicates, record_from_blob, stitch_panorama
+from .detect import DEFAULT_MIN_AREA
+from .errors import BorescanError, DomainError, ImageFormatError, ParseError
+from .locate import circular_delta_deg, inspect_stack, inspect_tile
 from .manifest import (
     RunManifest,
     load_manifest,
@@ -42,7 +38,7 @@ from .manifest import (
 from .pgm import read_pgm, write_pgm
 from .scanplan import plan_scan
 from .synth import _map_in_order, build_texture, render_stack, tile_shape_for
-from .unwrap import TileImage, correct_tile
+from .unwrap import TileImage
 
 MATCH_RADIUS_MM = 0.25  # truth-to-record association distance for comparisons
 
@@ -127,10 +123,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _inspect_tile(event, manifest, base_dir, out_dir, threshold, min_area):
-    """Read, correct, and measure one tile. Runs on a worker thread."""
-    method, value = threshold
-    j, k = event.depth_step, event.rotation_step
-    name = _tile_name(j, k)
+    """Read one tile, inspect it and write the corrected tile. Runs on a
+    worker thread."""
+    name = _tile_name(event.depth_step, event.rotation_step)
     path = base_dir / name
     try:
         pixels = read_pgm(path)
@@ -144,25 +139,13 @@ def _inspect_tile(event, manifest, base_dir, out_dir, threshold, min_area):
             f"manifest's optics and region give {expected[0]}x{expected[1]}"
         )
     tile = TileImage(
-        pixels, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um, tile_index=(j, k)
+        pixels, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um,
+        tile_index=(event.depth_step, event.rotation_step),
     )
-    corrected = correct_tile(tile, manifest.hole.radius_mm)
+    corrected, records = inspect_tile(
+        tile, manifest.plan, manifest.hole, cfg, *threshold, min_area
+    )
     write_pgm(out_dir / name, corrected.pixels)
-    try:
-        if method == "otsu":
-            mask = binarize(corrected, method="otsu")
-        else:
-            mask = binarize(corrected, method="fixed", threshold=value)
-    except ThresholdError:
-        # featureless tile; nothing to segment
-        return corrected, []
-    labels = label_mask(mask, 8)
-    records = [
-        record_from_blob(
-            blob, labels, j, k, manifest.plan, manifest.hole, manifest.optics
-        )
-        for blob in connected_components(labels, min_area)
-    ]
     return corrected, records
 
 
@@ -172,26 +155,17 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     out = _outdir(args.out)
     corrected_dir = _outdir(out / "corrected")
     base_dir = Path(args.manifest).parent
-    workers = _resolve_threads(args.threads)
     schedule = manifest.plan.schedule
-    records = []
-
-    def corrected_tiles():
-        # each tile's records are kept; the tile itself only until it is pasted
-        for corrected, tile_records in _map_in_order(
+    merged, panorama = inspect_stack(
+        _map_in_order(
             lambda event: _inspect_tile(
                 event, manifest, base_dir, corrected_dir, threshold, args.min_area
             ),
             schedule,
-            workers,
-        ):
-            records.extend(tile_records)
-            yield corrected
-
-    panorama = stitch_panorama(
-        corrected_tiles(), manifest.plan, manifest.hole, manifest.optics
+            _resolve_threads(args.threads),
+        ),
+        manifest.plan, manifest.hole, manifest.optics,
     )
-    merged = merge_duplicates(records, radius_mm=manifest.hole.radius_mm)
     write_pgm(out / "panorama.pgm", panorama.pixels)
     write_report(
         merged,
@@ -332,10 +306,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BorescanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the files are written and only the summary is lost; point stdout
+        # at devnull so the flush at exit cannot raise again, as the SIGPIPE
+        # note in the Python signal docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4

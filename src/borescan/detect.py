@@ -107,9 +107,9 @@ def binarize(
 
     ``fixed`` cuts at ``threshold`` as a fraction of full scale (bit-depth
     agnostic); ``otsu`` picks the cut from the histogram and raises
-    :class:`ThresholdError` on degenerate input so the caller can fall
-    back to a fixed cut. Dark polarity (the default) selects pixels at or
-    below the cut.
+    :class:`ThresholdError` on degenerate input, which the inspect
+    pipeline reads as a featureless tile. Dark polarity (the default)
+    selects pixels at or below the cut.
     """
     if polarity not in ("dark", "bright"):
         raise DomainError(f"unknown polarity {polarity!r}")

@@ -6,6 +6,10 @@ beta is the circumferential angle in degrees. Features that straddle tile
 boundaries come back as several records; :func:`merge_duplicates` reunifies
 them by interval overlap, which keeps genuinely distinct neighbors apart
 while stitching split detections back together.
+
+:func:`inspect_tile` and :func:`inspect_stack` are the inspect pipeline:
+correct, segment and measure each tile, then stitch the panorama and merge
+the records. The ``inspect`` command runs them over tiles read from disk.
 """
 
 from __future__ import annotations
@@ -16,11 +20,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import BlobRecord, RunLabels, line_width
-from .errors import DomainError, PlanIndexError
+from .detect import (
+    DEFAULT_MIN_AREA,
+    BlobRecord,
+    RunLabels,
+    binarize,
+    connected_components,
+    label_mask,
+    line_width,
+)
+from .errors import DomainError, PlanIndexError, ThresholdError
 from .geometry import HoleSpec, OpticsConfig
 from .scanplan import ScanPlan
-from .unwrap import TileImage, _wrapped_segments
+from .unwrap import TileImage, _wrapped_segments, correct_tile
 
 __all__ = [
     "DefectRecord",
@@ -28,6 +40,8 @@ __all__ = [
     "record_from_blob",
     "merge_duplicates",
     "stitch_panorama",
+    "inspect_tile",
+    "inspect_stack",
     "circular_delta_deg",
 ]
 
@@ -349,3 +363,60 @@ def _union_area(rects: list[tuple[slice, slice]]) -> int:
         inside[r0:r1, c0:c1] = True
     cells = np.outer(np.diff(row_edges), np.diff(col_edges))
     return int(cells[inside].sum())
+
+
+def inspect_tile(
+    tile: TileImage,
+    plan: ScanPlan,
+    hole: HoleSpec,
+    cfg: OpticsConfig,
+    method: str = "fixed",
+    threshold: float = 0.5,
+    min_area: int = DEFAULT_MIN_AREA,
+) -> tuple[TileImage, list[DefectRecord]]:
+    """Correct one raw tile and measure its defects.
+
+    The tile is segmented by :func:`binarize` with ``method`` and
+    ``threshold`` (which ``otsu`` ignores) and labelled 8-connected; each
+    blob of at least ``min_area`` px becomes a record of the tile's plan
+    position. A tile the threshold finds featureless has no records.
+    Returns the corrected tile and its records.
+    """
+    if tile.tile_index is None:
+        raise DomainError("tiles must carry a (depth_step, rotation_step) index")
+    j, k = tile.tile_index
+    corrected = correct_tile(tile, hole.radius_mm)
+    try:
+        mask = binarize(corrected, method, threshold)
+    except ThresholdError:
+        return corrected, []
+    labels = label_mask(mask, 8)
+    records = [
+        record_from_blob(blob, labels, j, k, plan, hole, cfg)
+        for blob in connected_components(labels, min_area)
+    ]
+    return corrected, records
+
+
+def inspect_stack(
+    inspected: Iterable[tuple[TileImage, list[DefectRecord]]],
+    plan: ScanPlan,
+    hole: HoleSpec,
+    cfg: OpticsConfig,
+) -> tuple[list[DefectRecord], TileImage]:
+    """Stitch and reconcile a run's inspected tiles.
+
+    ``inspected`` yields :func:`inspect_tile` results in schedule order,
+    from a generator if need be: each corrected tile is pasted into the
+    panorama as it arrives and not kept. Returns the merged records of
+    every tile and the panorama.
+    """
+    records = []
+
+    def corrected_tiles():
+        for corrected, tile_records in inspected:
+            records.extend(tile_records)
+            yield corrected
+
+    panorama = stitch_panorama(corrected_tiles(), plan, hole, cfg)
+    return merge_duplicates(records, hole.radius_mm), panorama

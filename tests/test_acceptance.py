@@ -5,7 +5,9 @@ values, so a plain pytest run doubles as the release checklist. Budgets
 are fixed up front: analytic reference values for the 4 mm bore optics,
 an interpolation-error cap for the unwrap round trip, an exhaustive
 labeling oracle, plan coverage, and three synthetic end-to-end runs that
-exercise sizing statistics, dedup/localization, and throughput.
+exercise sizing statistics, dedup/localization, and throughput. The
+sizing and localization runs feed rendered tiles to the same
+``inspect_tile``/``inspect_stack`` pipeline that ``inspect`` runs.
 """
 
 import collections
@@ -16,12 +18,7 @@ import time
 import numpy as np
 
 from borescan.cli import main as cli_main
-from borescan.detect import (
-    DEFAULT_MIN_AREA,
-    binarize,
-    connected_components,
-    label_mask,
-)
+from borescan.detect import connected_components, label_mask
 from borescan.geometry import (
     DeviationSpec,
     HoleSpec,
@@ -32,7 +29,7 @@ from borescan.geometry import (
     projection_error_ratio,
     relative_fov_error,
 )
-from borescan.locate import merge_duplicates, record_from_blob
+from borescan.locate import circular_delta_deg, inspect_stack, inspect_tile
 from borescan.manifest import read_report
 from borescan.scanplan import (
     CaptureEvent,
@@ -54,11 +51,6 @@ def _verdict(capsys, num, ok, detail):
     with capsys.disabled():
         print(f"\nacceptance {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def _circular_delta(a, b):
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
 
 
 # --- analytic reference values -----------------------------------------
@@ -239,27 +231,21 @@ def test_07_plan_coverage(capsys):
 # --- synthetic end-to-end runs ------------------------------------------
 
 
-def _scan_records(texture, plan, hole, noise_sigma=0.0, seed=0):
-    """Render, correct, and measure every scheduled tile in memory."""
-    records = []
-    for tile in render_stack(texture, plan, OPTICS, REGION, noise_sigma, seed):
-        depth_step, rotation_step = tile.tile_index
-        corrected = correct_tile(tile, hole.radius_mm)
-        mask = binarize(corrected, method="fixed", threshold=0.5)
-        labels = label_mask(mask, 8)
-        for blob in connected_components(labels, DEFAULT_MIN_AREA):
-            records.append(
-                record_from_blob(blob, labels, depth_step, rotation_step,
-                                 plan, hole, OPTICS)
-            )
-    return merge_duplicates(records, radius_mm=hole.radius_mm)
+def _inspect_rendered(texture, plan, hole, noise_sigma=0.0, seed=0):
+    """Run the inspect pipeline on every scheduled tile, rendered in memory."""
+    return inspect_stack(
+        (inspect_tile(tile, plan, hole, OPTICS)
+         for tile in render_stack(texture, plan, OPTICS, REGION, noise_sigma,
+                                  seed)),
+        plan, hole, OPTICS,
+    )
 
 
 def _nearest(records, kind, z_mm, beta_deg):
     pool = [r for r in records if r.kind == kind]
     return min(pool, key=lambda r: math.hypot(
         r.z_mm - z_mm,
-        RADIUS * math.radians(_circular_delta(r.beta_deg, beta_deg)),
+        RADIUS * math.radians(circular_delta_deg(r.beta_deg, beta_deg)),
     ))
 
 
@@ -290,8 +276,8 @@ def test_08_sizing_statistics(capsys):
             DefectSpec("disc", 1.8 + zp, 160.0 + half_sep + bp, 0.200),
             DefectSpec("line", 2.25 + zl, 240.0 + bl, 0.300, length_mm=3.7),
         ], pitch_um=PITCH)
-        found = _scan_records(texture, plan, hole, noise_sigma=5.0,
-                              seed=trial)
+        found, _ = _inspect_rendered(texture, plan, hole, noise_sigma=5.0,
+                                     seed=trial)
         counts.append(len(found))
         depth = hole.depth_mm
         measured["disc 0.100"].append(
@@ -304,8 +290,8 @@ def test_08_sizing_statistics(capsys):
                          160.0 + half_sep + bp)
         measured["pair 0.400"].append(math.hypot(
             left.z_mm - right.z_mm,
-            RADIUS * math.radians(_circular_delta(left.beta_deg,
-                                                  right.beta_deg)),
+            RADIUS * math.radians(circular_delta_deg(left.beta_deg,
+                                                     right.beta_deg)),
         ))
         measured["line 0.300"].append(
             _nearest(found, "line", depth - 2.25 - zl, 240.0 + bl).size_mm)
@@ -331,7 +317,8 @@ def test_09_dedup_and_localization(capsys):
     # Noiseless full-depth bore with every overlap case: a disc split
     # across the k=0/k=1 window edge, one wrapping the 360 seam, one on
     # the j=6/j=7 depth boundary, a line crossing both a window edge and
-    # three depth steps, and one defect seen by a single tile only.
+    # three depth steps, and one defect seen by a single tile only. The
+    # stitched panorama must cover the whole wall.
     start = time.perf_counter()
     hole = HoleSpec(RADIUS, 47.0)
     plan = plan_scan(hole, REGION)
@@ -343,7 +330,8 @@ def test_09_dedup_and_localization(capsys):
         DefectSpec("disc", 30.0, 200.0, 0.100),
     ]
     texture = build_texture(hole, truth, pitch_um=PITCH)
-    found = _scan_records(texture, plan, hole)
+    found, panorama = _inspect_rendered(texture, plan, hole)
+    uncovered = panorama.meta["uncovered_px"]
     matched_ids = set()
     worst_z = worst_arc = 0.0
     for spec in truth:
@@ -353,19 +341,22 @@ def test_09_dedup_and_localization(capsys):
         worst_z = max(worst_z,
                       abs(record.z_mm - (hole.depth_mm - spec.z_mm)))
         worst_arc = max(worst_arc, RADIUS * math.radians(
-            _circular_delta(record.beta_deg, spec.beta_deg)))
+            circular_delta_deg(record.beta_deg, spec.beta_deg)))
     elapsed = time.perf_counter() - start
     ok = (
         len(found) == len(truth)
         and len(matched_ids) == len(truth)
         and worst_z <= 0.02
         and worst_arc <= 0.02
+        and uncovered == 0
+        and panorama.meta["missing_tiles"] == []
         and elapsed < 120.0
     )
     _verdict(capsys, 9, ok,
              f"{len(found)} records for {len(truth)} planted defects, "
              f"worst |dz| = {worst_z:.4f} mm, worst arc error = "
-             f"{worst_arc:.4f} mm, {elapsed:.0f}s")
+             f"{worst_arc:.4f} mm, {uncovered} uncovered px, "
+             f"{elapsed:.0f}s")
 
 
 def test_10_throughput(tmp_path, capsys):

@@ -374,16 +374,21 @@ for argv in (
 """
 
 
-def test_no_command_loads_scipy(tmp_path, config_path, synth_dir):
-    defects = tmp_path / "defects.csv"  # written by synth_dir
+def _child_env():
+    """This environment with ``src`` on PYTHONPATH, for a child interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p
     ))
+    return env
+
+
+def test_no_command_loads_scipy(tmp_path, config_path, synth_dir):
+    defects = tmp_path / "defects.csv"  # written by synth_dir
     out = tmp_path / "subprocess"
     done = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY, str(config_path), str(defects), str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert done.returncode == 0, done.stderr
     assert main(
@@ -392,6 +397,32 @@ def test_no_command_loads_scipy(tmp_path, config_path, synth_dir):
     ) == 0
     made = (out / "inspect" / "report.yaml").read_text()
     assert made == (tmp_path / "inprocess" / "report.yaml").read_text()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["plan", "inspect"])
+def test_closed_stdout_exits_0(tmp_path, config_path, synth_dir, command, unbuffered):
+    out = tmp_path / "out"
+    if command == "plan":
+        args, written = ["--config", str(config_path)], ["plan.yaml"]
+    else:
+        args = ["--manifest", str(synth_dir / "manifest.yaml")]
+        written = ["report.yaml", "report.csv", "panorama.pgm"]
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will ever read the command's stdout
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "borescan.cli", command, *args, "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr.decode()) == (0, "")
+    assert all((out / name).is_file() for name in written)
 
 
 class TestInspect:
@@ -498,24 +529,24 @@ class TestInspect:
         self, tmp_path, synth_dir, monkeypatch
     ):
         started, pasted = [], []
-        inspect_tile, stitch = cli._inspect_tile, cli.stitch_panorama
+        inspect_tile, inspect_stack = cli._inspect_tile, cli.inspect_stack
 
         def counting_inspect_tile(*args):
             started.append(1)
             return inspect_tile(*args)
 
-        def counting_stitch(tiles, *args):
+        def counting_inspect_stack(inspected, *args):
             def arriving():
-                for count, tile in enumerate(tiles):
-                    # tiles read or being read that the stitch has not pasted
+                for count, item in enumerate(inspected):
+                    # tiles read or being read that the stack has not pasted
                     pasted.append(count)
                     assert len(started) - count <= threads + 1
-                    yield tile
+                    yield item
 
-            return stitch(arriving(), *args)
+            return inspect_stack(arriving(), *args)
 
         monkeypatch.setattr(cli, "_inspect_tile", counting_inspect_tile)
-        monkeypatch.setattr(cli, "stitch_panorama", counting_stitch)
+        monkeypatch.setattr(cli, "inspect_stack", counting_inspect_stack)
         threads = 2
         code = main(
             ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
@@ -684,6 +715,11 @@ class TestInspect:
              "--out", str(out), "--threshold", "otsu"]
         )
         assert code == 0
+        # the other 7 tiles hold no feature, and otsu finds none in them
+        [record] = read_report(out / "report.yaml")["records"]
+        assert record["kind"] == "disc"
+        assert record["size_mm"] == pytest.approx(0.2, abs=5e-4)
+        assert record["tiles"] == [[1, 1]]
 
 
 class TestReportCompare:

@@ -1,4 +1,5 @@
-"""Bore-coordinate mapping, duplicate merging, and panorama stitching."""
+"""Bore-coordinate mapping, duplicate merging, panorama stitching, and the
+inspect pipeline that runs them."""
 
 import dataclasses
 import math
@@ -13,6 +14,8 @@ from borescan.locate import (
     DefectRecord,
     circular_delta_deg,
     defect_location,
+    inspect_stack,
+    inspect_tile,
     merge_duplicates,
     record_from_blob,
     stitch_panorama,
@@ -385,3 +388,41 @@ class TestStitchPanorama:
         # rows count down from the nozzle: z' = 1.0 mm above the bottom
         assert v == pytest.approx(1000.0 / 2.16, abs=3.0)
         assert blobs[0].pixel_area == pytest.approx(6733.5, rel=0.03)
+
+
+class TestInspectPipeline:
+    HOLE = TestStitchPanorama.HOLE
+    PLAN = TestStitchPanorama.PLAN
+
+    def test_otsu_on_a_featureless_tile_gives_no_records(self):
+        tile = TileImage(
+            np.full(TILE_SHAPE, 128, dtype=np.uint8), 2.16, 2.16, tile_index=(0, 0)
+        )
+        corrected, records = inspect_tile(tile, PLAN, HOLE, CFG, method="otsu")
+        assert records == []
+        assert corrected.tile_index == (0, 0)
+        np.testing.assert_array_equal(
+            corrected.pixels, correct_tile(tile, HOLE.radius_mm).pixels
+        )
+
+    def test_unindexed_tile_rejected(self):
+        tile = TileImage(np.full(TILE_SHAPE, 128, dtype=np.uint8), 2.16, 2.16)
+        with pytest.raises(DomainError, match="index"):
+            inspect_tile(tile, PLAN, HOLE, CFG)
+
+    def test_stack_stitches_and_merges_a_planted_disc(self):
+        spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
+        texture = build_texture(self.HOLE, [spot])
+        tiles = list(render_stack(texture, self.PLAN, CFG, REGION))
+        records, pano = inspect_stack(
+            (inspect_tile(t, self.PLAN, self.HOLE, CFG) for t in tiles),
+            self.PLAN, self.HOLE, CFG,
+        )
+        [record] = records
+        assert (record.kind, record.id) == ("disc", 0)
+        assert record.size_mm == pytest.approx(0.2, abs=0.002)
+        assert record.beta_deg == pytest.approx(100.0, abs=0.05)
+        corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
+        expected = stitch_panorama(corrected, self.PLAN, self.HOLE, CFG)
+        np.testing.assert_array_equal(pano.pixels, expected.pixels)
+        assert pano.meta == expected.meta
