@@ -122,9 +122,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _inspect_tile(event, manifest, base_dir, out_dir, threshold, min_area):
-    """Read one tile, inspect it and write the corrected tile. Runs on a
-    worker thread."""
+def _inspect_tile(event, manifest, expected, base_dir, out_dir, threshold, min_area):
+    """Read one tile, check it is ``expected`` (height, width) px, inspect it
+    and write the corrected tile. Runs on a worker thread."""
     name = _tile_name(event.depth_step, event.rotation_step)
     path = base_dir / name
     try:
@@ -132,7 +132,6 @@ def _inspect_tile(event, manifest, base_dir, out_dir, threshold, min_area):
     except OSError as exc:
         raise ImageFormatError(f"{path}: {exc}") from exc
     cfg = manifest.optics
-    expected = tile_shape_for(cfg, manifest.region)
     if pixels.shape != expected:
         raise ImageFormatError(
             f"{path}: tile is {pixels.shape[0]}x{pixels.shape[1]} px, the "
@@ -156,17 +155,30 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     corrected_dir = _outdir(out / "corrected")
     base_dir = Path(args.manifest).parent
     schedule = manifest.plan.schedule
-    merged, panorama = inspect_stack(
-        _map_in_order(
-            lambda event: _inspect_tile(
-                event, manifest, base_dir, corrected_dir, threshold, args.min_area
-            ),
-            schedule,
-            _resolve_threads(args.threads),
-        ),
-        manifest.plan, manifest.hole, manifest.optics,
+    tile_shape = tile_shape_for(manifest.optics, manifest.region)
+    # plan-row order closes the panorama one depth row at a time
+    by_rows = sorted(
+        schedule, key=lambda event: (event.depth_step, event.rotation_step)
     )
-    write_pgm(out / "panorama.pgm", panorama.pixels)
+    # the panorama streams into a temporary file, so a failed run leaves none
+    partial = out / "panorama.pgm.tmp"
+    try:
+        with open(partial, "wb") as sink:
+            merged, _ = inspect_stack(
+                _map_in_order(
+                    lambda event: _inspect_tile(
+                        event, manifest, tile_shape, base_dir, corrected_dir,
+                        threshold, args.min_area,
+                    ),
+                    by_rows,
+                    _resolve_threads(args.threads),
+                ),
+                manifest.plan, manifest.hole, manifest.optics, tile_shape, sink,
+            )
+        os.replace(partial, out / "panorama.pgm")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     write_report(
         merged,
         manifest.hole,
@@ -304,8 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        finally:
+            # --help and --version print, then exit from parse_args: flush
+            # here, where a closed stdout is caught below, not at exit
+            sys.stdout.flush()
         code = args.func(args)
         sys.stdout.flush()
         return code

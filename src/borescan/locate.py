@@ -8,8 +8,10 @@ them by interval overlap, which keeps genuinely distinct neighbors apart
 while stitching split detections back together.
 
 :func:`inspect_tile` and :func:`inspect_stack` are the inspect pipeline:
-correct, segment and measure each tile, then stitch the panorama and merge
-the records. The ``inspect`` command runs them over tiles read from disk.
+correct, segment and measure each tile, then stitch the panorama, which
+:func:`stitch_panorama` writes out in row bands as they become final, and
+merge the records. The ``inspect`` command runs them over tiles read from
+disk.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .detect import (
 )
 from .errors import DomainError, PlanIndexError, ThresholdError
 from .geometry import HoleSpec, OpticsConfig
+from .pgm import write_pgm_header, write_pgm_rows
 from .scanplan import ScanPlan
 from .unwrap import TileImage, _wrapped_segments, correct_tile
 
@@ -39,6 +42,7 @@ __all__ = [
     "defect_location",
     "record_from_blob",
     "merge_duplicates",
+    "Panorama",
     "stitch_panorama",
     "inspect_tile",
     "inspect_stack",
@@ -288,59 +292,191 @@ def merge_duplicates(records: list[DefectRecord], radius_mm: float) -> list[Defe
     return [replace(rec, id=i) for i, rec in enumerate(merged)]
 
 
+@dataclass(frozen=True)
+class Panorama:
+    """What :func:`stitch_panorama` wrote: the raster's (height, width), and
+    in ``meta`` the plan positions that had no tile (``missing_tiles``) and
+    the canvas pixels no tile covered (``uncovered_px``)."""
+
+    shape: tuple[int, int]
+    meta: dict
+
+
+@dataclass(frozen=True)
+class _Place:
+    """Where one plan tile lands: canvas rows ``start``..``stop`` from tile
+    rows ``tile_rows``, and the (canvas columns, tile columns) pairs of the
+    seam split. ``priority`` is the tile's position in the schedule."""
+
+    priority: int
+    start: int
+    stop: int
+    tile_rows: slice
+    segments: list[tuple[slice, slice]]
+
+
+class _RowBand:
+    """The open rows of a panorama canvas, written to a PGM once final.
+
+    Rows are held in blocks of ``BLOCK``, made when a tile first reaches
+    them, so the band grows without copying and a row no tile reaches
+    costs nothing until it is written. Rows above ``top`` are in the sink
+    and gone.
+    """
+
+    BLOCK = 128
+
+    def __init__(self, sink, height: int, width: int) -> None:
+        self.sink, self.height, self.width = sink, height, width
+        self.blocks = {}
+        self.blank = None  # stands in for blocks no tile reached; set by open
+        self.top = 0
+
+    def open(self, dtype) -> None:
+        write_pgm_header(self.sink, self.height, self.width, dtype)
+        self.blank = np.zeros((self.BLOCK, self.width), dtype)
+
+    def pieces(self, start: int, stop: int, make: bool = True):
+        """(block, its rows, the matching rows counted from ``start``) for
+        canvas rows ``start``..``stop``."""
+        size = self.BLOCK
+        for b in range(start // size, -(-stop // size)):
+            lo, hi = max(start, b * size), min(stop, b * size + size)
+            block = self.blocks.get(b)
+            if block is None and make:
+                block = self.blocks[b] = self.blank.copy()
+            yield (
+                self.blank if block is None else block,
+                slice(lo - b * size, hi - b * size),
+                slice(lo - start, hi - start),
+            )
+
+    def flush(self, stop: int) -> None:
+        """Write the rows above ``stop``, which no tile still to come reaches."""
+        for block, rows, _ in self.pieces(self.top, stop, make=False):
+            write_pgm_rows(self.sink, block[rows])
+        for b in range(self.top // self.BLOCK, stop // self.BLOCK):
+            self.blocks.pop(b, None)
+        self.top = max(self.top, stop)
+
+
+def _overlaps(place: _Place, other: _Place):
+    """(first row, stop row, columns) of the canvas that both places cover."""
+    start, stop = max(place.start, other.start), min(place.stop, other.stop)
+    if start >= stop:
+        return
+    for cols, _ in place.segments:
+        for other_cols, _ in other.segments:
+            lo = max(cols.start, other_cols.start)
+            hi = min(cols.stop, other_cols.stop)
+            if lo < hi:
+                yield start, stop, slice(lo, hi)
+
+
 def stitch_panorama(
     tiles: Iterable[TileImage],
     plan: ScanPlan,
     hole: HoleSpec,
     cfg: OpticsConfig,
-) -> TileImage:
-    """Paste corrected tiles into one unwrapped panorama of the bore wall.
+    tile_shape: tuple[int, int],
+    sink,
+) -> Panorama:
+    """Paste corrected tiles into an unwrapped panorama of the bore wall,
+    written to ``sink`` (a binary file) as a PGM in row bands.
 
-    ``tiles`` may be any iterable, a generator included: each tile is
-    pasted as it arrives and not kept, so give them in schedule order for
-    overlaps to resolve last-writer in schedule order. Canvas dimensions
-    depend only on the hole and the pixel pitch, never on the plan
-    ordering. The metadata records any plan positions that had no tile and
-    any canvas pixels nothing covered.
+    ``tiles`` may come in any order, from a generator too: each tile is
+    pasted as it arrives and not kept. Where tiles overlap, a pixel keeps
+    the value of the covering tile latest in the plan's schedule, so the
+    bytes written do not depend on the arrival order. Only the open band
+    of rows is held: the rows a tile not yet seen can still reach. Rows
+    above it are final; they are written and dropped. Tiles in plan-row
+    order, ``(depth_step, rotation_step)``, close the canvas one depth row
+    at a time; in schedule order every rotation reaches back to the top, so
+    the whole canvas stays open until the last one.
+
+    Every tile must be ``tile_shape`` px, so that the rows of every tile
+    still to come are known. Canvas dimensions depend only on the hole and
+    the pixel pitch, never on the plan ordering. The result names any plan
+    positions that had no tile and counts the canvas pixels nothing
+    covered.
     """
     width = round(
         2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um
     )
     height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
-    events = {(e.depth_step, e.rotation_step): e for e in plan.schedule}
-    canvas = None
+    h, w = tile_shape
+    places = {}
+    for priority, event in enumerate(plan.schedule):
+        row0 = round(event.z_mm * 1e3 / cfg.pixel_pitch_y_um) - (h - 1) // 2
+        col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
+        r_lo, r_hi = max(0, -row0), min(h, height - row0)
+        places[(event.depth_step, event.rotation_step)] = _Place(
+            priority, row0 + r_lo, row0 + r_hi, slice(r_lo, r_hi),
+            _wrapped_segments(col0, w, width),
+        )
+    # first rows of the places that show on the canvas, top first
+    starts = sorted(
+        (place.start, index) for index, place in places.items()
+        if place.start < place.stop
+    )
+    band = _RowBand(sink, height, width)
     seen = set()
-    pasted = []  # (row slice, column slice) of every paste, after the seam split
+    live = []  # pasted places with rows still in the band
+    unseen = 0  # index into starts of the topmost place still to come
     for img in tiles:
         if img.tile_index is None:
             raise DomainError("tiles must carry a (depth_step, rotation_step) index")
-        event = events.get(img.tile_index)
-        if event is None:
+        place = places.get(img.tile_index)
+        if place is None:
             raise DomainError(f"tile {img.tile_index} is not in the plan")
-        if canvas is None:
-            canvas = np.zeros((height, width), dtype=img.pixels.dtype)
-        elif img.pixels.dtype != canvas.dtype:
-            raise DomainError("tiles mix bit depths")
+        if img.tile_index in seen:
+            raise DomainError(f"tile {img.tile_index} was given twice")
+        if img.pixels.shape != tile_shape:
+            raise DomainError(
+                f"tile {img.tile_index} is {img.pixels.shape[0]}x"
+                f"{img.pixels.shape[1]} px, not the run's {h}x{w}"
+            )
+        if band.blank is None:
+            band.open(img.pixels.dtype)
+        elif img.pixels.dtype != band.blank.dtype:
+            raise DomainError(
+                f"tiles mix bit depths: tile {img.tile_index} is "
+                f"{img.pixels.dtype}, the tiles before it {band.blank.dtype}"
+            )
         seen.add(img.tile_index)
-        h, w = img.pixels.shape
-        row0 = round(event.z_mm * 1e3 / cfg.pixel_pitch_y_um) - (h - 1) // 2
-        col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
-        r_lo = max(0, -row0)
-        r_hi = min(h, height - row0)
-        if r_lo >= r_hi:
-            continue
-        rows = slice(row0 + r_lo, row0 + r_hi)
-        for cols, src in _wrapped_segments(col0, w, width):
-            canvas[rows, cols] = img.pixels[r_lo:r_hi, src]
-            pasted.append((rows, cols))
-    if canvas is None:
-        canvas = np.zeros((height, width), dtype=np.uint8)
-    return TileImage(
-        canvas,
-        cfg.pixel_pitch_x_um,
-        cfg.pixel_pitch_y_um,
-        meta={
-            "missing_tiles": [index for index in events if index not in seen],
+        if place.start < place.stop:
+            # what tiles later in the schedule pasted here stays on top
+            kept = [
+                (block, rows, cols, block[rows, cols].copy())
+                for other in live if other.priority > place.priority
+                for start, stop, cols in _overlaps(place, other)
+                for block, rows, _ in band.pieces(start, stop)
+            ]
+            pixels = img.pixels[place.tile_rows]
+            for block, rows, src_rows in band.pieces(place.start, place.stop):
+                for cols, src in place.segments:
+                    block[rows, cols] = pixels[src_rows, src]
+            for block, rows, cols, saved in kept:
+                block[rows, cols] = saved
+            live.append(place)
+        while unseen < len(starts) and starts[unseen][1] in seen:
+            unseen += 1
+        if unseen < len(starts):
+            band.flush(starts[unseen][0])
+            live = [other for other in live if other.stop > band.top]
+    if band.blank is None:
+        band.open(np.uint8)
+    band.flush(height)
+    pasted = [
+        (slice(place.start, place.stop), cols)
+        for index, place in places.items()
+        if index in seen and place.start < place.stop
+        for cols, _ in place.segments
+    ]
+    return Panorama(
+        (height, width),
+        {
+            "missing_tiles": [index for index in places if index not in seen],
             "uncovered_px": height * width - _union_area(pasted),
         },
     )
@@ -403,13 +539,18 @@ def inspect_stack(
     plan: ScanPlan,
     hole: HoleSpec,
     cfg: OpticsConfig,
-) -> tuple[list[DefectRecord], TileImage]:
+    tile_shape: tuple[int, int],
+    sink,
+) -> tuple[list[DefectRecord], Panorama]:
     """Stitch and reconcile a run's inspected tiles.
 
-    ``inspected`` yields :func:`inspect_tile` results in schedule order,
-    from a generator if need be: each corrected tile is pasted into the
-    panorama as it arrives and not kept. Returns the merged records of
-    every tile and the panorama.
+    ``inspected`` yields :func:`inspect_tile` results in any order, from a
+    generator if need be: each corrected tile is pasted into the panorama,
+    which :func:`stitch_panorama` writes to ``sink`` in row bands, and not
+    kept. Plan-row order keeps the fewest rows open. The records are merged
+    in schedule order whatever the arrival order, so neither the report
+    nor the panorama depends on it. Returns the merged records of every
+    tile and the stitch's :class:`Panorama`.
     """
     records = []
 
@@ -418,5 +559,10 @@ def inspect_stack(
             records.extend(tile_records)
             yield corrected
 
-    panorama = stitch_panorama(corrected_tiles(), plan, hole, cfg)
+    panorama = stitch_panorama(corrected_tiles(), plan, hole, cfg, tile_shape, sink)
+    position = {
+        (event.depth_step, event.rotation_step): n
+        for n, event in enumerate(plan.schedule)
+    }
+    records.sort(key=lambda rec: position[rec.source_tiles[0]])  # stable
     return merge_duplicates(records, hole.radius_mm), panorama

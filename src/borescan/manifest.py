@@ -35,6 +35,10 @@ __all__ = [
     "report_to_dict",
 ]
 
+# the manifest layout this version writes and reads; a change to its keys or
+# their meaning takes the next number
+MANIFEST_FORMAT = 1
+
 # libyaml's parser when PyYAML was built with it; same data, several times faster
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -50,7 +54,7 @@ class RunManifest:
     truth: list[DefectSpec] = field(default_factory=list)
     seed: int = 0
     noise_sigma: float = 0.0
-    version: str = __version__
+    format: int = MANIFEST_FORMAT
 
 
 _REPORT_KEYS = {"kind": str, "z_mm": float, "beta_deg": float, "size_mm": float}
@@ -58,7 +62,7 @@ _REPORT_KEYS = {"kind": str, "z_mm": float, "beta_deg": float, "size_mm": float}
 
 def manifest_to_dict(manifest: RunManifest) -> dict:
     return {
-        "version": manifest.version,
+        "format": manifest.format,
         "seed": manifest.seed,
         "noise_sigma": manifest.noise_sigma,
         "hole": asdict(manifest.hole),
@@ -122,6 +126,13 @@ def _check_plan(plan: ScanPlan, hole: HoleSpec, region: EffectiveRegion) -> None
 
 
 def manifest_from_dict(data: dict) -> RunManifest:
+    got = data.get("format")
+    if type(got) is not int or got != MANIFEST_FORMAT:
+        found = repr(got) if "format" in data else "missing"
+        raise ParseError(
+            f"manifest key 'format' is {found}, but this version reads format "
+            f"{MANIFEST_FORMAT}; re-run synth to write a current manifest"
+        )
     hole = _section(data, "hole", HoleSpec)
     optics = _section(data, "optics", OpticsConfig)
     region = _section(data, "region", EffectiveRegion)

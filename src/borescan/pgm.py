@@ -11,24 +11,43 @@ import numpy as np
 
 from .errors import ImageFormatError
 
-__all__ = ["read_pgm", "write_pgm"]
+__all__ = ["read_pgm", "write_pgm", "write_pgm_header", "write_pgm_rows"]
+
+
+def _maxval(dtype) -> int:
+    if dtype == np.uint8:
+        return 255
+    if dtype == np.uint16:
+        return 65535
+    raise ImageFormatError(f"unsupported dtype {dtype} for PGM")
+
+
+def write_pgm_header(handle, height: int, width: int, dtype) -> None:
+    """Start a PGM of ``height`` x ``width`` samples of ``dtype`` in ``handle``.
+
+    The raster follows as bands of rows, top to bottom, from
+    :func:`write_pgm_rows`.
+    """
+    handle.write(f"P5\n{width} {height}\n{_maxval(dtype)}\n".encode("ascii"))
+
+
+def write_pgm_rows(handle, rows: np.ndarray) -> None:
+    """Append a band of raster rows to a PGM begun by :func:`write_pgm_header`."""
+    # written straight from a contiguous array: tobytes() would copy it first
+    if rows.dtype == np.uint16:
+        handle.write(np.ascontiguousarray(rows, dtype=">u2"))
+    else:
+        handle.write(np.ascontiguousarray(rows))
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ImageFormatError("PGM rasters are 2-D")
-    # written straight from a contiguous array: tobytes() would copy it first
-    if pixels.dtype == np.uint8:
-        maxval, raster = 255, np.ascontiguousarray(pixels)
-    elif pixels.dtype == np.uint16:
-        maxval, raster = 65535, np.ascontiguousarray(pixels, dtype=">u2")
-    else:
-        raise ImageFormatError(f"unsupported dtype {pixels.dtype} for PGM")
-    height, width = pixels.shape
+    _maxval(pixels.dtype)  # refused before the file is made
     with open(path, "wb") as handle:
-        handle.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
-        handle.write(raster)
+        write_pgm_header(handle, *pixels.shape, pixels.dtype)
+        write_pgm_rows(handle, pixels)
 
 
 def _tokens(data: bytes):

@@ -12,6 +12,7 @@ sizing and localization runs feed rendered tiles to the same
 
 import collections
 import math
+import os
 import statistics
 import time
 
@@ -38,7 +39,7 @@ from borescan.scanplan import (
     coverage_check,
     plan_scan,
 )
-from borescan.synth import DefectSpec, build_texture, render_stack
+from borescan.synth import DefectSpec, build_texture, render_stack, tile_shape_for
 from borescan.unwrap import TileImage, correct_tile, forward_project
 
 RADIUS = 2.0  # reference 4 mm bore
@@ -232,13 +233,15 @@ def test_07_plan_coverage(capsys):
 
 
 def _inspect_rendered(texture, plan, hole, noise_sigma=0.0, seed=0):
-    """Run the inspect pipeline on every scheduled tile, rendered in memory."""
-    return inspect_stack(
-        (inspect_tile(tile, plan, hole, OPTICS)
-         for tile in render_stack(texture, plan, OPTICS, REGION, noise_sigma,
-                                  seed)),
-        plan, hole, OPTICS,
-    )
+    """Run the inspect pipeline on every scheduled tile, rendered in memory;
+    the panorama's rows are written to the null device."""
+    with open(os.devnull, "wb") as sink:
+        return inspect_stack(
+            (inspect_tile(tile, plan, hole, OPTICS)
+             for tile in render_stack(texture, plan, OPTICS, REGION, noise_sigma,
+                                      seed)),
+            plan, hole, OPTICS, tile_shape_for(OPTICS, REGION), sink,
+        )
 
 
 def _nearest(records, kind, z_mm, beta_deg):

@@ -13,7 +13,7 @@ from borescan.cli import main
 from borescan.config import load_config
 from borescan.errors import DomainError, PlanIndexError, ThresholdError
 from borescan.manifest import load_manifest, read_report
-from borescan.pgm import write_pgm
+from borescan.pgm import read_pgm, write_pgm
 from borescan.scanplan import plan_scan
 
 CONFIG = "[hole]\nradius_mm = 0.9\ndepth_mm = 2.0\n"
@@ -400,14 +400,20 @@ def test_no_command_loads_scipy(tmp_path, config_path, synth_dir):
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("command", ["plan", "inspect"])
+@pytest.mark.parametrize("command", ["plan", "inspect", "version", "plan-help"])
 def test_closed_stdout_exits_0(tmp_path, config_path, synth_dir, command, unbuffered):
     out = tmp_path / "out"
     if command == "plan":
-        args, written = ["--config", str(config_path)], ["plan.yaml"]
-    else:
-        args = ["--manifest", str(synth_dir / "manifest.yaml")]
+        argv = ["plan", "--config", str(config_path), "--out", str(out)]
+        written = ["plan.yaml"]
+    elif command == "inspect":
+        argv = ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+                "--out", str(out)]
         written = ["report.yaml", "report.csv", "panorama.pgm"]
+    else:
+        # argparse prints these and exits from parse_args
+        argv = ["--version"] if command == "version" else ["plan", "--help"]
+        written = []
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -416,7 +422,7 @@ def test_closed_stdout_exits_0(tmp_path, config_path, synth_dir, command, unbuff
     os.close(read_end)  # nobody will ever read the command's stdout
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "borescan.cli", command, *args, "--out", str(out)],
+            [sys.executable, "-m", "borescan.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env,
         )
     finally:
@@ -707,6 +713,54 @@ class TestInspect:
         assert "tile_d00_r00.pgm" in err and "Traceback" not in err
         assert not (out / "report.yaml").exists()
         assert not (out / "panorama.pgm").exists()
+
+    @pytest.mark.parametrize("value", [0, 2])
+    def test_other_manifest_format_exits_2(self, tmp_path, synth_dir, capsys, value):
+        path = set_in_manifest(synth_dir, ("format",), value)
+        out = tmp_path / "o"
+        code = main(["inspect", "--manifest", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'format'" in err and "re-run synth" in err and "Traceback" not in err
+        assert not out.exists()
+
+    # each replaces tile (1, 2) of the 8-tile run
+    FUZZED_TILES = {
+        "truncated-raster": lambda good: good[:-100],
+        "wrong-magic": lambda good: b"P2" + good[2:],
+        "maxval-0": lambda good: good.replace(b"\n255\n", b"\n0\n", 1),
+        "maxval-65536": lambda good: good.replace(b"\n255\n", b"\n65536\n", 1),
+        "header-comment": lambda good: good.replace(b"P5\n", b"P5\n# hand-edited\n", 1),
+        "sixteen-bit": None,  # the same pixels, scaled to 16 bits
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FUZZED_TILES))
+    def test_fuzzed_tile_exits_with_a_documented_code(
+        self, tmp_path, synth_dir, capsys, fault
+    ):
+        target = synth_dir / "tile_d01_r02.pgm"
+        fuzz = self.FUZZED_TILES[fault]
+        if fuzz is None:
+            write_pgm(target, read_pgm(target).astype(np.uint16) * 257)
+        else:
+            target.write_bytes(fuzz(target.read_bytes()))
+        out = tmp_path / "o"
+        code = main(
+            ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+             "--out", str(out), "--threads", "2"]
+        )
+        assert code in {0, 2, 3, 4, 5, 6}
+        assert "Traceback" not in capsys.readouterr().err
+        left = {path.name for path in out.iterdir()}
+        if fault == "header-comment":
+            assert code == 0
+            assert {"report.yaml", "panorama.pgm"} <= left
+        else:
+            assert code != 0
+            assert not left & {"report.yaml", "report.csv"}
+        assert not {name for name in left if name.startswith("panorama.pgm.")}
+        if code:
+            assert "panorama.pgm" not in left
 
     def test_otsu_threshold_accepted(self, tmp_path, synth_dir):
         out = tmp_path / "otsu"

@@ -3,6 +3,8 @@ inspect pipeline that runs them."""
 
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from borescan.locate import (
     record_from_blob,
     stitch_panorama,
 )
+from borescan.pgm import read_pgm
 from borescan.scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan
 from borescan.synth import DefectSpec, build_texture, render_stack, tile_shape_for
 from borescan.unwrap import TileImage, correct_tile
@@ -270,9 +273,48 @@ class TestMergeDuplicates:
         assert out[0].kind == "line"
 
 
+def stitched(tiles, plan, hole, tile_shape, path):
+    """Stitch ``tiles`` into the PGM at ``path``; returns what the file holds
+    and the stitch's result."""
+    with open(path, "wb") as sink:
+        pano = stitch_panorama(tiles, plan, hole, CFG, tile_shape, sink)
+    return read_pgm(path), pano
+
+
+def pasted_in_schedule_order(tiles, plan, shape):
+    """Oracle canvas: every tile pasted whole, modulo the width, in schedule
+    order, so that the tile latest in the schedule wins each pixel."""
+    height, width = shape
+    canvas = np.zeros(shape, dtype=np.uint8)
+    by_index = {tile.tile_index: tile.pixels for tile in tiles}
+    for event in plan.schedule:
+        pixels = by_index.get((event.depth_step, event.rotation_step))
+        if pixels is None:
+            continue
+        h, w = pixels.shape
+        row0 = round(event.z_mm * 1e3 / CFG.pixel_pitch_y_um) - (h - 1) // 2
+        col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
+        rows = np.arange(row0, row0 + h)
+        inside = (rows >= 0) & (rows < height)
+        cols = (col0 + np.arange(w)) % width
+        canvas[np.ix_(rows[inside], cols)] = pixels[inside]
+    return canvas
+
+
 class TestStitchPanorama:
     HOLE = HoleSpec(0.9, 2.0)
     PLAN = plan_scan(HoleSpec(0.9, 2.0), REGION)  # 2 depths x 4 rotations
+    # 3 depths x 4 rotations of 40 x 60 px tiles: neighbours overlap by 17
+    # rows and 20 columns, so tiles of adjacent depth rows meet diagonally,
+    # and rotation 0 wraps the 360-degree seam
+    DENSE = ScanPlan(
+        4, 3, 5.5, 0.05,
+        tuple(
+            CaptureEvent(3 * k + j, j, k, 0.5 + 0.05 * j, (358.5 + 5.5 * k) % 360.0)
+            for k in range(4)
+            for j in range(3)
+        ),
+    )
 
     def uniform_tiles(self):
         tiles = []
@@ -287,28 +329,32 @@ class TestStitchPanorama:
             )
         return tiles
 
-    def test_full_plan_covers_whole_canvas(self):
-        pano = stitch_panorama(self.uniform_tiles(), self.PLAN, self.HOLE, CFG)
-        assert pano.pixels.shape == (926, 2618)
+    def test_full_plan_covers_whole_canvas(self, tmp_path):
+        pixels, pano = stitched(
+            self.uniform_tiles(), self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm"
+        )
+        assert pixels.shape == pano.shape == (926, 2618)
         assert pano.meta["uncovered_px"] == 0
         assert pano.meta["missing_tiles"] == []
-        assert (pano.pixels == 180).all()
+        assert (pixels == 180).all()
 
-    def test_dimensions_ignore_plan_order(self):
+    def test_dimensions_ignore_plan_order(self, tmp_path):
         reordered = dataclasses.replace(
             self.PLAN, schedule=tuple(reversed(self.PLAN.schedule))
         )
-        pano = stitch_panorama(self.uniform_tiles(), reordered, self.HOLE, CFG)
-        assert pano.pixels.shape == (926, 2618)
+        pixels, pano = stitched(
+            self.uniform_tiles(), reordered, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm"
+        )
+        assert pixels.shape == (926, 2618)
         assert pano.meta["uncovered_px"] == 0
 
-    def test_missing_tile_reported_and_leaves_gap(self):
+    def test_missing_tile_reported_and_leaves_gap(self, tmp_path):
         tiles = [t for t in self.uniform_tiles() if t.tile_index != (1, 2)]
-        pano = stitch_panorama(tiles, self.PLAN, self.HOLE, CFG)
+        pixels, pano = stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
         assert pano.meta["missing_tiles"] == [(1, 2)]
-        assert pano.meta["uncovered_px"] > 0
+        assert pano.meta["uncovered_px"] == np.count_nonzero(pixels == 0) > 0
 
-    def test_generator_gives_the_same_panorama_as_a_list(self):
+    def test_generator_gives_the_same_panorama_as_a_list(self, tmp_path):
         # distinct random tiles, so any change in paste order shows in the overlaps
         rng = np.random.default_rng(3)
         tiles = [
@@ -319,38 +365,101 @@ class TestStitchPanorama:
             for event in self.PLAN.schedule
             if (event.depth_step, event.rotation_step) != (0, 3)
         ]
-        listed = stitch_panorama(tiles, self.PLAN, self.HOLE, CFG)
-        streamed = stitch_panorama(
-            (tile for tile in tiles), self.PLAN, self.HOLE, CFG
+        listed, listed_pano = stitched(
+            tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "listed.pgm"
         )
-        assert np.array_equal(streamed.pixels, listed.pixels)
-        assert streamed.meta == listed.meta
-        assert listed.meta["missing_tiles"] == [(0, 3)]
+        streamed, streamed_pano = stitched(
+            (tile for tile in tiles), self.PLAN, self.HOLE, TILE_SHAPE,
+            tmp_path / "streamed.pgm",
+        )
+        assert np.array_equal(streamed, listed)
+        assert streamed_pano == listed_pano
+        assert listed_pano.meta["missing_tiles"] == [(0, 3)]
 
-    def test_out_of_plan_tile_rejected(self):
+    @pytest.mark.parametrize("plan_name", ["PLAN", "DENSE"])
+    def test_arrival_order_does_not_change_the_bytes(self, tmp_path, plan_name):
+        # distinct random tiles, so any change in the overlap rule shows
+        plan = getattr(self, plan_name)
+        shape = TILE_SHAPE if plan is self.PLAN else (40, 60)
+        rng = np.random.default_rng(3)
+        tiles = [
+            TileImage(
+                rng.integers(1, 256, shape, dtype=np.uint8), 2.16, 2.16,
+                tile_index=(event.depth_step, event.rotation_step),
+            )
+            for event in plan.schedule
+        ]
+        orders = {
+            "schedule": tiles,
+            "plan-row": sorted(tiles, key=lambda tile: tile.tile_index),
+            "reversed": tiles[::-1],
+            "shuffled": [tiles[i] for i in rng.permutation(len(tiles))],
+        }
+        written, results = set(), []
+        for name, order in orders.items():
+            path = tmp_path / f"{name}.pgm"
+            _, pano = stitched((tile for tile in order), plan, self.HOLE, shape, path)
+            written.add(path.read_bytes())
+            results.append(pano)
+        assert len(written) == 1
+        assert all(pano == results[0] for pano in results)
+        expected = pasted_in_schedule_order(tiles, plan, (926, 2618))
+        np.testing.assert_array_equal(read_pgm(tmp_path / "shuffled.pgm"), expected)
+        assert pano.meta == {
+            "missing_tiles": [], "uncovered_px": np.count_nonzero(expected == 0)
+        }
+
+    def test_out_of_plan_tile_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
         tiles[3] = TileImage(tiles[3].pixels, 2.16, 2.16, tile_index=(5, 0))
         with pytest.raises(DomainError, match=r"\(5, 0\)"):
-            stitch_panorama(iter(tiles), self.PLAN, self.HOLE, CFG)
+            stitched(iter(tiles), self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
-    def test_unindexed_tile_rejected(self):
+    def test_unindexed_tile_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
         tiles[0] = TileImage(tiles[0].pixels, 2.16, 2.16)
         with pytest.raises(DomainError):
-            stitch_panorama(tiles, self.PLAN, self.HOLE, CFG)
+            stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
-    def test_seam_tile_splits_across_first_and_last_columns(self):
+    def test_tile_of_another_shape_rejected(self, tmp_path):
+        tiles = self.uniform_tiles()
+        tiles[5] = TileImage(tiles[5].pixels[:-1], 2.16, 2.16, tile_index=tiles[5].tile_index)
+        with pytest.raises(DomainError, match="694x695 px, not the run's 695x695"):
+            stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
+
+    def test_tile_given_twice_rejected(self, tmp_path):
+        tiles = self.uniform_tiles()
+        with pytest.raises(DomainError, match=r"\(0, 0\) was given twice"):
+            stitched(tiles + tiles[:1], self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
+
+    def test_no_tiles_give_a_blank_canvas(self, tmp_path):
+        pixels, pano = stitched([], self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
+        assert pixels.dtype == np.uint8 and pixels.shape == (926, 2618)
+        assert not pixels.any()
+        assert pano.meta["uncovered_px"] == pixels.size
+        assert len(pano.meta["missing_tiles"]) == 8
+
+    def test_sixteen_bit_tiles_give_a_sixteen_bit_panorama(self, tmp_path):
+        tiles = [
+            TileImage(tile.pixels.astype(np.uint16) * 257, 2.16, 2.16,
+                      tile_index=tile.tile_index)
+            for tile in self.uniform_tiles()
+        ]
+        pixels, _ = stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
+        assert pixels.dtype == np.uint16 and (pixels == 180 * 257).all()
+
+    def test_seam_tile_splits_across_first_and_last_columns(self, tmp_path):
         h, w = 4, 9
         gradient = np.tile(np.arange(1, w + 1, dtype=np.uint8), (h, 1))
         plan = ScanPlan(1, 1, 360.0, 1.5, (CaptureEvent(0, 0, 0, 1.0, 0.0),))
         tile = TileImage(gradient, 2.16, 2.16, tile_index=(0, 0))
-        pano = stitch_panorama([tile], plan, self.HOLE, CFG)
+        pixels, pano = stitched([tile], plan, self.HOLE, (h, w), tmp_path / "p.pgm")
         row0 = round(1000.0 / 2.16) - (h - 1) // 2
         unwrapped = np.zeros((926, 2618), dtype=np.uint8)
         unwrapped[row0 : row0 + h, :w] = gradient
         expected = np.roll(unwrapped, -((w - 1) // 2), axis=1)
-        assert np.array_equal(pano.pixels, expected)
-        assert pano.pixels[row0, 0] == 5 and pano.pixels[row0, -1] == 4
+        assert np.array_equal(pixels, expected)
+        assert pixels[row0, 0] == 5 and pixels[row0, -1] == 4
         assert pano.meta["uncovered_px"] == 926 * 2618 - h * w
 
     # (z_mm, theta_deg, has a tile) per event; canvas 926 x 2618 px
@@ -362,25 +471,27 @@ class TestStitchPanorama:
     }
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_uncovered_px_matches_mask_oracle(self, layout):
+    def test_uncovered_px_matches_mask_oracle(self, tmp_path, layout):
         events, tiles = [], []
+        shape = (57, 91)  # every tile of a run has the run's shape
         for order, (z_mm, theta_deg, has_tile) in enumerate(self.LAYOUTS[layout]):
             events.append(CaptureEvent(order, 0, order, z_mm, theta_deg))
             if has_tile:
-                ones = np.ones((37 + 10 * order, 51 + 20 * order), dtype=np.uint8)
+                ones = np.ones(shape, dtype=np.uint8)
                 tiles.append(TileImage(ones, 2.16, 2.16, tile_index=(0, order)))
         plan = ScanPlan(len(events), 1, 1.0, 1.5, tuple(events))
-        pano = stitch_panorama(tiles, plan, self.HOLE, CFG)
-        uncovered = pano.pixels == 0  # every tile pixel is 1
+        pixels, pano = stitched(tiles, plan, self.HOLE, shape, tmp_path / "p.pgm")
+        uncovered = pixels == 0  # every tile pixel is 1
         assert 0 < np.count_nonzero(uncovered) < uncovered.size
         assert pano.meta["uncovered_px"] == np.count_nonzero(uncovered)
 
-    def test_planted_disc_lands_at_its_bore_position(self):
+    def test_planted_disc_lands_at_its_bore_position(self, tmp_path):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
         texture = build_texture(self.HOLE, [spot])
         tiles = list(render_stack(texture, self.PLAN, CFG, REGION))
         corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
-        pano = stitch_panorama(corrected, self.PLAN, self.HOLE, CFG)
+        pixels, _ = stitched(corrected, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
+        pano = TileImage(pixels, 2.16, 2.16)
         blobs = connected_components(label_mask(binarize(pano, threshold=0.5)))
         assert len(blobs) == 1
         u, v = blobs[0].centroid
@@ -388,6 +499,24 @@ class TestStitchPanorama:
         # rows count down from the nozzle: z' = 1.0 mm above the bottom
         assert v == pytest.approx(1000.0 / 2.16, abs=3.0)
         assert blobs[0].pixel_area == pytest.approx(6733.5, rel=0.03)
+
+    def test_reference_plan_in_plan_rows_holds_a_fraction_of_the_canvas(self):
+        # the 47 mm reference bore, 288 tiles: its canvas is 21,760 x 5,818 px
+        pixels = np.full(TILE_SHAPE, 180, dtype=np.uint8)
+        tiles = (
+            TileImage(pixels, 2.16, 2.16, tile_index=(event.depth_step, event.rotation_step))
+            for event in sorted(PLAN.schedule, key=lambda e: (e.depth_step, e.rotation_step))
+        )
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "wb") as sink:
+                pano = stitch_panorama(tiles, PLAN, HOLE, CFG, TILE_SHAPE, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pano.shape == (21760, 5818)
+        assert pano.meta == {"missing_tiles": [], "uncovered_px": 0}
+        assert peak < 21760 * 5818 / 4
 
 
 class TestInspectPipeline:
@@ -410,19 +539,54 @@ class TestInspectPipeline:
         with pytest.raises(DomainError, match="index"):
             inspect_tile(tile, PLAN, HOLE, CFG)
 
-    def test_stack_stitches_and_merges_a_planted_disc(self):
+    def test_stack_stitches_and_merges_a_planted_disc(self, tmp_path):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
         texture = build_texture(self.HOLE, [spot])
         tiles = list(render_stack(texture, self.PLAN, CFG, REGION))
-        records, pano = inspect_stack(
-            (inspect_tile(t, self.PLAN, self.HOLE, CFG) for t in tiles),
-            self.PLAN, self.HOLE, CFG,
-        )
+        with open(tmp_path / "stack.pgm", "wb") as sink:
+            records, pano = inspect_stack(
+                (inspect_tile(t, self.PLAN, self.HOLE, CFG) for t in tiles),
+                self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink,
+            )
         [record] = records
         assert (record.kind, record.id) == ("disc", 0)
         assert record.size_mm == pytest.approx(0.2, abs=0.002)
         assert record.beta_deg == pytest.approx(100.0, abs=0.05)
         corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
-        expected = stitch_panorama(corrected, self.PLAN, self.HOLE, CFG)
-        np.testing.assert_array_equal(pano.pixels, expected.pixels)
-        assert pano.meta == expected.meta
+        _, expected = stitched(
+            corrected, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "tiles.pgm"
+        )
+        assert (tmp_path / "stack.pgm").read_bytes() == (tmp_path / "tiles.pgm").read_bytes()
+        assert pano == expected
+
+    def test_stack_merges_in_schedule_order_whatever_the_arrival_order(self, tmp_path):
+        # three split records of one feature: the merge's float sums see
+        # them in schedule order, and (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        rng = np.random.default_rng(5)
+        split = {(0, 0): 0.1, (1, 0): 0.2, (0, 1): 0.3}
+        inspected = [
+            (
+                TileImage(
+                    rng.integers(1, 256, TILE_SHAPE, dtype=np.uint8), 2.16, 2.16,
+                    tile_index=(event.depth_step, event.rotation_step),
+                ),
+                [
+                    make_record(0.0, split[event.depth_step, event.rotation_step],
+                                area=1.0, z_half=0.1, arc_half=20.0,
+                                tiles=((event.depth_step, event.rotation_step),))
+                ] if (event.depth_step, event.rotation_step) in split else [],
+            )
+            for event in self.PLAN.schedule
+        ]
+        results = []
+        for name, order in [("schedule", inspected), ("reversed", inspected[::-1])]:
+            with open(tmp_path / f"{name}.pgm", "wb") as sink:
+                results.append(
+                    inspect_stack(iter(order), self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink)
+                )
+        [record] = results[0][0]
+        assert record.z_mm == (0.1 + 0.2 + 0.3) / 3
+        assert results[0] == results[1]
+        assert (tmp_path / "schedule.pgm").read_bytes() == (
+            tmp_path / "reversed.pgm"
+        ).read_bytes()

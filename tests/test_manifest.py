@@ -7,6 +7,7 @@ from borescan.errors import DomainError, ParseError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import DefectRecord
 from borescan.manifest import (
+    MANIFEST_FORMAT,
     RunManifest,
     load_manifest,
     manifest_from_dict,
@@ -69,7 +70,7 @@ class TestManifestRoundTrip:
         assert back.truth == manifest.truth
         assert back.seed == 7
         assert back.noise_sigma == 5.0
-        assert back.version == manifest.version
+        assert back.format == manifest.format == MANIFEST_FORMAT
 
     def test_serialization_is_byte_stable(self, tmp_path):
         manifest = sample_manifest()
@@ -80,7 +81,22 @@ class TestManifestRoundTrip:
 
     def test_dict_form_keeps_declared_key_order(self):
         data = manifest_to_dict(sample_manifest())
-        assert list(data)[:3] == ["version", "seed", "noise_sigma"]
+        assert list(data)[:3] == ["format", "seed", "noise_sigma"]
+
+    @pytest.mark.parametrize("value", [0, 2, "1", True, None])
+    def test_other_format_raises_naming_key(self, value):
+        data = manifest_to_dict(sample_manifest())
+        data["format"] = value
+        with pytest.raises(ParseError, match=r"'format' is .*re-run synth"):
+            manifest_from_dict(data)
+
+    def test_manifest_without_format_raises(self):
+        # as written before the format key: a version string instead
+        data = manifest_to_dict(sample_manifest())
+        del data["format"]
+        data["version"] = "0.1.0"
+        with pytest.raises(ParseError, match="'format' is missing.*re-run synth"):
+            manifest_from_dict(data)
 
     def test_missing_section_raises_with_key_name(self):
         data = manifest_to_dict(sample_manifest())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from borescan.errors import ImageFormatError
-from borescan.pgm import read_pgm, write_pgm
+from borescan.pgm import read_pgm, write_pgm, write_pgm_header, write_pgm_rows
 
 
 def test_uint8_round_trip(tmp_path):
@@ -42,6 +42,19 @@ def test_sixteen_bit_samples_are_big_endian(tmp_path):
     path = tmp_path / "d.pgm"
     write_pgm(path, pixels)
     assert path.read_bytes().endswith(b"\x01\x02")
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_header_and_row_bands_give_the_same_file(tmp_path, dtype):
+    rng = np.random.default_rng(2)
+    pixels = rng.integers(0, np.iinfo(dtype).max, size=(23, 11), dtype=dtype)
+    whole, banded = tmp_path / "whole.pgm", tmp_path / "banded.pgm"
+    write_pgm(whole, pixels)
+    with open(banded, "wb") as handle:
+        write_pgm_header(handle, 23, 11, dtype)
+        for lo, hi in [(0, 1), (1, 9), (9, 22), (22, 23)]:
+            write_pgm_rows(handle, pixels[lo:hi])
+    assert banded.read_bytes() == whole.read_bytes()
 
 
 def test_comments_in_header_are_skipped(tmp_path):
