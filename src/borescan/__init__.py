@@ -23,7 +23,7 @@ from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_c
 from .unwrap import TileImage, build_remap, correct_tile, forward_project
 from .synth import DefectSpec, SurfaceTexture, build_texture, render_stack
 from .detect import BlobRecord, binarize, connected_components
-from .locate import DefectRecord, defect_location, merge_duplicates, stitch_panorama
+from .locate import DefectRecord, stitch_panorama
 from .manifest import RunManifest, load_manifest, save_manifest
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
     "binarize",
     "connected_components",
     "DefectRecord",
-    "defect_location",
-    "merge_duplicates",
     "stitch_panorama",
     "RunManifest",
     "load_manifest",

@@ -27,7 +27,7 @@ from . import __version__
 from .config import load_config, load_defect_list, parse_threshold_spec
 from .detect import DEFAULT_MIN_AREA
 from .errors import BorescanError, DomainError, ImageFormatError, ParseError
-from .locate import circular_delta_deg, inspect_stack, inspect_tile
+from .locate import circular_delta_deg, inspect_stack
 from .manifest import (
     RunManifest,
     load_manifest,
@@ -38,7 +38,7 @@ from .manifest import (
 from .pgm import read_pgm, write_pgm
 from .scanplan import plan_scan
 from .synth import _map_in_order, build_texture, render_stack, tile_shape_for
-from .unwrap import TileImage
+from .unwrap import TileImage, correct_tile
 
 MATCH_RADIUS_MM = 0.25  # truth-to-record association distance for comparisons
 
@@ -122,8 +122,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _inspect_tile(event, manifest, expected, base_dir, out_dir, threshold, min_area):
-    """Read one tile, check it is ``expected`` (height, width) px, inspect it
+def _inspect_tile(event, manifest, expected, base_dir, out_dir):
+    """Read one tile, check it is ``expected`` (height, width) px, correct it
     and write the corrected tile. Runs on a worker thread."""
     name = _tile_name(event.depth_step, event.rotation_step)
     path = base_dir / name
@@ -141,11 +141,24 @@ def _inspect_tile(event, manifest, expected, base_dir, out_dir, threshold, min_a
         pixels, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um,
         tile_index=(event.depth_step, event.rotation_step),
     )
-    corrected, records = inspect_tile(
-        tile, manifest.plan, manifest.hole, cfg, *threshold, min_area
-    )
+    corrected = correct_tile(tile, manifest.hole.radius_mm)
     write_pgm(out_dir / name, corrected.pixels)
-    return corrected, records
+    return corrected
+
+
+def _one_bit_depth(tiles, base_dir):
+    """Pass ``tiles`` on, refusing one of another bit depth than the first."""
+    depth = None
+    for tile in tiles:
+        bits = tile.pixels.dtype.itemsize * 8
+        if depth is None:
+            depth = bits
+        elif bits != depth:
+            raise ImageFormatError(
+                f"{base_dir / _tile_name(*tile.tile_index)}: tile is {bits}-bit, "
+                f"the tiles before it {depth}-bit"
+            )
+        yield tile
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
@@ -164,31 +177,34 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     partial = out / "panorama.pgm.tmp"
     try:
         with open(partial, "wb") as sink:
-            merged, _ = inspect_stack(
-                _map_in_order(
-                    lambda event: _inspect_tile(
-                        event, manifest, tile_shape, base_dir, corrected_dir,
-                        threshold, args.min_area,
+            records, _ = inspect_stack(
+                _one_bit_depth(
+                    _map_in_order(
+                        lambda event: _inspect_tile(
+                            event, manifest, tile_shape, base_dir, corrected_dir
+                        ),
+                        by_rows,
+                        _resolve_threads(args.threads),
                     ),
-                    by_rows,
-                    _resolve_threads(args.threads),
+                    base_dir,
                 ),
                 manifest.plan, manifest.hole, manifest.optics, tile_shape, sink,
+                *threshold, args.min_area,
             )
         os.replace(partial, out / "panorama.pgm")
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
     write_report(
-        merged,
+        records,
         manifest.hole,
         args.threshold,
         out / "report.csv",
         out / "report.yaml",
         source=Path(args.manifest).name,
     )
-    print(f"inspect: {len(merged)} defects from {len(schedule)} tiles")
-    for rec in merged:
+    print(f"inspect: {len(records)} defects from {len(schedule)} tiles")
+    for rec in records:
         print(
             f"  [{rec.id}] {rec.kind} z={rec.z_mm:.3f} mm "
             f"beta={rec.beta_deg:.2f} deg size={rec.size_mm:.3f} mm"

@@ -1,15 +1,17 @@
-"""Defect extraction and measurement on corrected tiles.
+"""Defect extraction and measurement on the unwrapped bore wall.
 
-Binarization (fixed or Otsu threshold), 8-connected blob labeling, and
-line widths in mm via the pixel pitch. Labeling works on the row runs of
-the mask (maximal horizontal stretches of foreground), not on pixels:
-defects are small and sparse, so a tile holds a few hundred runs against
-half a million pixels. Each tile is labelled once; the blob records and
-the line widths all read those labelled runs.
+Binarization (fixed or Otsu threshold), 8-connected blob labeling round
+the bore, and line widths in mm via the pixel pitch. Labeling works on the
+row runs of the mask (maximal horizontal stretches of foreground), not on
+pixels: defects are small and sparse, so even the 127 million pixels of
+the reference bore's wall hold only thousands of runs. The panorama is
+labelled once; the blob records and the line widths all read those
+labelled runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "RunLabels",
     "binarize",
     "otsu_threshold",
+    "row_runs",
     "label_mask",
     "connected_components",
     "line_width",
@@ -32,7 +35,7 @@ __all__ = [
 DEFAULT_MIN_AREA = 9  # px; ~13 um equivalent diameter at 2.16 um/pixel
 DEFAULT_SEGMENT_LEN = 64  # px per line-width segment
 
-_END = np.full(2, np.iinfo(np.intp).max)  # a sentinel run, past every key
+_END = np.full(1, np.iinfo(np.intp).max)  # a sentinel key, past every run
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,11 @@ class RunLabels:
     """The foreground runs of a mask, each labelled with its region.
 
     Run ``i`` covers columns ``start[i]`` to ``stop[i] - 1`` of row
-    ``row[i]``; runs are in raster order. ``label[i]`` runs from 1 to
-    ``count``, numbered by each region's first pixel in raster order, as
-    a label image is numbered by a raster scan. ``shape`` is the mask's.
+    ``row[i]``; rows ascend. ``label[i]`` runs from 1 to ``count``,
+    numbered by each region's first pixel in raster order, as a label
+    image is numbered by a raster scan. ``shape`` is the mask's. A region
+    across the 360-degree seam has columns up to twice the width (see
+    :func:`label_mask`).
     """
 
     shape: tuple[int, int]
@@ -108,7 +113,7 @@ def binarize(
     ``fixed`` cuts at ``threshold`` as a fraction of full scale (bit-depth
     agnostic); ``otsu`` picks the cut from the histogram and raises
     :class:`ThresholdError` on degenerate input, which the inspect
-    pipeline reads as a featureless tile. Dark polarity (the default)
+    pipeline reads as a featureless strip. Dark polarity (the default)
     selects pixels at or below the cut.
     """
     if polarity not in ("dark", "bright"):
@@ -121,46 +126,59 @@ def binarize(
         cut = otsu_threshold(img)
     else:
         raise DomainError(f"unknown threshold method {method!r}")
+    # pixels are integers, so the cut rounds to one without moving it; an
+    # integer cut compares in the pixels' own dtype, not in float64
     if polarity == "dark":
-        return img.pixels <= cut
-    return img.pixels >= cut
+        return img.pixels <= math.floor(cut)
+    return img.pixels >= math.ceil(cut)
 
 
-def _run_keys(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start and stop keys of every foreground run, in raster order.
+def row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The foreground runs of ``mask`` in raster order: run ``i`` covers
+    columns ``start[i]`` to ``stop[i] - 1`` of row ``row[i]``.
 
-    Only rows with foreground are scanned, each followed by one blank row
-    when the next row has none, so two runs lie in adjacent rows of the
-    mask exactly when they lie in adjacent scanned rows. A run in scanned
-    row ``i`` over columns ``start`` to ``stop - 1`` has the keys
-    ``i * (width + 1) + start`` and ``i * (width + 1) + stop``, so keys
-    order all runs at once, and a key in one row never reaches the next.
-    Both key arrays end in a sentinel past every key. Also returns the
-    mask row of each scanned row.
+    Only rows with foreground are scanned. A background column on each
+    side makes every run start and stop within its row, so the flips of a
+    scanned row alternate start, stop; the flip at ``i * (width + 1) + c``
+    is column ``c`` of scanned row ``i``.
     """
-    has_run = np.logical_or.reduce(mask, axis=1)
-    scanned = has_run.copy()
-    scanned[1:] |= has_run[:-1]
-    rows = scanned.nonzero()[0]
-    # a background column on each side makes every run start and stop
-    # within its row, so the flips alternate start, stop in raster order
+    mask = np.asarray(mask, dtype=bool)
+    rows = np.logical_or.reduce(mask, axis=1).nonzero()[0]
     padded = np.zeros((rows.size, mask.shape[1] + 2), dtype=bool)
     padded[:, 1:-1] = mask[rows]
     flips = (padded[:, 1:] != padded[:, :-1]).ravel().nonzero()[0]
-    flips = np.concatenate((flips, _END))
-    return flips[0::2], flips[1::2], rows
+    scanned, start = np.divmod(flips[0::2], mask.shape[1] + 1)
+    return rows[scanned], start, flips[1::2] - scanned * (mask.shape[1] + 1)
 
 
-def _first_touching(starts, stops, shift, reach):
+def _first_touching(starts, stops, shift):
     """First run ``shift`` keys away that touches each run, and whether one does.
 
-    ``starts`` and ``stops`` are :func:`_run_keys`; ``shift`` is the key
-    distance to the adjacent row. Runs touch when their column spans,
-    widened by ``reach``, overlap, so one ``searchsorted`` finds for every
+    ``starts`` and ``stops`` are the runs' keys, ``row * (width + 1)`` plus
+    the column, each ending in a sentinel past every key; ``shift`` is the
+    key distance to the adjacent row. Runs touch when their column spans,
+    widened by one column, overlap, so one ``searchsorted`` finds for every
     run the first run of the adjacent row that ends after it begins.
     """
-    first = stops.searchsorted(starts[:-1] + (shift - reach), side="right")
-    return first, starts[first] < stops[:-1] + (shift + reach)
+    first = stops.searchsorted(starts[:-1] + (shift - 1), side="right")
+    return first, starts[first] < stops[:-1] + (shift + 1)
+
+
+def _seam_links(row, start, stop, width):
+    """(run in column 0, run in the last column) pairs of runs that touch
+    across the seam, in the same row or in rows beside each other."""
+    left = (start == 0).nonzero()[0]
+    right = (stop == width).nonzero()[0]
+    if not (left.size and right.size):
+        return left[:0], right[:0]
+    right_rows = row[right]  # ascending, one run at most per row
+    pairs = []
+    for step in (-1, 0, 1):
+        want = row[left] + step
+        at = np.minimum(right_rows.searchsorted(want), right.size - 1)
+        meets = right_rows[at] == want
+        pairs.append((left[meets], right[at[meets]]))
+    return tuple(np.concatenate(side) for side in zip(*pairs))
 
 
 def _compress(parent: np.ndarray) -> np.ndarray:
@@ -172,38 +190,40 @@ def _compress(parent: np.ndarray) -> np.ndarray:
         parent = up
 
 
-def label_mask(mask: np.ndarray, connectivity: int = 8) -> RunLabels:
-    """Label the connected foreground regions of ``mask``, run by run.
+def label_mask(shape, row, start, stop) -> RunLabels:
+    """Label the connected regions of a mask wrapped round the bore, run by run.
 
-    8-connectivity by default so thin diagonal cracks stay in one piece;
-    under 4-connectivity, runs in adjacent rows join only where they share
-    a column. Regions are numbered by their first pixel in raster order.
+    The mask is ``shape`` px and given by its foreground runs in raster
+    order, as :func:`row_runs` gives them. Regions are 8-connected, so
+    thin diagonal cracks stay in one piece, and the first and last columns
+    are neighbours: the mask is the unwrapped wall, so a defect across the
+    360-degree seam is one region. Such a region has its runs in the left
+    half of the mask moved one width right, so that its columns, and with
+    them its centroid, bounding box and rows, are unwrapped. Regions are
+    numbered by their first pixel in raster order.
     """
-    if connectivity not in (4, 8):
-        raise DomainError("connectivity must be 4 or 8")
-    mask = np.asarray(mask, dtype=bool)
-    starts, stops, rows = _run_keys(mask)
-    width = mask.shape[1] + 1
-    scanned_row = starts[:-1] // width
-    offset = scanned_row * width
-    row, start, stop = rows[scanned_row], starts[:-1] - offset, stops[:-1] - offset
+    width = shape[1]
+    row, start, stop = (np.asarray(a, dtype=np.intp) for a in (row, start, stop))
     if row.size == 0:
-        return RunLabels(mask.shape, row, start, stop, np.zeros_like(row), 0)
-    reach = 1 if connectivity == 8 else 0
+        return RunLabels(tuple(shape), row, start, stop, np.zeros_like(row), 0)
+    pitch = width + 1  # a key in one row never reaches the next
+    starts = np.concatenate((row * pitch + start, _END))
+    stops = np.concatenate((row * pitch + stop, _END))
     index = np.arange(row.size)
     # Every link between runs of adjacent rows joins a run to the first
     # run that touches it from one side or the other: two links that
     # skipped their first would cross, and runs in one row do not overlap.
     # Each run first hooks to its first touching run above (always a
     # lower index), so parents only ever point back in raster order ...
-    above, has_above = _first_touching(starts, stops, -width, reach)
+    above, has_above = _first_touching(starts, stops, -pitch)
     parent = _compress(np.where(has_above, above, index))
-    # ... then the links to the first run below merge trees: each root
-    # hooks to the smallest root it meets, until every link lies within
-    # one tree.
-    below, has_below = _first_touching(starts, stops, width, reach)
-    upper = index[has_below]
-    lower = below[has_below]
+    # ... then the links to the first run below and across the seam merge
+    # trees: each root hooks to the smallest root it meets, until every
+    # link lies within one tree.
+    below, has_below = _first_touching(starts, stops, pitch)
+    seam_left, seam_right = _seam_links(row, start, stop, width)
+    upper = np.concatenate((index[has_below], seam_left))
+    lower = np.concatenate((below[has_below], seam_right))
     while True:
         root_u, root_l = parent[upper], parent[lower]
         if not np.count_nonzero(root_u != root_l):
@@ -213,7 +233,14 @@ def label_mask(mask: np.ndarray, connectivity: int = 8) -> RunLabels:
     # each root is its region's first run, so counting roots in raster
     # order numbers the regions by their first pixel
     numbers = (parent == index).cumsum()
-    return RunLabels(mask.shape, row, start, stop, numbers[parent], int(numbers[-1]))
+    label = numbers[parent]
+    count = int(numbers[-1])
+    if seam_left.size:
+        across = np.zeros(count + 1, dtype=bool)
+        across[label[seam_left]] = True
+        moved = np.where(across[label] & (2 * stop <= width), width, 0)
+        start, stop = start + moved, stop + moved
+    return RunLabels(tuple(shape), row, start, stop, label, count)
 
 
 def connected_components(
@@ -221,8 +248,9 @@ def connected_components(
 ) -> list[BlobRecord]:
     """Blob records for each region of ``labels`` of at least ``min_area`` px.
 
-    ``labels`` comes from :func:`label_mask`, so the connectivity is the
-    one it was labelled with. Records come out in label (scan) order.
+    ``labels`` comes from :func:`label_mask`, so a region across the seam
+    is measured on unwrapped columns. Records come out in label (scan)
+    order.
     Area, centroid sums and bounding boxes add up whole runs; the column
     sum of a run is the integer ``(start + stop - 1) * length / 2``, so the
     centroids are the exact per-pixel means.
@@ -237,7 +265,7 @@ def connected_components(
         label, weights=(start + stop - 1) * length // 2, minlength=count + 1
     )
     sum_r = np.bincount(label, weights=row * length, minlength=count + 1)
-    col_min = np.full(count + 1, labels.shape[1])
+    col_min = np.full(count + 1, 2 * labels.shape[1])
     np.minimum.at(col_min, label, start)
     col_max = np.zeros(count + 1, dtype=stop.dtype)
     np.maximum.at(col_max, label, stop - 1)

@@ -1,17 +1,16 @@
-"""Mapping detections into bore coordinates and reconciling duplicates.
+"""Stitching the bore wall and mapping its defects into bore coordinates.
 
-Tile pixel coordinates go to (z, beta): z is the axial distance from the
-nozzle reference plane (so it shrinks toward the bottom of the hole) and
-beta is the circumferential angle in degrees. Features that straddle tile
-boundaries come back as several records; :func:`merge_duplicates` reunifies
-them by interval overlap, which keeps genuinely distinct neighbors apart
-while stitching split detections back together.
-
-:func:`inspect_tile` and :func:`inspect_stack` are the inspect pipeline:
-correct, segment and measure each tile, then stitch the panorama, which
-:func:`stitch_panorama` writes out in row bands as they become final, and
-merge the records. The ``inspect`` command runs them over tiles read from
-disk.
+:func:`stitch_panorama` pastes corrected tiles into an unwrapped panorama
+of the wall and writes it out in row bands as they become final.
+:func:`inspect_stack` is the inspect pipeline built on it: it binarises
+each final 128-row block of the panorama once, keeps the block's
+foreground row runs, labels all of them in one pass round the bore once
+the last row is written, and maps each blob to (z, beta) from its row and
+column. z is the axial distance from the nozzle reference plane (so it
+shrinks toward the bottom of the hole) and beta is the circumferential
+angle in degrees. A defect that tile edges, depth steps or the 360-degree
+seam cut apart is still one blob, so no record needs merging. The
+``inspect`` command runs the pipeline over tiles read from disk.
 """
 
 from __future__ import annotations
@@ -30,28 +29,24 @@ from .detect import (
     connected_components,
     label_mask,
     line_width,
+    row_runs,
 )
 from .errors import DomainError, PlanIndexError, ThresholdError
 from .geometry import HoleSpec, OpticsConfig
 from .pgm import write_pgm_header, write_pgm_rows
 from .scanplan import ScanPlan
-from .unwrap import TileImage, _wrapped_segments, correct_tile
+from .unwrap import TileImage, _wrapped_segments
 
 __all__ = [
     "DefectRecord",
-    "defect_location",
     "record_from_blob",
-    "merge_duplicates",
     "Panorama",
     "stitch_panorama",
-    "inspect_tile",
     "inspect_stack",
     "circular_delta_deg",
 ]
 
 LINE_ASPECT = 3.0  # axial:arc extent ratio at which a blob counts as a line
-MERGE_TOL_Z_MM = 0.05  # axial gap across which split records still merge
-MERGE_TOL_ARC_MM = 0.05  # arc gap across which split records still merge
 
 
 @dataclass(frozen=True)
@@ -59,10 +54,10 @@ class DefectRecord:
     """One defect in bore coordinates.
 
     ``z_mm`` measures from the nozzle plane down the axis; ``beta_deg`` is
-    the centroid angle. The axial interval (``z_min_mm``..``z_max_mm``) and
-    the arc interval (``arc_center_deg`` +- ``arc_half_deg``) describe the
-    footprint and drive duplicate merging. ``size_mm`` is an equivalent
-    diameter for discs and a mean width for lines.
+    the centroid angle. ``z_min_mm``..``z_max_mm`` is the footprint's
+    axial extent. ``size_mm`` is an equivalent diameter for discs and a
+    mean width for lines. ``source_tiles`` are the plan positions of the
+    pasted tiles that the footprint's bounding box meets.
     """
 
     kind: str
@@ -72,8 +67,6 @@ class DefectRecord:
     area_mm2: float
     z_min_mm: float
     z_max_mm: float
-    arc_center_deg: float
-    arc_half_deg: float
     source_tiles: tuple[tuple[int, int], ...]
     id: int = -1
 
@@ -84,73 +77,33 @@ def circular_delta_deg(a: float, b: float) -> float:
     return min(d, 360.0 - d)
 
 
-def defect_location(
-    j: int,
-    k: int,
-    m: float,
-    n: float,
-    plan: ScanPlan,
-    hole: HoleSpec,
-    cfg: OpticsConfig,
-    tile_shape: tuple[int, int],
-) -> tuple[float, float]:
-    """Bore coordinates (z_mm, beta_deg) of pixel (m, n) in tile (j, k).
-
-    Columns of a corrected tile are uniform in arc length, so the offset
-    from the tile center scales directly by the pixel pitch. Half a pixel
-    of slack is allowed at the edges so bounding-box corners map cleanly.
-    """
-    if not (0 <= j < plan.n_depth and 0 <= k < plan.n_rot):
-        raise PlanIndexError(
-            f"tile ({j}, {k}) outside plan of {plan.n_depth} x {plan.n_rot} tiles"
-        )
-    rows, cols = tile_shape
-    if not (-0.5 <= m <= cols - 0.5 and -0.5 <= n <= rows - 0.5):
-        raise DomainError(f"pixel ({m}, {n}) outside a {rows} x {cols} tile")
-    z_axis = plan.step_mm * j + (n - (rows - 1) / 2.0) * cfg.pixel_pitch_y_um * 1e-3
-    z = hole.depth_mm - z_axis
-    arc_mm = (m - (cols - 1) / 2.0) * cfg.pixel_pitch_x_um * 1e-3
-    beta = (plan.alpha_deg * k + math.degrees(arc_mm / hole.radius_mm)) % 360.0
-    return z, beta
-
-
 def record_from_blob(
     blob: BlobRecord,
     labels: RunLabels,
-    j: int,
-    k: int,
-    plan: ScanPlan,
     hole: HoleSpec,
     cfg: OpticsConfig,
+    tiles: Iterable[tuple[int, int]],
 ) -> DefectRecord:
-    """Classify and locate one blob from tile (j, k).
+    """Classify and locate one blob of the panorama.
 
-    ``labels`` are the tile's labelled row runs that ``blob`` was read
-    from. A blob at least 3x taller than wide is a line (scratches run
-    along the axis); its size is the segment-averaged width of its own
-    runs, counted row by row over its bounding box. Anything else is a
-    disc sized by equivalent diameter.
+    ``labels`` are the panorama's labelled row runs that ``blob`` was read
+    from, and ``tiles`` the plan positions it came from. As
+    :func:`stitch_panorama` places them, canvas row ``n`` lies ``n`` pixel
+    pitches down the axis from the nozzle plane and column ``m`` at
+    ``m / width`` of a turn. A blob at least 3x taller than wide is a line
+    (scratches run along the axis); its size is the segment-averaged width
+    of its own runs, counted row by row over its bounding box. Anything
+    else is a disc sized by equivalent diameter.
     """
-    tile_shape = labels.shape
-    z, beta = defect_location(
-        j, k, blob.centroid[0], blob.centroid[1], plan, hole, cfg, tile_shape
-    )
+    pitch_z_mm = cfg.pixel_pitch_y_um * 1e-3
+    col, row = blob.centroid
     col_min, row_min, col_max, row_max = blob.bbox
-    # pixel footprints extend half a pixel past their centers
-    z_hi, beta_lo = defect_location(
-        j, k, col_min - 0.5, row_min - 0.5, plan, hole, cfg, tile_shape
-    )
-    z_lo, beta_hi = defect_location(
-        j, k, col_max + 0.5, row_max + 0.5, plan, hole, cfg, tile_shape
-    )
-    arc_half = circular_delta_deg(beta_hi, beta_lo) / 2.0
-    arc_center = (beta_lo + arc_half) % 360.0
     axial_px = row_max - row_min + 1
     arc_px = col_max - col_min + 1
     area = blob.pixel_area * cfg.pixel_pitch_x_um * cfg.pixel_pitch_y_um * 1e-6
     if axial_px >= LINE_ASPECT * arc_px:
         kind = "line"
-        # runs are in raster order, so the blob's rows are one slice of them
+        # rows ascend, so the blob's rows are one slice of the runs
         lo, hi = np.searchsorted(labels.row, (row_min, row_max + 1))
         own = labels.label[lo:hi] == blob.label
         per_row = np.bincount(
@@ -164,132 +117,15 @@ def record_from_blob(
         size = 2.0 * math.sqrt(area / math.pi)
     return DefectRecord(
         kind=kind,
-        z_mm=z,
-        beta_deg=beta,
+        z_mm=hole.depth_mm - row * pitch_z_mm,
+        beta_deg=(col * 360.0 / labels.shape[1]) % 360.0,
         size_mm=size,
         area_mm2=area,
-        z_min_mm=z_lo,
-        z_max_mm=z_hi,
-        arc_center_deg=arc_center,
-        arc_half_deg=arc_half,
-        source_tiles=((j, k),),
+        # pixel footprints extend half a pixel past their centers
+        z_min_mm=hole.depth_mm - (row_max + 0.5) * pitch_z_mm,
+        z_max_mm=hole.depth_mm - (row_min - 0.5) * pitch_z_mm,
+        source_tiles=tuple(tiles),
     )
-
-
-def _arc_gap_deg(a: DefectRecord, b: DefectRecord) -> float:
-    gap = (
-        circular_delta_deg(a.arc_center_deg, b.arc_center_deg)
-        - a.arc_half_deg
-        - b.arc_half_deg
-    )
-    return max(0.0, gap)
-
-
-def _z_gap_mm(a: DefectRecord, b: DefectRecord) -> float:
-    return max(0.0, max(a.z_min_mm, b.z_min_mm) - min(a.z_max_mm, b.z_max_mm))
-
-
-def _arc_hull(members: list[DefectRecord]) -> tuple[float, float]:
-    """Smallest circular interval covering all member arc intervals."""
-    ref = members[0].arc_center_deg
-    lo = hi = 0.0
-    for rec in members:
-        d = (rec.arc_center_deg - ref + 180.0) % 360.0 - 180.0
-        lo = min(lo, d - rec.arc_half_deg)
-        hi = max(hi, d + rec.arc_half_deg)
-    half = min((hi - lo) / 2.0, 180.0)
-    return (ref + (lo + hi) / 2.0) % 360.0, half
-
-
-def _weighted_circular_mean_deg(angles, weights) -> float:
-    rad = np.radians(np.asarray(angles, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    mean = math.atan2(float((w * np.sin(rad)).sum()), float((w * np.cos(rad)).sum()))
-    return math.degrees(mean) % 360.0
-
-
-def _merge_cluster(members: list[DefectRecord], radius_mm: float) -> DefectRecord:
-    weights = [rec.area_mm2 for rec in members]
-    total = sum(weights)
-    if total <= 0:
-        weights = [1.0] * len(members)
-        total = float(len(members))
-    beta = _weighted_circular_mean_deg([rec.beta_deg for rec in members], weights)
-    z_min = min(rec.z_min_mm for rec in members)
-    z_max = max(rec.z_max_mm for rec in members)
-    arc_center, arc_half = _arc_hull(members)
-    largest = max(members, key=lambda rec: rec.area_mm2)
-    arc_extent = 2.0 * math.radians(arc_half) * radius_mm
-    lines = [rec for rec in members if rec.kind == "line"]
-    if lines or (z_max - z_min) >= LINE_ASPECT * arc_extent:
-        kind = "line"
-        z = (z_min + z_max) / 2.0
-        if lines:
-            line_weight = sum(rec.area_mm2 for rec in lines)
-            size = sum(rec.size_mm * rec.area_mm2 for rec in lines) / line_weight
-        else:
-            size = arc_extent
-    else:
-        kind = "disc"
-        z = sum(rec.z_mm * w for rec, w in zip(members, weights)) / total
-        size = largest.size_mm
-    return DefectRecord(
-        kind=kind,
-        z_mm=z,
-        beta_deg=beta,
-        size_mm=size,
-        area_mm2=largest.area_mm2,
-        z_min_mm=z_min,
-        z_max_mm=z_max,
-        arc_center_deg=arc_center,
-        arc_half_deg=arc_half,
-        source_tiles=tuple(sorted(set(t for rec in members for t in rec.source_tiles))),
-    )
-
-
-def merge_duplicates(records: list[DefectRecord], radius_mm: float) -> list[DefectRecord]:
-    """Collapse split detections of one physical feature into one record.
-
-    Two records merge when their axial intervals come within
-    ``MERGE_TOL_Z_MM`` AND their arc intervals come within
-    ``MERGE_TOL_ARC_MM`` on a bore of ``radius_mm``. Merging repeats until
-    stable, so the result is a fixed point: merging the output again
-    changes nothing. Records that merge keep the largest member's area
-    estimate; positions are area-weighted.
-    """
-    if not radius_mm > 0:
-        raise DomainError(f"radius_mm must be positive, got {radius_mm}")
-    arc_tol_deg = math.degrees(MERGE_TOL_ARC_MM / radius_mm)
-    merged = list(records)
-    while True:
-        parent = list(range(len(merged)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                if _z_gap_mm(merged[i], merged[j]) > MERGE_TOL_Z_MM:
-                    continue
-                if _arc_gap_deg(merged[i], merged[j]) > arc_tol_deg:
-                    continue
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-        clusters: dict[int, list[DefectRecord]] = {}
-        for i, rec in enumerate(merged):
-            clusters.setdefault(find(i), []).append(rec)
-        if len(clusters) == len(merged):
-            break
-        merged = [
-            members[0] if len(members) == 1 else _merge_cluster(members, radius_mm)
-            for members in clusters.values()
-        ]
-    merged.sort(key=lambda rec: (rec.z_mm, rec.beta_deg))
-    return [replace(rec, id=i) for i, rec in enumerate(merged)]
 
 
 @dataclass(frozen=True)
@@ -320,8 +156,8 @@ class _RowBand:
 
     Rows are held in blocks of ``BLOCK``, made when a tile first reaches
     them, so the band grows without copying and a row no tile reaches
-    costs nothing until it is written. Rows above ``top`` are in the sink
-    and gone.
+    costs nothing until it is written. A block is written whole once its
+    last row is final; rows above ``top`` are in the sink and gone.
     """
 
     BLOCK = 128
@@ -336,28 +172,35 @@ class _RowBand:
         write_pgm_header(self.sink, self.height, self.width, dtype)
         self.blank = np.zeros((self.BLOCK, self.width), dtype)
 
-    def pieces(self, start: int, stop: int, make: bool = True):
+    def pieces(self, start: int, stop: int):
         """(block, its rows, the matching rows counted from ``start``) for
         canvas rows ``start``..``stop``."""
         size = self.BLOCK
         for b in range(start // size, -(-stop // size)):
             lo, hi = max(start, b * size), min(stop, b * size + size)
             block = self.blocks.get(b)
-            if block is None and make:
+            if block is None:
                 block = self.blocks[b] = self.blank.copy()
             yield (
-                self.blank if block is None else block,
+                block,
                 slice(lo - b * size, hi - b * size),
                 slice(lo - start, hi - start),
             )
 
-    def flush(self, stop: int) -> None:
-        """Write the rows above ``stop``, which no tile still to come reaches."""
-        for block, rows, _ in self.pieces(self.top, stop, make=False):
-            write_pgm_rows(self.sink, block[rows])
-        for b in range(self.top // self.BLOCK, stop // self.BLOCK):
-            self.blocks.pop(b, None)
-        self.top = max(self.top, stop)
+    def flush(self, stop: int) -> list[tuple[int, np.ndarray]]:
+        """Write the blocks above ``stop``, which no tile still to come
+        reaches; returns (first row, rows) of those a tile reached."""
+        size = self.BLOCK
+        end = stop if stop >= self.height else stop - stop % size
+        reached = []
+        for first in range(self.top, end, size):
+            block = self.blocks.pop(first // size, None)
+            rows = (self.blank if block is None else block)[: self.height - first]
+            write_pgm_rows(self.sink, rows)
+            if block is not None:
+                reached.append((first, rows))
+        self.top = max(self.top, end)
+        return reached
 
 
 def _overlaps(place: _Place, other: _Place):
@@ -373,36 +216,14 @@ def _overlaps(place: _Place, other: _Place):
                 yield start, stop, slice(lo, hi)
 
 
-def stitch_panorama(
-    tiles: Iterable[TileImage],
-    plan: ScanPlan,
-    hole: HoleSpec,
-    cfg: OpticsConfig,
-    tile_shape: tuple[int, int],
-    sink,
-) -> Panorama:
-    """Paste corrected tiles into an unwrapped panorama of the bore wall,
-    written to ``sink`` (a binary file) as a PGM in row bands.
+def _placements(plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape):
+    """The canvas (height, width) and where each plan tile lands on it.
 
-    ``tiles`` may come in any order, from a generator too: each tile is
-    pasted as it arrives and not kept. Where tiles overlap, a pixel keeps
-    the value of the covering tile latest in the plan's schedule, so the
-    bytes written do not depend on the arrival order. Only the open band
-    of rows is held: the rows a tile not yet seen can still reach. Rows
-    above it are final; they are written and dropped. Tiles in plan-row
-    order, ``(depth_step, rotation_step)``, close the canvas one depth row
-    at a time; in schedule order every rotation reaches back to the top, so
-    the whole canvas stays open until the last one.
-
-    Every tile must be ``tile_shape`` px, so that the rows of every tile
-    still to come are known. Canvas dimensions depend only on the hole and
-    the pixel pitch, never on the plan ordering. The result names any plan
-    positions that had no tile and counts the canvas pixels nothing
-    covered.
+    Canvas dimensions depend only on the hole and the pixel pitch, never on
+    the plan ordering. A tile's middle pixel lands on canvas row
+    ``z_mm / pitch`` and column ``theta_deg / 360`` of the width.
     """
-    width = round(
-        2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um
-    )
+    width = round(2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um)
     height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
     h, w = tile_shape
     places = {}
@@ -414,6 +235,40 @@ def stitch_panorama(
             priority, row0 + r_lo, row0 + r_hi, slice(r_lo, r_hi),
             _wrapped_segments(col0, w, width),
         )
+    return height, width, places
+
+
+def stitch_panorama(
+    tiles: Iterable[TileImage],
+    plan: ScanPlan,
+    hole: HoleSpec,
+    cfg: OpticsConfig,
+    tile_shape: tuple[int, int],
+    sink,
+    on_block,
+) -> Panorama:
+    """Paste corrected tiles into an unwrapped panorama of the bore wall,
+    written to ``sink`` (a binary file) as a PGM in row bands.
+
+    ``tiles`` may come in any order, from a generator too: each tile is
+    pasted as it arrives and not kept. Where tiles overlap, a pixel keeps
+    the value of the covering tile latest in the plan's schedule, so the
+    bytes written do not depend on the arrival order. Only the open band
+    of rows is held: the 128-row blocks that a tile not yet seen can still
+    reach. Blocks above it are final; they are written and dropped. Tiles
+    in plan-row order, ``(depth_step, rotation_step)``, close the canvas
+    one depth row at a time; in schedule order every rotation reaches back
+    to the top, so the whole canvas stays open until the last one.
+
+    ``on_block(first_row, pixels, covered)`` sees each final block that a
+    tile reached, top to bottom, with the mask of its pixels that some
+    tile covered. Every tile must be ``tile_shape`` px, so that
+    the rows of every tile still to come are known. The result names any
+    plan positions that had no tile and counts the canvas pixels nothing
+    covered.
+    """
+    height, width, places = _placements(plan, hole, cfg, tile_shape)
+    h, w = tile_shape
     # first rows of the places that show on the canvas, top first
     starts = sorted(
         (place.start, index) for index, place in places.items()
@@ -422,13 +277,26 @@ def stitch_panorama(
     band = _RowBand(sink, height, width)
     seen = set()
     live = []  # pasted places with rows still in the band
+
+    def finish(blocks):
+        for first, pixels in blocks:
+            # every place that reaches a block not yet written is live
+            covered = np.zeros(pixels.shape, dtype=bool)
+            for place in live:
+                lo = max(place.start - first, 0)
+                hi = min(place.stop - first, len(pixels))
+                if lo < hi:
+                    for cols, _ in place.segments:
+                        covered[lo:hi, cols] = True
+            on_block(first, pixels, covered)
+
     unseen = 0  # index into starts of the topmost place still to come
     for img in tiles:
         if img.tile_index is None:
             raise DomainError("tiles must carry a (depth_step, rotation_step) index")
         place = places.get(img.tile_index)
         if place is None:
-            raise DomainError(f"tile {img.tile_index} is not in the plan")
+            raise PlanIndexError(f"tile {img.tile_index} is not in the plan")
         if img.tile_index in seen:
             raise DomainError(f"tile {img.tile_index} was given twice")
         if img.pixels.shape != tile_shape:
@@ -462,11 +330,11 @@ def stitch_panorama(
         while unseen < len(starts) and starts[unseen][1] in seen:
             unseen += 1
         if unseen < len(starts):
-            band.flush(starts[unseen][0])
+            finish(band.flush(starts[unseen][0]))
             live = [other for other in live if other.stop > band.top]
     if band.blank is None:
         band.open(np.uint8)
-    band.flush(height)
+    finish(band.flush(height))
     pasted = [
         (slice(place.start, place.stop), cols)
         for index, place in places.items()
@@ -501,68 +369,83 @@ def _union_area(rects: list[tuple[slice, slice]]) -> int:
     return int(cells[inside].sum())
 
 
-def inspect_tile(
-    tile: TileImage,
-    plan: ScanPlan,
-    hole: HoleSpec,
-    cfg: OpticsConfig,
-    method: str = "fixed",
-    threshold: float = 0.5,
-    min_area: int = DEFAULT_MIN_AREA,
-) -> tuple[TileImage, list[DefectRecord]]:
-    """Correct one raw tile and measure its defects.
-
-    The tile is segmented by :func:`binarize` with ``method`` and
-    ``threshold`` (which ``otsu`` ignores) and labelled 8-connected; each
-    blob of at least ``min_area`` px becomes a record of the tile's plan
-    position. A tile the threshold finds featureless has no records.
-    Returns the corrected tile and its records.
-    """
-    if tile.tile_index is None:
-        raise DomainError("tiles must carry a (depth_step, rotation_step) index")
-    j, k = tile.tile_index
-    corrected = correct_tile(tile, hole.radius_mm)
-    try:
-        mask = binarize(corrected, method, threshold)
-    except ThresholdError:
-        return corrected, []
-    labels = label_mask(mask, 8)
-    records = [
-        record_from_blob(blob, labels, j, k, plan, hole, cfg)
-        for blob in connected_components(labels, min_area)
-    ]
-    return corrected, records
-
-
 def inspect_stack(
-    inspected: Iterable[tuple[TileImage, list[DefectRecord]]],
+    corrected_tiles: Iterable[TileImage],
     plan: ScanPlan,
     hole: HoleSpec,
     cfg: OpticsConfig,
     tile_shape: tuple[int, int],
     sink,
+    method: str = "fixed",
+    threshold: float = 0.5,
+    min_area: int = DEFAULT_MIN_AREA,
 ) -> tuple[list[DefectRecord], Panorama]:
-    """Stitch and reconcile a run's inspected tiles.
+    """Stitch a run's corrected tiles and measure the defects on the panorama.
 
-    ``inspected`` yields :func:`inspect_tile` results in any order, from a
-    generator if need be: each corrected tile is pasted into the panorama,
-    which :func:`stitch_panorama` writes to ``sink`` in row bands, and not
-    kept. Plan-row order keeps the fewest rows open. The records are merged
-    in schedule order whatever the arrival order, so neither the report
-    nor the panorama depends on it. Returns the merged records of every
-    tile and the stitch's :class:`Panorama`.
+    ``corrected_tiles`` come in any order, from a generator if need be:
+    :func:`stitch_panorama` pastes each one and writes the panorama to
+    ``sink`` in row bands; plan-row order keeps the fewest rows open. Each
+    final 128-row block is binarised once by :func:`binarize` with
+    ``method`` and ``threshold`` (which ``otsu`` ignores), over the pixels
+    some tile covered only, so ``otsu`` takes one cut per block, and a
+    block it finds featureless has no foreground. The blocks' foreground
+    runs are kept, and once the last row is written they are labelled in
+    one pass round the bore. Each blob of at least ``min_area`` px becomes
+    a record; its tiles are the pasted plan tiles its bounding box meets.
+
+    Returns the records, ordered by (z, beta) and numbered, and the
+    stitch's :class:`Panorama`. Neither depends on the arrival order.
     """
-    records = []
+    pitch = (cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um)
+    runs = [(np.zeros(0, dtype=np.intp),) * 3]
 
-    def corrected_tiles():
-        for corrected, tile_records in inspected:
-            records.extend(tile_records)
-            yield corrected
+    def segment(first_row, pixels, covered):
+        whole = covered.all()
+        try:
+            found = binarize(
+                TileImage(pixels if whole else pixels[covered][None], *pitch),
+                method,
+                threshold,
+            )
+        except ThresholdError:
+            return  # featureless
+        if not whole:
+            mask = np.zeros_like(covered)
+            mask[covered] = found[0]
+            found = mask
+        row, start, stop = row_runs(found)
+        runs.append((row + first_row, start, stop))
 
-    panorama = stitch_panorama(corrected_tiles(), plan, hole, cfg, tile_shape, sink)
-    position = {
-        (event.depth_step, event.rotation_step): n
-        for n, event in enumerate(plan.schedule)
-    }
-    records.sort(key=lambda rec: position[rec.source_tiles[0]])  # stable
-    return merge_duplicates(records, hole.radius_mm), panorama
+    panorama = stitch_panorama(
+        corrected_tiles, plan, hole, cfg, tile_shape, sink, segment
+    )
+    labels = label_mask(panorama.shape, *(np.concatenate(part) for part in zip(*runs)))
+    # the canvas rectangles of the pasted tiles, one per seam segment
+    _, width, places = _placements(plan, hole, cfg, tile_shape)
+    missing = set(panorama.meta["missing_tiles"])
+    owners, rects = [], []
+    for index, place in places.items():
+        if index in missing or place.start >= place.stop:
+            continue
+        for cols, _ in place.segments:
+            owners.append(index)
+            rects.append((place.start, place.stop, cols.start, cols.stop))
+    top, bottom, left, right = np.array(rects, dtype=np.intp).reshape(-1, 4).T
+
+    def tiles_of(blob):
+        col_min, row_min, col_max, row_max = blob.bbox
+        # the bounding box's columns may run one width past the seam
+        meets = (top <= row_max) & (bottom > row_min) & (
+            ((left <= col_max) & (right > col_min))
+            | ((left <= col_max - width) & (right > col_min - width))
+        )
+        return sorted({owners[i] for i in meets.nonzero()[0]})
+
+    records = sorted(
+        (
+            record_from_blob(blob, labels, hole, cfg, tiles_of(blob))
+            for blob in connected_components(labels, min_area)
+        ),
+        key=lambda rec: (rec.z_mm, rec.beta_deg),
+    )
+    return [replace(rec, id=i) for i, rec in enumerate(records)], panorama

@@ -4,7 +4,7 @@ A manifest ties a tile set to the geometry, optics, and plan that produced
 it, plus any planted ground truth. It lists no images: tile (j, k) of the
 plan is the file ``tile_dJJ_rKK.pgm`` next to the manifest. Serialization
 is plain YAML with stable key order and no timestamps: rerunning the same
-job must write the same bytes. Reports carry the merged defect records
+job must write the same bytes. Reports carry the defect records
 with per-kind statistics, as YAML for machines and CSV for spreadsheets.
 """
 

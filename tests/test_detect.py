@@ -13,11 +13,11 @@ from borescan.detect import (
     label_mask,
     line_width,
     otsu_threshold,
+    row_runs,
 )
 from borescan.errors import ConfigError, DomainError, ThresholdError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import record_from_blob
-from borescan.scanplan import EffectiveRegion, plan_scan
 from borescan.synth import DefectSpec, build_texture
 from borescan.unwrap import TileImage
 
@@ -28,14 +28,12 @@ def tile(pixels):
     return TileImage(np.asarray(pixels), PITCH, PITCH)
 
 
-def flood_fill_labels(mask, connectivity=8):
-    """Reference labeling by breadth-first flood fill."""
+def flood_fill_labels(mask):
+    """Reference labeling by breadth-first flood fill, 8-connected, with the
+    first and last columns neighbours."""
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    if connectivity == 8:
-        steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
-    else:
-        steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
     labels = np.zeros((h, w), dtype=int)
     next_label = 0
     for r in range(h):
@@ -48,22 +46,28 @@ def flood_fill_labels(mask, connectivity=8):
             while queue:
                 cr, cc = queue.popleft()
                 for dr, dc in steps:
-                    nr, nc = cr + dr, cc + dc
-                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not labels[nr, nc]:
+                    nr, nc = cr + dr, (cc + dc) % w
+                    if 0 <= nr < h and mask[nr, nc] and not labels[nr, nc]:
                         labels[nr, nc] = next_label
                         queue.append((nr, nc))
     return labels
 
 
-def blobs_of(mask, connectivity=8, min_area=1):
-    return connected_components(label_mask(mask, connectivity), min_area)
+def labelled(mask):
+    return label_mask(mask.shape, *row_runs(mask))
+
+
+def blobs_of(mask, min_area=1):
+    return connected_components(labelled(mask), min_area)
 
 
 def paint(runs):
-    """The label image of labelled runs: each run's label over its columns."""
+    """The label image of labelled runs: each run's label over its columns,
+    round the cylinder."""
     labels = np.zeros(runs.shape, dtype=int)
+    width = runs.shape[1]
     for row, start, stop, label in zip(runs.row, runs.start, runs.stop, runs.label):
-        labels[row, start:stop] = label
+        labels[row, np.arange(start, stop) % width] = label
     return labels
 
 
@@ -145,30 +149,41 @@ class TestOtsu:
 
 class TestConnectedComponents:
     def test_empty_mask_yields_no_blobs(self):
-        assert connected_components(label_mask(np.zeros((16, 16), dtype=bool))) == []
+        assert blobs_of(np.zeros((16, 16), dtype=bool)) == []
 
     def test_two_separate_squares(self):
         mask = np.zeros((20, 20), dtype=bool)
         mask[2:6, 2:6] = True
         mask[10:14, 10:14] = True
-        blobs = connected_components(label_mask(mask))
+        blobs = blobs_of(mask)
         assert len(blobs) == 2
         assert all(b.pixel_area == 16 for b in blobs)
         assert blobs[0].centroid == (3.5, 3.5)
         assert blobs[0].bbox == (2, 2, 5, 5)
 
-    def test_diagonal_touch_joins_with_8_but_not_4(self):
+    def test_diagonal_touch_joins(self):
         mask = np.zeros((8, 8), dtype=bool)
         mask[1:3, 1:3] = True
         mask[3:6, 3:6] = True
-        assert len(blobs_of(mask, connectivity=8)) == 1
-        assert len(blobs_of(mask, connectivity=4)) == 2
+        assert len(blobs_of(mask)) == 1
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_region_across_the_seam_is_one_blob_on_unwrapped_columns(self, row):
+        # columns 0..2 and 13..15 of a 16-column wall, the right part one
+        # row lower: 8-connected across the seam, centred on column 15.5
+        mask = np.zeros((8, 16), dtype=bool)
+        mask[row : row + 4, 0:3] = True
+        mask[row + 1 : row + 5, 13:16] = True
+        [blob] = blobs_of(mask)
+        assert blob.pixel_area == 24
+        assert blob.bbox == (13, row, 18, row + 4)
+        assert blob.centroid == (15.5, row + 2.0)
 
     def test_min_area_drops_specks(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[1, 1] = True  # 1 px speck
         mask[8:12, 8:12] = True  # 16 px blob
-        blobs = connected_components(label_mask(mask), min_area=9)
+        blobs = blobs_of(mask, min_area=9)
         assert len(blobs) == 1
         assert blobs[0].pixel_area == 16
 
@@ -187,13 +202,12 @@ class TestConnectedComponents:
         assert b.pixel_area == a.pixel_area
         assert b.centroid == (a.centroid[0] + 5, a.centroid[1] + 7)
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_matches_flood_fill_on_random_masks(self, connectivity):
+    def test_matches_flood_fill_on_random_masks(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             mask = rng.random((32, 32)) < rng.uniform(0.2, 0.7)
-            got = partition(paint(label_mask(mask, connectivity)))
-            want = partition(flood_fill_labels(mask, connectivity))
+            got = partition(paint(labelled(mask)))
+            want = partition(flood_fill_labels(mask))
             assert got == want
 
 
@@ -201,16 +215,15 @@ class TestBlobMetrics:
     """Blob sizes in mm, as :func:`record_from_blob` reports them."""
 
     HOLE = HoleSpec(0.9, 2.0)
-    PLAN = plan_scan(HOLE, EffectiveRegion())
 
     def record(self, blob, labels, pitch_x_um=PITCH, pitch_y_um=PITCH):
         cfg = OpticsConfig(pixel_pitch_x_um=pitch_x_um, pixel_pitch_y_um=pitch_y_um)
-        return record_from_blob(blob, labels, 0, 0, self.PLAN, self.HOLE, cfg)
+        return record_from_blob(blob, labels, self.HOLE, cfg, ())
 
     def test_single_pixel_area(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[5, 5] = True
-        labels = label_mask(mask)
+        labels = labelled(mask)
         rec = self.record(BlobRecord(1, 1, (5.0, 5.0), (5, 5, 5, 5)), labels)
         # one 2.16 x 2.16 um cell
         assert rec.area_mm2 == pytest.approx(4.6656e-6)
@@ -225,7 +238,7 @@ class TestBlobMetrics:
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=180.0, size_mm=size_mm)
         texture = build_texture(self.HOLE, [spot], pitch_um=pitch_um)
         img = TileImage(texture.pixels, texture.arc_pitch_um, pitch_um)
-        labels = label_mask(binarize(img, threshold=0.5))
+        labels = labelled(binarize(img, threshold=0.5))
         blobs = connected_components(labels)
         assert len(blobs) == 1
         rec = self.record(blobs[0], labels, img.pixel_pitch_x_um, img.pixel_pitch_y_um)

@@ -1,5 +1,5 @@
-"""Bore-coordinate mapping, duplicate merging, panorama stitching, and the
-inspect pipeline that runs them."""
+"""Panorama stitching, the inspect pipeline that detects on it, and the
+mapping of its blobs into bore coordinates."""
 
 import dataclasses
 import math
@@ -9,16 +9,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from borescan.detect import BlobRecord, binarize, connected_components, label_mask
+from borescan.detect import (
+    BlobRecord,
+    binarize,
+    connected_components,
+    label_mask,
+    row_runs,
+)
 from borescan.errors import ConfigError, DomainError, PlanIndexError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import (
-    DefectRecord,
     circular_delta_deg,
-    defect_location,
     inspect_stack,
-    inspect_tile,
-    merge_duplicates,
     record_from_blob,
     stitch_panorama,
 )
@@ -40,30 +42,19 @@ REGION = EffectiveRegion()
 HOLE = HoleSpec(2.0, 47.0)
 PLAN = plan_scan(HOLE, REGION)  # 32 depths x 9 rotations
 TILE_SHAPE = (695, 695)
+CANVAS = (21760, 5818)  # the reference bore's panorama
 
 
-def make_record(
-    beta,
-    z,
-    kind="disc",
-    area=0.01,
-    arc_half=1.0,
-    z_half=0.1,
-    size=0.1,
-    tiles=((0, 0),),
-):
-    return DefectRecord(
-        kind=kind,
-        z_mm=z,
-        beta_deg=beta % 360.0,
-        size_mm=size,
-        area_mm2=area,
-        z_min_mm=z - z_half,
-        z_max_mm=z + z_half,
-        arc_center_deg=beta % 360.0,
-        arc_half_deg=arc_half,
-        source_tiles=tuple(tiles),
-    )
+def labelled(mask):
+    return label_mask(mask.shape, *row_runs(mask))
+
+
+def canvas_record(col, row, bbox=None, area=1, tiles=()):
+    """The record of a blob centred on (column, row) of the reference canvas."""
+    col_min, row_min = math.floor(col), math.floor(row)
+    blob = BlobRecord(1, area, (col, row), bbox or (col_min, row_min, col_min, row_min))
+    labels = label_mask(CANVAS, [], [], [])
+    return record_from_blob(blob, labels, HOLE, CFG, tiles)
 
 
 class TestCircularDelta:
@@ -74,43 +65,60 @@ class TestCircularDelta:
 
 
 class TestDefectLocation:
+    """Canvas row and column to (z, beta), as the stitch places tiles."""
+
     def test_tile_center_maps_to_event_position(self):
-        z, beta = defect_location(0, 0, 347.0, 347.0, PLAN, HOLE, CFG, TILE_SHAPE)
-        assert z == pytest.approx(47.0)
-        assert beta == pytest.approx(0.0)
+        # a dark square on the middle of tile (1, 2) of a 0.9 x 2 mm bore,
+        # whose canvas is 926 x 2618 px
+        hole = HoleSpec(0.9, 2.0)
+        plan = plan_scan(hole, REGION)
+        tiles = []
+        for event in plan.schedule:
+            pixels = np.full(TILE_SHAPE, 180, dtype=np.uint8)
+            if (event.depth_step, event.rotation_step) == (1, 2):
+                pixels[345:350, 345:350] = 20
+                z_mm, theta_deg = event.z_mm, event.theta_deg
+            index = (event.depth_step, event.rotation_step)
+            tiles.append(TileImage(pixels, 2.16, 2.16, tile_index=index))
+        with open(os.devnull, "wb") as sink:
+            [rec], _ = inspect_stack(tiles, plan, hole, CFG, TILE_SHAPE, sink)
+        # to the rounding of the tile's placement: half a pixel each way
+        assert rec.z_mm == pytest.approx(2.0 - z_mm, abs=1.08e-3)
+        assert circular_delta_deg(rec.beta_deg, theta_deg) <= 180.0 / 2618
+        assert rec.source_tiles == ((1, 2),)
 
     def test_depth_and_rotation_steps(self):
-        z, beta = defect_location(10, 3, 347.0, 347.0, PLAN, HOLE, CFG, TILE_SHAPE)
-        assert z == pytest.approx(47.0 - 15.0)
-        assert beta == pytest.approx(120.0)
+        # tile (10, 3): 15 mm down the axis, 120 degrees round
+        event = next(
+            e for e in PLAN.schedule if (e.depth_step, e.rotation_step) == (10, 3)
+        )
+        rec = canvas_record(event.theta_deg / 360.0 * CANVAS[1], event.z_mm / 2.16e-3)
+        assert rec.z_mm == pytest.approx(47.0 - 15.0)
+        assert rec.beta_deg == pytest.approx(120.0)
 
     def test_column_offset_adds_arc_angle(self):
-        _, beta = defect_location(0, 0, 447.0, 347.0, PLAN, HOLE, CFG, TILE_SHAPE)
-        # 100 px * 2.16 um at r = 2 mm
-        assert beta == pytest.approx(6.18794418741, abs=1e-9)
+        rec = canvas_record(100.0, 347.0)
+        # 100 of the canvas's 5818 columns
+        assert rec.beta_deg == pytest.approx(100 * 360.0 / 5818)
+        # which is 100 px * 2.16 um at r = 2 mm, to the rounding of the width
+        assert rec.beta_deg == pytest.approx(6.18794418741, rel=1e-4)
 
     def test_row_offset_subtracts_axial_travel(self):
-        z, _ = defect_location(0, 0, 347.0, 447.0, PLAN, HOLE, CFG, TILE_SHAPE)
-        assert z == pytest.approx(47.0 - 0.216)
+        z0 = canvas_record(347.0, 347.0).z_mm
+        assert canvas_record(347.0, 447.0).z_mm == pytest.approx(z0 - 0.216)
 
     def test_angle_wraps_below_zero(self):
-        _, beta = defect_location(0, 0, 100.0, 347.0, PLAN, HOLE, CFG, TILE_SHAPE)
-        assert 340.0 < beta < 360.0
-
-    def test_out_of_plan_indices_rejected(self):
-        with pytest.raises(PlanIndexError):
-            defect_location(32, 0, 347.0, 347.0, PLAN, HOLE, CFG, TILE_SHAPE)
-        with pytest.raises(PlanIndexError):
-            defect_location(0, 9, 347.0, 347.0, PLAN, HOLE, CFG, TILE_SHAPE)
-
-    def test_pixel_outside_tile_rejected(self):
-        with pytest.raises(DomainError):
-            defect_location(0, 0, -1.0, 347.0, PLAN, HOLE, CFG, TILE_SHAPE)
-        with pytest.raises(DomainError):
-            defect_location(0, 0, 347.0, 695.0, PLAN, HOLE, CFG, TILE_SHAPE)
+        # a blob across the seam has unwrapped columns past the last one
+        rec = canvas_record(5818.0 - 247.0, 347.0)
+        assert 340.0 < rec.beta_deg < 360.0
+        assert canvas_record(5818.0 + 10.0, 347.0).beta_deg == pytest.approx(
+            10 * 360.0 / 5818
+        )
 
     def test_half_pixel_slack_for_bbox_corners(self):
-        defect_location(0, 0, -0.5, 694.5, PLAN, HOLE, CFG, TILE_SHAPE)
+        rec = canvas_record(5.0, 10.0, bbox=(5, 10, 5, 10))
+        assert rec.z_max_mm == pytest.approx(47.0 - 9.5 * 2.16e-3)
+        assert rec.z_min_mm == pytest.approx(47.0 - 10.5 * 2.16e-3)
 
 
 class TestDefectArea:
@@ -118,9 +126,7 @@ class TestDefectArea:
 
     def area(self, pixel_count):
         # a square bbox keeps the blob a disc; its area needs only the count
-        blob = BlobRecord(1, pixel_count, (347.0, 347.0), (337, 337, 357, 357))
-        labels = label_mask(np.zeros(TILE_SHAPE, dtype=bool))
-        return record_from_blob(blob, labels, 0, 0, PLAN, HOLE, CFG).area_mm2
+        return canvas_record(347.0, 347.0, (337, 337, 357, 357), pixel_count).area_mm2
 
     def test_zero_and_reference_count(self):
         assert self.area(0) == 0.0
@@ -137,43 +143,43 @@ class TestDefectArea:
 
 class TestRecordFromBlob:
     def blob_from(self, mask):
-        labels = label_mask(mask)
+        labels = labelled(mask)
         blobs = connected_components(labels, min_area=1)
         assert len(blobs) == 1
         return blobs[0], labels
 
     def test_square_blob_is_disc_with_equivalent_diameter(self):
-        mask = np.zeros(TILE_SHAPE, dtype=bool)
-        mask[337:357, 337:357] = True
-        rec = record_from_blob(*self.blob_from(mask), 0, 0, PLAN, HOLE, CFG)
+        mask = np.zeros((100, 360), dtype=bool)  # one column per degree
+        mask[40:60, 90:110] = True
+        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, [(0, 2), (1, 2)])
         assert rec.kind == "disc"
         assert rec.area_mm2 == pytest.approx(400 * 4.6656e-6)
         assert rec.size_mm == pytest.approx(2 * math.sqrt(rec.area_mm2 / math.pi))
-        assert rec.z_mm == pytest.approx(47.0 + 0.5 * 2.16e-3)
-        assert rec.beta_deg == pytest.approx(360.0 - 0.0309397, abs=1e-4)
-        assert rec.source_tiles == ((0, 0),)
+        assert rec.z_mm == pytest.approx(47.0 - 49.5 * 2.16e-3)
+        assert rec.beta_deg == pytest.approx(99.5)
+        assert rec.source_tiles == ((0, 2), (1, 2))
 
     def test_tall_blob_is_line_with_measured_width(self):
         mask = np.zeros(TILE_SHAPE, dtype=bool)
         mask[:, 278:417] = True  # 139 px wide, full height
-        rec = record_from_blob(*self.blob_from(mask), 1, 2, PLAN, HOLE, CFG)
+        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, ())
         assert rec.kind == "line"
         assert rec.size_mm == pytest.approx(0.30024)
-        assert rec.beta_deg == pytest.approx(80.0)
+        assert rec.beta_deg == pytest.approx(347.0 * 360.0 / 695)
         # 695 rows cover 695 * 2.16 um of axis
         assert rec.z_max_mm - rec.z_min_mm == pytest.approx(0.69500 * 2.16)
-        assert rec.z_min_mm == pytest.approx(47.0 - 1.5 - 347.5 * 2.16e-3)
-        assert rec.z_max_mm == pytest.approx(47.0 - 1.5 + 347.5 * 2.16e-3)
+        assert rec.z_min_mm == pytest.approx(47.0 - 694.5 * 2.16e-3)
+        assert rec.z_max_mm == pytest.approx(47.0 + 0.5 * 2.16e-3)
 
     def test_line_width_counts_only_its_own_label(self):
         mask = np.zeros(TILE_SHAPE, dtype=bool)
         mask[100:400, 300:310] = True  # 10 px wide line, 300 rows
         mask[100:164, 304:310] = False  # 4 px wide over its first segment
         mask[110:116, 306:310] = True  # disc pixels inside the line's bbox
-        labels = label_mask(mask)
+        labels = labelled(mask)
         line = max(connected_components(labels, min_area=1), key=lambda b: b.pixel_area)
         assert line.bbox == (300, 100, 309, 399)
-        rec = record_from_blob(line, labels, 0, 0, PLAN, HOLE, CFG)
+        rec = record_from_blob(line, labels, HOLE, CFG, ())
         assert rec.kind == "line"
         # segments of 4, 10, 10, 10 and 10 px; the disc adds nothing
         assert rec.size_mm == pytest.approx(8.8 * 2.16e-3)
@@ -181,103 +187,31 @@ class TestRecordFromBlob:
     def test_interval_halves_cover_bbox(self):
         mask = np.zeros(TILE_SHAPE, dtype=bool)
         mask[100:120, 600:640] = True
-        rec = record_from_blob(*self.blob_from(mask), 0, 0, PLAN, HOLE, CFG)
-        arc_px = 40 * 2.16e-3
-        assert 2.0 * math.radians(rec.arc_half_deg) * 2.0 == pytest.approx(arc_px)
+        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, ())
         assert rec.z_max_mm - rec.z_min_mm == pytest.approx(20 * 2.16e-3)
+        assert rec.z_min_mm < rec.z_mm < rec.z_max_mm
 
-
-class TestMergeDuplicates:
-    def test_empty_and_singleton(self):
-        assert merge_duplicates([], radius_mm=2.0) == []
-        rec = make_record(100.0, 30.0)
-        out = merge_duplicates([rec], radius_mm=2.0)
-        assert len(out) == 1
-        assert out[0].id == 0
-        assert out[0].beta_deg == rec.beta_deg
-        assert out[0].size_mm == rec.size_mm
-
-    def test_radius_required(self):
-        with pytest.raises(DomainError):
-            merge_duplicates([make_record(0.0, 1.0)], radius_mm=0)
-
-    def test_overlapping_duplicates_merge_with_weighted_position(self):
-        a = make_record(100.0, 30.0, area=0.03, arc_half=2.0)
-        b = make_record(101.0, 30.05, area=0.01, arc_half=2.0)
-        out = merge_duplicates([a, b], radius_mm=2.0)
-        assert len(out) == 1
-        rec = out[0]
-        assert rec.beta_deg == pytest.approx(100.25)
-        assert rec.z_mm == pytest.approx((30.0 * 3 + 30.05) / 4)
-        assert rec.area_mm2 == 0.03  # keeps the largest estimate
-        assert rec.z_min_mm == pytest.approx(29.9)
-        assert rec.z_max_mm == pytest.approx(30.15)
-        assert rec.source_tiles == ((0, 0),)
-
-    def test_seam_wraparound_merges(self):
-        a = make_record(359.5, 10.0, arc_half=1.5)
-        b = make_record(0.5, 10.0, arc_half=1.5)
-        out = merge_duplicates([a, b], radius_mm=2.0)
-        assert len(out) == 1
-        assert min(out[0].beta_deg, 360.0 - out[0].beta_deg) == pytest.approx(
-            0.0, abs=1e-9
-        )
-        assert out[0].arc_half_deg == pytest.approx(2.0)
-
-    def test_distinct_pair_stays_separate(self):
-        # two 0.2 mm discs 0.4 mm apart on a 4 mm bore
-        half = math.degrees(0.05 / 2.0)
-        a = make_record(154.27, 30.0, arc_half=half)
-        b = make_record(165.73, 30.0, arc_half=half)
-        out = merge_duplicates([a, b], radius_mm=2.0)
-        assert len(out) == 2
-
-    def test_merge_is_transitive_through_a_bridge(self):
-        a = make_record(10.0, 10.0, z_half=0.5)  # [9.5, 10.5]
-        b = make_record(10.0, 11.7, z_half=0.5)  # [11.2, 12.2]; gap 0.7 from a
-        c = make_record(10.0, 10.85, z_half=0.32)  # touches both
-        assert len(merge_duplicates([a, b], radius_mm=2.0)) == 2
-        assert len(merge_duplicates([a, b, c], radius_mm=2.0)) == 1
-
-    def test_merging_twice_changes_nothing(self):
-        records = [
-            make_record(10.0, 10.0, z_half=0.5),
-            make_record(10.4, 10.9, z_half=0.45, area=0.02),
-            make_record(11.0, 11.6, z_half=0.3),
-            make_record(200.0, 10.0),
-        ]
-        once = merge_duplicates(records, radius_mm=2.0)
-        twice = merge_duplicates(once, radius_mm=2.0)
-        assert once == twice
-
-    def test_line_absorbs_disc_stub(self):
-        stub = make_record(240.0, 46.5, kind="disc", z_half=0.15, area=0.005)
-        body = make_record(
-            240.0, 45.0, kind="line", z_half=1.4, area=0.05, size=0.3, tiles=((1, 6),)
-        )
-        out = merge_duplicates([stub, body], radius_mm=2.0)
-        assert len(out) == 1
-        rec = out[0]
+    def test_line_across_the_seam_is_measured_on_unwrapped_columns(self):
+        # 6 columns each side of the seam, 200 rows: one 12 px wide line
+        mask = np.zeros((300, 720), dtype=bool)
+        mask[50:250, :6] = True
+        mask[50:250, -6:] = True
+        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, ())
         assert rec.kind == "line"
-        assert rec.size_mm == pytest.approx(0.3)  # width from the line member only
-        assert rec.z_mm == pytest.approx((46.65 + 43.6) / 2)
-        assert rec.source_tiles == ((0, 0), (1, 6))
+        assert rec.size_mm == pytest.approx(12 * 2.16e-3)
+        # centred between the last column and the first
+        assert rec.beta_deg == pytest.approx(719.5 * 360.0 / 720)
 
-    def test_tall_merged_cluster_promotes_to_line(self):
-        pieces = [
-            make_record(50.0, 20.0 + 0.18 * i, z_half=0.1, arc_half=0.9)
-            for i in range(10)
-        ]
-        out = merge_duplicates(pieces, radius_mm=2.0)
-        assert len(out) == 1
-        assert out[0].kind == "line"
+
+def ignore_blocks(first_row, pixels, covered):
+    pass
 
 
 def stitched(tiles, plan, hole, tile_shape, path):
     """Stitch ``tiles`` into the PGM at ``path``; returns what the file holds
     and the stitch's result."""
     with open(path, "wb") as sink:
-        pano = stitch_panorama(tiles, plan, hole, CFG, tile_shape, sink)
+        pano = stitch_panorama(tiles, plan, hole, CFG, tile_shape, sink, ignore_blocks)
     return read_pgm(path), pano
 
 
@@ -378,7 +312,8 @@ class TestStitchPanorama:
 
     @pytest.mark.parametrize("plan_name", ["PLAN", "DENSE"])
     def test_arrival_order_does_not_change_the_bytes(self, tmp_path, plan_name):
-        # distinct random tiles, so any change in the overlap rule shows
+        # distinct random tiles, so any change in the overlap rule shows,
+        # and the records the inspect pipeline measures on them
         plan = getattr(self, plan_name)
         shape = TILE_SHAPE if plan is self.PLAN else (40, 60)
         rng = np.random.default_rng(3)
@@ -395,24 +330,33 @@ class TestStitchPanorama:
             "reversed": tiles[::-1],
             "shuffled": [tiles[i] for i in rng.permutation(len(tiles))],
         }
-        written, results = set(), []
-        for name, order in orders.items():
-            path = tmp_path / f"{name}.pgm"
-            _, pano = stitched((tile for tile in order), plan, self.HOLE, shape, path)
-            written.add(path.read_bytes())
-            results.append(pano)
-        assert len(written) == 1
-        assert all(pano == results[0] for pano in results)
         expected = pasted_in_schedule_order(tiles, plan, (926, 2618))
-        np.testing.assert_array_equal(read_pgm(tmp_path / "shuffled.pgm"), expected)
-        assert pano.meta == {
-            "missing_tiles": [], "uncovered_px": np.count_nonzero(expected == 0)
-        }
+        for method in ("fixed", "otsu"):
+            written, results = set(), []
+            for name, order in orders.items():
+                path = tmp_path / f"{method}-{name}.pgm"
+                with open(path, "wb") as sink:
+                    results.append(inspect_stack(
+                        (tile for tile in order), plan, self.HOLE, CFG, shape, sink,
+                        method,
+                    ))
+                written.add(path.read_bytes())
+            assert len(written) == 1
+            assert all(result == results[0] for result in results)
+            records, pano = results[0]
+            assert len(records) > 1
+            np.testing.assert_array_equal(read_pgm(path), expected)
+            assert pano.meta == {
+                "missing_tiles": [], "uncovered_px": np.count_nonzero(expected == 0)
+            }
+        _, stitched_pano = stitched(tiles, plan, self.HOLE, shape, tmp_path / "p.pgm")
+        assert (tmp_path / "p.pgm").read_bytes() == written.pop()
+        assert stitched_pano == pano
 
     def test_out_of_plan_tile_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
         tiles[3] = TileImage(tiles[3].pixels, 2.16, 2.16, tile_index=(5, 0))
-        with pytest.raises(DomainError, match=r"\(5, 0\)"):
+        with pytest.raises(PlanIndexError, match=r"\(5, 0\)"):
             stitched(iter(tiles), self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
     def test_unindexed_tile_rejected(self, tmp_path):
@@ -492,7 +436,7 @@ class TestStitchPanorama:
         corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
         pixels, _ = stitched(corrected, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
         pano = TileImage(pixels, 2.16, 2.16)
-        blobs = connected_components(label_mask(binarize(pano, threshold=0.5)))
+        blobs = connected_components(labelled(binarize(pano, threshold=0.5)))
         assert len(blobs) == 1
         u, v = blobs[0].centroid
         assert u == pytest.approx(100.0 / 360.0 * 2618, abs=3.0)
@@ -510,7 +454,9 @@ class TestStitchPanorama:
         tracemalloc.start()
         try:
             with open(os.devnull, "wb") as sink:
-                pano = stitch_panorama(tiles, PLAN, HOLE, CFG, TILE_SHAPE, sink)
+                pano = stitch_panorama(
+                    tiles, PLAN, HOLE, CFG, TILE_SHAPE, sink, ignore_blocks
+                )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -523,70 +469,87 @@ class TestInspectPipeline:
     HOLE = TestStitchPanorama.HOLE
     PLAN = TestStitchPanorama.PLAN
 
+    def flat_tiles(self, level=128):
+        return [
+            TileImage(
+                np.full(TILE_SHAPE, level, dtype=np.uint8), 2.16, 2.16,
+                tile_index=(event.depth_step, event.rotation_step),
+            )
+            for event in self.PLAN.schedule
+        ]
+
     def test_otsu_on_a_featureless_tile_gives_no_records(self):
-        tile = TileImage(
-            np.full(TILE_SHAPE, 128, dtype=np.uint8), 2.16, 2.16, tile_index=(0, 0)
-        )
-        corrected, records = inspect_tile(tile, PLAN, HOLE, CFG, method="otsu")
+        with open(os.devnull, "wb") as sink:
+            records, pano = inspect_stack(
+                self.flat_tiles(), self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink, "otsu"
+            )
         assert records == []
-        assert corrected.tile_index == (0, 0)
-        np.testing.assert_array_equal(
-            corrected.pixels, correct_tile(tile, HOLE.radius_mm).pixels
-        )
+        assert pano.meta == {"missing_tiles": [], "uncovered_px": 0}
 
     def test_unindexed_tile_rejected(self):
-        tile = TileImage(np.full(TILE_SHAPE, 128, dtype=np.uint8), 2.16, 2.16)
-        with pytest.raises(DomainError, match="index"):
-            inspect_tile(tile, PLAN, HOLE, CFG)
+        tiles = self.flat_tiles()
+        tiles[2] = TileImage(tiles[2].pixels, 2.16, 2.16)
+        with open(os.devnull, "wb") as sink, pytest.raises(DomainError, match="index"):
+            inspect_stack(tiles, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink)
 
-    def test_stack_stitches_and_merges_a_planted_disc(self, tmp_path):
+    @pytest.mark.parametrize("method", ["fixed", "otsu"])
+    def test_missing_tile_gives_no_record_from_its_gap(self, method):
+        # the gap is zero-filled, darker than any cut, but no tile covered it
+        tiles = [tile for tile in self.flat_tiles(180) if tile.tile_index != (1, 2)]
+        tiles[0].pixels[400:410, 300:310] = 20  # one real defect, on the canvas
+        with open(os.devnull, "wb") as sink:
+            records, pano = inspect_stack(
+                tiles, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink, method
+            )
+        assert pano.meta["missing_tiles"] == [(1, 2)]
+        assert pano.meta["uncovered_px"] > 0
+        [record] = records
+        assert record.area_mm2 == pytest.approx(100 * 2.16**2 * 1e-6)
+        assert record.source_tiles == ((0, 0),)
+
+    def test_stack_stitches_and_measures_a_planted_disc(self, tmp_path):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
         texture = build_texture(self.HOLE, [spot])
         tiles = list(render_stack(texture, self.PLAN, CFG, REGION))
+        corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
         with open(tmp_path / "stack.pgm", "wb") as sink:
             records, pano = inspect_stack(
-                (inspect_tile(t, self.PLAN, self.HOLE, CFG) for t in tiles),
-                self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink,
+                corrected, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink
             )
         [record] = records
         assert (record.kind, record.id) == ("disc", 0)
         assert record.size_mm == pytest.approx(0.2, abs=0.002)
-        assert record.beta_deg == pytest.approx(100.0, abs=0.05)
-        corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
+        # to the rounding of the tiles' placement: a column of the canvas
+        assert record.beta_deg == pytest.approx(100.0, abs=360.0 / 2618)
         _, expected = stitched(
             corrected, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "tiles.pgm"
         )
         assert (tmp_path / "stack.pgm").read_bytes() == (tmp_path / "tiles.pgm").read_bytes()
         assert pano == expected
 
-    def test_stack_merges_in_schedule_order_whatever_the_arrival_order(self, tmp_path):
-        # three split records of one feature: the merge's float sums see
-        # them in schedule order, and (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
-        rng = np.random.default_rng(5)
-        split = {(0, 0): 0.1, (1, 0): 0.2, (0, 1): 0.3}
-        inspected = [
-            (
-                TileImage(
-                    rng.integers(1, 256, TILE_SHAPE, dtype=np.uint8), 2.16, 2.16,
-                    tile_index=(event.depth_step, event.rotation_step),
-                ),
-                [
-                    make_record(0.0, split[event.depth_step, event.rotation_step],
-                                area=1.0, z_half=0.1, arc_half=20.0,
-                                tiles=((event.depth_step, event.rotation_step),))
-                ] if (event.depth_step, event.rotation_step) in split else [],
+    def test_seam_disc_and_line_across_depth_steps_give_one_record_each(self):
+        # a 6 mm bore of 5 x 9 tiles: a 0.2 mm disc across the 360-degree
+        # seam and a 0.3 mm line on a window edge, 3 mm long, across three
+        # depth steps, under noise
+        hole = HoleSpec(2.0, 6.0)
+        plan = plan_scan(hole, REGION)
+        texture = build_texture(hole, [
+            DefectSpec("disc", z_mm=3.0, beta_deg=359.8, size_mm=0.2),
+            DefectSpec("line", z_mm=3.0, beta_deg=300.0, size_mm=0.3, length_mm=3.0),
+        ])
+        tile_shape = tile_shape_for(CFG, REGION)
+        with open(os.devnull, "wb") as sink:
+            records, _ = inspect_stack(
+                (correct_tile(tile, hole.radius_mm)
+                 for tile in render_stack(texture, plan, CFG, REGION, 5.0, 1)),
+                plan, hole, CFG, tile_shape, sink,
             )
-            for event in self.PLAN.schedule
-        ]
-        results = []
-        for name, order in [("schedule", inspected), ("reversed", inspected[::-1])]:
-            with open(tmp_path / f"{name}.pgm", "wb") as sink:
-                results.append(
-                    inspect_stack(iter(order), self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink)
-                )
-        [record] = results[0][0]
-        assert record.z_mm == (0.1 + 0.2 + 0.3) / 3
-        assert results[0] == results[1]
-        assert (tmp_path / "schedule.pgm").read_bytes() == (
-            tmp_path / "reversed.pgm"
-        ).read_bytes()
+        disc, line = sorted(records, key=lambda rec: rec.kind)
+        assert (disc.kind, line.kind) == ("disc", "line")
+        assert circular_delta_deg(disc.beta_deg, 359.8) < 0.05
+        assert disc.size_mm == pytest.approx(0.2, abs=0.012)
+        # rotation 0's paste is split at the canvas seam, and so is the disc
+        assert disc.source_tiles == ((2, 0),)
+        assert line.size_mm == pytest.approx(0.3, abs=0.012)
+        assert line.z_mm == pytest.approx(3.0, abs=0.01)
+        assert len({j for j, _ in line.source_tiles}) >= 3

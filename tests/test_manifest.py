@@ -48,8 +48,6 @@ def sample_record(**overrides):
         area_mm2=0.0314,
         z_min_mm=0.9,
         z_max_mm=1.1,
-        arc_center_deg=100.0,
-        arc_half_deg=6.4,
         source_tiles=((1, 1),),
         id=0,
     )

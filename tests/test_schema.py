@@ -132,8 +132,7 @@ def write_valid_report(path):
     records = [
         DefectRecord(
             kind=kind, z_mm=1.0, beta_deg=beta, size_mm=0.2, area_mm2=0.03,
-            z_min_mm=0.9, z_max_mm=1.1, arc_center_deg=beta, arc_half_deg=6.0,
-            source_tiles=((0, 0),), id=n,
+            z_min_mm=0.9, z_max_mm=1.1, source_tiles=((0, 0),), id=n,
         )
         for n, (kind, beta) in enumerate([("disc", 100.0), ("line", 40.0)])
     ]
