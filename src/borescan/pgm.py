@@ -90,14 +90,18 @@ def read_pgm(path) -> np.ndarray:
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise ImageFormatError(f"{path}: bad PGM dimensions {width}x{height}/{maxval}")
     # exactly one whitespace byte separates the header from the raster
-    raster = data[end + 1 :]
+    start = end + 1
     dtype = np.dtype(np.uint8) if maxval <= 255 else np.dtype(">u2")
     expected = width * height * dtype.itemsize
-    if len(raster) < expected:
+    available = max(len(data) - start, 0)
+    if available < expected:
         raise ImageFormatError(
-            f"{path}: raster truncated ({len(raster)} of {expected} bytes)"
+            f"{path}: raster truncated ({available} of {expected} bytes)"
         )
-    pixels = np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
+    # a read-only view of the file's bytes, copied once into a writable array
+    pixels = np.frombuffer(
+        data, dtype=dtype, count=width * height, offset=start
+    ).reshape(height, width)
     if maxval > 255:
         return pixels.astype(np.uint16)
     return pixels.copy()

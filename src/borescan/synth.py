@@ -31,6 +31,7 @@ from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
 from .unwrap import (
     STRIP_ROWS,
     TileImage,
+    _column_weights,
     _resample_columns,
     _wrapped_segments,
     pixel_to_arc,
@@ -369,8 +370,8 @@ def render_tile(
     # texture columns under the tile, unwrapped across the seam; rows blend first
     base = math.floor(u[0])
     count = math.floor(u[-1]) + 2 - base
-    cols = u - base
     pixels = np.empty((height, width), dtype=texture.dtype)
+    weights = None  # made at the first strip a stamp meets: most tiles have none
     for lo in range(0, height, STRIP_ROWS):
         rows = slice(lo, lo + STRIP_ROWS)
         # v0 and v1 rise with the row, so the strip reads texture rows top..bottom
@@ -379,9 +380,14 @@ def render_tile(
             # a blend of equal integers rounds back to them
             pixels[rows] = texture.background
             continue
+        if weights is None:
+            weights = _column_weights(u - base, count)
+            strip = (min(height, STRIP_ROWS), width)
+            resampled, scratch = np.empty(strip), np.empty(strip)
         tex = texture.window(top, bottom, base, count)
         blend = tex[v0[rows] - top] * (1.0 - fv[rows]) + tex[v1[rows] - top] * fv[rows]
-        sampled = _resample_columns(blend, cols)
+        n = len(blend)
+        sampled = _resample_columns(blend, weights, resampled[:n], scratch[:n])
         sampled[~on_surface[rows], :] = float(texture.background)
         pixels[rows] = np.rint(sampled, out=sampled)
     return TileImage(
@@ -405,13 +411,16 @@ def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
     else:
         rng = np.random.default_rng(seed)
         pixels = np.empty_like(img.pixels)
-        # strip by strip, the stream draws the same values in the same order
+        buf = np.empty((min(img.height, STRIP_ROWS), img.width))
+        # strip by strip, the stream draws the same values in the same order;
+        # sigma * z is what rng.normal(0, sigma) returns, bit for bit
         for lo in range(0, img.height, STRIP_ROWS):
-            rows = slice(lo, lo + STRIP_ROWS)
-            noisy = rng.normal(0.0, sigma, size=pixels[rows].shape)
-            noisy += img.pixels[rows]
+            hi = min(lo + STRIP_ROWS, img.height)
+            noisy = rng.standard_normal(out=buf[: hi - lo])
+            noisy *= sigma
+            noisy += img.pixels[lo:hi]
             np.clip(noisy, 0, img.max_value, out=noisy)
-            pixels[rows] = np.rint(noisy, out=noisy)
+            pixels[lo:hi] = np.rint(noisy, out=noisy)
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=img.pixel_pitch_x_um,

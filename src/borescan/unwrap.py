@@ -18,6 +18,7 @@ independent forward model rather than against itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,9 +38,9 @@ __all__ = [
 
 _ALLOWED_DTYPES = (np.uint8, np.uint16)
 # Rows per strip in render_tile, add_noise and correct_tile: a strip's
-# float64 work arrays (~350 KB at 695 px) stay in cache and are reused by
-# the allocator, where whole-tile temporaries made the heap trim and fault
-# back in per tile.
+# float64 work arrays (~350 KB at 695 px) stay in cache, and each call
+# allocates them once and reuses them for every strip, where whole-tile
+# temporaries made the heap trim and fault back in per tile.
 STRIP_ROWS = 64
 
 
@@ -196,22 +197,50 @@ def build_remap(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
     return center + arc_to_pixel(m_rel, radius_mm, pitch_um)
 
 
-def _resample_columns(pixels: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample every row of ``pixels`` at fractional column positions ``cols``.
+def _column_weights(cols: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
+    """Gather columns and weights that sample a row ``width`` px wide at ``cols``.
 
-    The one array interpolation kernel: render, correct and forward
-    projection all resample through it. Returns float64; caller handles
-    masking and dtype restoration. Columns are clipped, so out-of-range
-    requests must be masked by the caller.
+    Returns ``(c0, c1, w0, w1)``: fractional column ``cols[m]`` reads
+    ``row[c0[m]] * w0[m] + row[c1[m]] * w1[m]``. Columns are clipped, so
+    out-of-range requests must be masked by the caller.
     """
-    last = pixels.shape[1] - 1
+    last = width - 1
     clipped = np.clip(cols, 0.0, float(last))
     c0 = np.floor(clipped).astype(np.int64)
     c0 = np.minimum(c0, last - 1) if last > 0 else c0
-    frac = clipped - c0
+    w1 = clipped - c0
     c1 = np.minimum(c0 + 1, last)
+    return c0, c1, 1.0 - w1, w1
+
+
+def _resample_columns(
+    pixels: np.ndarray, weights: tuple, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Sample every row of ``pixels`` with ``_column_weights``' ``weights``.
+
+    The one array interpolation kernel: render, correct and forward
+    projection all resample through it. Writes the float64 result into
+    ``out`` and returns it, using ``scratch`` (same shape) for the second
+    term, so a caller working strip by strip allocates both once; caller
+    handles masking and dtype restoration.
+    """
+    c0, c1, w0, w1 = weights
     # gather first: widening only the sampled columns is exact and cheaper
-    return pixels[:, c0] * (1.0 - frac) + pixels[:, c1] * frac
+    np.multiply(pixels[:, c0], w0, out=out)
+    np.multiply(pixels[:, c1], w1, out=scratch)
+    out += scratch
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _correction_weights(width: int, radius_mm: float, pitch_um: float) -> tuple:
+    """``correct_tile``'s column weights: one fixed map per tile width, bore
+    radius and pitch, built once per run and shared, read-only, by every
+    tile and thread."""
+    weights = _column_weights(build_remap(width, radius_mm, pitch_um), width)
+    for array in weights:
+        array.flags.writeable = False
+    return weights
 
 
 def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[slice, slice]]:
@@ -238,12 +267,15 @@ def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
     source coordinates fall inside the input (the flat image is a
     compressed view of the arc), so no fill is needed.
     """
-    source = build_remap(img.width, radius_mm, img.pixel_pitch_x_um)
+    weights = _correction_weights(img.width, radius_mm, img.pixel_pitch_x_um)
     out = np.empty_like(img.pixels)
+    strip = (min(img.height, STRIP_ROWS), img.width)
+    resampled, scratch = np.empty(strip), np.empty(strip)
     for lo in range(0, img.height, STRIP_ROWS):
-        rows = slice(lo, lo + STRIP_ROWS)
-        resampled = _resample_columns(img.pixels[rows], source)
-        out[rows] = np.rint(resampled, out=resampled)
+        hi = min(lo + STRIP_ROWS, img.height)
+        strip_out = resampled[: hi - lo]
+        _resample_columns(img.pixels[lo:hi], weights, strip_out, scratch[: hi - lo])
+        out[lo:hi] = np.rint(strip_out, out=strip_out)
     return TileImage(
         pixels=out,
         pixel_pitch_x_um=img.pixel_pitch_x_um,
@@ -268,7 +300,9 @@ def forward_project(texture_window: TileImage, radius_mm: float) -> TileImage:
     k_rel = np.arange(img.width, dtype=np.float64) - center
     m_abs = center + pixel_to_arc(k_rel, radius_mm, img.pixel_pitch_x_um)
     valid = (m_abs >= 0.0) & (m_abs <= img.width - 1)
-    resampled = _resample_columns(img.pixels, m_abs)
+    weights = _column_weights(m_abs, img.width)
+    shape = img.pixels.shape
+    resampled = _resample_columns(img.pixels, weights, np.empty(shape), np.empty(shape))
     resampled[:, ~valid] = 0.0
     out = np.rint(resampled).astype(img.pixels.dtype)
     return TileImage(

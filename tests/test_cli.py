@@ -12,7 +12,7 @@ from borescan import cli, scanplan, synth
 from borescan.cli import main
 from borescan.config import load_config
 from borescan.errors import DomainError, PlanIndexError, ThresholdError
-from borescan.manifest import load_manifest, read_report
+from borescan.manifest import load_manifest, manifest_to_dict, read_report
 from borescan.pgm import read_pgm, write_pgm
 from borescan.scanplan import plan_scan
 
@@ -460,12 +460,27 @@ class TestInspect:
             )
             assert code == 0
             outs.append(out)
-        assert (outs[0] / "report.yaml").read_bytes() == (
-            outs[1] / "report.yaml"
-        ).read_bytes()
-        assert (outs[0] / "panorama.pgm").read_bytes() == (
-            outs[1] / "panorama.pgm"
-        ).read_bytes()
+        # the strip buffers are per call and the cached weights read-only:
+        # every file must come out the same on any number of threads
+        tiles = sorted(path.name for path in synth_dir.glob("tile_*.pgm"))
+        assert len(tiles) == 8
+        for out in outs:
+            assert sorted(path.name for path in (out / "corrected").iterdir()) == tiles
+        for name in ["report.yaml", "report.csv", "panorama.pgm"] + [
+            f"corrected/{tile}" for tile in tiles
+        ]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    def test_libyaml_files_equal_safe_dump(self, tmp_path, synth_dir):
+        manifest = synth_dir / "manifest.yaml"
+        out = tmp_path / "o"
+        assert main(["inspect", "--manifest", str(manifest), "--out", str(out)]) == 0
+        data = manifest_to_dict(load_manifest(manifest))
+        assert manifest.read_text() == yaml.safe_dump(data, sort_keys=False)
+        report = (out / "report.yaml").read_text()
+        assert yaml.safe_load(report)["records"], "a report with records"
+        assert report == yaml.safe_dump(yaml.safe_load(report), sort_keys=False)
 
     def test_reads_each_plan_tile_by_its_name(self, tmp_path, synth_dir, monkeypatch):
         read, read_pgm = [], cli.read_pgm

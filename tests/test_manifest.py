@@ -13,6 +13,7 @@ from borescan.manifest import (
     manifest_from_dict,
     manifest_to_dict,
     read_report,
+    report_to_dict,
     save_manifest,
     write_report,
 )
@@ -234,6 +235,28 @@ class TestReports:
         write_report(self.records(), HOLE, "otsu", tmp_path / "a.csv", first)
         write_report(self.records(), HOLE, "otsu", tmp_path / "b.csv", second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
+    @pytest.mark.parametrize(
+        "source", ["manifest.yaml", "bore Ø4 mm – run 3 µm.yaml", "a b " * 40]
+    )
+    def test_libyaml_report_equals_safe_dump(self, tmp_path, source):
+        yaml_path = tmp_path / "report.yaml"
+        write_report(self.records(), HOLE, "otsu", tmp_path / "r.csv", yaml_path,
+                     source=source)
+        data = report_to_dict(self.records(), HOLE, "otsu", source)
+        assert yaml_path.read_text(encoding="ascii") == yaml.safe_dump(
+            data, sort_keys=False
+        )
+
+    def test_long_escaped_source_loads_back(self, tmp_path):
+        # libyaml folds a quoted line this long at other points than
+        # PyYAML's own emitter; either way it reads back as written
+        source = "café Ø–µ\t" * 20 + ".yaml"
+        yaml_path = tmp_path / "report.yaml"
+        write_report(self.records(), HOLE, "otsu", tmp_path / "r.csv", yaml_path,
+                     source=source)
+        assert read_report(yaml_path)["source"] == source
 
     def test_read_report_requires_record_fields(self, tmp_path):
         path = tmp_path / "thin.yaml"

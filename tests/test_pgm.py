@@ -63,6 +63,34 @@ def test_comments_in_header_are_skipped(tmp_path):
     assert read_pgm(path).tolist() == [[7, 9]]
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_trailing_bytes_after_the_raster_are_ignored(tmp_path, dtype):
+    pixels = np.array([[1, 2, 3], [4, 5, 250]], dtype=dtype)
+    path = tmp_path / "g.pgm"
+    write_pgm(path, pixels)
+    path.write_bytes(path.read_bytes() + b"\x05trailer")
+    back = read_pgm(path)
+    assert back.dtype == dtype
+    assert (back == pixels).all()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"P5\n2 2\n255\n\x00\x00", "raster truncated (2 of 4 bytes)"),
+        (b"P5\n2 2\n255 \x00", "raster truncated (1 of 4 bytes)"),
+        (b"P5\n2 2\n65535\n\x00\x00\x00", "raster truncated (3 of 8 bytes)"),
+        (b"P5\n2 2\n255", "raster truncated (0 of 4 bytes)"),
+    ],
+)
+def test_truncated_raster_counts_the_bytes_after_the_header(tmp_path, payload, message):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(ImageFormatError) as info:
+        read_pgm(path)
+    assert str(info.value).endswith(message)
+
+
 def test_result_is_writable(tmp_path):
     path = tmp_path / "f.pgm"
     write_pgm(path, np.zeros((2, 2), dtype=np.uint8))

@@ -17,7 +17,13 @@ from borescan.synth import (
     render_tile,
     tile_shape_for,
 )
-from borescan.unwrap import STRIP_ROWS, TileImage, _resample_columns, pixel_to_arc
+from borescan.unwrap import (
+    STRIP_ROWS,
+    TileImage,
+    _column_weights,
+    _resample_columns,
+    pixel_to_arc,
+)
 
 CFG = OpticsConfig(
     mirror_diameter_mm=2.5,
@@ -197,7 +203,9 @@ def whole_tile_render(texture, event):
     band = np.arange(base, math.floor(u[-1]) + 2) % texture.width
     tex = texture.pixels
     rows = tex[np.ix_(v0, band)] * (1.0 - fv) + tex[np.ix_(v1, band)] * fv
-    sampled = _resample_columns(rows, u - base)
+    weights = _column_weights(u - base, len(band))
+    shape = (height, width)
+    sampled = _resample_columns(rows, weights, np.empty(shape), np.empty(shape))
     sampled[~on_surface, :] = float(texture.background)
     return np.rint(sampled).astype(tex.dtype)
 
@@ -398,15 +406,25 @@ def test_add_noise_deterministic():
     assert not np.array_equal(a.pixels, c.pixels)
 
 
-@pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 65535)])
-def test_add_noise_strips_match_whole_tile_draw(dtype, peak):
+@pytest.mark.parametrize(
+    "dtype, peak, sigma, seed",
+    [
+        pytest.param(np.uint8, 255, 5.0, 21, id="uint8-255"),
+        pytest.param(np.uint16, 65535, 900.0, 21, id="uint16-65535"),
+        # the strips draw sigma * standard normal: the same bits at any scale
+        pytest.param(np.uint8, 255, 0.37, 1, id="uint8-255-small-sigma"),
+        pytest.param(np.uint8, 255, 1234.5, 2**40 + 3, id="uint8-255-large-sigma"),
+        pytest.param(np.uint16, 65535, 0.37, 99, id="uint16-65535-small-sigma"),
+        pytest.param(np.uint16, 65535, 1234.5, 2**40 + 3, id="uint16-65535-large-sigma"),
+    ],
+)
+def test_add_noise_strips_match_whole_tile_draw(dtype, peak, sigma, seed):
     # 695 rows: ten full strips and a short one
     assert 695 % STRIP_ROWS != 0
     pixels = np.random.default_rng(4).integers(0, peak + 1, (695, 301)).astype(dtype)
     clean = TileImage(pixels, 2.16, 2.16)
-    sigma = 5.0 if dtype == np.uint8 else 900.0
-    noisy = add_noise(clean, sigma, seed=21)
-    draw = np.random.default_rng(21).normal(0.0, sigma, pixels.shape)
+    noisy = add_noise(clean, sigma, seed=seed)
+    draw = np.random.default_rng(seed).normal(0.0, sigma, pixels.shape)
     expected = np.rint(np.clip(pixels + draw, 0, peak)).astype(dtype)
     assert noisy.pixels.dtype == dtype
     assert np.array_equal(noisy.pixels, expected)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from borescan.errors import ConfigError, DomainError
 from borescan.unwrap import (
     STRIP_ROWS,
     TileImage,
+    _column_weights,
+    _correction_weights,
     _resample_columns,
     arc_to_pixel,
     bilinear_sample,
@@ -203,11 +207,86 @@ def test_correct_tile_preserves_uint16():
 def test_correct_tile_strips_match_whole_tile(dtype, height):
     rng = np.random.default_rng(height)
     img = random_tile(rng, width=695, height=height, dtype=dtype)
-    source = build_remap(695, R, PITCH)
-    expected = np.rint(_resample_columns(img.pixels, source)).astype(dtype)
+    weights = _column_weights(build_remap(695, R, PITCH), 695)
+    shape = img.pixels.shape
+    whole = _resample_columns(img.pixels, weights, np.empty(shape), np.empty(shape))
+    expected = np.rint(whole).astype(dtype)
     out = correct_tile(img, R)
     assert out.pixels.dtype == dtype
     assert np.array_equal(out.pixels, expected)
+
+
+def corrected_by_formula(pixels):
+    """correct_tile written out from build_remap, with no strips or buffers."""
+    width = pixels.shape[1]
+    source = build_remap(width, R, PITCH)
+    last = width - 1
+    assert 0.0 <= source.min() and source.max() <= last  # nothing to clip
+    c0 = np.minimum(np.floor(source).astype(np.int64), max(last - 1, 0))
+    c1 = np.minimum(c0 + 1, last)
+    f = source - c0
+    return np.rint(pixels[:, c0] * (1 - f) + pixels[:, c1] * f).astype(pixels.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("height", [1, STRIP_ROWS, STRIP_ROWS + 1, 695])
+@pytest.mark.parametrize("width", [1, 2, 61, 695])
+def test_correct_tile_matches_formula(width, height, dtype):
+    rng = np.random.default_rng([width, height])
+    img = random_tile(rng, width=width, height=height, dtype=dtype)
+    before = img.pixels.copy()
+    expected = corrected_by_formula(img.pixels)
+    _correction_weights.cache_clear()
+    # the first call builds the weights, the second reuses them
+    for _ in range(2):
+        out = correct_tile(img, R)
+        assert out.pixels.dtype == dtype
+        assert np.array_equal(out.pixels, expected)
+        assert np.array_equal(img.pixels, before)
+
+
+def test_correct_tile_threads_at_once_match_formula():
+    # threads racing on the first, cached build of the weights and then
+    # correcting at once: each must get its own tile's formula result
+    rng = np.random.default_rng(17)
+    tiles = [
+        random_tile(rng, width=695, height=STRIP_ROWS + 1, dtype=dtype)
+        for dtype in (np.uint8, np.uint16, np.uint8, np.uint16)
+    ]
+    expected = [corrected_by_formula(tile.pixels) for tile in tiles]
+    results = [[] for _ in tiles]
+    barrier = threading.Barrier(len(tiles))
+
+    def work(n):
+        barrier.wait(timeout=30)
+        for _ in range(3):
+            results[n].append(correct_tile(tiles[n], R).pixels)
+
+    _correction_weights.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(len(tiles))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == 3
+        assert all(np.array_equal(pixels, want) for pixels in got)
+
+
+def test_cached_correction_weights_are_read_only():
+    correct_tile(tile_from(np.zeros((2, 695), dtype=np.uint8)), R)
+    weights = _correction_weights(695, R, PITCH)
+    assert len(weights) == 4
+    for array in weights:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_correct_tile_row_independence():
