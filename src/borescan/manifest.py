@@ -40,10 +40,12 @@ __all__ = [
 MANIFEST_FORMAT = 1
 
 # libyaml's parser and emitter when PyYAML was built with them: several times
-# faster, the same data, and the same bytes but for escaped text that runs
-# past the 80-column line, which the two emitters fold at other points
+# faster, and the same data. The two emitters fold a long escaped string at
+# other points, so both write with no line limit (libyaml takes a C int, not
+# inf): the bytes are then the same with or without libyaml
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_WIDTH = 2**31 - 1
 
 
 @dataclass
@@ -158,7 +160,10 @@ def manifest_from_dict(data: dict) -> RunManifest:
 
 def save_manifest(manifest: RunManifest, path) -> None:
     with open(path, "w", encoding="ascii") as handle:
-        yaml.dump(manifest_to_dict(manifest), handle, Dumper=_DUMPER, sort_keys=False)
+        yaml.dump(
+            manifest_to_dict(manifest), handle, Dumper=_DUMPER, sort_keys=False,
+            width=_WIDTH,
+        )
 
 
 def load_manifest(path) -> RunManifest:
@@ -246,7 +251,7 @@ def write_report(
     """Write the paired CSV and YAML defect reports."""
     data = report_to_dict(records, hole, threshold, source)
     with open(yaml_path, "w", encoding="ascii") as handle:
-        yaml.dump(data, handle, Dumper=_DUMPER, sort_keys=False)
+        yaml.dump(data, handle, Dumper=_DUMPER, sort_keys=False, width=_WIDTH)
     with open(csv_path, "w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_CSV_COLUMNS)

@@ -16,6 +16,7 @@ width (see :attr:`SurfaceTexture.arc_pitch_um`).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import deque
@@ -50,6 +51,7 @@ __all__ = [
 
 _SUPERSAMPLE = 4  # 4x4 subsamples per pixel for anti-aliased edges
 DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
+_STEP = np.iinfo(np.int32).min  # a bucket of the noise table that a CDF step splits
 
 
 class Stamp(NamedTuple):
@@ -399,28 +401,43 @@ def render_tile(
 
 
 def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
-    """Additive zero-mean Gaussian noise, clamped to the intensity range.
+    """Additive zero-mean Gaussian noise, rounded and clamped to the
+    intensity range.
 
     Deterministic for a given seed; ``sigma`` is in intensity levels of
-    the image's own bit depth.
+    the image's own bit depth. Each pixel becomes ``clip(p + K)``, where
+    ``K`` follows the rounded Gaussian ``P(K=k) = Phi((k+1/2)/sigma) -
+    Phi((k-1/2)/sigma)``: the law of ``clip(rint(p + sigma*Z))`` for an
+    integer pixel ``p``. ``K`` is drawn by inverse CDF from one 32-bit
+    uniform per pixel (:func:`_noise_table`).
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DomainError(f"noise sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         pixels = img.pixels.copy()
     else:
+        bounds, table = _noise_table(float(sigma), img.max_value)
         rng = np.random.default_rng(seed)
         pixels = np.empty_like(img.pixels)
-        buf = np.empty((min(img.height, STRIP_ROWS), img.width))
-        # strip by strip, the stream draws the same values in the same order;
-        # sigma * z is what rng.normal(0, sigma) returns, bit for bit
+        strip = (min(img.height, STRIP_ROWS), img.width)
+        index, noise = np.empty(strip, dtype=np.intp), np.empty(strip, dtype=np.int32)
+        # strip by strip, the stream draws the same values in the same order:
+        # each full strip takes an even number of uniforms, two per raw draw
         for lo in range(0, img.height, STRIP_ROWS):
             hi = min(lo + STRIP_ROWS, img.height)
-            noisy = rng.standard_normal(out=buf[: hi - lo])
-            noisy *= sigma
-            noisy += img.pixels[lo:hi]
-            np.clip(noisy, 0, img.max_value, out=noisy)
-            pixels[lo:hi] = np.rint(noisy, out=noisy)
+            n = (hi - lo) * img.width
+            u = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+            u = u.reshape(hi - lo, img.width)
+            k = noise[: hi - lo]
+            np.right_shift(u, 16, out=index[: hi - lo])
+            np.take(table, index[: hi - lo], out=k)
+            steps = np.flatnonzero(k == _STEP)
+            if steps.size:
+                found = np.searchsorted(bounds, u.flat[steps], side="right")
+                k.flat[steps] = found - img.max_value
+            k += img.pixels[lo:hi]
+            np.clip(k, 0, img.max_value, out=k)
+            pixels[lo:hi] = k
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=img.pixel_pitch_x_um,
@@ -428,6 +445,35 @@ def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
         tile_index=img.tile_index,
         meta=dict(img.meta),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _noise_table(sigma: float, max_value: int) -> tuple[np.ndarray, np.ndarray]:
+    """``add_noise``'s inverse CDF of the rounded Gaussian, cached per sigma
+    and bit depth and shared, read-only, by every tile and thread.
+
+    ``bounds[i] = round(Phi((k+1/2)/sigma) * 2**32)`` for ``k = i - max``,
+    ``i < 2 * max``, so ``searchsorted(bounds, u, "right") - max`` is ``K``
+    for a 32-bit uniform ``u``, lumped at +-max where the output clips
+    anyway. ``table[u >> 16]`` holds ``K`` for every ``u`` of a bucket
+    where no bound falls inside it, and ``_STEP`` where one does.
+    """
+    # beyond 7 sigma + 1.5 levels a bound rounds to 0 or 2**32; compare
+    # before ceil, so a huge sigma cannot overflow it
+    reach = max_value if 7.0 * sigma >= max_value else math.ceil(7.0 * sigma) + 2
+    ks = range(max(-max_value, -reach), min(max_value - 1, reach) + 1)
+    bounds = np.full(2 * max_value, 2**32, dtype=np.int64)
+    bounds[: ks.start + max_value] = 0
+    bounds[ks.start + max_value : ks.stop + max_value] = [
+        round(0.5 * math.erfc(-(k + 0.5) / sigma / math.sqrt(2.0)) * 2**32) for k in ks
+    ]
+    first = np.arange(2**16, dtype=np.int64) << 16
+    lo = np.searchsorted(bounds, first, side="right")
+    hi = np.searchsorted(bounds, first + (2**16 - 1), side="right")
+    table = np.where(lo == hi, lo - max_value, _STEP).astype(np.int32)
+    for array in (bounds, table):
+        array.flags.writeable = False
+    return bounds, table
 
 
 def tile_noise_seed(master_seed: int, order: int) -> int:

@@ -8,6 +8,7 @@ from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import DefectRecord
 from borescan.manifest import (
     MANIFEST_FORMAT,
+    _WIDTH,
     RunManifest,
     load_manifest,
     manifest_from_dict,
@@ -238,7 +239,17 @@ class TestReports:
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml")
     @pytest.mark.parametrize(
-        "source", ["manifest.yaml", "bore Ø4 mm – run 3 µm.yaml", "a b " * 40]
+        "source",
+        [
+            "manifest.yaml",
+            "bore Ø4 mm – run 3 µm.yaml",
+            "a b " * 40,
+            # escaped text past 80 columns, which the two emitters would
+            # fold at other points with a line limit
+            "é" * 20,
+            "ab é " * 10,
+            "café Ø–µ\t" * 20 + ".yaml",
+        ],
     )
     def test_libyaml_report_equals_safe_dump(self, tmp_path, source):
         yaml_path = tmp_path / "report.yaml"
@@ -246,12 +257,11 @@ class TestReports:
                      source=source)
         data = report_to_dict(self.records(), HOLE, "otsu", source)
         assert yaml_path.read_text(encoding="ascii") == yaml.safe_dump(
-            data, sort_keys=False
+            data, sort_keys=False, width=_WIDTH
         )
 
     def test_long_escaped_source_loads_back(self, tmp_path):
-        # libyaml folds a quoted line this long at other points than
-        # PyYAML's own emitter; either way it reads back as written
+        # a quoted line this long, written on one line, reads back as written
         source = "café Ø–µ\t" * 20 + ".yaml"
         yaml_path = tmp_path / "report.yaml"
         write_report(self.records(), HOLE, "otsu", tmp_path / "r.csv", yaml_path,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ def test_add_noise_deterministic():
     [
         pytest.param(np.uint8, 255, 5.0, 21, id="uint8-255"),
         pytest.param(np.uint16, 65535, 900.0, 21, id="uint16-65535"),
-        # the strips draw sigma * standard normal: the same bits at any scale
+        # one 32-bit uniform per pixel: the same draws at any scale
         pytest.param(np.uint8, 255, 0.37, 1, id="uint8-255-small-sigma"),
         pytest.param(np.uint8, 255, 1234.5, 2**40 + 3, id="uint8-255-large-sigma"),
         pytest.param(np.uint16, 65535, 0.37, 99, id="uint16-65535-small-sigma"),
@@ -424,10 +425,60 @@ def test_add_noise_strips_match_whole_tile_draw(dtype, peak, sigma, seed):
     pixels = np.random.default_rng(4).integers(0, peak + 1, (695, 301)).astype(dtype)
     clean = TileImage(pixels, 2.16, 2.16)
     noisy = add_noise(clean, sigma, seed=seed)
-    draw = np.random.default_rng(seed).normal(0.0, sigma, pixels.shape)
-    expected = np.rint(np.clip(pixels + draw, 0, peak)).astype(dtype)
+    # one whole-tile draw, inverted by a plain search of the bounds
+    u = np.random.default_rng(seed).integers(0, 2**32, pixels.shape, dtype=np.uint32)
+    bounds, _ = synth._noise_table(sigma, peak)
+    k = np.searchsorted(bounds, u, side="right") - peak
+    expected = np.clip(pixels + k, 0, peak).astype(dtype)
     assert noisy.pixels.dtype == dtype
     assert np.array_equal(noisy.pixels, expected)
+
+
+@pytest.mark.parametrize("sigma, peak", [(0.37, 255), (5.0, 255), (900.0, 65535)])
+def test_noise_bounds_are_the_rounded_normal_cdf(sigma, peak):
+    bounds, table = synth._noise_table(sigma, peak)
+    cdf = NormalDist().cdf
+    expected = [round(cdf((k + 0.5) / sigma) * 2**32) for k in range(-peak, peak)]
+    assert bounds.tolist() == expected
+    # a bucket of the table holds K for all of its 2**16 uniforms, or a step
+    first = np.arange(2**16, dtype=np.int64) << 16
+    lo = np.searchsorted(bounds, first, side="right") - peak
+    hi = np.searchsorted(bounds, first + 2**16 - 1, side="right") - peak
+    assert np.array_equal(table == synth._STEP, lo != hi)
+    assert np.array_equal(table[lo == hi], lo[lo == hi])
+
+
+def test_add_noise_draws_the_rounded_gaussian():
+    sigma, level = 5.0, 128
+    clean = TileImage(np.full((2000, 2000), level, dtype=np.uint8), 2.16, 2.16)
+    k = add_noise(clean, sigma, seed=2024).pixels.astype(np.int64) - level
+    # P(K=k) = Phi((k+1/2)/sigma) - Phi((k-1/2)/sigma), tails past 23 lumped
+    edge = 23
+    cdf = NormalDist(0.0, sigma).cdf
+    pmf = [cdf(-edge + 0.5)]
+    pmf += [cdf(j + 0.5) - cdf(j - 0.5) for j in range(-edge + 1, edge)]
+    pmf += [1.0 - cdf(edge - 0.5)]
+    counts = np.bincount(np.clip(k, -edge, edge).ravel() + edge, minlength=2 * edge + 1)
+    expected = k.size * np.array(pmf)
+    assert expected.min() > 5
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    dof = len(pmf) - 1
+    # about five standard deviations of the chi-square law above its mean
+    assert chi2 < dof + 5 * math.sqrt(2 * dof)
+
+
+def test_noise_table_is_read_only():
+    for array in synth._noise_table(5.0, 255):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 65535)])
+def test_add_noise_huge_sigma_saturates(dtype, peak):
+    clean = TileImage(np.full((64, 64), peak // 2, dtype=dtype), 2.16, 2.16)
+    noisy = add_noise(clean, 1e308, seed=3).pixels
+    assert set(np.unique(noisy).tolist()) == {0, peak}
 
 
 def test_add_noise_sample_std():
