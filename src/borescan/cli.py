@@ -36,8 +36,9 @@ from .manifest import (
     write_report,
 )
 from .pgm import read_pgm, write_pgm
+from .pool import map_in_order
 from .scanplan import plan_scan
-from .synth import _map_in_order, build_texture, render_stack, tile_shape_for
+from .synth import build_texture, render_stack, tile_shape_for
 from .unwrap import TileImage, correct_tile
 
 MATCH_RADIUS_MM = 0.25  # truth-to-record association distance for comparisons
@@ -179,7 +180,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         with open(partial, "wb") as sink:
             records, _ = inspect_stack(
                 _one_bit_depth(
-                    _map_in_order(
+                    map_in_order(
                         lambda event: _inspect_tile(
                             event, manifest, tile_shape, base_dir, corrected_dir
                         ),

@@ -4,8 +4,9 @@ Software stand-in for a machined test piece: defects of known size and
 position become anti-aliased stamps on an unwrapped wall texture, and
 per-tile captures are produced by the exact forward projection of the
 imaging model, so every downstream measurement can be checked against
-truth. Tiles are rendered strip by strip from the stamps that meet each
-strip; the whole wall is rasterized only as a test oracle.
+truth. A tile starts as the wall background, and each strip of its rows
+resamples only the tile columns that read a stamp meeting the strip; the
+whole wall is rasterized only as a test oracle.
 
 Texture geometry: the grid covers arc length u in [0, circumference) and
 depth z' in [0, depth], z' measured from the hole bottom. The column count
@@ -19,8 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, PlacementError
 from .geometry import HoleSpec, OpticsConfig
+from .pool import map_in_order
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
 from .unwrap import (
     STRIP_ROWS,
@@ -137,6 +137,32 @@ class SurfaceTexture:
         )
         return np.flatnonzero(meets)
 
+    def stamp_columns(
+        self, top: int, bottom: int, left: int, count: int
+    ) -> list[list[int]]:
+        """Column ranges ``[a, b)`` of a window that the stamps meeting it cover.
+
+        The window is as for :meth:`stamps_meeting`, and columns are
+        counted from ``left``. Ranges that overlap or touch are merged, so
+        they come out disjoint and in column order; every other column of
+        the window is the background.
+        """
+        spans = []
+        for index in self.stamps_meeting(top, bottom, left, count):
+            stamp = self.stamps[index]
+            for dst, _ in _wrapped_segments(
+                stamp.col_lo - left, stamp.coverage.shape[1], self.width
+            ):
+                if dst.start < count:
+                    spans.append((dst.start, min(dst.stop, count)))
+        merged: list[list[int]] = []
+        for a, b in sorted(spans):
+            if merged and a <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
+        return merged
+
     def window(self, top: int, bottom: int, left: int, count: int) -> np.ndarray:
         """Pixels of rows ``top`` to ``bottom`` and ``count`` columns from ``left``.
 
@@ -214,25 +240,30 @@ def _subsample_offsets() -> np.ndarray:
     return (np.arange(n) + 0.5) / n - 0.5
 
 
-def _footprints_overlap(a: DefectSpec, b: DefectSpec, circumference_mm: float) -> bool:
-    """Exact continuous-plane intersection test with circular u metric."""
-    ua = a.beta_deg / 360.0 * circumference_mm
-    ub = b.beta_deg / 360.0 * circumference_mm
-    du = abs(ua - ub)
-    du = min(du, circumference_mm - du)
-    dz = abs(a.z_mm - b.z_mm)
-    if a.kind == "disc" and b.kind == "disc":
-        reach = (a.size_mm + b.size_mm) / 2.0
-        return du * du + dz * dz < reach * reach
-    if a.kind == "line" and b.kind == "line":
-        (au, az), (bu, bz) = a.half_extent_mm(), b.half_extent_mm()
-        return du < au + bu and dz < az + bz
-    disc, line = (a, b) if a.kind == "disc" else (b, a)
-    lu, lz = line.half_extent_mm()
-    # distance from disc center to the rectangle
-    gap_u = max(du - lu, 0.0)
-    gap_z = max(dz - lz, 0.0)
-    return gap_u * gap_u + gap_z * gap_z < (disc.size_mm / 2.0) ** 2
+def _overlaps_earlier(footprints: np.ndarray, i: int, circumference_mm: float) -> bool:
+    """Whether footprint ``i`` meets any of footprints ``0..i-1``.
+
+    Exact continuous-plane intersection with a circular u metric. Each
+    row of ``footprints`` is (u mm, z mm, size mm, half u, half z, squared
+    disc radius, 1 for a disc or 0 for a line), as :func:`build_texture`
+    fills it.
+    """
+    u, z, size, half_u, half_z, r2, disc = footprints[i]
+    earlier = footprints[:i].T
+    du = np.abs(u - earlier[0])
+    du = np.minimum(du, circumference_mm - du)
+    dz = np.abs(z - earlier[1])
+    if disc:
+        reach = (size + earlier[2]) / 2.0
+        both = du * du + dz * dz < reach * reach
+    else:
+        both = (du < half_u + earlier[3]) & (dz < half_z + earlier[4])
+    # disc against line: distance from the disc center to the rectangle
+    line_u, line_z = (earlier[3], earlier[4]) if disc else (half_u, half_z)
+    gap_u = np.maximum(du - line_u, 0.0)
+    gap_z = np.maximum(dz - line_z, 0.0)
+    mixed = gap_u * gap_u + gap_z * gap_z < (r2 if disc else earlier[5])
+    return bool(np.any(np.where(earlier[6] == disc, both, mixed)))
 
 
 def build_texture(
@@ -261,26 +292,33 @@ def build_texture(
     pitch_mm = pitch_um * 1e-3
 
     offsets = _subsample_offsets()
-    placed: list[DefectSpec] = []
+    footprints = np.empty((len(defects), 7))
     stamps: list[Stamp] = []
 
-    for spec in defects:
+    for i, spec in enumerate(defects):
         half_u, half_z = spec.half_extent_mm()
         if spec.z_mm - half_z < 0.0 or spec.z_mm + half_z > hole.depth_mm:
             raise PlacementError(
                 f"{spec.kind} at z'={spec.z_mm} mm spans outside the "
                 f"0..{hole.depth_mm} mm surface"
             )
-        for other in placed:
-            if _footprints_overlap(spec, other, circumference_mm):
-                warnings.warn(
-                    f"defect at (z'={spec.z_mm}, beta={spec.beta_deg}) "
-                    "overlaps an earlier one; truth areas are ambiguous",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-        placed.append(spec)
+        disc = spec.kind == "disc"
+        footprints[i] = (
+            spec.beta_deg / 360.0 * circumference_mm,
+            spec.z_mm,
+            spec.size_mm,
+            half_u,
+            half_z,
+            (spec.size_mm / 2.0) ** 2 if disc else 0.0,
+            disc,
+        )
+        if i and _overlaps_earlier(footprints, i, circumference_mm):
+            warnings.warn(
+                f"defect at (z'={spec.z_mm}, beta={spec.beta_deg}) "
+                "overlaps an earlier one; truth areas are ambiguous",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
         u0_px = spec.beta_deg / 360.0 * width  # fractional column
         v0_px = spec.z_mm / pitch_mm
@@ -291,16 +329,24 @@ def build_texture(
         cols = np.arange(c_lo, c_hi + 1)  # unwrapped; wrapped on write
         rows = np.arange(r_lo, r_hi + 1)
         # physical subsample offsets from the defect center, mm
-        du = (cols[None, :, None] + offsets[None, None, :] - u0_px) * arc_pitch_mm
-        dv = (rows[:, None, None] + offsets[None, None, :] - v0_px) * pitch_mm
-        if spec.kind == "disc":
-            r2 = (spec.size_mm / 2.0) ** 2
-            inside = dv[:, :, :, None] ** 2 + du[:, :, None, :] ** 2 <= r2
-            coverage = inside.reshape(len(rows), len(cols), -1).mean(axis=2)
+        du = (cols[:, None] + offsets - u0_px) * arc_pitch_mm  # (C, 4)
+        dv = (rows[:, None] + offsets - v0_px) * pitch_mm  # (R, 4)
+        if disc:
+            r2 = footprints[i, 5]
+            du2, dv2 = du**2, dv**2
+            # rounded sums are monotone in each term: a pixel whose farthest
+            # subsample is inside is covered in full, one whose nearest is
+            # outside not at all, so only the rest count their 16 subsamples
+            far = dv2.max(axis=1)[:, None] + du2.max(axis=1)
+            near = dv2.min(axis=1)[:, None] + du2.min(axis=1)
+            coverage = (far <= r2).astype(np.float64)
+            edge = np.nonzero((far > r2) & (near <= r2))
+            inside = dv2[edge[0], :, None] + du2[edge[1], None, :] <= r2
+            coverage[edge] = inside.sum(axis=(1, 2)) / _SUPERSAMPLE**2
         else:
-            cov_u = (np.abs(du) <= half_u).mean(axis=2)  # (1, C)
-            cov_v = (np.abs(dv) <= half_z).mean(axis=2)  # (R, 1)
-            coverage = cov_v.reshape(-1, 1) * cov_u.reshape(1, -1)
+            cov_u = (np.abs(du) <= half_u).mean(axis=1)
+            cov_v = (np.abs(dv) <= half_z).mean(axis=1)
+            coverage = cov_v[:, None] * cov_u[None, :]
         stamps.append(Stamp(r_lo, r_hi + 1, c_lo, coverage, spec.contrast))
 
     return SurfaceTexture(
@@ -338,9 +384,12 @@ def render_tile(
     ``pixel_to_arc(k) * p_x`` from the tile center: window extraction and
     forward projection are fused, so the 360-degree seam wraps exactly and
     no sentinel columns appear. Rows outside the surface (the bottom tile
-    reaches below z'=0) read as the texture background. Each strip of rows
-    rasterizes only the texture window under it, and a strip that no
-    defect stamp meets is the background throughout.
+    reaches below z'=0) read as the texture background. The tile starts as
+    the background, which is what a blend of background pixels rounds back
+    to. Each strip of rows then resamples only the runs of tile columns
+    that read a texture column a stamp meeting the strip covers, and
+    rasterizes only the texture window under each run; a strip that no
+    stamp meets has no runs.
     """
     height, width = tile_shape_for(cfg, region)
     half_width_mm = (width / 2.0) * cfg.pixel_pitch_x_um * 1e-3
@@ -372,26 +421,35 @@ def render_tile(
     # texture columns under the tile, unwrapped across the seam; rows blend first
     base = math.floor(u[0])
     count = math.floor(u[-1]) + 2 - base
-    pixels = np.empty((height, width), dtype=texture.dtype)
-    weights = None  # made at the first strip a stamp meets: most tiles have none
+    # a blend of equal integers rounds back to them
+    pixels = np.full((height, width), texture.background, dtype=texture.dtype)
+    c0 = None  # weights made at the first strip a stamp meets: most tiles have none
     for lo in range(0, height, STRIP_ROWS):
         rows = slice(lo, lo + STRIP_ROWS)
         # v0 and v1 rise with the row, so the strip reads texture rows top..bottom
         top, bottom = int(v0[rows][0]), int(v1[rows][-1]) + 1
-        if not texture.stamps_meeting(top, bottom, base, count).size:
-            # a blend of equal integers rounds back to them
-            pixels[rows] = texture.background
-            continue
-        if weights is None:
-            weights = _column_weights(u - base, count)
-            strip = (min(height, STRIP_ROWS), width)
-            resampled, scratch = np.empty(strip), np.empty(strip)
-        tex = texture.window(top, bottom, base, count)
-        blend = tex[v0[rows] - top] * (1.0 - fv[rows]) + tex[v1[rows] - top] * fv[rows]
-        n = len(blend)
-        sampled = _resample_columns(blend, weights, resampled[:n], scratch[:n])
-        sampled[~on_surface[rows], :] = float(texture.background)
-        pixels[rows] = np.rint(sampled, out=sampled)
+        for a, b in texture.stamp_columns(top, bottom, base, count):
+            if c0 is None:
+                c0, c1, w0, w1 = _column_weights(u - base, count)
+                size = min(height, STRIP_ROWS) * width
+                resampled, scratch = np.empty(size), np.empty(size)
+            # the tile columns with c0 or c1 in [a, b): c0 rises, c1 = c0 + 1
+            m_lo, m_hi = np.searchsorted(c0, (a - 1, b))
+            if m_lo == m_hi:
+                continue
+            run = slice(m_lo, m_hi)
+            first = int(c0[m_lo])
+            tex = texture.window(top, bottom, base + first, int(c1[m_hi - 1]) + 1 - first)
+            blend = tex[v0[rows] - top] * (1.0 - fv[rows]) + tex[v1[rows] - top] * fv[rows]
+            n = len(blend) * (m_hi - m_lo)
+            sampled = _resample_columns(
+                blend,
+                (c0[run] - first, c1[run] - first, w0[run], w1[run]),
+                resampled[:n].reshape(len(blend), -1),
+                scratch[:n].reshape(len(blend), -1),
+            )
+            sampled[~on_surface[rows], :] = float(texture.background)
+            pixels[rows, run] = np.rint(sampled, out=sampled)
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=cfg.pixel_pitch_x_um,
@@ -506,26 +564,5 @@ def render_stack(
         tile = render_tile(texture, event, cfg, region)
         return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))
 
-    yield from _map_in_order(render, plan.schedule, threads)
+    yield from map_in_order(render, plan.schedule, threads)
 
-
-def _map_in_order(work, items, threads: int):
-    """Yield ``work(item)`` for every item, in item order, from a thread pool.
-
-    The one pool loop, shared by ``synth`` and ``inspect``. Items are
-    submitted as results are taken, so at most ``threads + 1`` are started
-    and not yet let go, counting the result the caller holds. An error
-    raised for one item is raised here in its place, after every result
-    before it; items not yet started are cancelled.
-    """
-    pool = ThreadPoolExecutor(max_workers=threads)
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(work, item))
-            if len(pending) > threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)

@@ -7,8 +7,10 @@ import pytest
 from borescan.config import load_config, load_defect_list, parse_threshold_spec
 from borescan.errors import DomainError, ParseError
 from borescan.geometry import OpticsConfig
-from borescan.synth import DefectSpec
+from borescan.scanplan import plan_scan
+from borescan.synth import DefectSpec, build_texture, tile_shape_for
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MINIMAL = "[hole]\nradius_mm = 0.9\ndepth_mm = 2.0\n"
 
 
@@ -113,6 +115,21 @@ class TestDefectList:
                 contrast=-90,
             ),
         ]
+
+    def test_example_list_has_a_seam_disc_and_a_tile_edge_disc(self):
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        rows = (CONFIGS / "example_defects.csv").read_text().splitlines()
+        assert "\n".join(rows[:3]) in readme  # the header and README's two rows
+        cfg = load_config(CONFIGS / "example.ini")
+        *_, seam, edge = load_defect_list(CONFIGS / "example_defects.csv")
+        texture = build_texture(cfg.hole, [seam])
+        (stamp,) = texture.stamps
+        assert stamp.col_lo + stamp.coverage.shape[1] > texture.width  # wraps
+        # the edge disc straddles the boundary between two plan rows
+        height = tile_shape_for(cfg.optics, cfg.region)[0]
+        half_mm = height * cfg.optics.pixel_pitch_y_um * 1e-3 / 2.0
+        ends = [e.z_mm + half_mm for e in plan_scan(cfg.hole, cfg.region).schedule]
+        assert min(abs(edge.z_mm - end) for end in ends) < edge.size_mm / 10.0
 
     def test_empty_contrast_defaults_dark(self, tmp_path):
         text = self.HEADER + "disc,1.0,0.0,0.1,,\n"

@@ -135,6 +135,152 @@ def test_overlap_warning():
         build_texture(SMALL, apart)
 
 
+def mean_disc_coverage(texture, spec, stamp):
+    """Oracle: every pixel's 4x4 subsamples tested, as one (R, C, 4, 4) array."""
+    arc_pitch_mm = 2.0 * math.pi * texture.radius_mm / texture.width
+    pitch_mm = texture.pitch_um * 1e-3
+    u0_px = spec.beta_deg / 360.0 * texture.width
+    v0_px = spec.z_mm / pitch_mm
+    cols = np.arange(stamp.col_lo, stamp.col_lo + stamp.coverage.shape[1])
+    rows = np.arange(stamp.row_lo, stamp.row_hi)
+    offsets = (np.arange(4) + 0.5) / 4 - 0.5
+    du = (cols[None, :, None] + offsets[None, None, :] - u0_px) * arc_pitch_mm
+    dv = (rows[:, None, None] + offsets[None, None, :] - v0_px) * pitch_mm
+    inside = dv[:, :, :, None] ** 2 + du[:, :, None, :] ** 2 <= (spec.size_mm / 2.0) ** 2
+    return inside.reshape(len(rows), len(cols), -1).mean(axis=2)
+
+
+def test_disc_coverage_matches_the_subsample_mean():
+    rng = np.random.default_rng(16)
+    width = build_texture(SMALL, []).width
+    pitch_mm = 2.16e-3
+    specs = []
+    for i in range(60):
+        # sub-pixel, small and large diameters
+        size = float([rng.uniform(5e-4, 4e-3), rng.uniform(4e-3, 0.05),
+                      rng.uniform(0.05, 0.4)][i % 3])
+        beta, z = float(rng.uniform(0.0, 360.0)), float(rng.uniform(0.25, 1.75))
+        if i % 4 == 1:  # centre on a pixel corner
+            beta = (int(rng.integers(width)) + 0.5) / width * 360.0
+            z = (int(z / pitch_mm) + 0.5) * pitch_mm
+        elif i % 4 == 2:  # across the seam
+            beta = float(rng.choice([rng.uniform(359.9, 360.0), rng.uniform(0.0, 0.1)]))
+        specs.append(DefectSpec("disc", z, beta % 360.0, size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        texture = build_texture(SMALL, specs)
+    partial = 0
+    for spec, stamp in zip(specs, texture.stamps):
+        expected = mean_disc_coverage(texture, spec, stamp)
+        assert np.array_equal(stamp.coverage, expected)
+        partial += np.count_nonzero((expected > 0) & (expected < 1))
+    assert partial > 0
+
+
+def pairwise_overlap(a, b, circumference_mm):
+    """Oracle: one pair of footprints, with the circular u metric."""
+    du = abs(a.beta_deg / 360.0 * circumference_mm - b.beta_deg / 360.0 * circumference_mm)
+    du = min(du, circumference_mm - du)
+    dz = abs(a.z_mm - b.z_mm)
+    if a.kind == "disc" and b.kind == "disc":
+        reach = (a.size_mm + b.size_mm) / 2.0
+        return du * du + dz * dz < reach * reach
+    if a.kind == "line" and b.kind == "line":
+        (au, az), (bu, bz) = a.half_extent_mm(), b.half_extent_mm()
+        return du < au + bu and dz < az + bz
+    disc, line = (a, b) if a.kind == "disc" else (b, a)
+    lu, lz = line.half_extent_mm()
+    gap_u = max(du - lu, 0.0)
+    gap_z = max(dz - lz, 0.0)
+    return gap_u * gap_u + gap_z * gap_z < (disc.size_mm / 2.0) ** 2
+
+
+def overlap_warnings(specs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_texture(SMALL, specs)
+    return [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+
+def expected_overlap_warnings(specs):
+    circumference_mm = 2.0 * math.pi * SMALL.radius_mm
+    return [
+        f"defect at (z'={b.z_mm}, beta={b.beta_deg}) overlaps an earlier one; "
+        "truth areas are ambiguous"
+        for i, b in enumerate(specs)
+        if any(pairwise_overlap(b, a, circumference_mm) for a in specs[:i])
+    ]
+
+
+def deg(mm):
+    """Angle of an arc length on SMALL's wall."""
+    return mm / (2.0 * math.pi * SMALL.radius_mm) * 360.0
+
+
+QUARTER_MM = 2.0 * math.pi * SMALL.radius_mm / 4.0
+
+TOUCHING_PAIRS = {
+    "disc-disc-z": (DefectSpec("disc", 1.0, 90.0, 0.2), DefectSpec("disc", 1.2, 90.0, 0.2)),
+    "disc-disc-u": (DefectSpec("disc", 1.0, 90.0, 0.2),
+                    DefectSpec("disc", 1.0, 90.0 + deg(0.2), 0.2)),
+    "line-line-u": (DefectSpec("line", 1.0, 90.0, 0.1, 0.4),
+                    DefectSpec("line", 1.0, 90.0 + deg(0.1), 0.1, 0.4)),
+    "line-line-z": (DefectSpec("line", 0.6, 90.0, 0.1, 0.4),
+                    DefectSpec("line", 1.0, 90.0, 0.1, 0.4)),
+    "line-disc-side": (DefectSpec("line", 1.0, 90.0, 0.1, 0.4),
+                       DefectSpec("disc", 1.0, 90.0 + deg(0.15), 0.2)),
+    "disc-line-corner": (DefectSpec("disc", 1.28, 90.0 + deg(0.11), 0.2),
+                         DefectSpec("line", 1.0, 90.0, 0.1, 0.4)),
+    "disc-disc-seam": (DefectSpec("disc", 1.0, 359.95, 0.2),
+                       DefectSpec("disc", 1.0, 0.05, 0.2)),
+    "line-disc-seam": (DefectSpec("line", 1.0, 359.9, 0.1, 0.4),
+                       DefectSpec("disc", 1.0, (359.9 + deg(0.15)) % 360.0, 0.2)),
+    "disc-line-seam-apart": (DefectSpec("disc", 1.0, 0.0, 0.1),
+                             DefectSpec("line", 1.0, 360.0 - deg(0.2), 0.1, 0.4)),
+    # exact float ties: a quarter turn is C/4 mm, and 1.0 - 0.6 == 0.4
+    "disc-disc-tie": (DefectSpec("disc", 0.6, 30.0, 0.4), DefectSpec("disc", 1.0, 30.0, 0.4)),
+    "line-line-tie": (DefectSpec("line", 1.0, 0.0, QUARTER_MM, 0.4),
+                      DefectSpec("line", 1.0, 90.0, QUARTER_MM, 0.4)),
+    "line-disc-tie": (DefectSpec("line", 1.0, 0.0, QUARTER_MM, 0.4),
+                      DefectSpec("disc", 1.0, 90.0, QUARTER_MM)),
+}
+
+
+@pytest.mark.parametrize("case", list(TOUCHING_PAIRS))
+def test_overlap_warning_matches_pairwise_rule_at_contact(case):
+    # centres a whisker inside, on, and a whisker outside the contact
+    a, b = TOUCHING_PAIRS[case]
+    for scale in (1 - 1e-9, 1.0, 1 + 1e-9):
+        for first, second in ((a, b), (b, a)):
+            moved = dataclasses.replace(
+                second,
+                z_mm=first.z_mm + (second.z_mm - first.z_mm) * scale,
+                beta_deg=(first.beta_deg
+                          + ((second.beta_deg - first.beta_deg + 180.0) % 360.0 - 180.0)
+                          * scale) % 360.0,
+            )
+            specs = [first, moved]
+            assert overlap_warnings(specs) == expected_overlap_warnings(specs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_overlap_warnings_match_pairwise_rule(seed):
+    # a crowd of every kind round the seam: each later defect is checked
+    # against all earlier ones and warned about once
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(80):
+        kind = str(rng.choice(["disc", "line"]))
+        size = float(rng.uniform(0.01, 0.15))
+        length = float(rng.uniform(0.05, 0.5)) if kind == "line" else None
+        beta = float(rng.normal(0.0, deg(0.4))) % 360.0
+        z = float(rng.uniform(0.3, 1.7))
+        specs.append(DefectSpec(kind, z, beta, size, length))
+    expected = expected_overlap_warnings(specs)
+    assert 0 < len(expected) < len(specs) - 1
+    assert overlap_warnings(specs) == expected
+
+
 def test_tile_shape_for_defaults():
     assert tile_shape_for(CFG, REGION) == (695, 695)
 
@@ -379,6 +525,82 @@ def test_render_tile_rasterizes_only_strips_a_stamp_meets(monkeypatch):
     monkeypatch.undo()
     expected = whole_tile_render(texture, CaptureEvent(0, 1, 1, 1.5, 40.0))
     assert np.array_equal(tile.pixels, expected)
+
+
+def test_render_tile_resamples_only_the_columns_a_stamp_reaches(monkeypatch):
+    texture = depth_texture([DefectSpec("disc", 1.5, 40.0, 0.1)], 8)
+    event = CaptureEvent(0, 1, 1, 1.5, 40.0)
+    shapes = []
+    resample = synth._resample_columns
+
+    def spy(pixels, weights, out, scratch):
+        shapes.append(out.shape)
+        return resample(pixels, weights, out, scratch)
+
+    monkeypatch.setattr(synth, "_resample_columns", spy)
+    tile = render_tile(texture, event, CFG, REGION)
+    monkeypatch.undo()
+    # the 0.1 mm disc is 46 px across; one run per strip it meets
+    assert 1 <= len(shapes) <= 2
+    assert all(rows == STRIP_ROWS and 46 < cols < 100 for rows, cols in shapes)
+    assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
+
+
+# tile half-width in degrees: column 0 and 694 lie this far from the centre
+EDGE_DEG = math.degrees(
+    pixel_to_arc(347.0, BORE.radius_mm, CFG.pixel_pitch_x_um)
+    * CFG.pixel_pitch_x_um * 1e-3 / BORE.radius_mm
+)
+
+
+def random_defects(rng, theta_deg, z_mm):
+    """Discs and lines where the column runs have edges to get right: on
+    both tile edges, across the seam, at the centre, and two overlapping
+    pairs, one dark first and one bright first."""
+
+    def place(anchor_deg, contrast):
+        kind = "disc" if rng.random() < 0.6 else "line"
+        size = float(rng.uniform(0.02, 0.3))
+        length = float(rng.uniform(0.1, 1.2)) if kind == "line" else None
+        half_z = (length if length else size) / 2.0
+        beta = (anchor_deg + float(rng.uniform(-1.0, 1.0))) % 360.0
+        z = z_mm + float(rng.uniform(-0.7, 0.7))
+        # clamped onto z'=0 now and then: its stamp's first row is off the surface
+        z = min(max(z, half_z), BORE.depth_mm - half_z)
+        return DefectSpec(kind, z, beta if beta < 360.0 else 0.0, size, length, contrast)
+
+    contrasts = [-170, -120, -60, 60, 90, 120]
+    defects = [
+        place(anchor, int(rng.choice(contrasts)))
+        for anchor in (theta_deg - EDGE_DEG, theta_deg + EDGE_DEG, 0.0, theta_deg)
+    ]
+    for anchor, order in ((theta_deg - 8.0, (-170, 120)), (theta_deg + 8.0, (120, -170))):
+        first = place(anchor, order[0])
+        defects.append(first)
+        shift = float(rng.uniform(-0.1, 0.1))
+        second = dataclasses.replace(
+            first, z_mm=min(max(first.z_mm + shift, 0.2), BORE.depth_mm - 0.2),
+            kind="disc", size_mm=0.2, length_mm=None, contrast=order[1],
+        )
+        defects.append(second)
+    return defects
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+@pytest.mark.parametrize("seed", range(8))
+def test_render_tile_matches_whole_tile_render_on_random_defects(seed, bit_depth):
+    # tiles on the seam, with the seam near either edge, and anywhere;
+    # the bottom tile's rows reach below z'=0
+    rng = np.random.default_rng(seed)
+    theta = [0.0, 20.0, 345.0, float(rng.uniform(0.0, 360.0))][seed % 4]
+    z_mm = [0.0, 1.5][seed // 4]
+    texture = depth_texture(random_defects(rng, theta, z_mm), bit_depth)
+    event = CaptureEvent(0, 0, 0, z_mm, theta)
+    tile = render_tile(texture, event, CFG, REGION)
+    expected = whole_tile_render(texture, event)
+    assert tile.pixels.dtype == expected.dtype
+    assert np.array_equal(tile.pixels, expected)
+    assert np.any(tile.pixels != texture.background)
 
 
 def test_add_noise_zero_sigma_identity():
