@@ -27,7 +27,7 @@ from . import __version__
 from .config import load_config, load_defect_list, parse_threshold_spec
 from .detect import DEFAULT_MIN_AREA
 from .errors import BorescanError, DomainError, ImageFormatError, ParseError
-from .locate import circular_delta_deg, inspect_stack
+from .locate import circular_delta_deg, inspect_stack, plan_uncovered_px
 from .manifest import (
     RunManifest,
     load_manifest,
@@ -81,11 +81,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
         RunManifest(hole=cfg.hole, optics=cfg.optics, region=cfg.region, plan=plan),
         out / "plan.yaml",
     )
+    tile_shape = tile_shape_for(cfg.optics, cfg.region)
+    uncovered = plan_uncovered_px(plan, cfg.hole, cfg.optics, tile_shape)
     print(
         f"plan: {plan.n_rot} rotations x {plan.n_depth} depths = "
         f"{len(plan.schedule)} tiles"
     )
-    print(f"alpha_deg={plan.alpha_deg:g} step_mm={plan.step_mm:g}")
+    print(
+        f"alpha_deg={plan.alpha_deg:g} step_mm={plan.step_mm:g} "
+        f"uncovered_px={uncovered}"
+    )
     return 0
 
 

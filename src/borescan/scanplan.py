@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .geometry import HoleSpec
 
@@ -21,10 +19,8 @@ __all__ = [
     "EffectiveRegion",
     "CaptureEvent",
     "ScanPlan",
-    "CoverageReport",
     "shot_counts",
     "plan_scan",
-    "coverage_check",
 ]
 
 # Far above the 416 tiles of a 6 mm x 47 mm bore, the largest the probe
@@ -80,16 +76,6 @@ class ScanPlan:
     schedule: tuple[CaptureEvent, ...]
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Surface-coverage summary over a dense (arc, depth) sample grid."""
-
-    covered_fraction: float
-    min_overlap: int
-    max_overlap: int
-    grid_step_mm: float
-
-
 def shot_counts(hole: HoleSpec, region: EffectiveRegion) -> tuple[int, int]:
     """Shots needed circumferentially and axially: (n_rot, n_depth).
 
@@ -127,66 +113,16 @@ def plan_scan(hole: HoleSpec, region: EffectiveRegion) -> ScanPlan:
     n_rot, n_depth = shot_counts(hole, region)
     alpha = 360.0 / n_rot
     step = region.height_mm
-    schedule = []
-    order = 0
-    for k in range(n_rot):
-        for j in range(n_depth):
-            schedule.append(
-                CaptureEvent(
-                    order=order,
-                    depth_step=j,
-                    rotation_step=k,
-                    z_mm=j * step,
-                    theta_deg=k * alpha,
-                )
-            )
-            order += 1
-    return ScanPlan(
-        n_rot=n_rot,
-        n_depth=n_depth,
-        alpha_deg=alpha,
-        step_mm=step,
-        schedule=tuple(schedule),
+    schedule = tuple(
+        CaptureEvent(
+            order=k * n_depth + j,
+            depth_step=j,
+            rotation_step=k,
+            z_mm=j * step,
+            theta_deg=k * alpha,
+        )
+        for k in range(n_rot)
+        for j in range(n_depth)
     )
+    return ScanPlan(n_rot, n_depth, alpha, step, schedule)
 
-
-def coverage_check(
-    plan: ScanPlan,
-    hole: HoleSpec,
-    region: EffectiveRegion,
-    grid_step_mm: float = 0.05,
-) -> CoverageReport:
-    """Fraction of the wall covered by at least one tile footprint.
-
-    Samples the unwrapped surface on a regular (arc, depth) grid and counts
-    footprint membership per sample; also reports the overlap extremes.
-    Report-only: a deficient plan yields a fraction below 1, not an error.
-    """
-    if grid_step_mm <= 0:
-        raise ConfigError("grid step must be positive")
-    circumference = 2.0 * math.pi * hole.radius_mm
-    n_u = max(1, math.ceil(circumference / grid_step_mm))
-    n_z = max(1, math.ceil(hole.depth_mm / grid_step_mm))
-    du = circumference / n_u
-    dz = hole.depth_mm / n_z
-    # sample at cell centers; footprint membership is inclusive at edges
-    u_points = (np.arange(n_u) + 0.5) * du
-    z_points = (np.arange(n_z) + 0.5) * dz
-    counts = np.zeros((n_u, n_z), dtype=np.int32)
-    half_u = region.width_mm / 2.0
-    half_z = region.height_mm / 2.0
-    for event in plan.schedule:
-        u_center = math.radians(event.theta_deg) * hole.radius_mm
-        # circular distance in arc length
-        delta = np.abs(u_points - (u_center % circumference))
-        delta = np.minimum(delta, circumference - delta)
-        in_u = delta <= half_u + 1e-12
-        in_z = np.abs(z_points - event.z_mm) <= half_z + 1e-12
-        counts[np.ix_(in_u, in_z)] += 1
-    covered = counts > 0
-    return CoverageReport(
-        covered_fraction=float(np.count_nonzero(covered) / covered.size),
-        min_overlap=int(counts.min()),
-        max_overlap=int(counts.max()),
-        grid_step_mm=grid_step_mm,
-    )

@@ -275,8 +275,9 @@ def build_texture(
 ) -> SurfaceTexture:
     """Stamp anti-aliased defects onto a uniform wall texture.
 
-    Every defect footprint must lie on the surface axially (columns wrap,
-    rows do not). Overlapping defects are legal but warned about, since
+    Every defect footprint must lie on the surface axially, and its stamp
+    may not span more columns than the wall has (columns wrap, rows do
+    not). Overlapping defects are legal but warned about, since
     overlap makes the per-defect truth areas ambiguous. Only each defect's
     coverage is computed here; :meth:`SurfaceTexture.window` rasterizes.
     """
@@ -302,6 +303,14 @@ def build_texture(
                 f"{spec.kind} at z'={spec.z_mm} mm spans outside the "
                 f"0..{hole.depth_mm} mm surface"
             )
+        u0_px = spec.beta_deg / 360.0 * width  # fractional column
+        c_lo = math.floor(u0_px - half_u / arc_pitch_mm) - 1
+        c_hi = math.ceil(u0_px + half_u / arc_pitch_mm) + 1
+        if c_hi - c_lo >= width:  # the stamp would overlap itself round the bore
+            raise PlacementError(
+                f"{spec.kind} at (z'={spec.z_mm}, beta={spec.beta_deg}) spans "
+                f"{c_hi - c_lo + 1} columns, more than the {width} round the wall"
+            )
         disc = spec.kind == "disc"
         footprints[i] = (
             spec.beta_deg / 360.0 * circumference_mm,
@@ -320,10 +329,7 @@ def build_texture(
                 stacklevel=2,
             )
 
-        u0_px = spec.beta_deg / 360.0 * width  # fractional column
         v0_px = spec.z_mm / pitch_mm
-        c_lo = math.floor(u0_px - half_u / arc_pitch_mm) - 1
-        c_hi = math.ceil(u0_px + half_u / arc_pitch_mm) + 1
         r_lo = max(0, math.floor(v0_px - half_z / pitch_mm) - 1)
         r_hi = min(height - 1, math.ceil(v0_px + half_z / pitch_mm) + 1)
         cols = np.arange(c_lo, c_hi + 1)  # unwrapped; wrapped on write
@@ -501,7 +507,6 @@ def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
         pixel_pitch_x_um=img.pixel_pitch_x_um,
         pixel_pitch_y_um=img.pixel_pitch_y_um,
         tile_index=img.tile_index,
-        meta=dict(img.meta),
     )
 
 

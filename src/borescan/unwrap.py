@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,15 +59,12 @@ class TileImage:
     tile_index:
         ``(depth step, rotation step)`` of the capture event, or None for
         images outside a scan (textures, panoramas).
-    meta:
-        Free-form annotations (sentinel columns, stitching seams, ...).
     """
 
     pixels: np.ndarray
     pixel_pitch_x_um: float
     pixel_pitch_y_um: float
     tile_index: tuple[int, int] | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels)
@@ -281,7 +278,6 @@ def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
         pixel_pitch_x_um=img.pixel_pitch_x_um,
         pixel_pitch_y_um=img.pixel_pitch_y_um,
         tile_index=img.tile_index,
-        meta=dict(img.meta, corrected=True),
     )
 
 
@@ -291,7 +287,7 @@ def forward_project(texture_window: TileImage, radius_mm: float) -> TileImage:
     Inverse of :func:`correct_tile`: flat column ``k`` samples the texture
     at ``m = pixel_to_arc(k)``. Near the tile edges ``|m|`` exceeds the
     window half-width; those columns have no source data and are written
-    as 0 and listed in ``meta["sentinel_columns"]``.
+    as 0.
     """
     img = texture_window
     # only for its checks: a tile too wide for the bore fails as in correct_tile
@@ -310,7 +306,4 @@ def forward_project(texture_window: TileImage, radius_mm: float) -> TileImage:
         pixel_pitch_x_um=img.pixel_pitch_x_um,
         pixel_pitch_y_um=img.pixel_pitch_y_um,
         tile_index=img.tile_index,
-        meta=dict(
-            img.meta, sentinel_columns=[int(i) for i in np.nonzero(~valid)[0]]
-        ),
     )

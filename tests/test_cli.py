@@ -72,6 +72,7 @@ class TestPlan:
         assert main(["plan", "--config", str(config_path), "--out", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "4 rotations x 2 depths = 8 tiles" in captured
+        assert "alpha_deg=90 step_mm=1.5 uncovered_px=0\n" in captured
         manifest = load_manifest(out / "plan.yaml")
         assert manifest.plan.n_rot == 4
         assert manifest.plan.alpha_deg == 90.0
@@ -278,6 +279,23 @@ class TestSynth:
              "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+    def test_defect_wider_than_the_wall_exits_3(self, tmp_path, config_path, capsys):
+        # 1.5 turns of the 0.9 mm bore: its stamp would overlap itself
+        defects = tmp_path / "defects.csv"
+        defects.write_text(
+            "kind,z_mm,beta_deg,size_mm,length_mm,contrast\nline,1.0,0,8.48,0.1,\n"
+        )
+        out = tmp_path / "o"
+        code = main(
+            ["synth", "--config", str(config_path), "--defects", str(defects),
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line at (z'=1.0, beta=0.0)" in err and "more than the 2618" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_defect_csv_exits_2(self, tmp_path, config_path):
         defects = tmp_path / "defects.csv"

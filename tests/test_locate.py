@@ -21,6 +21,7 @@ from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import (
     circular_delta_deg,
     inspect_stack,
+    plan_uncovered_px,
     record_from_blob,
     stitch_panorama,
 )
@@ -428,6 +429,32 @@ class TestStitchPanorama:
         uncovered = pixels == 0  # every tile pixel is 1
         assert 0 < np.count_nonzero(uncovered) < uncovered.size
         assert pano.meta["uncovered_px"] == np.count_nonzero(uncovered)
+        # the plan of the tiles given leaves the same pixels uncovered
+        taken = dataclasses.replace(plan, schedule=tuple(
+            event for event, (*_, has_tile) in zip(events, self.LAYOUTS[layout])
+            if has_tile
+        ))
+        assert plan_uncovered_px(taken, self.HOLE, CFG, shape) == pano.meta["uncovered_px"]
+
+    @pytest.mark.parametrize("plan_name", ["PLAN", "DENSE", "reference"])
+    def test_plan_count_is_the_stitch_count_of_every_tile(self, plan_name):
+        if plan_name == "reference":
+            plan, hole, shape = PLAN, HOLE, TILE_SHAPE
+        else:
+            plan, hole = getattr(self, plan_name), self.HOLE
+            shape = TILE_SHAPE if plan is self.PLAN else (40, 60)
+        pixels = np.ones(shape, dtype=np.uint8)
+        tiles = (
+            TileImage(pixels, 2.16, 2.16, tile_index=(event.depth_step, event.rotation_step))
+            for event in sorted(plan.schedule, key=lambda e: (e.depth_step, e.rotation_step))
+        )
+        with open(os.devnull, "wb") as sink:
+            pano = stitch_panorama(tiles, plan, hole, CFG, shape, sink, ignore_blocks)
+        assert pano.meta["missing_tiles"] == []
+        count = plan_uncovered_px(plan, hole, CFG, shape)
+        assert count == pano.meta["uncovered_px"]
+        # the dense plan's 12 tiles leave most of its canvas bare
+        assert (count > 0) == (plan_name == "DENSE")
 
     def test_planted_disc_lands_at_its_bore_position(self, tmp_path):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
@@ -496,16 +523,20 @@ class TestInspectPipeline:
     def test_missing_tile_gives_no_record_from_its_gap(self, method):
         # the gap is zero-filled, darker than any cut, but no tile covered it
         tiles = [tile for tile in self.flat_tiles(180) if tile.tile_index != (1, 2)]
-        tiles[0].pixels[400:410, 300:310] = 20  # one real defect, on the canvas
+        tiles[0].pixels[400:410, 300:310] = 20  # real defects, on the canvas
+        # one where tile (1, 1)'s last 41 columns meet the missing tile's place
+        [beside] = [tile for tile in tiles if tile.tile_index == (1, 1)]
+        beside.pixels[100:110, 675:685] = 20
         with open(os.devnull, "wb") as sink:
             records, pano = inspect_stack(
                 tiles, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink, method
             )
         assert pano.meta["missing_tiles"] == [(1, 2)]
         assert pano.meta["uncovered_px"] > 0
-        [record] = records
-        assert record.area_mm2 == pytest.approx(100 * 2.16**2 * 1e-6)
-        assert record.source_tiles == ((0, 0),)
+        assert len(records) == 2
+        for record in records:
+            assert record.area_mm2 == pytest.approx(100 * 2.16**2 * 1e-6)
+        assert sorted(record.source_tiles for record in records) == [((0, 0),), ((1, 1),)]
 
     def test_stack_stitches_and_measures_a_planted_disc(self, tmp_path):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)

@@ -6,27 +6,13 @@ from borescan.errors import ConfigError
 from borescan.geometry import HoleSpec
 from borescan.scanplan import (
     MAX_TILES,
-    CaptureEvent,
     EffectiveRegion,
-    ScanPlan,
-    coverage_check,
     plan_scan,
     shot_counts,
 )
 
 HOLE = HoleSpec(radius_mm=2.0, depth_mm=47.0)
 REGION = EffectiveRegion()
-
-
-def make_plan(n_rot, n_depth, step=1.5):
-    alpha = 360.0 / n_rot
-    events = []
-    for k in range(n_rot):
-        for j in range(n_depth):
-            events.append(
-                CaptureEvent(len(events), j, k, j * step, k * alpha)
-            )
-    return ScanPlan(n_rot, n_depth, alpha, step, tuple(events))
 
 
 def test_region_defaults_and_validation():
@@ -121,30 +107,3 @@ def test_plan_scan_small_columns():
     plan = plan_scan(hole, EffectiveRegion(width_mm=4.2, height_mm=1.5))
     assert (plan.n_rot, plan.n_depth) == (3, 1)
     assert len(plan.schedule) == 3
-
-
-def test_coverage_full_default_plan():
-    plan = plan_scan(HOLE, REGION)
-    report = coverage_check(plan, HOLE, REGION)
-    assert report.covered_fraction == 1.0
-    assert report.min_overlap >= 1
-
-
-def test_coverage_deficient_plan():
-    # 8 columns x 1.5 mm = 12.0 mm < 2 pi 2 = 12.566 mm
-    report = coverage_check(make_plan(8, 32), HOLE, REGION)
-    assert report.covered_fraction < 1.0
-    assert report.min_overlap == 0
-
-
-def test_coverage_empty_schedule():
-    empty = ScanPlan(0, 0, 0.0, 1.5, tuple())
-    report = coverage_check(empty, HOLE, REGION)
-    assert report.covered_fraction == 0.0
-    assert report.max_overlap == 0
-
-
-def test_coverage_single_event_plan():
-    single = ScanPlan(1, 1, 360.0, 1.5, (CaptureEvent(0, 0, 0, 0.0, 0.0),))
-    report = coverage_check(single, HoleSpec(2.0, 1.0), REGION)
-    assert 0.0 < report.covered_fraction < 1.0

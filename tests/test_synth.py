@@ -119,6 +119,24 @@ def test_placement_errors():
         build_texture(SMALL, [DefectSpec("line", 1.8, 0.0, 0.3, length_mm=0.5)])
 
 
+def test_defect_wider_than_the_wall_is_refused():
+    # SMALL is 2618 columns round. A stamp spans the footprint's columns and
+    # one more on each side: 2 * ceil(half width in columns) + 3 for a line
+    # centred on column 0.
+    column_mm = 2.0 * math.pi * SMALL.radius_mm / 2618
+    fits = DefectSpec("line", 1.0, 0.0, 2 * 1306.9 * column_mm, length_mm=0.1)
+    (stamp,) = build_texture(SMALL, [fits]).stamps
+    assert stamp.coverage.shape[1] == 2617
+    for size_mm, columns in ((2 * 1307.1 * column_mm, 2619), (1.5 * 2618 * column_mm, 3931)):
+        wide = DefectSpec("line", 1.0, 0.0, size_mm, length_mm=0.1)
+        with pytest.raises(
+            PlacementError,
+            match=rf"line at \(z'=1.0, beta=0.0\) spans {columns} columns, "
+            r"more than the 2618",
+        ):
+            build_texture(SMALL, [fits, wide])
+
+
 def test_overlap_warning():
     close = [
         DefectSpec("disc", 1.0, 90.0, 0.2),
