@@ -38,7 +38,7 @@ from .manifest import (
 from .pgm import read_pgm, write_pgm
 from .pool import map_in_order
 from .scanplan import plan_scan
-from .synth import build_texture, render_stack, tile_shape_for
+from .synth import build_texture, tile_shape_for, write_stack
 from .unwrap import TileImage, correct_tile
 
 MATCH_RADIUS_MM = 0.25  # truth-to-record association distance for comparisons
@@ -95,13 +95,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    threads = _resolve_threads(None)
+    processes = _resolve_threads(None)
     cfg = load_config(args.config)
     defects = load_defect_list(args.defects) if args.defects else []
     seed = cfg.synth.seed if args.seed is None else args.seed
     sigma = cfg.synth.noise_sigma if args.noise_sigma is None else args.noise_sigma
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DomainError(f"noise sigma must be finite and >= 0, got {sigma}")
+    if seed < 0:
+        raise DomainError(f"noise seed must be >= 0, got {seed}")
     plan = plan_scan(cfg.hole, cfg.region)
     texture = build_texture(
         cfg.hole,
@@ -115,11 +117,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         truth=defects, seed=seed, noise_sigma=sigma,
     )
     out = _outdir(args.out)
-    for tile in render_stack(
-        texture, plan, cfg.optics, cfg.region, noise_sigma=sigma, seed=seed,
-        threads=threads,
-    ):
-        write_pgm(out / _tile_name(*tile.tile_index), tile.pixels)
+    paths = [out / _tile_name(e.depth_step, e.rotation_step) for e in plan.schedule]
+    write_stack(
+        texture, plan, cfg.optics, cfg.region, paths, noise_sigma=sigma, seed=seed,
+        processes=processes,
+    )
     save_manifest(manifest, out / "manifest.yaml")
     print(
         f"synth: {len(plan.schedule)} tiles, {len(defects)} planted defects, "
@@ -168,6 +170,8 @@ def _one_bit_depth(tiles, base_dir):
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    if args.min_area < 1:
+        raise ParseError("--min-area must be >= 1")
     manifest = load_manifest(args.manifest)
     threshold = parse_threshold_spec(args.threshold)
     out = _outdir(args.out)

@@ -38,6 +38,12 @@ class ImageFormatError(BorescanError):
     exit_code = 5
 
 
+class WorkerError(BorescanError):
+    """A worker process ended without reporting, killed or out of memory."""
+
+    exit_code = 1
+
+
 class ParseError(BorescanError):
     """A config, manifest, defect list, or report file failed to parse."""
 

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, PlacementError
 from .geometry import HoleSpec, OpticsConfig
-from .pool import map_in_order
+from .pgm import write_pgm
+from .pool import run_forked
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
 from .unwrap import (
     STRIP_ROWS,
@@ -45,7 +48,9 @@ __all__ = [
     "build_texture",
     "render_tile",
     "add_noise",
+    "noisy_tile",
     "render_stack",
+    "write_stack",
     "tile_shape_for",
 ]
 
@@ -541,7 +546,30 @@ def _noise_table(sigma: float, max_value: int) -> tuple[np.ndarray, np.ndarray]:
 
 def tile_noise_seed(master_seed: int, order: int) -> int:
     """Per-tile noise seed: independent stream per capture event."""
+    if master_seed < 0:
+        raise DomainError(f"noise seed must be >= 0, got {master_seed}")
     return int(np.random.SeedSequence([master_seed, order]).generate_state(1)[0])
+
+
+def noisy_tile(
+    texture: SurfaceTexture,
+    event: CaptureEvent,
+    cfg: OpticsConfig,
+    region: EffectiveRegion,
+    noise_sigma: float,
+    seed: int,
+) -> TileImage:
+    """The tile of one capture event, rendered and noisy: the one recipe
+    :func:`render_stack` and :func:`write_stack` share.
+
+    Each tile gets an independent noise stream derived from the master
+    seed and its order index, so a tile does not depend on which tiles
+    were made before it, or where.
+    """
+    # not underscore-named: the benchmark's tracer skips calls made from a
+    # module's private helpers, and this is where render and noise spans start
+    tile = render_tile(texture, event, cfg, region)
+    return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))
 
 
 def render_stack(
@@ -551,23 +579,51 @@ def render_stack(
     region: EffectiveRegion,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    threads: int = 1,
 ):
     """Yield every scheduled tile, rendered and noisy, in plan order.
 
-    Tiles render on ``threads`` worker threads; at most ``threads + 1``
-    are in flight, counting the one the caller holds. Each tile gets an
-    independent noise stream derived from the master seed and its order
-    index, so the tiles are byte-identical for any thread count. An error
-    raised for one tile is raised here in its place, after every tile
-    before it.
+    Tiles are made one at a time, as they are taken, in the calling
+    thread; they are the tiles :func:`write_stack` writes.
     """
+    for event in plan.schedule:
+        yield noisy_tile(texture, event, cfg, region, noise_sigma, seed)
 
-    # not underscore-named: the benchmark's tracer skips calls made from a
-    # module's private helpers, and this is where render and noise spans start
-    def render(event: CaptureEvent) -> TileImage:
-        tile = render_tile(texture, event, cfg, region)
-        return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))
 
-    yield from map_in_order(render, plan.schedule, threads)
+def write_stack(
+    texture: SurfaceTexture,
+    plan: ScanPlan,
+    cfg: OpticsConfig,
+    region: EffectiveRegion,
+    paths: list[Path],
+    noise_sigma: float = 0.0,
+    seed: int = 0,
+    processes: int = 1,
+) -> None:
+    """Render, noise and write scheduled tile i to ``paths[i]``, on
+    ``processes`` processes, the caller one of them.
 
+    Process p makes tiles p, p + processes, and so on, each written under
+    its path plus ``.part`` (:func:`pool.run_forked`). Once every tile has
+    been tried, the tiles before the first that failed, in plan order, are
+    renamed to their paths, every other part file is removed, and that
+    failure is raised. Whatever the process count, the files are the same
+    bytes, and after an error the tiles before it are written and none
+    after.
+    """
+    parts = [path.with_name(path.name + ".part") for path in paths]
+    schedule = plan.schedule
+
+    def write(i: int) -> None:
+        tile = noisy_tile(texture, schedule[i], cfg, region, noise_sigma, seed)
+        write_pgm(parts[i], tile.pixels)
+
+    try:
+        failure = run_forked(write, len(schedule), processes)
+        written = len(schedule) if failure is None else failure[0]
+        for part, path in zip(parts[:written], paths):
+            os.replace(part, path)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
+    if failure is not None:
+        raise failure[1]

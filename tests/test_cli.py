@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -211,38 +212,48 @@ class TestSynth:
     def test_thread_count_does_not_change_output(
         self, tmp_path, config_path, monkeypatch
     ):
+        # two discs, one across the 360-degree seam, and a line: the tiles
+        # hold stamps, not the background alone
         defects = tmp_path / "defects.csv"
-        defects.write_text(DEFECTS)
+        defects.write_text(
+            DEFECTS + "disc,0.5,359.95,0.1,,\nline,1.3,200.0,0.05,0.6,\n"
+        )
         outs = []
-        for threads in (1, 3):
-            cpus = set(range(threads))
+        for processes in (1, 2, 3):
+            cpus = set(range(processes))
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            out = tmp_path / f"t{threads}"
+            out = tmp_path / f"p{processes}"
             code = main(
                 ["synth", "--config", str(config_path), "--defects", str(defects),
                  "--out", str(out), "--noise-sigma", "5"]
             )
             assert code == 0
+            assert multiprocessing.active_children() == []
             outs.append(out)
         names = sorted(path.name for path in outs[0].iterdir())
         assert len(names) == 9 and "manifest.yaml" in names
-        assert names == sorted(path.name for path in outs[1].iterdir())
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # the background is 180 DN and the noise 5 DN: darker pixels are stamps
+        marked = [name for name in names if name.endswith(".pgm")
+                  and read_pgm(outs[0] / name).min() < 120]
+        assert len(marked) >= 3
+        for out in outs[1:]:
+            assert names == sorted(path.name for path in out.iterdir())
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
 
     def test_default_threads_are_the_cpus_it_may_run_on(
         self, tmp_path, config_path, monkeypatch
     ):
         seen = []
-        real_render_stack = cli.render_stack
+        real_write_stack = cli.write_stack
 
-        def spy(*args, threads, **kwargs):
-            seen.append(threads)
-            return real_render_stack(*args, threads=threads, **kwargs)
+        def spy(*args, processes, **kwargs):
+            seen.append(processes)
+            return real_write_stack(*args, processes=processes, **kwargs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(cli, "render_stack", spy)
+        monkeypatch.setattr(cli, "write_stack", spy)
         code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert code == 0
         assert seen == [1]
@@ -268,6 +279,49 @@ class TestSynth:
             for e in plan_scan(cfg.hole, cfg.region).schedule if e.order < 3
         )
         assert sorted(path.name for path in out.iterdir()) == before
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_1_leaving_no_part_file(
+        self, tmp_path, config_path, monkeypatch, capsys
+    ):
+        render_tile, caller = synth.render_tile, os.getpid()
+
+        def dying_render_tile(texture, event, cfg, region):
+            if os.getpid() != caller:
+                os._exit(9)  # a worker killed mid-tile
+            return render_tile(texture, event, cfg, region)
+
+        monkeypatch.setattr(synth, "render_tile", dying_render_tile)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "o"
+        code = main(["synth", "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "exit code 9" in err and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        # the worker fails at its first tile, the second of the plan: only
+        # the first, which the caller made, keeps its name
+        cfg = load_config(config_path)
+        event = plan_scan(cfg.hole, cfg.region).schedule[0]
+        assert [path.name for path in out.iterdir()] == [
+            cli._tile_name(event.depth_step, event.rotation_step)
+        ]
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_3(self, tmp_path, capsys, where):
+        config = tmp_path / "run.ini"
+        if where == "flag":
+            config.write_text(CONFIG)
+            flags, seed = ["--seed", "-1"], "-1"
+        else:
+            config.write_text(CONFIG + "[synth]\nseed = -4\n")
+            flags, seed = [], "-4"
+        out = tmp_path / "o"
+        code = main(["synth", "--config", str(config), "--out", str(out), *flags])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"noise seed must be >= 0, got {seed}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_defect_outside_hole_exits_3(self, tmp_path, config_path, capsys):
         defects = tmp_path / "defects.csv"
@@ -467,6 +521,18 @@ class TestInspect:
         assert rec["beta_deg"] == pytest.approx(100.0, abs=0.2)
         assert rec["size_mm"] == pytest.approx(0.2, abs=0.005)
         assert "disc" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("area", ["-5", "0"])
+    def test_min_area_below_one_exits_2(self, tmp_path, synth_dir, capsys, area):
+        out = tmp_path / "o"
+        code = main(
+            ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+             "--out", str(out), "--min-area", area]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--min-area must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_threading_does_not_change_output(self, tmp_path, synth_dir):
         outs = []

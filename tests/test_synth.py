@@ -9,6 +9,7 @@ import pytest
 from borescan import synth
 from borescan.errors import DomainError, PlacementError
 from borescan.geometry import HoleSpec, OpticsConfig
+from borescan.pgm import read_pgm
 from borescan.scanplan import CaptureEvent, EffectiveRegion, plan_scan
 from borescan.synth import (
     DefectSpec,
@@ -16,7 +17,9 @@ from borescan.synth import (
     build_texture,
     render_stack,
     render_tile,
+    tile_noise_seed,
     tile_shape_for,
+    write_stack,
 )
 from borescan.unwrap import (
     STRIP_ROWS,
@@ -749,32 +752,50 @@ def test_render_stack_deterministic():
     texture = build_texture(hole, [DefectSpec("disc", 0.6, 100.0, 0.2)])
     plan = plan_scan(hole, REGION)
     first = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
-    second = list(
-        render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11, threads=3)
-    )
+    second = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
     assert len(first) == len(second) == 9
     for a, b in zip(first, second):
         assert a.tile_index == b.tile_index
         assert np.array_equal(a.pixels, b.pixels)
 
 
-def test_render_stack_holds_at_most_threads_plus_one_tiles(monkeypatch):
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_write_stack_writes_the_render_stack_tiles(tmp_path, processes):
+    hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
+    texture = build_texture(
+        hole, [DefectSpec("disc", 0.6, 100.0, 0.2), DefectSpec("disc", 0.4, 359.9, 0.1)]
+    )
+    plan = plan_scan(hole, REGION)
+    paths = [tmp_path / f"tile{event.order}.pgm" for event in plan.schedule]
+    write_stack(texture, plan, CFG, REGION, paths, 4.0, 11, processes=processes)
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    for path, tile in zip(paths, render_stack(texture, plan, CFG, REGION, 4.0, 11)):
+        assert np.array_equal(read_pgm(path), tile.pixels)
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_write_stack_keeps_only_the_tiles_before_the_first_error(
+    tmp_path, monkeypatch, processes
+):
     hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
     texture = build_texture(hole, [])
     plan = plan_scan(hole, REGION)
-    started = []
 
-    def counting_render_tile(*args):
-        started.append(1)
-        return render_tile(*args)
+    def failing_render_tile(texture, event, cfg, region):
+        if event.order in (4, 7):
+            raise DomainError(f"tile {event.order} cannot be rendered")
+        return render_tile(texture, event, cfg, region)
 
-    monkeypatch.setattr(synth, "render_tile", counting_render_tile)
-    threads = 2
-    held = 0
-    for held, _ in enumerate(render_stack(texture, plan, CFG, REGION, threads=threads)):
-        # tiles rendered or rendering that the caller has not let go of
-        assert len(started) - held <= threads + 1
-    assert held + 1 == len(started) == 9
+    monkeypatch.setattr(synth, "render_tile", failing_render_tile)
+    paths = [tmp_path / f"tile{event.order}.pgm" for event in plan.schedule]
+    with pytest.raises(DomainError, match="tile 4 cannot"):
+        write_stack(texture, plan, CFG, REGION, paths, processes=processes)
+    assert sorted(tmp_path.iterdir()) == sorted(paths[:4])
+
+
+def test_negative_noise_seed_is_refused():
+    with pytest.raises(DomainError, match="noise seed must be >= 0, got -1"):
+        tile_noise_seed(-1, 0)
 
 
 def test_render_stack_empty_plan():
