@@ -7,6 +7,8 @@ big-endian as the format requires.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ImageFormatError
@@ -50,33 +52,43 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         write_pgm_rows(handle, pixels)
 
 
-def _tokens(data: bytes):
+# the bytes bytes.isspace() counts as whitespace
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _tokens(data: memoryview):
     """Header tokens, skipping whitespace and # comments, tracking position.
 
     The tokens stop where the data does, so a cut-off header reads as
     malformed.
     """
-    pos = 0
+    pos, size = 0, len(data)
     while True:
-        while pos < len(data) and data[pos : pos + 1].isspace():
+        while pos < size and data[pos] in _WHITESPACE:
             pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
+        if pos < size and data[pos] == ord("#"):
+            while pos < size and data[pos] != ord("\n"):
                 pos += 1
             continue
         start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
+        while pos < size and data[pos] not in _WHITESPACE:
             pos += 1
         if start == pos:
             return
-        yield data[start:pos], pos
+        yield bytes(data[start:pos]), pos
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM; uint8 up to maxval 255, uint16 beyond."""
+    """Read a binary PGM: uint8 at maxval 255, uint16 at maxval 65535.
+
+    Any other maxval is refused, because every stage reads a sample as a
+    fraction of its dtype's full scale. The file is read once, into one
+    buffer; an 8-bit result is a writable view of its raster.
+    """
     with open(path, "rb") as handle:
-        data = handle.read()
-    reader = _tokens(data)
+        data = np.empty(os.fstat(handle.fileno()).st_size, dtype=np.uint8)
+        data = data[: handle.readinto(data)]
+    reader = _tokens(memoryview(data))
     try:
         magic, _ = next(reader)
         if magic != b"P5":
@@ -89,19 +101,21 @@ def read_pgm(path) -> np.ndarray:
         raise ImageFormatError(f"{path}: malformed PGM header") from exc
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise ImageFormatError(f"{path}: bad PGM dimensions {width}x{height}/{maxval}")
+    if maxval not in (255, 65535):
+        raise ImageFormatError(
+            f"{path}: PGM maxval {maxval}; tiles are 8-bit at maxval 255 "
+            "or 16-bit at maxval 65535"
+        )
     # exactly one whitespace byte separates the header from the raster
     start = end + 1
-    dtype = np.dtype(np.uint8) if maxval <= 255 else np.dtype(">u2")
+    dtype = np.dtype(np.uint8) if maxval == 255 else np.dtype(">u2")
     expected = width * height * dtype.itemsize
     available = max(len(data) - start, 0)
     if available < expected:
         raise ImageFormatError(
             f"{path}: raster truncated ({available} of {expected} bytes)"
         )
-    # a read-only view of the file's bytes, copied once into a writable array
-    pixels = np.frombuffer(
-        data, dtype=dtype, count=width * height, offset=start
-    ).reshape(height, width)
-    if maxval > 255:
+    pixels = data[start : start + expected].view(dtype).reshape(height, width)
+    if maxval == 65535:
         return pixels.astype(np.uint16)
-    return pixels.copy()
+    return pixels

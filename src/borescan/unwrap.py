@@ -215,11 +215,13 @@ def _resample_columns(
 ) -> np.ndarray:
     """Sample every row of ``pixels`` with ``_column_weights``' ``weights``.
 
-    The one array interpolation kernel: render, correct and forward
-    projection all resample through it. Writes the float64 result into
-    ``out`` and returns it, using ``scratch`` (same shape) for the second
-    term, so a caller working strip by strip allocates both once; caller
-    handles masking and dtype restoration.
+    The float64 interpolation kernel: render, forward projection and the
+    correction of 16-bit tiles resample through it. ``correct_tile`` sends
+    8-bit tiles through ``_correct_uint8`` instead, and through this kernel
+    only on a rig that ``_uint8_weights`` refuses. Writes the float64
+    result into ``out`` and returns it, using ``scratch`` (same shape) for
+    the second term, so a caller working strip by strip allocates both
+    once; caller handles masking and dtype restoration.
     """
     c0, c1, w0, w1 = weights
     # gather first: widening only the sampled columns is exact and cheaper
@@ -238,6 +240,94 @@ def _correction_weights(width: int, radius_mm: float, pitch_um: float) -> tuple:
     for array in weights:
         array.flags.writeable = False
     return weights
+
+
+# The float64 correction computes fl(fl(p0*w0) + fl(p1*w1)), w0 = fl(1 - w1),
+# for samples p0, p1 in 0..255 and w1 in [0, 1]. Exactly, p0*(1 - w1) +
+# p1*w1 = p0 + d*w1 with d = p1 - p0. fl(1 - w1) is off by at most 2**-54
+# (half an ulp below 1), which p0 <= 255 scales to under 2**-46; each of
+# the two products and the sum stays below 256, so each rounds by at most
+# half an ulp there, 2**-46. The float64 value is thus within 4 * 2**-46 =
+# 2**-44 (5.7e-14) of p0 + d*w1, and rounds to p0 + rint(d*w1) whenever
+# d*w1 lies farther than that from a half-integer. The guard asks that of
+# fl(d*w1), itself within 2**-46 of d*w1, with margin to spare. rint is odd
+# away from ties, so d = 1..255 covers d = -255..-1, and d = 0 gives p0.
+_HALF_INTEGER_GUARD = 2e-13
+# float32 steps either side of the nearest float32 that _uint8_weights tries
+_FLOAT32_STEPS = 8
+
+
+@functools.lru_cache(maxsize=16)
+def _uint8_weights(width: int, radius_mm: float, pitch_um: float) -> np.ndarray | None:
+    """float32 weights that give 8-bit ``correct_tile`` its float64 bytes.
+
+    ``w32[m]`` makes ``p0 + rint(float32(p1 - p0) * w32[m])`` equal the
+    float64 ``rint(p0 * w0[m] + p1 * w1[m])`` of ``_correction_weights``
+    for all 65,536 sample pairs of column ``m``. Two checks prove it:
+    every ``d * w1[m]`` (d = 1..255) clears a half-integer by the guard
+    derived above, so the float64 result is the staircase
+    ``p0 + rint(d * w1[m])``; and a float32 weight, the nearest to
+    ``w1[m]`` or a few steps either side, reproduces that staircase for
+    every d in the float32 arithmetic the kernel runs (both sides are odd
+    in d). None when either check fails for some column: that rig's 8-bit
+    tiles take the float64 path. Built once per tile width, bore radius
+    and pitch, and shared read-only like ``_correction_weights``.
+    """
+    w1 = _correction_weights(width, radius_mm, pitch_um)[3]
+    d = np.arange(1, 256, dtype=np.float64)[:, None]
+    products = d * w1
+    if np.any(np.abs(products - np.floor(products) - 0.5) <= _HALF_INTEGER_GUARD):
+        return None
+    staircase = np.rint(products).astype(np.float32)
+    d32 = d.astype(np.float32)
+    w32 = w1.astype(np.float32)
+    pending = np.flatnonzero(np.any(np.rint(d32 * w32) != staircase, axis=0))
+    # row 0 steps down from the nearest float32, row 1 up
+    sides = np.tile(w32[pending], (2, 1))
+    toward = np.array([[-np.inf], [np.inf]], dtype=np.float32)
+    for _ in range(_FLOAT32_STEPS):
+        if not pending.size:
+            break
+        sides = np.nextafter(sides, toward)
+        below, above = (
+            np.all(np.rint(d32 * side) == staircase[:, pending], axis=0)
+            for side in sides
+        )
+        found = below | above
+        w32[pending[found]] = np.where(below, sides[0], sides[1])[found]
+        pending, sides = pending[~found], sides[:, ~found]
+    if pending.size:
+        return None
+    w32.flags.writeable = False
+    return w32
+
+
+def _correct_uint8(
+    pixels: np.ndarray, c0: np.ndarray, c1: np.ndarray, w32: np.ndarray, out: np.ndarray
+) -> None:
+    """Write ``p0 + rint(float32(p1 - p0) * w32)`` of every row of the 8-bit
+    ``pixels`` into ``out``, where ``p0``/``p1`` gather columns ``c0``/``c1``.
+
+    Each 64-row strip is widened to float32 once and gathered from there,
+    so every step after it is a float32 loop: numpy's loops that mix uint8
+    and float operands cost more than all the float32 arithmetic together.
+    Every value is an integer below 2**24 except the product, so only the
+    product and its ``rint`` round, as ``_uint8_weights`` checked.
+    """
+    height, width = pixels.shape
+    strip = (min(height, STRIP_ROWS), width)
+    rows, p0, d = (np.empty(strip, dtype=np.float32) for _ in range(3))
+    for lo in range(0, height, STRIP_ROWS):
+        n = min(STRIP_ROWS, height - lo)
+        np.copyto(rows[:n], pixels[lo : lo + n])
+        # columns are in range; "clip" only spares take its buffered copy
+        np.take(rows[:n], c0, axis=1, out=p0[:n], mode="clip")
+        np.take(rows[:n], c1, axis=1, out=d[:n], mode="clip")
+        np.subtract(d[:n], p0[:n], out=d[:n])
+        np.multiply(d[:n], w32, out=d[:n])
+        np.rint(d[:n], out=d[:n])
+        np.add(d[:n], p0[:n], out=d[:n])
+        out[lo : lo + n] = d[:n]
 
 
 def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[slice, slice]]:
@@ -262,17 +352,25 @@ def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
     Output has the same shape, dtype, and pixel pitches; after correction
     every column step spans the same physical arc on the bore wall. All
     source coordinates fall inside the input (the flat image is a
-    compressed view of the arc), so no fill is needed.
+    compressed view of the arc), so no fill is needed. Every sample is
+    ``rint(p0 * w0 + p1 * w1)`` in float64; 8-bit tiles get those bytes
+    from ``_correct_uint8``'s float32 arithmetic wherever
+    ``_uint8_weights`` has proved it gives them.
     """
-    weights = _correction_weights(img.width, radius_mm, img.pixel_pitch_x_um)
+    rig = (img.width, radius_mm, img.pixel_pitch_x_um)
+    weights = _correction_weights(*rig)
     out = np.empty_like(img.pixels)
-    strip = (min(img.height, STRIP_ROWS), img.width)
-    resampled, scratch = np.empty(strip), np.empty(strip)
-    for lo in range(0, img.height, STRIP_ROWS):
-        hi = min(lo + STRIP_ROWS, img.height)
-        strip_out = resampled[: hi - lo]
-        _resample_columns(img.pixels[lo:hi], weights, strip_out, scratch[: hi - lo])
-        out[lo:hi] = np.rint(strip_out, out=strip_out)
+    w32 = _uint8_weights(*rig) if img.pixels.dtype == np.uint8 else None
+    if w32 is not None:
+        _correct_uint8(img.pixels, weights[0], weights[1], w32, out)
+    else:
+        strip = (min(img.height, STRIP_ROWS), img.width)
+        resampled, scratch = np.empty(strip), np.empty(strip)
+        for lo in range(0, img.height, STRIP_ROWS):
+            hi = min(lo + STRIP_ROWS, img.height)
+            strip_out = resampled[: hi - lo]
+            _resample_columns(img.pixels[lo:hi], weights, strip_out, scratch[: hi - lo])
+            out[lo:hi] = np.rint(strip_out, out=strip_out)
     return TileImage(
         pixels=out,
         pixel_pitch_x_um=img.pixel_pitch_x_um,

@@ -823,11 +823,20 @@ class TestInspect:
         assert "'format'" in err and "re-run synth" in err and "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def twelve_bit(good):
+        """The 8-bit tile ``good`` scaled to a 12-bit one: maxval 4095."""
+        head, raster = good.split(b"\n255\n", 1)
+        samples = np.frombuffer(raster, dtype=np.uint8).astype(">u2") * 16
+        return head + b"\n4095\n" + samples.tobytes()
+
     # each replaces tile (1, 2) of the 8-tile run
     FUZZED_TILES = {
         "truncated-raster": lambda good: good[:-100],
         "wrong-magic": lambda good: b"P2" + good[2:],
         "maxval-0": lambda good: good.replace(b"\n255\n", b"\n0\n", 1),
+        "maxval-100": lambda good: good.replace(b"\n255\n", b"\n100\n", 1),
+        "maxval-4095": lambda good: TestInspect.twelve_bit(good),
         "maxval-65536": lambda good: good.replace(b"\n255\n", b"\n65536\n", 1),
         "header-comment": lambda good: good.replace(b"P5\n", b"P5\n# hand-edited\n", 1),
         "sixteen-bit": None,  # the same pixels, scaled to 16 bits
@@ -853,6 +862,8 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert code == 0 or "tile_d01_r02.pgm" in err
+        if fault.startswith("maxval-"):
+            assert fault.removeprefix("maxval-") in err
         left = {path.name for path in out.iterdir()}
         if fault == "header-comment":
             assert code == 0

@@ -1,5 +1,7 @@
 """Binary PGM reader/writer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,43 @@ def test_comments_in_header_are_skipped(tmp_path):
     path = tmp_path / "e.pgm"
     path.write_bytes(b"P5\n# made by hand\n2 1\n# maxval next\n255\n\x07\x09")
     assert read_pgm(path).tolist() == [[7, 9]]
+
+
+def test_a_long_header_comment_is_skipped(tmp_path):
+    path = tmp_path / "long.pgm"
+    comment = b"#" + b" a\tlong\rcomment" * 10_000 + b"\n"
+    path.write_bytes(b"P5\n" + comment + b"2 1\n" + comment + b"255\n\x07\x09")
+    assert read_pgm(path).tolist() == [[7, 9]]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_read_holds_the_file_once(tmp_path, dtype):
+    pixels = np.full((512, 1024), 7, dtype=dtype)
+    path = tmp_path / "big.pgm"
+    write_pgm(path, pixels)
+    tracemalloc.start()
+    try:
+        back = read_pgm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (back == pixels).all()
+    # the file's bytes, plus for 16 bits the native-endian samples
+    assert peak < path.stat().st_size * (1.1 if dtype == np.uint8 else 2.1)
+
+
+@pytest.mark.parametrize(
+    "maxval, sample_bytes", [(1, 1), (100, 1), (254, 1), (256, 2), (4095, 2), (65534, 2)]
+)
+def test_maxval_other_than_full_scale_is_refused(tmp_path, maxval, sample_bytes):
+    # samples are read as fractions of the dtype's full scale: a 12-bit tile
+    # read as 16-bit would be 16 times too dark
+    path = tmp_path / "scaled.pgm"
+    path.write_bytes(f"P5\n2 2\n{maxval}\n".encode() + b"\x01" * 4 * sample_bytes)
+    with pytest.raises(ImageFormatError) as info:
+        read_pgm(path)
+    assert "scaled.pgm" in str(info.value)
+    assert f"maxval {maxval};" in str(info.value)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])

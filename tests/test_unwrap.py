@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borescan import unwrap
 from borescan.errors import ConfigError, DomainError
 from borescan.unwrap import (
     STRIP_ROWS,
@@ -14,6 +15,7 @@ from borescan.unwrap import (
     _column_weights,
     _correction_weights,
     _resample_columns,
+    _uint8_weights,
     arc_to_pixel,
     bilinear_sample,
     build_remap,
@@ -215,10 +217,11 @@ def test_correct_tile_strips_match_whole_tile(dtype, height):
     assert np.array_equal(out.pixels, expected)
 
 
-def corrected_by_formula(pixels):
-    """correct_tile written out from build_remap, with no strips or buffers."""
+def corrected_by_formula(pixels, radius=R, pitch=PITCH):
+    """correct_tile written out from build_remap in float64, with no strips,
+    buffers or float32."""
     width = pixels.shape[1]
-    source = build_remap(width, R, PITCH)
+    source = build_remap(width, radius, pitch)
     last = width - 1
     assert 0.0 <= source.min() and source.max() <= last  # nothing to clip
     c0 = np.minimum(np.floor(source).astype(np.int64), max(last - 1, 0))
@@ -262,6 +265,7 @@ def test_correct_tile_threads_at_once_match_formula():
             results[n].append(correct_tile(tiles[n], R).pixels)
 
     _correction_weights.cache_clear()
+    _uint8_weights.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -282,10 +286,95 @@ def test_cached_correction_weights_are_read_only():
     correct_tile(tile_from(np.zeros((2, 695), dtype=np.uint8)), R)
     weights = _correction_weights(695, R, PITCH)
     assert len(weights) == 4
-    for array in weights:
+    for array in (*weights, _uint8_weights(695, R, PITCH)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def seeded_rig(seed):
+    """(width, radius, pitch) of a random rig whose tile fits its bore."""
+    rng = np.random.default_rng(seed)
+    return (
+        int(rng.integers(50, 1000)),
+        float(rng.uniform(1.5, 3.5)),
+        float(rng.uniform(1.0, 4.0)),
+    )
+
+
+def every_sample_pair(width, first):
+    """Tile rows of 8 values of p (``first`` on) times every q, p in the even
+    columns and q in the odd ones. A column reading (c, c + 1) sees (p, q) or
+    (q, p), so rows of all 256 values of p give every column all 65,536
+    ordered pairs."""
+    p, q = np.divmod(np.arange(8 * 256) + 256 * first, 256)
+    even = np.arange(width) % 2 == 0
+    return np.where(even, p[:, None], q[:, None]).astype(np.uint8)
+
+
+@pytest.fixture
+def fresh_uint8_weights():
+    _uint8_weights.cache_clear()
+    yield
+    _uint8_weights.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "rig, moved",
+    [
+        ((695, R, PITCH), False),  # the reference rig takes the nearest float32s
+        (seeded_rig(1), True),  # two columns move off it
+        (seeded_rig(6), True),
+        (seeded_rig(9), False),
+    ],
+    ids=["reference", "seed-1", "seed-6", "seed-9"],
+)
+def test_uint8_correction_matches_float64_on_every_sample_pair(rig, moved):
+    width, radius, pitch = rig
+    w32 = _uint8_weights(*rig)
+    assert w32 is not None
+    nearest = _correction_weights(*rig)[3].astype(np.float32)
+    assert np.any(w32 != nearest) == moved
+    for first in range(0, 256, 8):
+        pixels = every_sample_pair(width, first)
+        out = correct_tile(tile_from(pixels, pitch), radius)
+        assert np.array_equal(out.pixels, corrected_by_formula(pixels, radius, pitch))
+
+
+def half_integer_column(rig):
+    """The rig's weights with w1 = 0.5 in column 100: p0 + p1 odd makes a tie."""
+    c0, c1, w0, w1 = (array.copy() for array in _correction_weights(*rig))
+    w0[100] = w1[100] = 0.5
+    return (c0, c1, w0, w1)
+
+
+@pytest.mark.parametrize("refusal", ["half-integer", "no float32 in reach"])
+def test_uint8_correction_falls_back_to_float64_where_unproved(
+    monkeypatch, fresh_uint8_weights, refusal
+):
+    if refusal == "half-integer":
+        rig = (695, R, PITCH)
+        weights = half_integer_column(rig)
+        monkeypatch.setattr(unwrap, "_correction_weights", lambda *key: weights)
+    else:
+        rig = seeded_rig(1)  # reproduced only one float32 step off the nearest
+        weights = _correction_weights(*rig)
+        monkeypatch.setattr(unwrap, "_FLOAT32_STEPS", 0)
+    width, radius, pitch = rig
+    assert _uint8_weights(*rig) is None
+    pixels = every_sample_pair(width, 0)
+    shape = pixels.shape
+    expected = np.rint(
+        _resample_columns(pixels, weights, np.empty(shape), np.empty(shape))
+    ).astype(np.uint8)
+    assert np.array_equal(correct_tile(tile_from(pixels, pitch), radius).pixels, expected)
+    if refusal == "half-integer":
+        # the float32 formula would round the tie (1, 2) down where float64
+        # rounds 1.5 to even, so the float64 path is what gives these bytes
+        p0 = pixels[:, weights[0][100]].astype(np.float32)
+        p1 = pixels[:, weights[1][100]].astype(np.float32)
+        float32 = p0 + np.rint((p1 - p0) * np.float32(0.5))
+        assert np.any(float32 != expected[:, 100])
 
 
 def test_correct_tile_row_independence():
