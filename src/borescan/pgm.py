@@ -8,6 +8,7 @@ big-endian as the format requires.
 from __future__ import annotations
 
 import os
+import stat
 
 import numpy as np
 
@@ -82,12 +83,17 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary PGM: uint8 at maxval 255, uint16 at maxval 65535.
 
     Any other maxval is refused, because every stage reads a sample as a
-    fraction of its dtype's full scale. The file is read once, into one
-    buffer; an 8-bit result is a writable view of its raster.
+    fraction of its dtype's full scale. A regular file is read once, into
+    one buffer; an 8-bit result is a writable view of its raster. A pipe
+    or other stream, which reports no size, is read to its end.
     """
     with open(path, "rb") as handle:
-        data = np.empty(os.fstat(handle.fileno()).st_size, dtype=np.uint8)
-        data = data[: handle.readinto(data)]
+        status = os.fstat(handle.fileno())
+        if stat.S_ISREG(status.st_mode):
+            data = np.empty(status.st_size, dtype=np.uint8)
+            data = data[: handle.readinto(data)]
+        else:
+            data = np.frombuffer(bytearray(handle.read()), dtype=np.uint8)
     reader = _tokens(memoryview(data))
     try:
         magic, _ = next(reader)

@@ -253,50 +253,31 @@ def _correction_weights(width: int, radius_mm: float, pitch_um: float) -> tuple:
 # fl(d*w1), itself within 2**-46 of d*w1, with margin to spare. rint is odd
 # away from ties, so d = 1..255 covers d = -255..-1, and d = 0 gives p0.
 _HALF_INTEGER_GUARD = 2e-13
-# float32 steps either side of the nearest float32 that _uint8_weights tries
-_FLOAT32_STEPS = 8
 
 
 @functools.lru_cache(maxsize=16)
 def _uint8_weights(width: int, radius_mm: float, pitch_um: float) -> np.ndarray | None:
     """float32 weights that give 8-bit ``correct_tile`` its float64 bytes.
 
-    ``w32[m]`` makes ``p0 + rint(float32(p1 - p0) * w32[m])`` equal the
-    float64 ``rint(p0 * w0[m] + p1 * w1[m])`` of ``_correction_weights``
-    for all 65,536 sample pairs of column ``m``. Two checks prove it:
-    every ``d * w1[m]`` (d = 1..255) clears a half-integer by the guard
-    derived above, so the float64 result is the staircase
-    ``p0 + rint(d * w1[m])``; and a float32 weight, the nearest to
-    ``w1[m]`` or a few steps either side, reproduces that staircase for
-    every d in the float32 arithmetic the kernel runs (both sides are odd
-    in d). None when either check fails for some column: that rig's 8-bit
-    tiles take the float64 path. Built once per tile width, bore radius
-    and pitch, and shared read-only like ``_correction_weights``.
+    ``w32[m]``, the nearest float32 to ``w1[m]``, makes ``p0 +
+    rint(float32(p1 - p0) * w32[m])`` equal the float64 ``rint(p0 * w0[m]
+    + p1 * w1[m])`` of ``_correction_weights`` for all 65,536 sample pairs
+    of column ``m``. Two checks prove it: every ``d * w1[m]`` (d = 1..255)
+    clears a half-integer by the guard derived above, so the float64
+    result is the staircase ``p0 + rint(d * w1[m])``; and ``w32[m]``
+    reproduces that staircase for every d in the float32 arithmetic the
+    kernel runs (both sides are odd in d). None when either check fails
+    for some column: that rig's 8-bit tiles take the float64 path. Built
+    once per tile width, bore radius and pitch, and shared read-only like
+    ``_correction_weights``.
     """
     w1 = _correction_weights(width, radius_mm, pitch_um)[3]
     d = np.arange(1, 256, dtype=np.float64)[:, None]
     products = d * w1
     if np.any(np.abs(products - np.floor(products) - 0.5) <= _HALF_INTEGER_GUARD):
         return None
-    staircase = np.rint(products).astype(np.float32)
-    d32 = d.astype(np.float32)
     w32 = w1.astype(np.float32)
-    pending = np.flatnonzero(np.any(np.rint(d32 * w32) != staircase, axis=0))
-    # row 0 steps down from the nearest float32, row 1 up
-    sides = np.tile(w32[pending], (2, 1))
-    toward = np.array([[-np.inf], [np.inf]], dtype=np.float32)
-    for _ in range(_FLOAT32_STEPS):
-        if not pending.size:
-            break
-        sides = np.nextafter(sides, toward)
-        below, above = (
-            np.all(np.rint(d32 * side) == staircase[:, pending], axis=0)
-            for side in sides
-        )
-        found = below | above
-        w32[pending[found]] = np.where(below, sides[0], sides[1])[found]
-        pending, sides = pending[~found], sides[:, ~found]
-    if pending.size:
+    if np.any(np.rint(d.astype(np.float32) * w32) != np.rint(products)):
         return None
     w32.flags.writeable = False
     return w32

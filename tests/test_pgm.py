@@ -1,5 +1,7 @@
 """Binary PGM reader/writer."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -86,6 +88,27 @@ def test_read_holds_the_file_once(tmp_path, dtype):
     assert (back == pixels).all()
     # the file's bytes, plus for 16 bits the native-endian samples
     assert peak < path.stat().st_size * (1.1 if dtype == np.uint8 else 2.1)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_a_named_pipe_is_read_to_its_end(tmp_path, dtype):
+    # a pipe reports size 0, so it cannot be read into a buffer sized by stat
+    pixels = np.array([[1, 2, 3], [4, 5, 250]], dtype=dtype)
+    write_pgm(tmp_path / "tile.pgm", pixels)
+    pipe = tmp_path / "pipe.pgm"
+    os.mkfifo(pipe)
+    writer = threading.Thread(
+        target=pipe.write_bytes, args=((tmp_path / "tile.pgm").read_bytes(),)
+    )
+    writer.start()
+    try:
+        back = read_pgm(pipe)
+    finally:
+        writer.join()
+    assert back.dtype == dtype
+    assert np.array_equal(back, pixels)
+    back[0, 0] = 9  # writable, as from a regular file
 
 
 @pytest.mark.parametrize(

@@ -320,61 +320,51 @@ def fresh_uint8_weights():
 
 
 @pytest.mark.parametrize(
-    "rig, moved",
+    "rig, proved",
     [
-        ((695, R, PITCH), False),  # the reference rig takes the nearest float32s
-        (seeded_rig(1), True),  # two columns move off it
-        (seeded_rig(6), True),
-        (seeded_rig(9), False),
+        ((695, R, PITCH), True),
+        (seeded_rig(1), False),  # the nearest float32 misses the staircase
+        (seeded_rig(6), False),
+        (seeded_rig(9), True),
+        (seeded_rig(11), True),
     ],
-    ids=["reference", "seed-1", "seed-6", "seed-9"],
+    ids=["reference", "seed-1", "seed-6", "seed-9", "seed-11"],
 )
-def test_uint8_correction_matches_float64_on_every_sample_pair(rig, moved):
+def test_uint8_correction_matches_float64_on_every_sample_pair(rig, proved):
     width, radius, pitch = rig
     w32 = _uint8_weights(*rig)
-    assert w32 is not None
-    nearest = _correction_weights(*rig)[3].astype(np.float32)
-    assert np.any(w32 != nearest) == moved
+    assert (w32 is not None) == proved
+    if proved:
+        nearest = _correction_weights(*rig)[3].astype(np.float32)
+        assert np.array_equal(w32, nearest)
     for first in range(0, 256, 8):
         pixels = every_sample_pair(width, first)
         out = correct_tile(tile_from(pixels, pitch), radius)
         assert np.array_equal(out.pixels, corrected_by_formula(pixels, radius, pitch))
 
 
-def half_integer_column(rig):
-    """The rig's weights with w1 = 0.5 in column 100: p0 + p1 odd makes a tie."""
+def test_uint8_correction_falls_back_to_float64_on_a_half_integer(
+    monkeypatch, fresh_uint8_weights
+):
+    rig = (695, R, PITCH)
+    # w1 = 0.5 in column 100: p0 + p1 odd makes a tie
     c0, c1, w0, w1 = (array.copy() for array in _correction_weights(*rig))
     w0[100] = w1[100] = 0.5
-    return (c0, c1, w0, w1)
-
-
-@pytest.mark.parametrize("refusal", ["half-integer", "no float32 in reach"])
-def test_uint8_correction_falls_back_to_float64_where_unproved(
-    monkeypatch, fresh_uint8_weights, refusal
-):
-    if refusal == "half-integer":
-        rig = (695, R, PITCH)
-        weights = half_integer_column(rig)
-        monkeypatch.setattr(unwrap, "_correction_weights", lambda *key: weights)
-    else:
-        rig = seeded_rig(1)  # reproduced only one float32 step off the nearest
-        weights = _correction_weights(*rig)
-        monkeypatch.setattr(unwrap, "_FLOAT32_STEPS", 0)
-    width, radius, pitch = rig
+    weights = (c0, c1, w0, w1)
+    monkeypatch.setattr(unwrap, "_correction_weights", lambda *key: weights)
     assert _uint8_weights(*rig) is None
-    pixels = every_sample_pair(width, 0)
+    pixels = every_sample_pair(rig[0], 0)
     shape = pixels.shape
     expected = np.rint(
         _resample_columns(pixels, weights, np.empty(shape), np.empty(shape))
     ).astype(np.uint8)
-    assert np.array_equal(correct_tile(tile_from(pixels, pitch), radius).pixels, expected)
-    if refusal == "half-integer":
-        # the float32 formula would round the tie (1, 2) down where float64
-        # rounds 1.5 to even, so the float64 path is what gives these bytes
-        p0 = pixels[:, weights[0][100]].astype(np.float32)
-        p1 = pixels[:, weights[1][100]].astype(np.float32)
-        float32 = p0 + np.rint((p1 - p0) * np.float32(0.5))
-        assert np.any(float32 != expected[:, 100])
+    assert np.array_equal(correct_tile(tile_from(pixels, PITCH), R).pixels, expected)
+    # the float32 formula would round the tie (1, 2) down where float64
+    # rounds 1.5 to even, so the float64 path is what gives these bytes
+    p0 = pixels[:, c0[100]].astype(np.float32)
+    p1 = pixels[:, c1[100]].astype(np.float32)
+    float32 = p0 + np.rint((p1 - p0) * np.float32(0.5))
+    assert np.any(float32 != expected[:, 100])
 
 
 def test_correct_tile_row_independence():
