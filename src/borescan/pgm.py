@@ -16,6 +16,8 @@ from .errors import ImageFormatError
 
 __all__ = ["read_pgm", "write_pgm", "write_pgm_header", "write_pgm_rows"]
 
+_SWAP_BYTES = 1 << 16
+
 
 def _maxval(dtype) -> int:
     if dtype == np.uint8:
@@ -38,7 +40,10 @@ def write_pgm_rows(handle, rows: np.ndarray) -> None:
     """Append a band of raster rows to a PGM begun by :func:`write_pgm_header`."""
     # written straight from a contiguous array: tobytes() would copy it first
     if rows.dtype == np.uint16:
-        handle.write(np.ascontiguousarray(rows, dtype=">u2"))
+        # big-endian copies of about 64 KB (at least a row), not of the whole band
+        step = max(1, _SWAP_BYTES // max(1, rows[:1].nbytes))
+        for lo in range(0, len(rows), step):
+            handle.write(np.ascontiguousarray(rows[lo : lo + step], dtype=">u2"))
     else:
         handle.write(np.ascontiguousarray(rows))
 

@@ -43,6 +43,7 @@ from .unwrap import (
 
 __all__ = [
     "SurfaceTexture",
+    "TileBuffers",
     "DefectSpec",
     "DEFAULT_CONTRAST",
     "build_texture",
@@ -56,7 +57,6 @@ __all__ = [
 
 _SUPERSAMPLE = 4  # 4x4 subsamples per pixel for anti-aliased edges
 DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
-_STEP = np.iinfo(np.int32).min  # a bucket of the noise table that a CDF step splits
 
 
 class Stamp(NamedTuple):
@@ -383,11 +383,49 @@ def tile_shape_for(cfg: OpticsConfig, region: EffectiveRegion) -> tuple[int, int
     return height, width
 
 
+class TileBuffers(NamedTuple):
+    """The arrays one process makes its tiles in, tile after tile.
+
+    ``pixels`` is the C-contiguous tile, and ``strips`` the float64
+    scratch of a strip of rows: two rows of ``min(height, STRIP_ROWS) *
+    width`` values, which :func:`render_tile` resamples in and
+    :func:`add_noise` draws in. A worker that reuses them allocates no
+    tile-sized array after its first tile, so the heap is not trimmed and
+    faulted back in per tile.
+    """
+
+    pixels: np.ndarray
+    strips: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: tuple[int, int], dtype) -> TileBuffers:
+        return cls(np.empty(shape, dtype=dtype), _strip_scratch(*shape))
+
+
+def _strip_scratch(height: int, width: int) -> np.ndarray:
+    return np.empty((2, min(height, STRIP_ROWS) * width))
+
+
+def _tile_out(buffers: TileBuffers | None, shape: tuple[int, int], dtype) -> np.ndarray:
+    """The array a tile of ``shape`` and ``dtype`` is made in: a new one,
+    or ``buffers.pixels``, which must match."""
+    if buffers is None:
+        return np.empty(shape, dtype=dtype)
+    pixels = buffers.pixels
+    if pixels.shape != shape or pixels.dtype != dtype or not pixels.flags.c_contiguous:
+        raise DomainError(
+            f"tile buffer of shape {pixels.shape} and dtype {pixels.dtype} "
+            f"cannot hold a C-contiguous {shape} tile of {np.dtype(dtype)}"
+        )
+    return pixels
+
+
 def render_tile(
     texture: SurfaceTexture,
     event: CaptureEvent,
     cfg: OpticsConfig,
     region: EffectiveRegion,
+    buffers: TileBuffers | None = None,
 ) -> TileImage:
     """Render what the camera captures at one scheduled position.
 
@@ -399,8 +437,11 @@ def render_tile(
     the background, which is what a blend of background pixels rounds back
     to. Each strip of rows then resamples only the runs of tile columns
     that read a texture column a stamp meeting the strip covers, and
-    rasterizes only the texture window under each run; a strip that no
-    stamp meets has no runs.
+    rasterizes only the texture window under each run; a tile that no
+    stamp meets is the background alone.
+
+    The tile is a new array, or with ``buffers`` is rendered into
+    ``buffers.pixels`` and resampled in ``buffers.strips``.
     """
     height, width = tile_shape_for(cfg, region)
     half_width_mm = (width / 2.0) * cfg.pixel_pitch_x_um * 1e-3
@@ -433,17 +474,17 @@ def render_tile(
     base = math.floor(u[0])
     count = math.floor(u[-1]) + 2 - base
     # a blend of equal integers rounds back to them
-    pixels = np.full((height, width), texture.background, dtype=texture.dtype)
-    c0 = None  # weights made at the first strip a stamp meets: most tiles have none
+    pixels = _tile_out(buffers, (height, width), texture.dtype)
+    pixels.fill(texture.background)
+    # v0 and v1 rise with the row, so the tile reads texture rows v0[0]..v1[-1]
+    if not texture.stamps_meeting(int(v0[0]), int(v1[-1]) + 1, base, count).size:
+        return _tile_image(pixels, cfg, event)
+    c0, c1, w0, w1 = _column_weights(u - base, count)
+    strips = _strip_scratch(height, width) if buffers is None else buffers.strips
     for lo in range(0, height, STRIP_ROWS):
         rows = slice(lo, lo + STRIP_ROWS)
-        # v0 and v1 rise with the row, so the strip reads texture rows top..bottom
         top, bottom = int(v0[rows][0]), int(v1[rows][-1]) + 1
         for a, b in texture.stamp_columns(top, bottom, base, count):
-            if c0 is None:
-                c0, c1, w0, w1 = _column_weights(u - base, count)
-                size = min(height, STRIP_ROWS) * width
-                resampled, scratch = np.empty(size), np.empty(size)
             # the tile columns with c0 or c1 in [a, b): c0 rises, c1 = c0 + 1
             m_lo, m_hi = np.searchsorted(c0, (a - 1, b))
             if m_lo == m_hi:
@@ -456,11 +497,15 @@ def render_tile(
             sampled = _resample_columns(
                 blend,
                 (c0[run] - first, c1[run] - first, w0[run], w1[run]),
-                resampled[:n].reshape(len(blend), -1),
-                scratch[:n].reshape(len(blend), -1),
+                strips[0, :n].reshape(len(blend), -1),
+                strips[1, :n].reshape(len(blend), -1),
             )
             sampled[~on_surface[rows], :] = float(texture.background)
             pixels[rows, run] = np.rint(sampled, out=sampled)
+    return _tile_image(pixels, cfg, event)
+
+
+def _tile_image(pixels: np.ndarray, cfg: OpticsConfig, event: CaptureEvent) -> TileImage:
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=cfg.pixel_pitch_x_um,
@@ -469,7 +514,9 @@ def render_tile(
     )
 
 
-def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
+def add_noise(
+    img: TileImage, sigma: float, seed: int, buffers: TileBuffers | None = None
+) -> TileImage:
     """Additive zero-mean Gaussian noise, rounded and clamped to the
     intensity range.
 
@@ -477,42 +524,82 @@ def add_noise(img: TileImage, sigma: float, seed: int) -> TileImage:
     the image's own bit depth. Each pixel becomes ``clip(p + K)``, where
     ``K`` follows the rounded Gaussian ``P(K=k) = Phi((k+1/2)/sigma) -
     Phi((k-1/2)/sigma)``: the law of ``clip(rint(p + sigma*Z))`` for an
-    integer pixel ``p``. ``K`` is drawn by inverse CDF from one 32-bit
-    uniform per pixel (:func:`_noise_table`).
+    integer pixel ``p``. ``K`` is drawn by inverse CDF of a 32-bit
+    uniform (:func:`_noise_table`), 16 bits at a time. The stream
+    ``PCG64(SeedSequence(seed))`` gives every pixel, in raster order, the
+    high half, four halves to each 64-bit word; the half indexes the
+    table. The few pixels whose bucket a CDF step splits take their low
+    half, in raster order, from a second stream, the seed sequence's first
+    spawned child, and search the bounds with all 32 bits. The halves are
+    independent and uniform, so ``K`` has exactly the law above.
+
+    The result is a new tile, and ``img`` is not changed. With
+    ``buffers``, the result's pixels are ``buffers.pixels``, which may be
+    ``img.pixels`` itself, and the draw works in ``buffers.strips``.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DomainError(f"noise sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0:
-        pixels = img.pixels.copy()
-    else:
-        bounds, table = _noise_table(float(sigma), img.max_value)
-        rng = np.random.default_rng(seed)
-        pixels = np.empty_like(img.pixels)
-        strip = (min(img.height, STRIP_ROWS), img.width)
-        index, noise = np.empty(strip, dtype=np.intp), np.empty(strip, dtype=np.int32)
-        # strip by strip, the stream draws the same values in the same order:
-        # each full strip takes an even number of uniforms, two per raw draw
-        for lo in range(0, img.height, STRIP_ROWS):
-            hi = min(lo + STRIP_ROWS, img.height)
-            n = (hi - lo) * img.width
-            u = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
-            u = u.reshape(hi - lo, img.width)
-            k = noise[: hi - lo]
-            np.right_shift(u, 16, out=index[: hi - lo])
-            np.take(table, index[: hi - lo], out=k)
-            steps = np.flatnonzero(k == _STEP)
-            if steps.size:
-                found = np.searchsorted(bounds, u.flat[steps], side="right")
-                k.flat[steps] = found - img.max_value
-            k += img.pixels[lo:hi]
-            np.clip(k, 0, img.max_value, out=k)
-            pixels[lo:hi] = k
+    pixels = _tile_out(buffers, img.pixels.shape, img.pixels.dtype)
+    if pixels is not img.pixels:
+        np.copyto(pixels, img.pixels)
+    if sigma > 0:
+        peak = img.max_value
+        bounds, table = _noise_table(float(sigma), peak)
+        seeds = np.random.SeedSequence(seed)
+        stream = np.random.PCG64(seeds)
+        strips = _strip_scratch(*pixels.shape) if buffers is None else buffers.strips
+        index, noise = strips[0].view(np.intp), strips[1].view(table.dtype)
+        flat = pixels.reshape(-1)
+        # whole words per chunk, so the stream does not depend on the chunk size
+        chunk = max(len(index) // 4 * 4, 4)
+        step = np.iinfo(table.dtype).min
+        # as numpy scalars: np.clip looks up the limits of a Python int's dtype
+        limits = (table.dtype.type(0), table.dtype.type(peak))
+        splits = []
+        for lo in range(0, flat.size, chunk):
+            split, high = _noise_chunk(
+                flat[lo : lo + chunk], stream, table, step, limits, index, noise
+            )
+            if split.size:
+                splits.append((split + lo, high))
+        if splits:
+            at = np.concatenate([at for at, _ in splits])
+            high = np.concatenate([high for _, high in splits]).astype(np.uint32)
+            low = np.random.PCG64(seeds.spawn(1)[0]).random_raw((at.size + 3) // 4)
+            u = (high << 16) | low.view(np.uint16)[: at.size]
+            k = np.searchsorted(bounds, u, side="right") - peak
+            flat[at] = np.clip(flat[at] + k, 0, peak)
     return TileImage(
         pixels=pixels,
         pixel_pitch_x_um=img.pixel_pitch_x_um,
         pixel_pitch_y_um=img.pixel_pitch_y_um,
         tile_index=img.tile_index,
     )
+
+
+def _noise_chunk(
+    pixels, stream, table, step, limits, index, noise
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add noise in place to a run of flat pixels from their high halves.
+
+    Draws the run's halves from ``stream``, looks ``K`` up in ``table``
+    through ``index`` and ``noise``, scratch of at least the run's length,
+    and clips to ``limits``. A pixel whose bucket holds the ``step``
+    sentinel is left as it is; returns their offsets in the run and their
+    high halves.
+    """
+    n = pixels.size
+    high = stream.random_raw((n + 3) // 4).view(np.uint16)[:n]
+    k = noise[:n]
+    np.copyto(index[:n], high)
+    # a 16-bit index cannot leave the 2**16-bucket table: clip skips the check
+    np.take(table, index[:n], out=k, mode="clip")
+    split = np.flatnonzero(k == step)
+    k[split] = 0
+    k += pixels
+    np.clip(k, *limits, out=k)
+    pixels[:] = k
+    return split, high[split]
 
 
 @functools.lru_cache(maxsize=16)
@@ -524,7 +611,9 @@ def _noise_table(sigma: float, max_value: int) -> tuple[np.ndarray, np.ndarray]:
     ``i < 2 * max``, so ``searchsorted(bounds, u, "right") - max`` is ``K``
     for a 32-bit uniform ``u``, lumped at +-max where the output clips
     anyway. ``table[u >> 16]`` holds ``K`` for every ``u`` of a bucket
-    where no bound falls inside it, and ``_STEP`` where one does.
+    where no bound falls inside it, and the dtype's minimum where one
+    does. ``K`` lies in [-max, max], so the table is int16 for 8-bit tiles
+    (minimum -32768) and int32 for 16-bit ones.
     """
     # beyond 7 sigma + 1.5 levels a bound rounds to 0 or 2**32; compare
     # before ceil, so a huge sigma cannot overflow it
@@ -538,7 +627,8 @@ def _noise_table(sigma: float, max_value: int) -> tuple[np.ndarray, np.ndarray]:
     first = np.arange(2**16, dtype=np.int64) << 16
     lo = np.searchsorted(bounds, first, side="right")
     hi = np.searchsorted(bounds, first + (2**16 - 1), side="right")
-    table = np.where(lo == hi, lo - max_value, _STEP).astype(np.int32)
+    dtype = np.int16 if max_value < 2**15 else np.int32
+    table = np.where(lo == hi, lo - max_value, np.iinfo(dtype).min).astype(dtype)
     for array in (bounds, table):
         array.flags.writeable = False
     return bounds, table
@@ -558,18 +648,20 @@ def noisy_tile(
     region: EffectiveRegion,
     noise_sigma: float,
     seed: int,
+    buffers: TileBuffers | None = None,
 ) -> TileImage:
     """The tile of one capture event, rendered and noisy: the one recipe
     :func:`render_stack` and :func:`write_stack` share.
 
     Each tile gets an independent noise stream derived from the master
     seed and its order index, so a tile does not depend on which tiles
-    were made before it, or where.
+    were made before it, or where. The tile is a new array, or with
+    ``buffers`` is made in them (:class:`TileBuffers`).
     """
     # not underscore-named: the benchmark's tracer skips calls made from a
     # module's private helpers, and this is where render and noise spans start
-    tile = render_tile(texture, event, cfg, region)
-    return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order))
+    tile = render_tile(texture, event, cfg, region, buffers)
+    return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order), buffers)
 
 
 def render_stack(
@@ -608,15 +700,22 @@ def write_stack(
     renamed to their paths, every other part file is removed, and that
     failure is raised. Whatever the process count, the files are the same
     bytes, and after an error the tiles before it are written and none
-    after.
+    after. Each process makes all its tiles in one set of
+    :class:`TileBuffers`, allocated at its first tile.
     """
     parts = [path.with_name(path.name + ".part") for path in paths]
     schedule = plan.schedule
+    buffers = None
 
     def write(i: int) -> None:
-        tile = noisy_tile(texture, schedule[i], cfg, region, noise_sigma, seed)
+        nonlocal buffers
+        if buffers is None:
+            buffers = TileBuffers.empty(tile_shape_for(cfg, region), texture.dtype)
+        tile = noisy_tile(texture, schedule[i], cfg, region, noise_sigma, seed, buffers)
         write_pgm(parts[i], tile.pixels)
 
+    if noise_sigma > 0:  # built before the fork, so the workers share one table
+        _noise_table(float(noise_sigma), texture.max_value)
     try:
         failure = run_forked(write, len(schedule), processes)
         written = len(schedule) if failure is None else failure[0]

@@ -263,10 +263,10 @@ class TestSynth:
     ):
         render_tile = synth.render_tile
 
-        def failing_render_tile(texture, event, cfg, region):
+        def failing_render_tile(texture, event, cfg, region, buffers=None):
             if event.order == 3:
                 raise DomainError("tile 3 cannot be rendered")
-            return render_tile(texture, event, cfg, region)
+            return render_tile(texture, event, cfg, region, buffers)
 
         monkeypatch.setattr(synth, "render_tile", failing_render_tile)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -286,10 +286,10 @@ class TestSynth:
     ):
         render_tile, caller = synth.render_tile, os.getpid()
 
-        def dying_render_tile(texture, event, cfg, region):
+        def dying_render_tile(texture, event, cfg, region, buffers=None):
             if os.getpid() != caller:
                 os._exit(9)  # a worker killed mid-tile
-            return render_tile(texture, event, cfg, region)
+            return render_tile(texture, event, cfg, region, buffers)
 
         monkeypatch.setattr(synth, "render_tile", dying_render_tile)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

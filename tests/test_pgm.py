@@ -90,6 +90,21 @@ def test_read_holds_the_file_once(tmp_path, dtype):
     assert peak < path.stat().st_size * (1.1 if dtype == np.uint8 else 2.1)
 
 
+def test_sixteen_bit_write_copies_no_whole_raster(tmp_path):
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 65536, size=(512, 1024), dtype=np.uint16)
+    path = tmp_path / "big16.pgm"
+    tracemalloc.start()
+    try:
+        write_pgm(path, pixels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (read_pgm(path) == pixels).all()
+    # byte-swapped in bands of about 64 KB, against 1 MB of samples
+    assert peak < pixels.nbytes / 8
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_a_named_pipe_is_read_to_its_end(tmp_path, dtype):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from statistics import NormalDist
 
@@ -13,8 +14,10 @@ from borescan.pgm import read_pgm
 from borescan.scanplan import CaptureEvent, EffectiveRegion, plan_scan
 from borescan.synth import (
     DefectSpec,
+    TileBuffers,
     add_noise,
     build_texture,
+    noisy_tile,
     render_stack,
     render_tile,
     tile_noise_seed,
@@ -650,12 +653,32 @@ def test_add_noise_deterministic():
     assert not np.array_equal(a.pixels, c.pixels)
 
 
+def whole_tile_noise(pixels, sigma, seed, peak):
+    """add_noise's law and stream layout, drawn for the whole tile at once."""
+    seeds = np.random.SeedSequence(seed)
+    n = pixels.size
+    # the high halves: four to a 64-bit word, every pixel in raster order
+    words = np.random.PCG64(seeds).random_raw(-(-n // 4))
+    u = words.view(np.uint16)[:n].astype(np.int64) << 16
+    bounds, _ = synth._noise_table(sigma, peak)
+    # a pixel whose bucket holds a bound takes its low half from the second
+    # stream, in raster order of those pixels
+    split = np.flatnonzero(
+        np.searchsorted(bounds, u, side="right")
+        != np.searchsorted(bounds, u + 2**16 - 1, side="right")
+    )
+    words = np.random.PCG64(seeds.spawn(1)[0]).random_raw(-(-split.size // 4))
+    u[split] += words.view(np.uint16)[: split.size]
+    k = np.searchsorted(bounds, u, side="right").reshape(pixels.shape) - peak
+    return np.clip(pixels + k, 0, peak).astype(pixels.dtype)
+
+
 @pytest.mark.parametrize(
     "dtype, peak, sigma, seed",
     [
         pytest.param(np.uint8, 255, 5.0, 21, id="uint8-255"),
         pytest.param(np.uint16, 65535, 900.0, 21, id="uint16-65535"),
-        # one 32-bit uniform per pixel: the same draws at any scale
+        # 16 bits per pixel and 16 more per split one: the same draws at any scale
         pytest.param(np.uint8, 255, 0.37, 1, id="uint8-255-small-sigma"),
         pytest.param(np.uint8, 255, 1234.5, 2**40 + 3, id="uint8-255-large-sigma"),
         pytest.param(np.uint16, 65535, 0.37, 99, id="uint16-65535-small-sigma"),
@@ -668,13 +691,27 @@ def test_add_noise_strips_match_whole_tile_draw(dtype, peak, sigma, seed):
     pixels = np.random.default_rng(4).integers(0, peak + 1, (695, 301)).astype(dtype)
     clean = TileImage(pixels, 2.16, 2.16)
     noisy = add_noise(clean, sigma, seed=seed)
-    # one whole-tile draw, inverted by a plain search of the bounds
-    u = np.random.default_rng(seed).integers(0, 2**32, pixels.shape, dtype=np.uint32)
-    bounds, _ = synth._noise_table(sigma, peak)
-    k = np.searchsorted(bounds, u, side="right") - peak
-    expected = np.clip(pixels + k, 0, peak).astype(dtype)
+    expected = whole_tile_noise(pixels, sigma, seed, peak)
     assert noisy.pixels.dtype == dtype
     assert np.array_equal(noisy.pixels, expected)
+
+
+@pytest.mark.parametrize("strip_rows", [15, 16, 695])
+@pytest.mark.parametrize(
+    "dtype, peak, sigma", [(np.uint8, 255, 5.0), (np.uint16, 65535, 900.0)]
+)
+def test_add_noise_does_not_depend_on_the_strip_size(
+    monkeypatch, strip_rows, dtype, peak, sigma
+):
+    # 15 x 301 pixels is no whole number of 64-bit words
+    pixels = np.random.default_rng(5).integers(0, peak + 1, (695, 301)).astype(dtype)
+    clean = TileImage(pixels, 2.16, 2.16)
+    expected = add_noise(clean, sigma, seed=8).pixels
+    monkeypatch.setattr(synth, "STRIP_ROWS", strip_rows)
+    assert np.array_equal(add_noise(clean, sigma, seed=8).pixels, expected)
+    buffers = TileBuffers.empty(pixels.shape, dtype)
+    assert buffers.strips.shape == (2, min(695, strip_rows) * 301)
+    assert np.array_equal(add_noise(clean, sigma, 8, buffers).pixels, expected)
 
 
 @pytest.mark.parametrize("sigma, peak", [(0.37, 255), (5.0, 255), (900.0, 65535)])
@@ -683,12 +720,15 @@ def test_noise_bounds_are_the_rounded_normal_cdf(sigma, peak):
     cdf = NormalDist().cdf
     expected = [round(cdf((k + 0.5) / sigma) * 2**32) for k in range(-peak, peak)]
     assert bounds.tolist() == expected
-    # a bucket of the table holds K for all of its 2**16 uniforms, or a step
+    # a bucket of the table holds K for all of its 2**16 uniforms, or the
+    # dtype's minimum, which no K in [-peak, peak] can be
+    assert table.dtype == (np.int16 if peak == 255 else np.int32)
+    step = np.iinfo(table.dtype).min
+    assert step < -peak
     first = np.arange(2**16, dtype=np.int64) << 16
     lo = np.searchsorted(bounds, first, side="right") - peak
     hi = np.searchsorted(bounds, first + 2**16 - 1, side="right") - peak
-    assert np.array_equal(table == synth._STEP, lo != hi)
-    assert np.array_equal(table[lo == hi], lo[lo == hi])
+    assert np.array_equal(table.astype(np.int64), np.where(lo == hi, lo, step))
 
 
 def test_add_noise_draws_the_rounded_gaussian():
@@ -773,6 +813,117 @@ def test_write_stack_writes_the_render_stack_tiles(tmp_path, processes):
         assert np.array_equal(read_pgm(path), tile.pixels)
 
 
+def stamped_stack(bit_depth=8):
+    """A nine-tile plan with stamps on some tiles: one across the seam."""
+    hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
+    defects = [
+        DefectSpec("disc", 0.6, 100.0, 0.2),
+        DefectSpec("disc", 0.4, 359.9, 0.1),
+        DefectSpec("line", 0.6, 200.0, 0.05, 1.0),
+    ]
+    return build_texture(hole, defects, bit_depth=bit_depth), plan_scan(hole, REGION)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_tiles_made_in_reused_buffers_match_new_ones(bit_depth):
+    texture, plan = stamped_stack(bit_depth)
+    buffers = TileBuffers.empty(tile_shape_for(CFG, REGION), texture.dtype)
+    stamped = []
+    for event in plan.schedule:
+        tile = noisy_tile(texture, event, CFG, REGION, 4.0, 11, buffers)
+        assert tile.pixels is buffers.pixels
+        fresh = noisy_tile(texture, event, CFG, REGION, 4.0, 11)
+        assert np.array_equal(tile.pixels, fresh.pixels)
+        # a background tile after a stamped one keeps none of its pixels
+        clean = render_tile(texture, event, CFG, REGION)
+        stamped.append(bool(np.any(clean.pixels != texture.background)))
+        rendered = render_tile(texture, event, CFG, REGION, buffers)
+        assert np.array_equal(rendered.pixels, clean.pixels)
+    assert any(stamped) and not all(stamped)
+
+
+def test_add_noise_leaves_its_input():
+    texture, plan = stamped_stack()
+    tile = render_tile(texture, plan.schedule[0], CFG, REGION)
+    clean = tile.pixels.copy()
+    noisy = add_noise(tile, 5.0, seed=1)
+    assert not np.shares_memory(noisy.pixels, tile.pixels)
+    assert np.array_equal(tile.pixels, clean)
+    # with buffers it may write in place, onto the buffer's own pixels
+    buffers = TileBuffers.empty(clean.shape, clean.dtype)
+    np.copyto(buffers.pixels, clean)
+    in_place = add_noise(TileImage(buffers.pixels, 2.16, 2.16), 5.0, 1, buffers)
+    assert in_place.pixels is buffers.pixels
+    assert np.array_equal(in_place.pixels, noisy.pixels)
+
+
+@pytest.mark.parametrize(
+    "shape, dtype", [((695, 694), np.uint8), ((695, 695), np.uint16)]
+)
+def test_buffers_of_another_tile_are_refused(shape, dtype):
+    texture, plan = stamped_stack()
+    buffers = TileBuffers.empty(shape, dtype)
+    with pytest.raises(DomainError, match="tile buffer"):
+        render_tile(texture, plan.schedule[0], CFG, REGION, buffers)
+    tile = render_tile(texture, plan.schedule[0], CFG, REGION)
+    with pytest.raises(DomainError, match="tile buffer"):
+        add_noise(tile, 5.0, 1, buffers)
+
+
+def test_render_tile_scans_no_strip_of_a_tile_no_stamp_meets(monkeypatch):
+    texture = depth_texture([DefectSpec("disc", 1.5, 40.0, 0.2)], 8)
+    calls = []
+    meeting = synth.SurfaceTexture.stamps_meeting
+
+    def spy_meeting(self, *args):
+        calls.append("stamps_meeting")
+        return meeting(self, *args)
+
+    def spy_columns(self, *args):
+        calls.append("stamp_columns")
+
+    monkeypatch.setattr(synth.SurfaceTexture, "stamps_meeting", spy_meeting)
+    monkeypatch.setattr(synth.SurfaceTexture, "stamp_columns", spy_columns)
+    tile = render_tile(texture, CaptureEvent(0, 1, 1, 1.5, 200.0), CFG, REGION)
+    assert calls == ["stamps_meeting"]
+    assert np.all(tile.pixels == texture.background)
+
+
+@pytest.mark.parametrize("stamped", [False, True], ids=["background", "stamped"])
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_write_stack_allocates_no_tile_after_its_first(
+    tmp_path, monkeypatch, bit_depth, stamped
+):
+    texture, plan = stamped_stack(bit_depth)
+    if not stamped:
+        texture = dataclasses.replace(texture, stamps=())
+    height, width = tile_shape_for(CFG, REGION)
+    tile_bytes = height * width * np.dtype(texture.dtype).itemsize
+    write_pgm, after_first = synth.write_pgm, []
+
+    def spy(path, pixels):
+        write_pgm(path, pixels)
+        if not after_first:
+            tracemalloc.reset_peak()
+            after_first.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(synth, "write_pgm", spy)
+    paths = [tmp_path / f"tile{event.order}.pgm" for event in plan.schedule]
+    tracemalloc.start()
+    try:
+        write_stack(texture, plan, CFG, REGION, paths, 4.0, 11, processes=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # tiles 2..9 render, draw and write in the first tile's buffers. A
+    # background tile allocates its row and column maps and one strip's
+    # draw; a stamped strip adds float64 work arrays (the row blend and
+    # numpy's broadcast buffers) the size of the texture window under the
+    # stamp, which a tile bounds but a small stamp keeps far smaller
+    assert len(plan.schedule) == 9
+    assert peak - after_first[0] < tile_bytes / (1 if stamped else 2)
+
+
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_write_stack_keeps_only_the_tiles_before_the_first_error(
     tmp_path, monkeypatch, processes
@@ -781,10 +932,10 @@ def test_write_stack_keeps_only_the_tiles_before_the_first_error(
     texture = build_texture(hole, [])
     plan = plan_scan(hole, REGION)
 
-    def failing_render_tile(texture, event, cfg, region):
+    def failing_render_tile(texture, event, cfg, region, buffers=None):
         if event.order in (4, 7):
             raise DomainError(f"tile {event.order} cannot be rendered")
-        return render_tile(texture, event, cfg, region)
+        return render_tile(texture, event, cfg, region, buffers)
 
     monkeypatch.setattr(synth, "render_tile", failing_render_tile)
     paths = [tmp_path / f"tile{event.order}.pgm" for event in plan.schedule]
