@@ -21,7 +21,7 @@ from .errors import (
 from .geometry import DeviationSpec, HoleSpec, OpticsConfig
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_counts
 from .unwrap import TileImage, build_remap, correct_tile, forward_project
-from .synth import DefectSpec, SurfaceTexture, build_texture, render_stack
+from .synth import DefectSpec, SurfaceTexture, build_texture
 from .detect import BlobRecord, binarize, connected_components
 from .locate import DefectRecord, stitch_panorama
 from .manifest import RunManifest, load_manifest, save_manifest
@@ -51,7 +51,6 @@ __all__ = [
     "DefectSpec",
     "SurfaceTexture",
     "build_texture",
-    "render_stack",
     "BlobRecord",
     "binarize",
     "connected_components",

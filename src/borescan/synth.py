@@ -50,7 +50,6 @@ __all__ = [
     "render_tile",
     "add_noise",
     "noisy_tile",
-    "render_stack",
     "write_stack",
     "tile_shape_for",
 ]
@@ -399,18 +398,14 @@ class TileBuffers(NamedTuple):
 
     @classmethod
     def empty(cls, shape: tuple[int, int], dtype) -> TileBuffers:
-        return cls(np.empty(shape, dtype=dtype), _strip_scratch(*shape))
+        height, width = shape
+        strips = np.empty((2, min(height, STRIP_ROWS) * width))
+        return cls(np.empty(shape, dtype=dtype), strips)
 
 
-def _strip_scratch(height: int, width: int) -> np.ndarray:
-    return np.empty((2, min(height, STRIP_ROWS) * width))
-
-
-def _tile_out(buffers: TileBuffers | None, shape: tuple[int, int], dtype) -> np.ndarray:
-    """The array a tile of ``shape`` and ``dtype`` is made in: a new one,
-    or ``buffers.pixels``, which must match."""
-    if buffers is None:
-        return np.empty(shape, dtype=dtype)
+def _tile_out(buffers: TileBuffers, shape: tuple[int, int], dtype) -> np.ndarray:
+    """``buffers.pixels``, the array a tile of ``shape`` and ``dtype`` is
+    made in, which must match."""
     pixels = buffers.pixels
     if pixels.shape != shape or pixels.dtype != dtype or not pixels.flags.c_contiguous:
         raise DomainError(
@@ -425,7 +420,7 @@ def render_tile(
     event: CaptureEvent,
     cfg: OpticsConfig,
     region: EffectiveRegion,
-    buffers: TileBuffers | None = None,
+    buffers: TileBuffers,
 ) -> TileImage:
     """Render what the camera captures at one scheduled position.
 
@@ -440,8 +435,8 @@ def render_tile(
     rasterizes only the texture window under each run; a tile that no
     stamp meets is the background alone.
 
-    The tile is a new array, or with ``buffers`` is rendered into
-    ``buffers.pixels`` and resampled in ``buffers.strips``.
+    The tile is rendered into ``buffers.pixels`` and resampled in
+    ``buffers.strips``.
     """
     height, width = tile_shape_for(cfg, region)
     half_width_mm = (width / 2.0) * cfg.pixel_pitch_x_um * 1e-3
@@ -480,7 +475,6 @@ def render_tile(
     if not texture.stamps_meeting(int(v0[0]), int(v1[-1]) + 1, base, count).size:
         return _tile_image(pixels, cfg, event)
     c0, c1, w0, w1 = _column_weights(u - base, count)
-    strips = _strip_scratch(height, width) if buffers is None else buffers.strips
     for lo in range(0, height, STRIP_ROWS):
         rows = slice(lo, lo + STRIP_ROWS)
         top, bottom = int(v0[rows][0]), int(v1[rows][-1]) + 1
@@ -497,8 +491,8 @@ def render_tile(
             sampled = _resample_columns(
                 blend,
                 (c0[run] - first, c1[run] - first, w0[run], w1[run]),
-                strips[0, :n].reshape(len(blend), -1),
-                strips[1, :n].reshape(len(blend), -1),
+                buffers.strips[0, :n].reshape(len(blend), -1),
+                buffers.strips[1, :n].reshape(len(blend), -1),
             )
             sampled[~on_surface[rows], :] = float(texture.background)
             pixels[rows, run] = np.rint(sampled, out=sampled)
@@ -514,9 +508,7 @@ def _tile_image(pixels: np.ndarray, cfg: OpticsConfig, event: CaptureEvent) -> T
     )
 
 
-def add_noise(
-    img: TileImage, sigma: float, seed: int, buffers: TileBuffers | None = None
-) -> TileImage:
+def add_noise(img: TileImage, sigma: float, seed: int, buffers: TileBuffers) -> TileImage:
     """Additive zero-mean Gaussian noise, rounded and clamped to the
     intensity range.
 
@@ -533,9 +525,9 @@ def add_noise(
     spawned child, and search the bounds with all 32 bits. The halves are
     independent and uniform, so ``K`` has exactly the law above.
 
-    The result is a new tile, and ``img`` is not changed. With
-    ``buffers``, the result's pixels are ``buffers.pixels``, which may be
-    ``img.pixels`` itself, and the draw works in ``buffers.strips``.
+    The result's pixels are ``buffers.pixels``, which may be ``img.pixels``
+    itself, and the draw works in ``buffers.strips``. ``img`` is not
+    changed unless its pixels are ``buffers.pixels``.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DomainError(f"noise sigma must be finite and >= 0, got {sigma}")
@@ -547,8 +539,8 @@ def add_noise(
         bounds, table = _noise_table(float(sigma), peak)
         seeds = np.random.SeedSequence(seed)
         stream = np.random.PCG64(seeds)
-        strips = _strip_scratch(*pixels.shape) if buffers is None else buffers.strips
-        index, noise = strips[0].view(np.intp), strips[1].view(table.dtype)
+        index = buffers.strips[0].view(np.intp)
+        noise = buffers.strips[1].view(table.dtype)
         flat = pixels.reshape(-1)
         # whole words per chunk, so the stream does not depend on the chunk size
         chunk = max(len(index) // 4 * 4, 4)
@@ -648,37 +640,19 @@ def noisy_tile(
     region: EffectiveRegion,
     noise_sigma: float,
     seed: int,
-    buffers: TileBuffers | None = None,
+    buffers: TileBuffers,
 ) -> TileImage:
-    """The tile of one capture event, rendered and noisy: the one recipe
-    :func:`render_stack` and :func:`write_stack` share.
+    """The tile of one capture event, rendered and noisy: the recipe
+    :func:`write_stack` makes every tile with, in ``buffers``.
 
     Each tile gets an independent noise stream derived from the master
     seed and its order index, so a tile does not depend on which tiles
-    were made before it, or where. The tile is a new array, or with
-    ``buffers`` is made in them (:class:`TileBuffers`).
+    were made before it, or where.
     """
     # not underscore-named: the benchmark's tracer skips calls made from a
     # module's private helpers, and this is where render and noise spans start
     tile = render_tile(texture, event, cfg, region, buffers)
     return add_noise(tile, noise_sigma, tile_noise_seed(seed, event.order), buffers)
-
-
-def render_stack(
-    texture: SurfaceTexture,
-    plan: ScanPlan,
-    cfg: OpticsConfig,
-    region: EffectiveRegion,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
-):
-    """Yield every scheduled tile, rendered and noisy, in plan order.
-
-    Tiles are made one at a time, as they are taken, in the calling
-    thread; they are the tiles :func:`write_stack` writes.
-    """
-    for event in plan.schedule:
-        yield noisy_tile(texture, event, cfg, region, noise_sigma, seed)
 
 
 def write_stack(

@@ -38,9 +38,9 @@ __all__ = [
 
 _ALLOWED_DTYPES = (np.uint8, np.uint16)
 # Rows per strip in render_tile, add_noise and correct_tile: a strip's
-# float64 work arrays (~350 KB at 695 px) stay in cache, and each call
-# allocates them once and reuses them for every strip, where whole-tile
-# temporaries made the heap trim and fault back in per tile.
+# float64 work arrays (~350 KB at 695 px) stay in cache. render and noise
+# work in the strip scratch of synth.TileBuffers, which a process allocates
+# once for all its tiles; correct_tile allocates its strips once per tile.
 STRIP_ROWS = 64
 
 
@@ -211,22 +211,22 @@ def _column_weights(cols: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
 
 
 def _resample_columns(
-    pixels: np.ndarray, weights: tuple, out: np.ndarray, scratch: np.ndarray
+    rows: np.ndarray, weights: tuple, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Sample every row of ``pixels`` with ``_column_weights``' ``weights``.
+    """Sample every float64 row of ``rows`` with ``_column_weights``' ``weights``.
 
-    The float64 interpolation kernel: render, forward projection and the
-    correction of 16-bit tiles resample through it. ``correct_tile`` sends
-    8-bit tiles through ``_correct_uint8`` instead, and through this kernel
-    only on a rig that ``_uint8_weights`` refuses. Writes the float64
-    result into ``out`` and returns it, using ``scratch`` (same shape) for
-    the second term, so a caller working strip by strip allocates both
-    once; caller handles masking and dtype restoration.
+    The one interpolation kernel: render, forward projection and the
+    float64 correction resample through it. Gathers each term into ``out``
+    and ``scratch`` (same shape) and weighs them in place, so it allocates
+    no temporaries and a caller working strip by strip allocates both
+    once; caller handles masking and dtype restoration. Returns ``out``.
     """
     c0, c1, w0, w1 = weights
-    # gather first: widening only the sampled columns is exact and cheaper
-    np.multiply(pixels[:, c0], w0, out=out)
-    np.multiply(pixels[:, c1], w1, out=scratch)
+    # columns are in range; "clip" only spares take its buffered copy
+    np.take(rows, c0, axis=1, out=out, mode="clip")
+    np.take(rows, c1, axis=1, out=scratch, mode="clip")
+    out *= w0
+    scratch *= w1
     out += scratch
     return out
 
@@ -265,11 +265,11 @@ def _uint8_weights(width: int, radius_mm: float, pitch_um: float) -> np.ndarray 
     of column ``m``. Two checks prove it: every ``d * w1[m]`` (d = 1..255)
     clears a half-integer by the guard derived above, so the float64
     result is the staircase ``p0 + rint(d * w1[m])``; and ``w32[m]``
-    reproduces that staircase for every d in the float32 arithmetic the
-    kernel runs (both sides are odd in d). None when either check fails
-    for some column: that rig's 8-bit tiles take the float64 path. Built
-    once per tile width, bore radius and pitch, and shared read-only like
-    ``_correction_weights``.
+    reproduces that staircase for every d in the float32 arithmetic
+    ``correct_tile`` runs (both sides are odd in d). None when either
+    check fails for some column: that rig's 8-bit tiles take the float64
+    path. Built once per tile width, bore radius and pitch, and shared
+    read-only like ``_correction_weights``.
     """
     w1 = _correction_weights(width, radius_mm, pitch_um)[3]
     d = np.arange(1, 256, dtype=np.float64)[:, None]
@@ -281,34 +281,6 @@ def _uint8_weights(width: int, radius_mm: float, pitch_um: float) -> np.ndarray 
         return None
     w32.flags.writeable = False
     return w32
-
-
-def _correct_uint8(
-    pixels: np.ndarray, c0: np.ndarray, c1: np.ndarray, w32: np.ndarray, out: np.ndarray
-) -> None:
-    """Write ``p0 + rint(float32(p1 - p0) * w32)`` of every row of the 8-bit
-    ``pixels`` into ``out``, where ``p0``/``p1`` gather columns ``c0``/``c1``.
-
-    Each 64-row strip is widened to float32 once and gathered from there,
-    so every step after it is a float32 loop: numpy's loops that mix uint8
-    and float operands cost more than all the float32 arithmetic together.
-    Every value is an integer below 2**24 except the product, so only the
-    product and its ``rint`` round, as ``_uint8_weights`` checked.
-    """
-    height, width = pixels.shape
-    strip = (min(height, STRIP_ROWS), width)
-    rows, p0, d = (np.empty(strip, dtype=np.float32) for _ in range(3))
-    for lo in range(0, height, STRIP_ROWS):
-        n = min(STRIP_ROWS, height - lo)
-        np.copyto(rows[:n], pixels[lo : lo + n])
-        # columns are in range; "clip" only spares take its buffered copy
-        np.take(rows[:n], c0, axis=1, out=p0[:n], mode="clip")
-        np.take(rows[:n], c1, axis=1, out=d[:n], mode="clip")
-        np.subtract(d[:n], p0[:n], out=d[:n])
-        np.multiply(d[:n], w32, out=d[:n])
-        np.rint(d[:n], out=d[:n])
-        np.add(d[:n], p0[:n], out=d[:n])
-        out[lo : lo + n] = d[:n]
 
 
 def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[slice, slice]]:
@@ -334,24 +306,35 @@ def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
     every column step spans the same physical arc on the bore wall. All
     source coordinates fall inside the input (the flat image is a
     compressed view of the arc), so no fill is needed. Every sample is
-    ``rint(p0 * w0 + p1 * w1)`` in float64; 8-bit tiles get those bytes
-    from ``_correct_uint8``'s float32 arithmetic wherever
-    ``_uint8_weights`` has proved it gives them.
+    ``rint(p0 * w0 + p1 * w1)`` in float64. Each strip of rows is widened
+    once and gathered from there: to float32 for an 8-bit tile on a rig
+    ``_uint8_weights`` has proved, which computes ``p0 + rint(float32(p1 -
+    p0) * w32)`` and so gets the same bytes, and to float64 otherwise.
+    numpy's loops that mix uint8 and float operands cost more than all the
+    float32 arithmetic together.
     """
     rig = (img.width, radius_mm, img.pixel_pitch_x_um)
     weights = _correction_weights(*rig)
-    out = np.empty_like(img.pixels)
     w32 = _uint8_weights(*rig) if img.pixels.dtype == np.uint8 else None
-    if w32 is not None:
-        _correct_uint8(img.pixels, weights[0], weights[1], w32, out)
-    else:
-        strip = (min(img.height, STRIP_ROWS), img.width)
-        resampled, scratch = np.empty(strip), np.empty(strip)
-        for lo in range(0, img.height, STRIP_ROWS):
-            hi = min(lo + STRIP_ROWS, img.height)
-            strip_out = resampled[: hi - lo]
-            _resample_columns(img.pixels[lo:hi], weights, strip_out, scratch[: hi - lo])
-            out[lo:hi] = np.rint(strip_out, out=strip_out)
+    shape = (min(img.height, STRIP_ROWS), img.width)
+    dtype = np.float64 if w32 is None else np.float32
+    buffers = [np.empty(shape, dtype=dtype) for _ in range(3)]
+    out = np.empty_like(img.pixels)
+    for lo in range(0, img.height, STRIP_ROWS):
+        n = min(STRIP_ROWS, img.height - lo)
+        rows, p, q = (buffer[:n] for buffer in buffers)
+        np.copyto(rows, img.pixels[lo : lo + n])
+        if w32 is None:
+            np.rint(_resample_columns(rows, weights, p, q), out=p)
+        else:
+            # every value is an integer below 2**24 except the product, so
+            # only the product and its rint round, as _uint8_weights checked
+            np.take(rows, weights[0], axis=1, out=p, mode="clip")
+            np.take(rows, weights[1], axis=1, out=q, mode="clip")
+            q -= p
+            q *= w32
+            p += np.rint(q, out=q)
+        out[lo : lo + n] = p
     return TileImage(
         pixels=out,
         pixel_pitch_x_um=img.pixel_pitch_x_um,
@@ -376,8 +359,8 @@ def forward_project(texture_window: TileImage, radius_mm: float) -> TileImage:
     m_abs = center + pixel_to_arc(k_rel, radius_mm, img.pixel_pitch_x_um)
     valid = (m_abs >= 0.0) & (m_abs <= img.width - 1)
     weights = _column_weights(m_abs, img.width)
-    shape = img.pixels.shape
-    resampled = _resample_columns(img.pixels, weights, np.empty(shape), np.empty(shape))
+    rows = img.pixels.astype(np.float64)
+    resampled = _resample_columns(rows, weights, np.empty_like(rows), np.empty_like(rows))
     resampled[:, ~valid] = 0.0
     out = np.rint(resampled).astype(img.pixels.dtype)
     return TileImage(

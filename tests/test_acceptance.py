@@ -38,7 +38,13 @@ from borescan.scanplan import (
     ScanPlan,
     plan_scan,
 )
-from borescan.synth import DefectSpec, build_texture, render_stack, tile_shape_for
+from borescan.synth import (
+    DefectSpec,
+    TileBuffers,
+    build_texture,
+    noisy_tile,
+    tile_shape_for,
+)
 from borescan.unwrap import TileImage, correct_tile, forward_project
 
 RADIUS = 2.0  # reference 4 mm bore
@@ -230,14 +236,17 @@ def test_07_plan_coverage(capsys):
 
 
 def _inspect_rendered(texture, plan, hole, noise_sigma=0.0, seed=0):
-    """Run the inspect pipeline on every scheduled tile, rendered in memory
-    and corrected; the panorama's rows are written to the null device."""
+    """Run the inspect pipeline on every scheduled tile, made in memory in
+    one set of buffers and corrected; the panorama's rows are written to
+    the null device."""
+    shape = tile_shape_for(OPTICS, REGION)
+    buffers = TileBuffers.empty(shape, texture.dtype)
     with open(os.devnull, "wb") as sink:
         return inspect_stack(
-            (correct_tile(tile, hole.radius_mm)
-             for tile in render_stack(texture, plan, OPTICS, REGION, noise_sigma,
-                                      seed)),
-            plan, hole, OPTICS, tile_shape_for(OPTICS, REGION), sink,
+            (correct_tile(noisy_tile(texture, event, OPTICS, REGION, noise_sigma,
+                                     seed, buffers), hole.radius_mm)
+             for event in plan.schedule),
+            plan, hole, OPTICS, shape, sink,
         )
 
 

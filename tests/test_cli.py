@@ -263,7 +263,7 @@ class TestSynth:
     ):
         render_tile = synth.render_tile
 
-        def failing_render_tile(texture, event, cfg, region, buffers=None):
+        def failing_render_tile(texture, event, cfg, region, buffers):
             if event.order == 3:
                 raise DomainError("tile 3 cannot be rendered")
             return render_tile(texture, event, cfg, region, buffers)
@@ -286,7 +286,7 @@ class TestSynth:
     ):
         render_tile, caller = synth.render_tile, os.getpid()
 
-        def dying_render_tile(texture, event, cfg, region, buffers=None):
+        def dying_render_tile(texture, event, cfg, region, buffers):
             if os.getpid() != caller:
                 os._exit(9)  # a worker killed mid-tile
             return render_tile(texture, event, cfg, region, buffers)

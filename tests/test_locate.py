@@ -27,7 +27,13 @@ from borescan.locate import (
 )
 from borescan.pgm import read_pgm
 from borescan.scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan
-from borescan.synth import DefectSpec, build_texture, render_stack, tile_shape_for
+from borescan.synth import (
+    DefectSpec,
+    TileBuffers,
+    build_texture,
+    noisy_tile,
+    tile_shape_for,
+)
 from borescan.unwrap import TileImage, correct_tile
 
 CFG = OpticsConfig(
@@ -44,6 +50,15 @@ HOLE = HoleSpec(2.0, 47.0)
 PLAN = plan_scan(HOLE, REGION)  # 32 depths x 9 rotations
 TILE_SHAPE = (695, 695)
 CANVAS = (21760, 5818)  # the reference bore's panorama
+
+
+def corrected_tiles(texture, plan, radius_mm, noise_sigma=0.0, seed=0):
+    """Every scheduled tile in plan order, made in one set of buffers and
+    arc-corrected."""
+    buffers = TileBuffers.empty(tile_shape_for(CFG, REGION), texture.dtype)
+    for event in plan.schedule:
+        tile = noisy_tile(texture, event, CFG, REGION, noise_sigma, seed, buffers)
+        yield correct_tile(tile, radius_mm)
 
 
 def labelled(mask):
@@ -459,8 +474,7 @@ class TestStitchPanorama:
     def test_planted_disc_lands_at_its_bore_position(self, tmp_path):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
         texture = build_texture(self.HOLE, [spot])
-        tiles = list(render_stack(texture, self.PLAN, CFG, REGION))
-        corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
+        corrected = list(corrected_tiles(texture, self.PLAN, self.HOLE.radius_mm))
         pixels, _ = stitched(corrected, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
         pano = TileImage(pixels, 2.16, 2.16)
         blobs = connected_components(labelled(binarize(pano, threshold=0.5)))
@@ -541,8 +555,7 @@ class TestInspectPipeline:
     def test_stack_stitches_and_measures_a_planted_disc(self, tmp_path):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=100.0, size_mm=0.2)
         texture = build_texture(self.HOLE, [spot])
-        tiles = list(render_stack(texture, self.PLAN, CFG, REGION))
-        corrected = [correct_tile(t, self.HOLE.radius_mm) for t in tiles]
+        corrected = list(corrected_tiles(texture, self.PLAN, self.HOLE.radius_mm))
         with open(tmp_path / "stack.pgm", "wb") as sink:
             records, pano = inspect_stack(
                 corrected, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink
@@ -571,8 +584,7 @@ class TestInspectPipeline:
         tile_shape = tile_shape_for(CFG, REGION)
         with open(os.devnull, "wb") as sink:
             records, _ = inspect_stack(
-                (correct_tile(tile, hole.radius_mm)
-                 for tile in render_stack(texture, plan, CFG, REGION, 5.0, 1)),
+                corrected_tiles(texture, plan, hole.radius_mm, 5.0, 1),
                 plan, hole, CFG, tile_shape, sink,
             )
         disc, line = sorted(records, key=lambda rec: rec.kind)

@@ -18,7 +18,6 @@ from borescan.synth import (
     add_noise,
     build_texture,
     noisy_tile,
-    render_stack,
     render_tile,
     tile_noise_seed,
     tile_shape_for,
@@ -43,6 +42,16 @@ CFG = OpticsConfig(
 )
 REGION = EffectiveRegion()
 SMALL = HoleSpec(radius_mm=0.9, depth_mm=2.0)
+
+
+def tile_buffers(texture):
+    """New buffers for one tile of ``texture`` under CFG and REGION."""
+    return TileBuffers.empty(tile_shape_for(CFG, REGION), texture.dtype)
+
+
+def buffers_like(img):
+    """New buffers for a tile shaped and typed like ``img``."""
+    return TileBuffers.empty(img.pixels.shape, img.pixels.dtype)
 
 
 def fg_count(texture, level=None):
@@ -315,7 +324,7 @@ BORE = HoleSpec(radius_mm=2.0, depth_mm=3.0)
 def test_render_tile_uniform():
     texture = build_texture(BORE, [])
     event = CaptureEvent(0, 0, 0, 0.0, 0.0)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     assert tile.pixels.shape == (695, 695)
     assert np.all(tile.pixels == 180)
     assert tile.tile_index == (0, 0)
@@ -325,7 +334,7 @@ def test_render_tile_centered_disc_stays_centered():
     spec = DefectSpec("disc", z_mm=1.5, beta_deg=40.0, size_mm=0.2)
     texture = build_texture(BORE, [spec])
     event = CaptureEvent(0, 1, 1, 1.5, 40.0)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     rows, cols = np.nonzero(tile.pixels <= 120)
     assert rows.mean() == pytest.approx(347.0, abs=0.5)
     assert cols.mean() == pytest.approx(347.0, abs=0.5)
@@ -337,7 +346,8 @@ def test_render_tile_offaxis_compression():
     offset_deg = math.degrees(0.6 / 2.0)
     spec = DefectSpec("disc", z_mm=1.5, beta_deg=40.0 + offset_deg, size_mm=0.2)
     texture = build_texture(BORE, [spec])
-    tile = render_tile(texture, CaptureEvent(0, 1, 1, 1.5, 40.0), CFG, REGION)
+    event = CaptureEvent(0, 1, 1, 1.5, 40.0)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     center_row = tile.pixels[347].astype(int)
     dark = np.nonzero(center_row <= 120)[0]
     measured = dark.max() - dark.min() + 1
@@ -349,7 +359,8 @@ def test_render_tile_offaxis_compression():
 def test_render_tile_bottom_overhang_background():
     spec = DefectSpec("disc", z_mm=0.2, beta_deg=0.0, size_mm=0.2)
     texture = build_texture(BORE, [spec])
-    tile = render_tile(texture, CaptureEvent(0, 0, 0, 0.0, 0.0), CFG, REGION)
+    event = CaptureEvent(0, 0, 0, 0.0, 0.0)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     # rows below z'=0 (n < cy - z'/p_y) have no surface: background fill
     overhang = tile.pixels[:346]
     assert np.all(overhang == 180)
@@ -392,7 +403,7 @@ def test_render_tile_strips_match_whole_tile_across_bottom_edge(
     texture = build_texture(BORE, [spec], background=background, bit_depth=bit_depth)
     z_mm = (347 - cross_row) * 2.16e-3
     event = CaptureEvent(0, 0, 0, z_mm, 0.0)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     expected = whole_tile_render(texture, event)
     assert tile.pixels.dtype == expected.dtype
     assert np.array_equal(tile.pixels, expected)
@@ -437,7 +448,7 @@ def test_render_tile_matches_whole_bore_oracle(case, bit_depth):
     defects, z_mm, theta_deg = ORACLE_CASES[case]
     texture = depth_texture(defects, bit_depth)
     event = CaptureEvent(0, 0, 0, z_mm, theta_deg)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     expected = whole_tile_render(texture, event)
     assert tile.pixels.dtype == expected.dtype == texture.dtype
     assert np.array_equal(tile.pixels, expected)
@@ -456,8 +467,8 @@ def test_overlap_order_decides_pixels():
     assert first.window(row, row + 1, col, 1)[0, 0] == 130
     assert second.window(row, row + 1, col, 1)[0, 0] == 85
     event = CaptureEvent(0, 0, 0, 1.5, 40.0)
-    a = render_tile(first, event, CFG, REGION).pixels
-    b = render_tile(second, event, CFG, REGION).pixels
+    a = render_tile(first, event, CFG, REGION, tile_buffers(first)).pixels
+    b = render_tile(second, event, CFG, REGION, tile_buffers(second)).pixels
     assert not np.array_equal(a, b)
 
 
@@ -465,7 +476,7 @@ def test_render_tile_seam_matches_whole_bore_oracle():
     # a tile centred on the 360-degree seam reads both ends of the wall
     texture = depth_texture(ORACLE_CASES["seam-disc"][0], 8)
     event = CaptureEvent(0, 0, 0, 1.5, 0.0)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     assert np.any(tile.pixels[:, :347] <= 120)
     assert np.any(tile.pixels[:, 348:] <= 120)
     assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
@@ -522,7 +533,7 @@ def test_render_tile_with_stamp_starting_on_a_strip_boundary(bit_depth, monkeypa
         return window(self, top, bottom, left, count)
 
     monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     # the strip above reads the disc's first row only as its last v1 row
     assert windows[:2] == [
         (stamp.row_lo - STRIP_ROWS, stamp.row_lo + 1),
@@ -542,12 +553,13 @@ def test_render_tile_rasterizes_only_strips_a_stamp_meets(monkeypatch):
         return window(self, *args)
 
     monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
-    tile = render_tile(texture, CaptureEvent(0, 1, 1, 1.5, 40.0), CFG, REGION)
+    event = CaptureEvent(0, 1, 1, 1.5, 40.0)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     # the 0.2 mm disc's 96 stamp rows meet two of the 11 strips, or three
     assert 2 <= len(windows) <= 3
     assert all(bottom - top == STRIP_ROWS + 1 for top, bottom, _, _ in windows)
     monkeypatch.undo()
-    expected = whole_tile_render(texture, CaptureEvent(0, 1, 1, 1.5, 40.0))
+    expected = whole_tile_render(texture, event)
     assert np.array_equal(tile.pixels, expected)
 
 
@@ -562,7 +574,7 @@ def test_render_tile_resamples_only_the_columns_a_stamp_reaches(monkeypatch):
         return resample(pixels, weights, out, scratch)
 
     monkeypatch.setattr(synth, "_resample_columns", spy)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     monkeypatch.undo()
     # the 0.1 mm disc is 46 px across; one run per strip it meets
     assert 1 <= len(shapes) <= 2
@@ -620,7 +632,7 @@ def test_render_tile_matches_whole_tile_render_on_random_defects(seed, bit_depth
     z_mm = [0.0, 1.5][seed // 4]
     texture = depth_texture(random_defects(rng, theta, z_mm), bit_depth)
     event = CaptureEvent(0, 0, 0, z_mm, theta)
-    tile = render_tile(texture, event, CFG, REGION)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     expected = whole_tile_render(texture, event)
     assert tile.pixels.dtype == expected.dtype
     assert np.array_equal(tile.pixels, expected)
@@ -629,8 +641,9 @@ def test_render_tile_matches_whole_tile_render_on_random_defects(seed, bit_depth
 
 def test_add_noise_zero_sigma_identity():
     texture = build_texture(BORE, [])
-    tile = render_tile(texture, CaptureEvent(0, 0, 0, 0.0, 0.0), CFG, REGION)
-    out = add_noise(tile, 0.0, seed=7)
+    event = CaptureEvent(0, 0, 0, 0.0, 0.0)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
+    out = add_noise(tile, 0.0, 7, buffers_like(tile))
     assert out is not tile
     assert np.array_equal(out.pixels, tile.pixels)
 
@@ -640,15 +653,14 @@ def test_add_noise_refuses_sigma_not_finite_and_non_negative(sigma):
     # nan once cast to an all-zero tile, and inf saturated it
     clean = TileImage(np.full((8, 8), 128, dtype=np.uint8), 2.16, 2.16)
     with pytest.raises(DomainError, match="finite"):
-        add_noise(clean, sigma, seed=1)
+        add_noise(clean, sigma, 1, buffers_like(clean))
 
 
 def test_add_noise_deterministic():
     texture = build_texture(BORE, [])
-    tile = render_tile(texture, CaptureEvent(0, 0, 0, 0.0, 0.0), CFG, REGION)
-    a = add_noise(tile, 5.0, seed=123)
-    b = add_noise(tile, 5.0, seed=123)
-    c = add_noise(tile, 5.0, seed=124)
+    event = CaptureEvent(0, 0, 0, 0.0, 0.0)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
+    a, b, c = (add_noise(tile, 5.0, n, buffers_like(tile)) for n in (123, 123, 124))
     assert np.array_equal(a.pixels, b.pixels)
     assert not np.array_equal(a.pixels, c.pixels)
 
@@ -690,7 +702,7 @@ def test_add_noise_strips_match_whole_tile_draw(dtype, peak, sigma, seed):
     assert 695 % STRIP_ROWS != 0
     pixels = np.random.default_rng(4).integers(0, peak + 1, (695, 301)).astype(dtype)
     clean = TileImage(pixels, 2.16, 2.16)
-    noisy = add_noise(clean, sigma, seed=seed)
+    noisy = add_noise(clean, sigma, seed, buffers_like(clean))
     expected = whole_tile_noise(pixels, sigma, seed, peak)
     assert noisy.pixels.dtype == dtype
     assert np.array_equal(noisy.pixels, expected)
@@ -706,10 +718,9 @@ def test_add_noise_does_not_depend_on_the_strip_size(
     # 15 x 301 pixels is no whole number of 64-bit words
     pixels = np.random.default_rng(5).integers(0, peak + 1, (695, 301)).astype(dtype)
     clean = TileImage(pixels, 2.16, 2.16)
-    expected = add_noise(clean, sigma, seed=8).pixels
+    expected = add_noise(clean, sigma, 8, buffers_like(clean)).pixels
     monkeypatch.setattr(synth, "STRIP_ROWS", strip_rows)
-    assert np.array_equal(add_noise(clean, sigma, seed=8).pixels, expected)
-    buffers = TileBuffers.empty(pixels.shape, dtype)
+    buffers = buffers_like(clean)
     assert buffers.strips.shape == (2, min(695, strip_rows) * 301)
     assert np.array_equal(add_noise(clean, sigma, 8, buffers).pixels, expected)
 
@@ -734,7 +745,8 @@ def test_noise_bounds_are_the_rounded_normal_cdf(sigma, peak):
 def test_add_noise_draws_the_rounded_gaussian():
     sigma, level = 5.0, 128
     clean = TileImage(np.full((2000, 2000), level, dtype=np.uint8), 2.16, 2.16)
-    k = add_noise(clean, sigma, seed=2024).pixels.astype(np.int64) - level
+    noisy = add_noise(clean, sigma, 2024, buffers_like(clean))
+    k = noisy.pixels.astype(np.int64) - level
     # P(K=k) = Phi((k+1/2)/sigma) - Phi((k-1/2)/sigma), tails past 23 lumped
     edge = 23
     cdf = NormalDist(0.0, sigma).cdf
@@ -760,7 +772,7 @@ def test_noise_table_is_read_only():
 @pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 65535)])
 def test_add_noise_huge_sigma_saturates(dtype, peak):
     clean = TileImage(np.full((64, 64), peak // 2, dtype=dtype), 2.16, 2.16)
-    noisy = add_noise(clean, 1e308, seed=3).pixels
+    noisy = add_noise(clean, 1e308, 3, buffers_like(clean)).pixels
     assert set(np.unique(noisy).tolist()) == {0, peak}
 
 
@@ -770,33 +782,9 @@ def test_add_noise_sample_std():
         pixel_pitch_x_um=2.16,
         pixel_pitch_y_um=2.16,
     )
-    noisy = add_noise(clean, 5.0, seed=99)
+    noisy = add_noise(clean, 5.0, 99, buffers_like(clean))
     diff = noisy.pixels.astype(float) - 128.0
     assert 4.8 <= diff.std(ddof=1) <= 5.2
-
-
-def test_render_stack_counts_and_order():
-    hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
-    texture = build_texture(hole, [DefectSpec("disc", 0.6, 100.0, 0.2)])
-    plan = plan_scan(hole, REGION)
-    assert (plan.n_rot, plan.n_depth) == (9, 1)
-    tiles = list(render_stack(texture, plan, CFG, REGION, noise_sigma=3.0, seed=5))
-    assert len(tiles) == 9
-    assert [t.tile_index for t in tiles] == [
-        (e.depth_step, e.rotation_step) for e in plan.schedule
-    ]
-
-
-def test_render_stack_deterministic():
-    hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
-    texture = build_texture(hole, [DefectSpec("disc", 0.6, 100.0, 0.2)])
-    plan = plan_scan(hole, REGION)
-    first = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
-    second = list(render_stack(texture, plan, CFG, REGION, noise_sigma=4.0, seed=11))
-    assert len(first) == len(second) == 9
-    for a, b in zip(first, second):
-        assert a.tile_index == b.tile_index
-        assert np.array_equal(a.pixels, b.pixels)
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3])
@@ -809,7 +797,9 @@ def test_write_stack_writes_the_render_stack_tiles(tmp_path, processes):
     paths = [tmp_path / f"tile{event.order}.pgm" for event in plan.schedule]
     write_stack(texture, plan, CFG, REGION, paths, 4.0, 11, processes=processes)
     assert sorted(tmp_path.iterdir()) == sorted(paths)
-    for path, tile in zip(paths, render_stack(texture, plan, CFG, REGION, 4.0, 11)):
+    buffers = tile_buffers(texture)
+    for path, event in zip(paths, plan.schedule):
+        tile = noisy_tile(texture, event, CFG, REGION, 4.0, 11, buffers)
         assert np.array_equal(read_pgm(path), tile.pixels)
 
 
@@ -827,15 +817,15 @@ def stamped_stack(bit_depth=8):
 @pytest.mark.parametrize("bit_depth", [8, 16])
 def test_tiles_made_in_reused_buffers_match_new_ones(bit_depth):
     texture, plan = stamped_stack(bit_depth)
-    buffers = TileBuffers.empty(tile_shape_for(CFG, REGION), texture.dtype)
+    buffers = tile_buffers(texture)
     stamped = []
     for event in plan.schedule:
         tile = noisy_tile(texture, event, CFG, REGION, 4.0, 11, buffers)
         assert tile.pixels is buffers.pixels
-        fresh = noisy_tile(texture, event, CFG, REGION, 4.0, 11)
+        fresh = noisy_tile(texture, event, CFG, REGION, 4.0, 11, tile_buffers(texture))
         assert np.array_equal(tile.pixels, fresh.pixels)
         # a background tile after a stamped one keeps none of its pixels
-        clean = render_tile(texture, event, CFG, REGION)
+        clean = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
         stamped.append(bool(np.any(clean.pixels != texture.background)))
         rendered = render_tile(texture, event, CFG, REGION, buffers)
         assert np.array_equal(rendered.pixels, clean.pixels)
@@ -844,13 +834,12 @@ def test_tiles_made_in_reused_buffers_match_new_ones(bit_depth):
 
 def test_add_noise_leaves_its_input():
     texture, plan = stamped_stack()
-    tile = render_tile(texture, plan.schedule[0], CFG, REGION)
+    tile = render_tile(texture, plan.schedule[0], CFG, REGION, tile_buffers(texture))
     clean = tile.pixels.copy()
-    noisy = add_noise(tile, 5.0, seed=1)
-    assert not np.shares_memory(noisy.pixels, tile.pixels)
+    noisy = add_noise(tile, 5.0, 1, buffers_like(tile))
     assert np.array_equal(tile.pixels, clean)
-    # with buffers it may write in place, onto the buffer's own pixels
-    buffers = TileBuffers.empty(clean.shape, clean.dtype)
+    # it may write in place, onto the buffer's own pixels
+    buffers = buffers_like(tile)
     np.copyto(buffers.pixels, clean)
     in_place = add_noise(TileImage(buffers.pixels, 2.16, 2.16), 5.0, 1, buffers)
     assert in_place.pixels is buffers.pixels
@@ -865,7 +854,7 @@ def test_buffers_of_another_tile_are_refused(shape, dtype):
     buffers = TileBuffers.empty(shape, dtype)
     with pytest.raises(DomainError, match="tile buffer"):
         render_tile(texture, plan.schedule[0], CFG, REGION, buffers)
-    tile = render_tile(texture, plan.schedule[0], CFG, REGION)
+    tile = render_tile(texture, plan.schedule[0], CFG, REGION, tile_buffers(texture))
     with pytest.raises(DomainError, match="tile buffer"):
         add_noise(tile, 5.0, 1, buffers)
 
@@ -884,7 +873,8 @@ def test_render_tile_scans_no_strip_of_a_tile_no_stamp_meets(monkeypatch):
 
     monkeypatch.setattr(synth.SurfaceTexture, "stamps_meeting", spy_meeting)
     monkeypatch.setattr(synth.SurfaceTexture, "stamp_columns", spy_columns)
-    tile = render_tile(texture, CaptureEvent(0, 1, 1, 1.5, 200.0), CFG, REGION)
+    event = CaptureEvent(0, 1, 1, 1.5, 200.0)
+    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     assert calls == ["stamps_meeting"]
     assert np.all(tile.pixels == texture.background)
 
@@ -932,7 +922,7 @@ def test_write_stack_keeps_only_the_tiles_before_the_first_error(
     texture = build_texture(hole, [])
     plan = plan_scan(hole, REGION)
 
-    def failing_render_tile(texture, event, cfg, region, buffers=None):
+    def failing_render_tile(texture, event, cfg, region, buffers):
         if event.order in (4, 7):
             raise DomainError(f"tile {event.order} cannot be rendered")
         return render_tile(texture, event, cfg, region, buffers)
@@ -947,12 +937,3 @@ def test_write_stack_keeps_only_the_tiles_before_the_first_error(
 def test_negative_noise_seed_is_refused():
     with pytest.raises(DomainError, match="noise seed must be >= 0, got -1"):
         tile_noise_seed(-1, 0)
-
-
-def test_render_stack_empty_plan():
-    from borescan.scanplan import ScanPlan
-
-    hole = HoleSpec(radius_mm=2.0, depth_mm=1.2)
-    texture = build_texture(hole, [])
-    empty = ScanPlan(0, 0, 0.0, 1.5, tuple())
-    assert list(render_stack(texture, empty, CFG, REGION)) == []

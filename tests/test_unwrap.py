@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,15 +204,41 @@ def test_correct_tile_preserves_uint16():
     assert out.pixels.dtype == np.uint16
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def tied_weights():
+    """The reference rig's weights with w1 = 0.5 in column 100, where p0 + p1
+    odd makes a tie, so ``_uint8_weights`` refuses the rig."""
+    c0, c1, w0, w1 = (array.copy() for array in _correction_weights(695, R, PITCH))
+    w0[100] = w1[100] = 0.5
+    return c0, c1, w0, w1
+
+
+def resampled(pixels, weights):
+    """``pixels`` widened to float64 and resampled as one strip."""
+    rows = pixels.astype(np.float64)
+    return _resample_columns(rows, weights, np.empty_like(rows), np.empty_like(rows))
+
+
+@pytest.mark.parametrize(
+    "dtype, refused",
+    [
+        pytest.param(np.uint8, False, id="uint8"),
+        pytest.param(np.uint16, False, id="uint16"),
+        # an 8-bit tile on a rig that takes the float64 branch
+        pytest.param(np.uint8, True, id="uint8-refused"),
+    ],
+)
 @pytest.mark.parametrize("height", [1, STRIP_ROWS, STRIP_ROWS + 1, 695])
-def test_correct_tile_strips_match_whole_tile(dtype, height):
+def test_correct_tile_strips_match_whole_tile(
+    monkeypatch, fresh_uint8_weights, dtype, refused, height
+):
     rng = np.random.default_rng(height)
     img = random_tile(rng, width=695, height=height, dtype=dtype)
     weights = _column_weights(build_remap(695, R, PITCH), 695)
-    shape = img.pixels.shape
-    whole = _resample_columns(img.pixels, weights, np.empty(shape), np.empty(shape))
-    expected = np.rint(whole).astype(dtype)
+    if refused:
+        weights = tied_weights()
+        monkeypatch.setattr(unwrap, "_correction_weights", lambda *key: weights)
+        assert _uint8_weights(695, R, PITCH) is None
+    expected = np.rint(resampled(img.pixels, weights)).astype(dtype)
     out = correct_tile(img, R)
     assert out.pixels.dtype == dtype
     assert np.array_equal(out.pixels, expected)
@@ -347,17 +374,11 @@ def test_uint8_correction_falls_back_to_float64_on_a_half_integer(
     monkeypatch, fresh_uint8_weights
 ):
     rig = (695, R, PITCH)
-    # w1 = 0.5 in column 100: p0 + p1 odd makes a tie
-    c0, c1, w0, w1 = (array.copy() for array in _correction_weights(*rig))
-    w0[100] = w1[100] = 0.5
-    weights = (c0, c1, w0, w1)
+    weights = c0, c1, _, _ = tied_weights()
     monkeypatch.setattr(unwrap, "_correction_weights", lambda *key: weights)
     assert _uint8_weights(*rig) is None
     pixels = every_sample_pair(rig[0], 0)
-    shape = pixels.shape
-    expected = np.rint(
-        _resample_columns(pixels, weights, np.empty(shape), np.empty(shape))
-    ).astype(np.uint8)
+    expected = np.rint(resampled(pixels, weights)).astype(np.uint8)
     assert np.array_equal(correct_tile(tile_from(pixels, PITCH), R).pixels, expected)
     # the float32 formula would round the tie (1, 2) down where float64
     # rounds 1.5 to even, so the float64 path is what gives these bytes
@@ -365,6 +386,24 @@ def test_uint8_correction_falls_back_to_float64_on_a_half_integer(
     p1 = pixels[:, c1[100]].astype(np.float32)
     float32 = p0 + np.rint((p1 - p0) * np.float32(0.5))
     assert np.any(float32 != expected[:, 100])
+
+
+def test_resample_columns_allocates_less_than_its_output():
+    # a 64 x 695 strip gathered and weighed in out and scratch: gathering
+    # into temporaries and numpy's buffered broadcast multiply once took
+    # about 1.3 times the output
+    rows = np.random.default_rng(3).uniform(0.0, 255.0, (STRIP_ROWS, 695))
+    weights = _column_weights(build_remap(695, R, PITCH), 695)
+    out, scratch = np.empty_like(rows), np.empty_like(rows)
+    expected = rows[:, weights[0]] * weights[2] + rows[:, weights[1]] * weights[3]
+    tracemalloc.start()
+    try:
+        _resample_columns(rows, weights, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes
+    assert np.array_equal(out, expected)
 
 
 def test_correct_tile_row_independence():
