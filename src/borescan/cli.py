@@ -179,7 +179,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     base_dir = Path(args.manifest).parent
     schedule = manifest.plan.schedule
     tile_shape = tile_shape_for(manifest.optics, manifest.region)
-    # plan-row order closes the panorama one depth row at a time
+    # the stitch takes tiles in plan-row order, which closes the panorama
+    # one depth row at a time
     by_rows = sorted(
         schedule, key=lambda event: (event.depth_step, event.rotation_step)
     )

@@ -1,12 +1,11 @@
 """Defect extraction and measurement on the unwrapped bore wall.
 
-Binarization (fixed or Otsu threshold), 8-connected blob labeling round
-the bore, and line widths in mm via the pixel pitch. Labeling works on the
-row runs of the mask (maximal horizontal stretches of foreground), not on
-pixels: defects are small and sparse, so even the 127 million pixels of
-the reference bore's wall hold only thousands of runs. The panorama is
-labelled once; the blob records and the line widths all read those
-labelled runs.
+Binarization (fixed or Otsu threshold) and 8-connected blob labeling round
+the bore. Labeling works on the row runs of the mask (maximal horizontal
+stretches of foreground), not on pixels: defects are small and sparse, so
+even the 127 million pixels of the reference bore's wall hold only
+thousands of runs. The panorama is labelled once; the blob records all
+read those labelled runs.
 """
 
 from __future__ import annotations
@@ -27,13 +26,10 @@ __all__ = [
     "row_runs",
     "label_mask",
     "connected_components",
-    "line_width",
     "DEFAULT_MIN_AREA",
-    "DEFAULT_SEGMENT_LEN",
 ]
 
 DEFAULT_MIN_AREA = 9  # px; ~13 um equivalent diameter at 2.16 um/pixel
-DEFAULT_SEGMENT_LEN = 64  # px per line-width segment
 
 _END = np.full(1, np.iinfo(np.intp).max)  # a sentinel key, past every run
 
@@ -296,19 +292,3 @@ def connected_components(
         )
     ]
 
-
-def line_width(per_row: np.ndarray, pitch_x_um: float) -> float:
-    """Mean width in mm of a line running along the bore axis.
-
-    ``per_row`` holds one connected blob's pixel count in each row of its
-    bounding box, top to bottom, so every row holds part of the line. The
-    rows are cut into ``DEFAULT_SEGMENT_LEN``-row segments; each segment's
-    width is its mean count per row times the column pitch, and the
-    result is the mean over segments, so a short last segment weighs as
-    much as a full one.
-    """
-    widths = [
-        float(per_row[start : start + DEFAULT_SEGMENT_LEN].mean()) * pitch_x_um * 1e-3
-        for start in range(0, per_row.size, DEFAULT_SEGMENT_LEN)
-    ]
-    return float(np.mean(widths))

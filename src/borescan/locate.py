@@ -1,7 +1,8 @@
 """Stitching the bore wall and mapping its defects into bore coordinates.
 
-:func:`stitch_panorama` pastes corrected tiles into an unwrapped panorama
-of the wall and writes it out in row bands as they become final.
+:func:`stitch_panorama` pastes corrected tiles, taken in plan-row order,
+into an unwrapped panorama of the wall and writes it out in row bands as
+they become final.
 :func:`inspect_stack` is the inspect pipeline built on it: it binarises
 each final 128-row block of the panorama once, keeps the block's
 foreground row runs, labels all of them in one pass round the bore once
@@ -30,7 +31,6 @@ from .detect import (
     binarize,
     connected_components,
     label_mask,
-    line_width,
     row_runs,
 )
 from .errors import DomainError, PlanIndexError, ThresholdError
@@ -94,9 +94,9 @@ def record_from_blob(
     :func:`stitch_panorama` places them, canvas row ``n`` lies ``n`` pixel
     pitches down the axis from the nozzle plane and column ``m`` at
     ``m / width`` of a turn. A blob at least 3x taller than wide is a line
-    (scratches run along the axis); its size is the segment-averaged width
-    of its own runs, counted row by row over its bounding box. Anything
-    else is a disc sized by equivalent diameter.
+    (scratches run along the axis); its size is its mean width, its pixel
+    area over the rows of its bounding box, so every row weighs the same.
+    Anything else is a disc sized by equivalent diameter.
     """
     pitch_z_mm = cfg.pixel_pitch_y_um * 1e-3
     col, row = blob.centroid
@@ -106,15 +106,7 @@ def record_from_blob(
     area = blob.pixel_area * cfg.pixel_pitch_x_um * cfg.pixel_pitch_y_um * 1e-6
     if axial_px >= LINE_ASPECT * arc_px:
         kind = "line"
-        # rows ascend, so the blob's rows are one slice of the runs
-        lo, hi = np.searchsorted(labels.row, (row_min, row_max + 1))
-        own = labels.label[lo:hi] == blob.label
-        per_row = np.bincount(
-            labels.row[lo:hi][own] - row_min,
-            weights=(labels.stop[lo:hi] - labels.start[lo:hi])[own],
-            minlength=axial_px,
-        )
-        size = line_width(per_row, cfg.pixel_pitch_x_um)
+        size = blob.pixel_area / axial_px * cfg.pixel_pitch_x_um * 1e-3
     else:
         kind = "disc"
         size = 2.0 * math.sqrt(area / math.pi)
@@ -145,9 +137,8 @@ class Panorama:
 class _Place:
     """Where one plan tile lands: canvas rows ``start``..``stop`` from tile
     rows ``tile_rows``, and the (canvas columns, tile columns) pairs of the
-    seam split. ``priority`` is the tile's position in the schedule."""
+    seam split."""
 
-    priority: int
     start: int
     stop: int
     tile_rows: slice
@@ -206,19 +197,6 @@ class _RowBand:
         return reached
 
 
-def _overlaps(place: _Place, other: _Place):
-    """(first row, stop row, columns) of the canvas that both places cover."""
-    start, stop = max(place.start, other.start), min(place.stop, other.stop)
-    if start >= stop:
-        return
-    for cols, _ in place.segments:
-        for other_cols, _ in other.segments:
-            lo = max(cols.start, other_cols.start)
-            hi = min(cols.stop, other_cols.stop)
-            if lo < hi:
-                yield start, stop, slice(lo, hi)
-
-
 def _placements(plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape):
     """The canvas (height, width) and where each plan tile lands on it.
 
@@ -230,12 +208,12 @@ def _placements(plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape):
     height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
     h, w = tile_shape
     places = {}
-    for priority, event in enumerate(plan.schedule):
+    for event in plan.schedule:
         row0 = round(event.z_mm * 1e3 / cfg.pixel_pitch_y_um) - (h - 1) // 2
         col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
         r_lo, r_hi = max(0, -row0), min(h, height - row0)
         places[(event.depth_step, event.rotation_step)] = _Place(
-            priority, row0 + r_lo, row0 + r_hi, slice(r_lo, r_hi),
+            row0 + r_lo, row0 + r_hi, slice(r_lo, r_hi),
             _wrapped_segments(col0, w, width),
         )
     return height, width, places
@@ -253,15 +231,15 @@ def stitch_panorama(
     """Paste corrected tiles into an unwrapped panorama of the bore wall,
     written to ``sink`` (a binary file) as a PGM in row bands.
 
-    ``tiles`` may come in any order, from a generator too: each tile is
-    pasted as it arrives and not kept. Where tiles overlap, a pixel keeps
-    the value of the covering tile latest in the plan's schedule, so the
-    bytes written do not depend on the arrival order. Only the open band
-    of rows is held: the 128-row blocks that a tile not yet seen can still
-    reach. Blocks above it are final; they are written and dropped. Tiles
-    in plan-row order, ``(depth_step, rotation_step)``, close the canvas
-    one depth row at a time; in schedule order every rotation reaches back
-    to the top, so the whole canvas stays open until the last one.
+    ``tiles`` come in plan-row order, ``(depth_step, rotation_step)``, each
+    plan position at most once, from a generator too: each tile is pasted
+    whole as it arrives and not kept, so where tiles overlap, the one later
+    in plan-row order wins. In a :func:`~borescan.scanplan.plan_scan` plan
+    a tile's rows follow its depth step and its columns its rotation step,
+    so that tile is also the one latest in the schedule. Only the open band
+    of rows is held: the 128-row blocks that a tile still to come can
+    reach, about one depth row of tiles. Blocks above it are final; they
+    are written and dropped.
 
     ``on_block(first_row, pixels, covered)`` sees each final block that a
     tile reached, top to bottom, with the mask of its pixels that some
@@ -272,13 +250,15 @@ def stitch_panorama(
     """
     height, width, places = _placements(plan, hole, cfg, tile_shape)
     h, w = tile_shape
-    # first rows of the places that show on the canvas, top first
-    starts = sorted(
-        (place.start, index) for index, place in places.items()
-        if place.start < place.stop
-    )
+    # the first row that a place after each one in plan-row order reaches;
+    # a library plan's starts need not rise with that order
+    following, reach = {}, height
+    for index in sorted(places, reverse=True):
+        following[index] = reach
+        if places[index].start < places[index].stop:
+            reach = min(reach, places[index].start)
     band = _RowBand(sink, height, width)
-    seen = set()
+    pasted = []  # plan positions, in plan-row order
     live = []  # pasted places with rows still in the band
 
     def finish(blocks):
@@ -293,15 +273,17 @@ def stitch_panorama(
                         covered[lo:hi, cols] = True
             on_block(first, pixels, covered)
 
-    unseen = 0  # index into starts of the topmost place still to come
     for img in tiles:
         if img.tile_index is None:
             raise DomainError("tiles must carry a (depth_step, rotation_step) index")
         place = places.get(img.tile_index)
         if place is None:
             raise PlanIndexError(f"tile {img.tile_index} is not in the plan")
-        if img.tile_index in seen:
-            raise DomainError(f"tile {img.tile_index} was given twice")
+        if pasted and img.tile_index <= pasted[-1]:
+            raise DomainError(
+                f"tile {img.tile_index} came after tile {pasted[-1]}: tiles must "
+                "come in plan-row order, (depth_step, rotation_step), each once"
+            )
         if img.pixels.shape != tile_shape:
             raise DomainError(
                 f"tile {img.tile_index} is {img.pixels.shape[0]}x"
@@ -314,35 +296,24 @@ def stitch_panorama(
                 f"tiles mix bit depths: tile {img.tile_index} is "
                 f"{img.pixels.dtype}, the tiles before it {band.blank.dtype}"
             )
-        seen.add(img.tile_index)
+        pasted.append(img.tile_index)
         if place.start < place.stop:
-            # what tiles later in the schedule pasted here stays on top
-            kept = [
-                (block, rows, cols, block[rows, cols].copy())
-                for other in live if other.priority > place.priority
-                for start, stop, cols in _overlaps(place, other)
-                for block, rows, _ in band.pieces(start, stop)
-            ]
             pixels = img.pixels[place.tile_rows]
             for block, rows, src_rows in band.pieces(place.start, place.stop):
                 for cols, src in place.segments:
                     block[rows, cols] = pixels[src_rows, src]
-            for block, rows, cols, saved in kept:
-                block[rows, cols] = saved
             live.append(place)
-        while unseen < len(starts) and starts[unseen][1] in seen:
-            unseen += 1
-        if unseen < len(starts):
-            finish(band.flush(starts[unseen][0]))
-            live = [other for other in live if other.stop > band.top]
+        finish(band.flush(following[img.tile_index]))
+        live = [other for other in live if other.stop > band.top]
     if band.blank is None:
         band.open(np.uint8)
     finish(band.flush(height))
+    given = set(pasted)
     return Panorama(
         (height, width),
         {
-            "missing_tiles": [index for index in places if index not in seen],
-            "uncovered_px": height * width - _union_area(_rectangles(places, seen)[1]),
+            "missing_tiles": [index for index in places if index not in given],
+            "uncovered_px": height * width - _union_area(_rectangles(places, given)[1]),
         },
     )
 
@@ -405,19 +376,19 @@ def inspect_stack(
 ) -> tuple[list[DefectRecord], Panorama]:
     """Stitch a run's corrected tiles and measure the defects on the panorama.
 
-    ``corrected_tiles`` come in any order, from a generator if need be:
-    :func:`stitch_panorama` pastes each one and writes the panorama to
-    ``sink`` in row bands; plan-row order keeps the fewest rows open. Each
-    final 128-row block is binarised once by :func:`binarize` with
-    ``method`` and ``threshold`` (which ``otsu`` ignores), over the pixels
-    some tile covered only, so ``otsu`` takes one cut per block, and a
-    block it finds featureless has no foreground. The blocks' foreground
-    runs are kept, and once the last row is written they are labelled in
-    one pass round the bore. Each blob of at least ``min_area`` px becomes
-    a record; its tiles are the pasted plan tiles its bounding box meets.
+    ``corrected_tiles`` come in plan-row order, from a generator if need
+    be: :func:`stitch_panorama` pastes each one and writes the panorama to
+    ``sink`` in row bands. Each final 128-row block is binarised once by
+    :func:`binarize` with ``method`` and ``threshold`` (which ``otsu``
+    ignores), over the pixels some tile covered only, so ``otsu`` takes
+    one cut per block, and a block it finds featureless has no
+    foreground. The blocks' foreground runs are kept, and once the last
+    row is written they are labelled in one pass round the bore. Each blob
+    of at least ``min_area`` px becomes a record; its tiles are the pasted
+    plan tiles its bounding box meets.
 
     Returns the records, ordered by (z, beta) and numbered, and the
-    stitch's :class:`Panorama`. Neither depends on the arrival order.
+    stitch's :class:`Panorama`.
     """
     pitch = (cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um)
     runs = [(np.zeros(0, dtype=np.intp),) * 3]

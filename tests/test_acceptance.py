@@ -237,15 +237,16 @@ def test_07_plan_coverage(capsys):
 
 def _inspect_rendered(texture, plan, hole, noise_sigma=0.0, seed=0):
     """Run the inspect pipeline on every scheduled tile, made in memory in
-    one set of buffers and corrected; the panorama's rows are written to
-    the null device."""
+    one set of buffers and corrected, in plan-row order as ``inspect`` does;
+    the panorama's rows are written to the null device."""
     shape = tile_shape_for(OPTICS, REGION)
     buffers = TileBuffers.empty(shape, texture.dtype)
+    in_rows = sorted(plan.schedule, key=lambda e: (e.depth_step, e.rotation_step))
     with open(os.devnull, "wb") as sink:
         return inspect_stack(
             (correct_tile(noisy_tile(texture, event, OPTICS, REGION, noise_sigma,
                                      seed, buffers), hole.radius_mm)
-             for event in plan.schedule),
+             for event in in_rows),
             plan, hole, OPTICS, shape, sink,
         )
 

@@ -11,7 +11,6 @@ from borescan.detect import (
     binarize,
     connected_components,
     label_mask,
-    line_width,
     otsu_threshold,
     row_runs,
 )
@@ -256,15 +255,3 @@ class TestBlobMetrics:
         fine = abs(self.rasterized_diameter(0.1, PITCH) - 0.1)
         assert fine < coarse
 
-
-class TestLineWidth:
-    def test_uniform_band_width(self):
-        # a 139 px wide band running the full tile height: 11 segments,
-        # the last of 55 rows, each 139 px * 2.16 um = 0.30024 mm wide
-        assert line_width(np.full(695, 139), pitch_x_um=PITCH) == pytest.approx(0.30024)
-
-    def test_mean_over_segments_not_rows(self):
-        # one full 64-row segment of 10 px, then a 6-row segment of 40 px:
-        # the segment means are 10 and 40 px, the row mean 12.57 px
-        per_row = np.array([10] * 64 + [40] * 6)
-        assert line_width(per_row, pitch_x_um=PITCH) == pytest.approx(25 * 2.16e-3)

@@ -20,7 +20,6 @@ from borescan.detect import (
     BlobRecord,
     connected_components,
     label_mask,
-    line_width,
     row_runs,
 )
 from borescan.geometry import HoleSpec, OpticsConfig
@@ -199,7 +198,8 @@ def test_adversarial_tile_masks(build):
 
 
 class TestRecordFromBlob:
-    """Line widths from runs equal the widths of the label-image crop."""
+    """Line widths from runs equal the label-image crop's pixels of the
+    blob over the crop's rows."""
 
     HOLE = HoleSpec(2.0, 47.0)
     OPTICS = OpticsConfig()
@@ -216,6 +216,6 @@ class TestRecordFromBlob:
                 assert rec.kind == "disc"
                 continue
             crop = want[row_min : row_max + 1, col_min : col_max + 1] == blob.label
-            expected = line_width(crop.sum(axis=1), self.OPTICS.pixel_pitch_x_um)
+            expected = crop.sum() / crop.shape[0] * self.OPTICS.pixel_pitch_x_um * 1e-3
             assert rec.kind == "line"
             assert rec.size_mm == expected

@@ -52,11 +52,17 @@ TILE_SHAPE = (695, 695)
 CANVAS = (21760, 5818)  # the reference bore's panorama
 
 
+def in_plan_rows(plan):
+    """The plan's events in plan-row order, ``(depth_step, rotation_step)``,
+    the order the stitch takes tiles in."""
+    return sorted(plan.schedule, key=lambda e: (e.depth_step, e.rotation_step))
+
+
 def corrected_tiles(texture, plan, radius_mm, noise_sigma=0.0, seed=0):
-    """Every scheduled tile in plan order, made in one set of buffers and
+    """Every scheduled tile in plan-row order, made in one set of buffers and
     arc-corrected."""
     buffers = TileBuffers.empty(tile_shape_for(CFG, REGION), texture.dtype)
-    for event in plan.schedule:
+    for event in in_plan_rows(plan):
         tile = noisy_tile(texture, event, CFG, REGION, noise_sigma, seed, buffers)
         yield correct_tile(tile, radius_mm)
 
@@ -89,7 +95,7 @@ class TestDefectLocation:
         hole = HoleSpec(0.9, 2.0)
         plan = plan_scan(hole, REGION)
         tiles = []
-        for event in plan.schedule:
+        for event in in_plan_rows(plan):
             pixels = np.full(TILE_SHAPE, 180, dtype=np.uint8)
             if (event.depth_step, event.rotation_step) == (1, 2):
                 pixels[345:350, 345:350] = 20
@@ -190,15 +196,15 @@ class TestRecordFromBlob:
     def test_line_width_counts_only_its_own_label(self):
         mask = np.zeros(TILE_SHAPE, dtype=bool)
         mask[100:400, 300:310] = True  # 10 px wide line, 300 rows
-        mask[100:164, 304:310] = False  # 4 px wide over its first segment
+        mask[100:164, 304:310] = False  # 4 px wide over its first 64 rows
         mask[110:116, 306:310] = True  # disc pixels inside the line's bbox
         labels = labelled(mask)
         line = max(connected_components(labels, min_area=1), key=lambda b: b.pixel_area)
         assert line.bbox == (300, 100, 309, 399)
         rec = record_from_blob(line, labels, HOLE, CFG, ())
         assert rec.kind == "line"
-        # segments of 4, 10, 10, 10 and 10 px; the disc adds nothing
-        assert rec.size_mm == pytest.approx(8.8 * 2.16e-3)
+        # 2,616 px over 300 rows, 8.72 px; the disc adds nothing
+        assert rec.size_mm == pytest.approx(8.72 * 2.16e-3)
 
     def test_interval_halves_cover_bbox(self):
         mask = np.zeros(TILE_SHAPE, dtype=bool)
@@ -268,7 +274,7 @@ class TestStitchPanorama:
 
     def uniform_tiles(self):
         tiles = []
-        for event in self.PLAN.schedule:
+        for event in in_plan_rows(self.PLAN):
             tiles.append(
                 TileImage(
                     np.full((695, 695), 180, dtype=np.uint8),
@@ -312,7 +318,7 @@ class TestStitchPanorama:
                 rng.integers(1, 256, (695, 695), dtype=np.uint8), 2.16, 2.16,
                 tile_index=(event.depth_step, event.rotation_step),
             )
-            for event in self.PLAN.schedule
+            for event in in_plan_rows(self.PLAN)
             if (event.depth_step, event.rotation_step) != (0, 3)
         ]
         listed, listed_pano = stitched(
@@ -328,8 +334,9 @@ class TestStitchPanorama:
 
     @pytest.mark.parametrize("plan_name", ["PLAN", "DENSE"])
     def test_arrival_order_does_not_change_the_bytes(self, tmp_path, plan_name):
-        # distinct random tiles, so any change in the overlap rule shows,
-        # and the records the inspect pipeline measures on them
+        # distinct random tiles, so any change in the overlap rule shows:
+        # plan-row order gives the schedule's bytes, and any other order
+        # is refused before it could write different ones
         plan = getattr(self, plan_name)
         shape = TILE_SHAPE if plan is self.PLAN else (40, 60)
         rng = np.random.default_rng(3)
@@ -340,34 +347,28 @@ class TestStitchPanorama:
             )
             for event in plan.schedule
         ]
-        orders = {
-            "schedule": tiles,
-            "plan-row": sorted(tiles, key=lambda tile: tile.tile_index),
-            "reversed": tiles[::-1],
-            "shuffled": [tiles[i] for i in rng.permutation(len(tiles))],
-        }
+        in_rows = sorted(tiles, key=lambda tile: tile.tile_index)
         expected = pasted_in_schedule_order(tiles, plan, (926, 2618))
         for method in ("fixed", "otsu"):
-            written, results = set(), []
-            for name, order in orders.items():
-                path = tmp_path / f"{method}-{name}.pgm"
-                with open(path, "wb") as sink:
-                    results.append(inspect_stack(
-                        (tile for tile in order), plan, self.HOLE, CFG, shape, sink,
-                        method,
-                    ))
-                written.add(path.read_bytes())
-            assert len(written) == 1
-            assert all(result == results[0] for result in results)
-            records, pano = results[0]
+            path = tmp_path / f"{method}.pgm"
+            with open(path, "wb") as sink:
+                records, pano = inspect_stack(
+                    (tile for tile in in_rows), plan, self.HOLE, CFG, shape, sink,
+                    method,
+                )
             assert len(records) > 1
             np.testing.assert_array_equal(read_pgm(path), expected)
             assert pano.meta == {
                 "missing_tiles": [], "uncovered_px": np.count_nonzero(expected == 0)
             }
-        _, stitched_pano = stitched(tiles, plan, self.HOLE, shape, tmp_path / "p.pgm")
-        assert (tmp_path / "p.pgm").read_bytes() == written.pop()
+        _, stitched_pano = stitched(in_rows, plan, self.HOLE, shape, tmp_path / "p.pgm")
+        assert (tmp_path / "p.pgm").read_bytes() == path.read_bytes()
         assert stitched_pano == pano
+        # schedule, reversed and shuffled orders
+        for order in (tiles, in_rows[::-1], [tiles[i] for i in rng.permutation(len(tiles))]):
+            assert [t.tile_index for t in order] != [t.tile_index for t in in_rows]
+            with pytest.raises(DomainError, match="plan-row order"):
+                stitched(order, plan, self.HOLE, shape, tmp_path / "q.pgm")
 
     def test_out_of_plan_tile_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
@@ -389,7 +390,7 @@ class TestStitchPanorama:
 
     def test_tile_given_twice_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
-        with pytest.raises(DomainError, match=r"\(0, 0\) was given twice"):
+        with pytest.raises(DomainError, match=r"tile \(0, 0\) came after tile \(1, 3\)"):
             stitched(tiles + tiles[:1], self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
     def test_no_tiles_give_a_blank_canvas(self, tmp_path):
@@ -461,7 +462,7 @@ class TestStitchPanorama:
         pixels = np.ones(shape, dtype=np.uint8)
         tiles = (
             TileImage(pixels, 2.16, 2.16, tile_index=(event.depth_step, event.rotation_step))
-            for event in sorted(plan.schedule, key=lambda e: (e.depth_step, e.rotation_step))
+            for event in in_plan_rows(plan)
         )
         with open(os.devnull, "wb") as sink:
             pano = stitch_panorama(tiles, plan, hole, CFG, shape, sink, ignore_blocks)
@@ -485,12 +486,14 @@ class TestStitchPanorama:
         assert v == pytest.approx(1000.0 / 2.16, abs=3.0)
         assert blobs[0].pixel_area == pytest.approx(6733.5, rel=0.03)
 
-    def test_reference_plan_in_plan_rows_holds_a_fraction_of_the_canvas(self):
-        # the 47 mm reference bore, 288 tiles: its canvas is 21,760 x 5,818 px
+    def reference_stitch_peak(self, missing=None):
+        """The stitch of the reference plan's tiles in plan-row order, less
+        ``missing``, and its traced peak in bytes."""
         pixels = np.full(TILE_SHAPE, 180, dtype=np.uint8)
         tiles = (
             TileImage(pixels, 2.16, 2.16, tile_index=(event.depth_step, event.rotation_step))
-            for event in sorted(PLAN.schedule, key=lambda e: (e.depth_step, e.rotation_step))
+            for event in in_plan_rows(PLAN)
+            if (event.depth_step, event.rotation_step) != missing
         )
         tracemalloc.start()
         try:
@@ -501,8 +504,20 @@ class TestStitchPanorama:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return pano, peak
+
+    def test_reference_plan_in_plan_rows_holds_a_fraction_of_the_canvas(self):
+        # the 47 mm reference bore, 288 tiles: its canvas is 21,760 x 5,818 px
+        pano, peak = self.reference_stitch_peak()
         assert pano.shape == (21760, 5818)
         assert pano.meta == {"missing_tiles": [], "uncovered_px": 0}
+        assert peak < 21760 * 5818 / 4
+
+    def test_missing_tile_does_not_hold_the_canvas_open(self):
+        # no tile after (0, 0) in plan-row order reaches its rows, so a
+        # stack without it still closes the canvas one depth row at a time
+        pano, peak = self.reference_stitch_peak(missing=(0, 0))
+        assert pano.meta["missing_tiles"] == [(0, 0)]
         assert peak < 21760 * 5818 / 4
 
 
@@ -516,7 +531,7 @@ class TestInspectPipeline:
                 np.full(TILE_SHAPE, level, dtype=np.uint8), 2.16, 2.16,
                 tile_index=(event.depth_step, event.rotation_step),
             )
-            for event in self.PLAN.schedule
+            for event in in_plan_rows(self.PLAN)
         ]
 
     def test_otsu_on_a_featureless_tile_gives_no_records(self):
