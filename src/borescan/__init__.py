@@ -8,6 +8,8 @@ stage can be exercised without hardware.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .errors import (
     BorescanError,
     ConfigError,
@@ -18,13 +20,29 @@ from .errors import (
     PlanIndexError,
     ThresholdError,
 )
-from .geometry import DeviationSpec, HoleSpec, OpticsConfig
+from .geometry import DefectSpec, DeviationSpec, HoleSpec, OpticsConfig
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_counts
-from .unwrap import TileImage, build_remap, correct_tile, forward_project
-from .synth import DefectSpec, SurfaceTexture, build_texture
-from .detect import BlobRecord, binarize, connected_components
-from .locate import DefectRecord, stitch_panorama
 from .manifest import RunManifest, load_manifest, save_manifest
+
+# the names from the layers that need numpy, each loaded on first access
+# (PEP 562), so that the package and plan start without numpy
+_LAZY = {
+    name: layer
+    for layer, names in (
+        ("unwrap", ("TileImage", "build_remap", "correct_tile", "forward_project")),
+        ("synth", ("SurfaceTexture", "build_texture")),
+        ("detect", ("BlobRecord", "binarize", "connected_components")),
+        ("locate", ("DefectRecord", "stitch_panorama")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "__version__",

@@ -10,7 +10,8 @@ geometry, a degenerate plan or any other input the library rejects, 4 for
 an unwritable output directory, 5 for a missing, corrupt or wrongly sized
 image, 6 when a comparison has no truth or no trials to work with. Each
 command prints only after its files are written, so a closed stdout is
-not an error: the command still exits 0.
+not an error: the command still exits 0. Only synth and inspect import
+the layers that need numpy, when they run.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_config, load_defect_list, parse_threshold_spec
-from .detect import DEFAULT_MIN_AREA
 from .errors import BorescanError, DomainError, ImageFormatError, ParseError
-from .locate import circular_delta_deg, inspect_stack, plan_uncovered_px
+from .geometry import DEFAULT_MIN_AREA, circular_delta_deg
 from .manifest import (
     RunManifest,
     load_manifest,
@@ -35,11 +35,8 @@ from .manifest import (
     save_manifest,
     write_report,
 )
-from .pgm import read_pgm, write_pgm
 from .pool import map_in_order
-from .scanplan import plan_scan
-from .synth import build_texture, tile_shape_for, write_stack
-from .unwrap import TileImage, correct_tile
+from .scanplan import plan_scan, plan_uncovered_px, tile_shape_for
 
 MATCH_RADIUS_MM = 0.25  # truth-to-record association distance for comparisons
 
@@ -95,6 +92,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import build_texture, write_stack
     processes = _resolve_threads(None)
     cfg = load_config(args.config)
     defects = load_defect_list(args.defects) if args.defects else []
@@ -130,13 +128,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _inspect_tile(event, manifest, expected, base_dir, out_dir):
+def _inspect_tile(event, manifest, expected, base_dir, out_dir, pgm, unwrap):
     """Read one tile, check it is ``expected`` (height, width) px, correct it
-    and write the corrected tile. Runs on a worker thread."""
+    and write the corrected tile. Runs on a worker thread. ``pgm`` and
+    ``unwrap`` are those modules, which :func:`cmd_inspect` imports once a
+    run, not once a tile."""
     name = _tile_name(event.depth_step, event.rotation_step)
     path = base_dir / name
     try:
-        pixels = read_pgm(path)
+        pixels = pgm.read_pgm(path)
     except OSError as exc:
         raise ImageFormatError(f"{path}: {exc}") from exc
     cfg = manifest.optics
@@ -145,12 +145,12 @@ def _inspect_tile(event, manifest, expected, base_dir, out_dir):
             f"{path}: tile is {pixels.shape[0]}x{pixels.shape[1]} px, the "
             f"manifest's optics and region give {expected[0]}x{expected[1]}"
         )
-    tile = TileImage(
+    tile = unwrap.TileImage(
         pixels, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um,
         tile_index=(event.depth_step, event.rotation_step),
     )
-    corrected = correct_tile(tile, manifest.hole.radius_mm)
-    write_pgm(out_dir / name, corrected.pixels)
+    corrected = unwrap.correct_tile(tile, manifest.hole.radius_mm)
+    pgm.write_pgm(out_dir / name, corrected.pixels)
     return corrected
 
 
@@ -170,6 +170,8 @@ def _one_bit_depth(tiles, base_dir):
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    from . import pgm, unwrap
+    from .locate import inspect_stack
     if args.min_area < 1:
         raise ParseError("--min-area must be >= 1")
     manifest = load_manifest(args.manifest)
@@ -192,7 +194,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 _one_bit_depth(
                     map_in_order(
                         lambda event: _inspect_tile(
-                            event, manifest, tile_shape, base_dir, corrected_dir
+                            event, manifest, tile_shape, base_dir, corrected_dir,
+                            pgm, unwrap,
                         ),
                         by_rows,
                         _resolve_threads(args.threads),

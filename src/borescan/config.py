@@ -18,10 +18,9 @@ import typing
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .geometry import HoleSpec, OpticsConfig
+from .geometry import DefectSpec, HoleSpec, OpticsConfig
 from .scanplan import EffectiveRegion
 from .schema import field_types, read_text
-from .synth import DefectSpec
 
 __all__ = [
     "SynthParams",
@@ -100,7 +99,7 @@ def load_defect_list(path) -> list[DefectSpec]:
     """Defects to plant, one CSV row each.
 
     ``z_mm`` is measured up from the hole bottom. ``length_mm`` stays empty
-    for discs; an empty ``contrast`` means ``synth.DEFAULT_CONTRAST``.
+    for discs; an empty ``contrast`` means ``geometry.DEFAULT_CONTRAST``.
     """
     try:
         handle = open(path, "r", encoding="ascii", newline="")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ThresholdError
+from .geometry import DEFAULT_MIN_AREA
 from .unwrap import TileImage
 
 __all__ = [
@@ -26,10 +27,8 @@ __all__ = [
     "row_runs",
     "label_mask",
     "connected_components",
-    "DEFAULT_MIN_AREA",
 ]
 
-DEFAULT_MIN_AREA = 9  # px; ~13 um equivalent diameter at 2.16 um/pixel
 
 _END = np.full(1, np.iinfo(np.intp).max)  # a sentinel key, past every run
 

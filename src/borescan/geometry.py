@@ -1,8 +1,9 @@
 """Imaging-chain geometry and error-bound calculators.
 
-Pure functions over three small value types. All lengths are millimetres,
-pixel equivalents are µm/pixel, and angles live in radians internally;
-degree inputs are converted at the API boundary.
+Pure functions over three small value types, and the defect spec synth
+plants. All lengths are millimetres, pixel equivalents are µm/pixel, and
+angles live in radians internally; degree inputs are converted at the API
+boundary. Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ __all__ = [
     "HoleSpec",
     "OpticsConfig",
     "DeviationSpec",
+    "DefectSpec",
+    "DEFAULT_CONTRAST",
+    "DEFAULT_MIN_AREA",
+    "circular_delta_deg",
     "fov_half_angle",
     "image_plane_distance",
     "object_extent",
@@ -29,6 +34,9 @@ __all__ = [
 # Device envelope: bore diameters 4..6 mm, depths to 47 mm.
 SUPPORTED_DIAMETER_MM = (4.0, 6.0)
 SUPPORTED_DEPTH_MM = 47.0
+
+DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
+DEFAULT_MIN_AREA = 9  # px; ~13 um equivalent diameter at 2.16 um/pixel
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,51 @@ class DeviationSpec:
             raise DomainError("tilt must lie in [0, 90) degrees")
 
 
+@dataclass(frozen=True)
+class DefectSpec:
+    """Prefabricated defect that :func:`borescan.synth.build_texture`
+    stamps onto a texture, and the planted truth a manifest carries.
+
+    ``z_mm`` is the feature center measured from the hole bottom (the
+    texture/scan frame; reports convert to nozzle distance). ``size_mm``
+    is a disc diameter or a line width; lines run along the hole axis for
+    ``length_mm``. ``contrast`` is a signed intensity offset, negative for
+    the usual dark-on-bright appearance.
+    """
+
+    kind: str
+    z_mm: float
+    beta_deg: float
+    size_mm: float
+    length_mm: float | None = None
+    contrast: int = DEFAULT_CONTRAST
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("disc", "line"):
+            raise DomainError(f"unknown defect kind {self.kind!r}")
+        for name in ("z_mm", "size_mm", "length_mm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"defect {name} must be finite, got {value}")
+        if self.size_mm <= 0:
+            raise DomainError("defect size must be positive")
+        if not 0.0 <= self.beta_deg < 360.0:
+            raise DomainError("beta must lie in [0, 360)")
+        if self.kind == "line":
+            if self.length_mm is None or self.length_mm <= 0:
+                raise DomainError("line defects need a positive length")
+        elif self.length_mm is not None:
+            raise DomainError("disc defects take no length")
+        if self.contrast == 0:
+            raise DomainError("zero-contrast defect is invisible")
+
+    def half_extent_mm(self) -> tuple[float, float]:
+        """Half-extent of the footprint along (u, z)."""
+        if self.kind == "disc":
+            return self.size_mm / 2.0, self.size_mm / 2.0
+        return self.size_mm / 2.0, self.length_mm / 2.0
+
+
 def fov_half_angle(cfg: OpticsConfig) -> float:
     """Half-angle of the imaging cone, radians.
 
@@ -268,3 +321,9 @@ def relative_fov_error(
     if extent_mm == 0:
         raise DomainError("object extent must be nonzero")
     return (deviation_mm / radius_mm) * (1.0 - mirror_diameter_mm / extent_mm)
+
+
+def circular_delta_deg(a: float, b: float) -> float:
+    """Smallest angular separation of two angles, degrees in [0, 180]."""
+    d = abs(a - b) % 360.0
+    return min(d, 360.0 - d)

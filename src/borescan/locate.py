@@ -11,9 +11,9 @@ column. z is the axial distance from the nozzle reference plane (so it
 shrinks toward the bottom of the hole) and beta is the circumferential
 angle in degrees. A defect that tile edges, depth steps or the 360-degree
 seam cut apart is still one blob, so no record needs merging. The
-``inspect`` command runs the pipeline over tiles read from disk, and
-:func:`plan_uncovered_px` counts, from the same tile placements, the
-canvas pixels a plan leaves uncovered before any tile is taken.
+``inspect`` command runs the pipeline over tiles read from disk. Tiles
+land where :func:`borescan.scanplan._placements` puts them, the rule
+by which ``plan`` counts the pixels a plan leaves uncovered.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detect import (
-    DEFAULT_MIN_AREA,
     BlobRecord,
     RunLabels,
     binarize,
@@ -34,19 +33,17 @@ from .detect import (
     row_runs,
 )
 from .errors import DomainError, PlanIndexError, ThresholdError
-from .geometry import HoleSpec, OpticsConfig
+from .geometry import DEFAULT_MIN_AREA, HoleSpec, OpticsConfig
 from .pgm import write_pgm_header, write_pgm_rows
-from .scanplan import ScanPlan
-from .unwrap import TileImage, _wrapped_segments
+from .scanplan import ScanPlan, _placements, _rectangles, _union_area
+from .unwrap import TileImage
 
 __all__ = [
     "DefectRecord",
     "record_from_blob",
     "Panorama",
     "stitch_panorama",
-    "plan_uncovered_px",
     "inspect_stack",
-    "circular_delta_deg",
 ]
 
 LINE_ASPECT = 3.0  # axial:arc extent ratio at which a blob counts as a line
@@ -72,12 +69,6 @@ class DefectRecord:
     z_max_mm: float
     source_tiles: tuple[tuple[int, int], ...]
     id: int = -1
-
-
-def circular_delta_deg(a: float, b: float) -> float:
-    """Smallest angular separation of two angles, degrees in [0, 180]."""
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
 
 
 def record_from_blob(
@@ -133,18 +124,6 @@ class Panorama:
     meta: dict
 
 
-@dataclass(frozen=True)
-class _Place:
-    """Where one plan tile lands: canvas rows ``start``..``stop`` from tile
-    rows ``tile_rows``, and the (canvas columns, tile columns) pairs of the
-    seam split."""
-
-    start: int
-    stop: int
-    tile_rows: slice
-    segments: list[tuple[slice, slice]]
-
-
 class _RowBand:
     """The open rows of a panorama canvas, written to a PGM once final.
 
@@ -195,28 +174,6 @@ class _RowBand:
                 reached.append((first, rows))
         self.top = max(self.top, end)
         return reached
-
-
-def _placements(plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape):
-    """The canvas (height, width) and where each plan tile lands on it.
-
-    Canvas dimensions depend only on the hole and the pixel pitch, never on
-    the plan ordering. A tile's middle pixel lands on canvas row
-    ``z_mm / pitch`` and column ``theta_deg / 360`` of the width.
-    """
-    width = round(2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um)
-    height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
-    h, w = tile_shape
-    places = {}
-    for event in plan.schedule:
-        row0 = round(event.z_mm * 1e3 / cfg.pixel_pitch_y_um) - (h - 1) // 2
-        col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
-        r_lo, r_hi = max(0, -row0), min(h, height - row0)
-        places[(event.depth_step, event.rotation_step)] = _Place(
-            row0 + r_lo, row0 + r_hi, slice(r_lo, r_hi),
-            _wrapped_segments(col0, w, width),
-        )
-    return height, width, places
 
 
 def stitch_panorama(
@@ -318,51 +275,6 @@ def stitch_panorama(
     )
 
 
-def _rectangles(places: dict, indices: Iterable[tuple[int, int]]):
-    """The canvas rectangles of the plan positions ``indices``, one per seam
-    segment: their owners, and a (4, n) array of their first rows, stop
-    rows, first columns and stop columns. A place off the canvas has none."""
-    owners, rects = [], []
-    for index in indices:
-        place = places[index]
-        if place.start < place.stop:
-            for cols, _ in place.segments:
-                owners.append(index)
-                rects.append((place.start, place.stop, cols.start, cols.stop))
-    return owners, np.array(rects, dtype=np.intp).reshape(-1, 4).T
-
-
-def _union_area(rects: np.ndarray) -> int:
-    """Pixels covered by a union of :func:`_rectangles` rectangles.
-
-    Exact, by coordinate compression: the rectangle edges cut the plane
-    into cells that each lie wholly inside or outside every rectangle.
-    """
-    if not rects.size:
-        return 0
-    # each edge's index among the distinct edges; asking for it also spares
-    # plan numpy's lazy import of numpy.ma (about 10 ms on a first call)
-    row_edges, rows = np.unique(rects[:2], return_inverse=True)
-    col_edges, cols = np.unique(rects[2:], return_inverse=True)
-    inside = np.zeros((len(row_edges) - 1, len(col_edges) - 1), dtype=bool)
-    for r0, r1, c0, c1 in zip(*rows.reshape(2, -1), *cols.reshape(2, -1)):
-        inside[r0:r1, c0:c1] = True
-    cells = np.outer(np.diff(row_edges), np.diff(col_edges))
-    return int(cells[inside].sum())
-
-
-def plan_uncovered_px(
-    plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape: tuple[int, int]
-) -> int:
-    """Canvas pixels that no tile of ``plan`` covers, before any is taken.
-
-    The tiles are placed as :func:`stitch_panorama` places them, so this
-    is its ``uncovered_px`` when every tile of the plan is given.
-    """
-    height, width, places = _placements(plan, hole, cfg, tile_shape)
-    return height * width - _union_area(_rectangles(places, places)[1])
-
-
 def inspect_stack(
     corrected_tiles: Iterable[TileImage],
     plan: ScanPlan,
@@ -416,7 +328,8 @@ def inspect_stack(
     labels = label_mask(panorama.shape, *(np.concatenate(part) for part in zip(*runs)))
     _, width, places = _placements(plan, hole, cfg, tile_shape)
     pasted = places.keys() - set(panorama.meta["missing_tiles"])
-    owners, (top, bottom, left, right) = _rectangles(places, pasted)
+    owners, rects = _rectangles(places, pasted)
+    top, bottom, left, right = np.array(rects, dtype=np.intp).reshape(-1, 4).T
 
     def tiles_of(blob):
         col_min, row_min, col_max, row_max = blob.bbox

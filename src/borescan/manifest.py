@@ -13,16 +13,18 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import yaml
 
 from . import __version__
 from .errors import ParseError
-from .geometry import HoleSpec, OpticsConfig
-from .locate import DefectRecord
+from .geometry import DefectSpec, HoleSpec, OpticsConfig
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_counts
 from .schema import check_keys, field_types, read_fields
-from .synth import DefectSpec
+
+if TYPE_CHECKING:
+    from .locate import DefectRecord  # annotations only: locate loads numpy
 
 __all__ = [
     "RunManifest",

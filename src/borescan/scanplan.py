@@ -5,15 +5,20 @@ bottom, capture while stepping up a column, rotate by a fixed angle,
 return to the bottom, repeat until the wall is covered. Tiles are indexed
 ``(depth step j, rotation step k)`` and centered at ``z' = j * step``
 (measured from the bottom) and ``theta = k * alpha``.
+
+:func:`_placements` puts each tile on the panorama, as ``inspect``
+stitches it, and :func:`plan_uncovered_px` counts the pixels a plan
+leaves bare. Nothing here needs numpy, so ``plan`` runs without it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .geometry import HoleSpec
+from .geometry import HoleSpec, OpticsConfig
 
 __all__ = [
     "EffectiveRegion",
@@ -21,6 +26,8 @@ __all__ = [
     "ScanPlan",
     "shot_counts",
     "plan_scan",
+    "tile_shape_for",
+    "plan_uncovered_px",
 ]
 
 # Far above the 416 tiles of a 6 mm x 47 mm bore, the largest the probe
@@ -126,3 +133,115 @@ def plan_scan(hole: HoleSpec, region: EffectiveRegion) -> ScanPlan:
     )
     return ScanPlan(n_rot, n_depth, alpha, step, schedule)
 
+
+def tile_shape_for(cfg: OpticsConfig, region: EffectiveRegion) -> tuple[int, int]:
+    """Pixel (height, width) of one tile: region extent over pixel pitch.
+
+    Rounded up so the imaged footprint is never smaller than the nominal
+    effective region.
+    """
+    width = math.ceil(region.width_mm * 1e3 / cfg.pixel_pitch_x_um)
+    height = math.ceil(region.height_mm * 1e3 / cfg.pixel_pitch_y_um)
+    return height, width
+
+
+def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[slice, slice]]:
+    """Split columns [start, start+count) modulo ``width`` at the 360-degree seam.
+
+    The one seam helper, shared by synth's stamps and the panorama
+    placements. Returns (wrapped columns, slice of the unwrapped range)
+    pairs: at most two, for ``count <= width``.
+    """
+    start %= width
+    if start + count <= width:
+        return [(slice(start, start + count), slice(0, count))]
+    first = width - start
+    return [
+        (slice(start, width), slice(0, first)),
+        (slice(0, count - first), slice(first, count)),
+    ]
+
+
+@dataclass(frozen=True)
+class _Place:
+    """Where one plan tile lands: canvas rows ``start``..``stop`` from tile
+    rows ``tile_rows``, and the (canvas columns, tile columns) pairs of the
+    seam split."""
+
+    start: int
+    stop: int
+    tile_rows: slice
+    segments: list[tuple[slice, slice]]
+
+
+def _placements(plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape):
+    """The panorama canvas (height, width) and where each plan tile lands
+    on it, as :func:`borescan.locate.stitch_panorama` pastes them.
+
+    Canvas dimensions depend only on the hole and the pixel pitch, never on
+    the plan ordering. A tile's middle pixel lands on canvas row
+    ``z_mm / pitch`` and column ``theta_deg / 360`` of the width.
+    """
+    width = round(2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um)
+    height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
+    h, w = tile_shape
+    places = {}
+    for event in plan.schedule:
+        row0 = round(event.z_mm * 1e3 / cfg.pixel_pitch_y_um) - (h - 1) // 2
+        col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
+        r_lo, r_hi = max(0, -row0), min(h, height - row0)
+        places[(event.depth_step, event.rotation_step)] = _Place(
+            row0 + r_lo, row0 + r_hi, slice(r_lo, r_hi),
+            _wrapped_segments(col0, w, width),
+        )
+    return height, width, places
+
+
+def _rectangles(places: dict, indices: Iterable[tuple[int, int]]):
+    """The canvas rectangles of the plan positions ``indices``, one per seam
+    segment: their owners, and their (first row, stop row, first column,
+    stop column). A place off the canvas has none."""
+    owners, rects = [], []
+    for index in indices:
+        place = places[index]
+        if place.start < place.stop:
+            for cols, _ in place.segments:
+                owners.append(index)
+                rects.append((place.start, place.stop, cols.start, cols.stop))
+    return owners, rects
+
+
+def _union_area(rects: list[tuple[int, int, int, int]]) -> int:
+    """Pixels covered by a union of :func:`_rectangles` rectangles.
+
+    Exact, by coordinate compression: the rectangle edges cut the plane
+    into cells that each lie wholly inside or outside every rectangle.
+    """
+    row_edges = sorted({edge for rect in rects for edge in rect[:2]})
+    col_edges = sorted({edge for rect in rects for edge in rect[2:]})
+    row_at = {edge: i for i, edge in enumerate(row_edges)}
+    col_at = {edge: i for i, edge in enumerate(col_edges)}
+    inside = [[False] * len(col_edges) for _ in row_edges]
+    for r0, r1, c0, c1 in rects:
+        first, stop = col_at[c0], col_at[c1]
+        for cells in inside[row_at[r0] : row_at[r1]]:
+            cells[first:stop] = [True] * (stop - first)
+    return sum(
+        (bottom - top) * (right - left)
+        for top, bottom, cells in zip(row_edges, row_edges[1:], inside)
+        for left, right, covered in zip(col_edges, col_edges[1:], cells)
+        if covered
+    )
+
+
+def plan_uncovered_px(
+    plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape: tuple[int, int]
+) -> int:
+    """Canvas pixels that no tile of ``plan`` covers, before any is taken.
+
+    The tiles are placed as :func:`borescan.locate.stitch_panorama` places
+    them, so this is its ``uncovered_px`` when every tile of the plan is
+    given.
+    """
+    height, width, places = _placements(plan, hole, cfg, tile_shape)
+    return height * width - _union_area(_rectangles(places, places)[1])

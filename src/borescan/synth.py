@@ -28,34 +28,30 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, PlacementError
-from .geometry import HoleSpec, OpticsConfig
+from .geometry import DefectSpec, HoleSpec, OpticsConfig
 from .pgm import write_pgm
 from .pool import run_forked
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
+from .scanplan import _wrapped_segments, tile_shape_for
 from .unwrap import (
     STRIP_ROWS,
     TileImage,
     _column_weights,
     _resample_columns,
-    _wrapped_segments,
     pixel_to_arc,
 )
 
 __all__ = [
     "SurfaceTexture",
     "TileBuffers",
-    "DefectSpec",
-    "DEFAULT_CONTRAST",
     "build_texture",
     "render_tile",
     "add_noise",
     "noisy_tile",
     "write_stack",
-    "tile_shape_for",
 ]
 
 _SUPERSAMPLE = 4  # 4x4 subsamples per pixel for anti-aliased edges
-DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
 
 
 class Stamp(NamedTuple):
@@ -195,50 +191,6 @@ class SurfaceTexture:
         return pixels
 
 
-@dataclass(frozen=True)
-class DefectSpec:
-    """Prefabricated defect to stamp onto a texture.
-
-    ``z_mm`` is the feature center measured from the hole bottom (the
-    texture/scan frame; reports convert to nozzle distance). ``size_mm``
-    is a disc diameter or a line width; lines run along the hole axis for
-    ``length_mm``. ``contrast`` is a signed intensity offset, negative for
-    the usual dark-on-bright appearance.
-    """
-
-    kind: str
-    z_mm: float
-    beta_deg: float
-    size_mm: float
-    length_mm: float | None = None
-    contrast: int = DEFAULT_CONTRAST
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("disc", "line"):
-            raise DomainError(f"unknown defect kind {self.kind!r}")
-        for name in ("z_mm", "size_mm", "length_mm"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"defect {name} must be finite, got {value}")
-        if self.size_mm <= 0:
-            raise DomainError("defect size must be positive")
-        if not 0.0 <= self.beta_deg < 360.0:
-            raise DomainError("beta must lie in [0, 360)")
-        if self.kind == "line":
-            if self.length_mm is None or self.length_mm <= 0:
-                raise DomainError("line defects need a positive length")
-        elif self.length_mm is not None:
-            raise DomainError("disc defects take no length")
-        if self.contrast == 0:
-            raise DomainError("zero-contrast defect is invisible")
-
-    def half_extent_mm(self) -> tuple[float, float]:
-        """Half-extent of the footprint along (u, z)."""
-        if self.kind == "disc":
-            return self.size_mm / 2.0, self.size_mm / 2.0
-        return self.size_mm / 2.0, self.length_mm / 2.0
-
-
 def _subsample_offsets() -> np.ndarray:
     n = _SUPERSAMPLE
     return (np.arange(n) + 0.5) / n - 0.5
@@ -369,17 +321,6 @@ def build_texture(
         bit_depth=bit_depth,
         stamps=tuple(stamps),
     )
-
-
-def tile_shape_for(cfg: OpticsConfig, region: EffectiveRegion) -> tuple[int, int]:
-    """Pixel (height, width) of one tile: region extent over pixel pitch.
-
-    Rounded up so the imaged footprint is never smaller than the nominal
-    effective region.
-    """
-    width = math.ceil(region.width_mm * 1e3 / cfg.pixel_pitch_x_um)
-    height = math.ceil(region.height_mm * 1e3 / cfg.pixel_pitch_y_um)
-    return height, width
 
 
 class TileBuffers(NamedTuple):

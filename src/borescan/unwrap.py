@@ -283,22 +283,6 @@ def _uint8_weights(width: int, radius_mm: float, pitch_um: float) -> np.ndarray 
     return w32
 
 
-def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[slice, slice]]:
-    """Split columns [start, start+count) modulo ``width`` at the 360-degree seam.
-
-    The one seam helper. Returns (wrapped columns, slice of the unwrapped
-    range) pairs: at most two, for ``count <= width``.
-    """
-    start %= width
-    if start + count <= width:
-        return [(slice(start, start + count), slice(0, count))]
-    first = width - start
-    return [
-        (slice(start, width), slice(0, first)),
-        (slice(0, count - first), slice(first, count)),
-    ]
-
-
 def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
     """Resample a flat capture onto the equal-arc-length corrected plane.
 

@@ -21,30 +21,28 @@ import numpy as np
 from borescan.cli import main as cli_main
 from borescan.detect import connected_components, label_mask, row_runs
 from borescan.geometry import (
+    DefectSpec,
     DeviationSpec,
     HoleSpec,
     OpticsConfig,
     arc_expansion,
+    circular_delta_deg,
     deviation_total,
     object_extent,
     projection_error_ratio,
     relative_fov_error,
 )
-from borescan.locate import circular_delta_deg, inspect_stack, plan_uncovered_px
+from borescan.locate import inspect_stack
 from borescan.manifest import read_report
 from borescan.scanplan import (
     CaptureEvent,
     EffectiveRegion,
     ScanPlan,
     plan_scan,
-)
-from borescan.synth import (
-    DefectSpec,
-    TileBuffers,
-    build_texture,
-    noisy_tile,
+    plan_uncovered_px,
     tile_shape_for,
 )
+from borescan.synth import TileBuffers, build_texture, noisy_tile
 from borescan.unwrap import TileImage, correct_tile, forward_project
 
 RADIUS = 2.0  # reference 4 mm bore

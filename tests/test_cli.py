@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from borescan import cli, scanplan, synth
+from borescan import cli, locate, pgm, scanplan, synth
 from borescan.cli import main
 from borescan.config import load_config
 from borescan.errors import DomainError, PlanIndexError, ThresholdError
@@ -245,7 +245,7 @@ class TestSynth:
         self, tmp_path, config_path, monkeypatch
     ):
         seen = []
-        real_write_stack = cli.write_stack
+        real_write_stack = synth.write_stack
 
         def spy(*args, processes, **kwargs):
             seen.append(processes)
@@ -253,7 +253,7 @@ class TestSynth:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(cli, "write_stack", spy)
+        monkeypatch.setattr(synth, "write_stack", spy)
         code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert code == 0
         assert seen == [1]
@@ -471,6 +471,65 @@ def test_no_command_loads_scipy(tmp_path, config_path, synth_dir):
     assert made == (tmp_path / "inprocess" / "report.yaml").read_text()
 
 
+# Runs ``python -m borescan.cli`` with this script's arguments in this
+# process, then prints whether numpy was loaded and exits with the
+# command's code.
+_NUMPY_LOADED = """
+import runpy, sys
+try:
+    runpy.run_module("borescan.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def _run_numpy_loaded(*argv):
+    """The exit code of ``python -m borescan.cli ARGV`` in a child
+    interpreter, and whether it had loaded numpy by then."""
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_LOADED, *argv],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    return done.returncode, done.stdout.splitlines()[-1] == "True"
+
+
+def test_import_leaves_numpy_unloaded():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, borescan; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert done.stdout == "False\n", done.stderr
+
+
+@pytest.mark.parametrize(
+    "command", ["plan", "plan-help", "version", "unknown-option"]
+)
+def test_plan_and_argument_errors_leave_numpy_unloaded(tmp_path, config_path, command):
+    argv, code = {
+        "plan": (["plan", "--config", str(config_path), "--out", str(tmp_path)], 0),
+        "plan-help": (["plan", "--help"], 0),
+        "version": (["--version"], 0),
+        "unknown-option": (["plan", "--config", str(config_path), "--bogus"], 2),
+    }[command]
+    assert _run_numpy_loaded(*argv) == (code, False)
+    if command == "plan":
+        assert (tmp_path / "plan.yaml").is_file()
+
+
+def test_report_compare_leaves_numpy_unloaded(tmp_path, synth_dir):
+    report = tmp_path / "report.yaml"
+    report.write_text(yaml.safe_dump({"records": [
+        {"kind": "disc", "z_mm": 1.0, "beta_deg": 100.0, "size_mm": 0.2},
+    ]}))
+    out = tmp_path / "score"
+    argv = ["report-compare", "--manifest", str(synth_dir / "manifest.yaml"),
+            "--out", str(out), str(report)]
+    assert _run_numpy_loaded(*argv) == (0, False)
+    assert (out / "compare.csv").is_file()
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("command", ["plan", "inspect", "version", "plan-help"])
 def test_closed_stdout_exits_0(tmp_path, config_path, synth_dir, command, unbuffered):
@@ -567,13 +626,13 @@ class TestInspect:
         assert report == yaml.safe_dump(yaml.safe_load(report), sort_keys=False)
 
     def test_reads_each_plan_tile_by_its_name(self, tmp_path, synth_dir, monkeypatch):
-        read, read_pgm = [], cli.read_pgm
+        read, read_pgm = [], pgm.read_pgm
 
         def spy(path):
             read.append(path)
             return read_pgm(path)
 
-        monkeypatch.setattr(cli, "read_pgm", spy)
+        monkeypatch.setattr(pgm, "read_pgm", spy)
         path = synth_dir / "manifest.yaml"
         code = main(["inspect", "--manifest", str(path), "--out", str(tmp_path / "o")])
         assert code == 0
@@ -634,7 +693,7 @@ class TestInspect:
         self, tmp_path, synth_dir, monkeypatch
     ):
         started, pasted = [], []
-        inspect_tile, inspect_stack = cli._inspect_tile, cli.inspect_stack
+        inspect_tile, inspect_stack = cli._inspect_tile, locate.inspect_stack
 
         def counting_inspect_tile(*args):
             started.append(1)
@@ -651,7 +710,7 @@ class TestInspect:
             return inspect_stack(arriving(), *args)
 
         monkeypatch.setattr(cli, "_inspect_tile", counting_inspect_tile)
-        monkeypatch.setattr(cli, "inspect_stack", counting_inspect_stack)
+        monkeypatch.setattr(locate, "inspect_stack", counting_inspect_stack)
         threads = 2
         code = main(
             ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),

@@ -17,23 +17,18 @@ from borescan.detect import (
     row_runs,
 )
 from borescan.errors import ConfigError, DomainError, PlanIndexError
-from borescan.geometry import HoleSpec, OpticsConfig
-from borescan.locate import (
-    circular_delta_deg,
-    inspect_stack,
-    plan_uncovered_px,
-    record_from_blob,
-    stitch_panorama,
-)
+from borescan.geometry import DefectSpec, HoleSpec, OpticsConfig, circular_delta_deg
+from borescan.locate import inspect_stack, record_from_blob, stitch_panorama
 from borescan.pgm import read_pgm
-from borescan.scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan
-from borescan.synth import (
-    DefectSpec,
-    TileBuffers,
-    build_texture,
-    noisy_tile,
+from borescan.scanplan import (
+    CaptureEvent,
+    EffectiveRegion,
+    ScanPlan,
+    plan_scan,
+    plan_uncovered_px,
     tile_shape_for,
 )
+from borescan.synth import TileBuffers, build_texture, noisy_tile
 from borescan.unwrap import TileImage, correct_tile
 
 CFG = OpticsConfig(

@@ -1,12 +1,17 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from borescan.errors import ConfigError
 from borescan.geometry import HoleSpec
 from borescan.scanplan import (
     MAX_TILES,
     EffectiveRegion,
+    _union_area,
+    _wrapped_segments,
     plan_scan,
     shot_counts,
 )
@@ -107,3 +112,42 @@ def test_plan_scan_small_columns():
     plan = plan_scan(hole, EffectiveRegion(width_mm=4.2, height_mm=1.5))
     assert (plan.n_rot, plan.n_depth) == (3, 1)
     assert len(plan.schedule) == 3
+
+
+ROWS, COLS = 12, 20  # the canvas the union oracle draws on
+
+
+@st.composite
+def rectangle_sets(draw):
+    """Rectangles on a ROWS x COLS canvas, each split at the 360-degree seam
+    as a placed tile is, some nested in or touching the one before."""
+    rects = []
+    for _ in range(draw(st.integers(0, 6))):
+        top = draw(st.integers(0, ROWS - 1))
+        bottom = draw(st.integers(top + 1, ROWS))
+        start, count = draw(st.integers(-COLS, 2 * COLS)), draw(st.integers(1, COLS))
+        for cols, _ in _wrapped_segments(start, count, COLS):
+            rects.append((top, bottom, cols.start, cols.stop))
+        r0, r1, c0, c1 = rects[-1]
+        follow = draw(st.sampled_from(["none", "nested", "touching"]))
+        if follow == "nested":
+            top, left = draw(st.integers(r0, r1 - 1)), draw(st.integers(c0, c1 - 1))
+            rects.append(
+                (top, draw(st.integers(top + 1, r1)),
+                 left, draw(st.integers(left + 1, c1)))
+            )
+        elif follow == "touching" and r1 < ROWS:
+            rects.append((r1, draw(st.integers(r1 + 1, ROWS)), c0, c1))
+    return rects
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangle_sets())
+@example([])
+@example([(0, ROWS, 0, COLS), (2, 5, 3, 9)])
+@example([(0, 4, 0, 5), (4, 8, 0, 5), (0, 4, 5, 9)])
+def test_union_area_matches_mask_oracle(rects):
+    covered = np.zeros((ROWS, COLS), dtype=bool)
+    for r0, r1, c0, c1 in rects:
+        covered[r0:r1, c0:c1] = True
+    assert _union_area(rects) == np.count_nonzero(covered)
