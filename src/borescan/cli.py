@@ -20,7 +20,6 @@ import argparse
 import csv
 import math
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -245,6 +244,7 @@ def _nearest_record(truth, records, hole):
 
 
 def cmd_report_compare(args: argparse.Namespace) -> int:
+    import statistics  # on use: plan needs none of it
     manifest = load_manifest(args.manifest)
     if not manifest.truth:
         raise _CompareEmpty("manifest has no planted truth to compare against")

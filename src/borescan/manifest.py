@@ -4,18 +4,17 @@ A manifest ties a tile set to the geometry, optics, and plan that produced
 it, plus any planted ground truth. It lists no images: tile (j, k) of the
 plan is the file ``tile_dJJ_rKK.pgm`` next to the manifest. Serialization
 is plain YAML with stable key order and no timestamps: rerunning the same
-job must write the same bytes. Reports carry the defect records
-with per-kind statistics, as YAML for machines and CSV for spreadsheets.
+job must write the same bytes. This module writes manifests itself, byte
+for byte as PyYAML does. Reports carry the defect records with per-kind
+statistics, as YAML for machines and CSV for spreadsheets.
 """
 
 from __future__ import annotations
 
 import csv
-import statistics
+import math
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
-
-import yaml
 
 from . import __version__
 from .errors import ParseError
@@ -41,13 +40,18 @@ __all__ = [
 # their meaning takes the next number
 MANIFEST_FORMAT = 1
 
-# libyaml's parser and emitter when PyYAML was built with them: several times
-# faster, and the same data. The two emitters fold a long escaped string at
-# other points, so both write with no line limit (libyaml takes a C int, not
-# inf): the bytes are then the same with or without libyaml
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# PyYAML's and libyaml's emitters fold a long escaped string at other
+# points, so reports are written with no line limit (libyaml takes a C int,
+# not inf): the bytes are then the same with or without libyaml
 _WIDTH = 2**31 - 1
+
+
+def _yaml():
+    """PyYAML and its safe loader and dumper, libyaml's when it has them
+    (several times faster, the same data); imported on use, as plan needs none."""
+    import yaml
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return yaml, loader, getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass
@@ -160,18 +164,53 @@ def manifest_from_dict(data: dict) -> RunManifest:
     )
 
 
+def _scalar(value) -> str:
+    """``value`` as PyYAML's safe representer writes it, chosen by its exact
+    type as there: ``np.float64``, a float subclass, raises."""
+    kind = type(value)
+    if value is None or kind is bool:
+        return {None: "null", True: "true", False: "false"}[value]
+    if kind is int or (kind is str and value in ("disc", "line")):
+        return str(value)
+    if kind is not float:
+        raise TypeError(f"cannot write {value!r} ({kind.__name__}) in a manifest")
+    if not math.isfinite(value):
+        return ".nan" if math.isnan(value) else ".inf" if value > 0 else "-.inf"
+    text = repr(value).lower()  # a YAML float needs a ".": 1e+16 is 1.0e+16
+    return text if "." in text else text.replace("e", ".0e", 1)
+
+
+def _emit(data: dict, indent: str, lines: list[str]) -> None:
+    """Append PyYAML's block lines for mapping ``data`` at ``indent``: a list
+    of mappings as "- " items at its key's indent, ``[]`` when empty."""
+    for key, value in data.items():
+        if type(value) is dict:
+            lines.append(f"{indent}{key}:")
+            _emit(value, indent + "  ", lines)
+        elif type(value) in (list, tuple):
+            lines.append(f"{indent}{key}:" if value else f"{indent}{key}: []")
+            for item in value:
+                if type(item) is not dict or not item:
+                    raise TypeError(f"cannot write list item {item!r} in a manifest")
+                first = len(lines)
+                _emit(item, indent + "  ", lines)
+                lines[first] = f"{indent}- {lines[first][len(indent) + 2:]}"
+        else:
+            lines.append(f"{indent}{key}: {_scalar(value)}")
+
+
 def save_manifest(manifest: RunManifest, path) -> None:
+    lines: list[str] = []
+    _emit(manifest_to_dict(manifest), "", lines)
     with open(path, "w", encoding="ascii") as handle:
-        yaml.dump(
-            manifest_to_dict(manifest), handle, Dumper=_DUMPER, sort_keys=False,
-            width=_WIDTH,
-        )
+        handle.write("\n".join(lines) + "\n")
 
 
 def load_manifest(path) -> RunManifest:
+    yaml, loader, _ = _yaml()
     try:
         with open(path, "r", encoding="ascii") as handle:
-            data = yaml.load(handle, Loader=_LOADER)
+            data = yaml.load(handle, Loader=loader)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ParseError(f"unreadable manifest {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -199,6 +238,7 @@ def _record_to_dict(rec: DefectRecord, depth_mm: float) -> dict:
 
 
 def _kind_summary(records: list[DefectRecord], kind: str) -> dict:
+    import statistics  # on use: plan needs none of it
     sizes = [rec.size_mm for rec in records if rec.kind == kind]
     out = {"count": len(sizes)}
     if sizes:
@@ -251,9 +291,10 @@ def write_report(
     source: str = "",
 ) -> None:
     """Write the paired CSV and YAML defect reports."""
+    yaml, _, dumper = _yaml()
     data = report_to_dict(records, hole, threshold, source)
     with open(yaml_path, "w", encoding="ascii") as handle:
-        yaml.dump(data, handle, Dumper=_DUMPER, sort_keys=False, width=_WIDTH)
+        yaml.dump(data, handle, Dumper=dumper, sort_keys=False, width=_WIDTH)
     with open(csv_path, "w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_CSV_COLUMNS)
@@ -276,9 +317,10 @@ def write_report(
 
 def read_report(path) -> dict:
     """Load a YAML report, checking the pieces report-compare relies on."""
+    yaml, loader, _ = _yaml()
     try:
         with open(path, "r", encoding="ascii") as handle:
-            data = yaml.load(handle, Loader=_LOADER)
+            data = yaml.load(handle, Loader=loader)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ParseError(f"unreadable report {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -1,11 +1,11 @@
 """The worker pools: ``inspect``'s in-order thread pool and ``synth``'s
-forked processes."""
+forked processes. Each imports its machinery (``concurrent.futures``, which
+loads ``logging``, or ``multiprocessing``) when it runs: ``plan`` uses neither."""
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import WorkerError
 
@@ -24,6 +24,7 @@ def map_in_order(work, items, threads: int):
     An error raised for one item is raised here in its place, after every
     result before it; items not yet started are cancelled.
     """
+    from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(max_workers=threads)
     pending = deque()
     try:
@@ -56,7 +57,6 @@ def run_forked(work, count: int, processes: int):
     """
     processes = max(1, min(processes, count)) if hasattr(os, "fork") else 1
     if processes > 1:
-        # imported here: it costs every command about 8 ms, and only this forks
         import multiprocessing
 
         context = multiprocessing.get_context("fork")

@@ -471,49 +471,58 @@ def test_no_command_loads_scipy(tmp_path, config_path, synth_dir):
     assert made == (tmp_path / "inprocess" / "report.yaml").read_text()
 
 
+# Modules that plan, --help, --version and an argument error have no use
+# for, each loaded when a command that needs it runs: numpy for the array
+# layers, PyYAML to read manifests and write reports, the thread pool's
+# concurrent.futures and the logging it loads, and statistics for report
+# summaries. Together they cost plan's start more than 150 ms.
+_UNUSED_BY_PLAN = ("numpy", "yaml", "concurrent.futures", "logging", "statistics")
+
 # Runs ``python -m borescan.cli`` with this script's arguments in this
-# process, then prints whether numpy was loaded and exits with the
-# command's code.
-_NUMPY_LOADED = """
+# process, then prints which of _UNUSED_BY_PLAN it had loaded, on one line,
+# and exits with the command's code.
+_LOADED = f"""
 import runpy, sys
 try:
     runpy.run_module("borescan.cli", run_name="__main__", alter_sys=True)
 except SystemExit as done:
     code = done.code
-print("numpy" in sys.modules)
+print(" ".join(name for name in {_UNUSED_BY_PLAN!r} if name in sys.modules))
 sys.exit(code)
 """
 
 
-def _run_numpy_loaded(*argv):
+def _run_loaded(*argv):
     """The exit code of ``python -m borescan.cli ARGV`` in a child
-    interpreter, and whether it had loaded numpy by then."""
+    interpreter, and the set of _UNUSED_BY_PLAN it had loaded by then."""
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_LOADED, *argv],
+        [sys.executable, "-c", _LOADED, *argv],
         capture_output=True, text=True, env=_child_env(),
     )
-    return done.returncode, done.stdout.splitlines()[-1] == "True"
+    return done.returncode, set(done.stdout.splitlines()[-1].split())
 
 
 def test_import_leaves_numpy_unloaded():
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, borescan; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, borescan; print([name for name in "
+         f"{_UNUSED_BY_PLAN!r} if name in sys.modules])"],
         capture_output=True, text=True, env=_child_env(),
     )
-    assert done.stdout == "False\n", done.stderr
+    assert done.stdout == "[]\n", done.stderr
 
 
 @pytest.mark.parametrize(
     "command", ["plan", "plan-help", "version", "unknown-option"]
 )
 def test_plan_and_argument_errors_leave_numpy_unloaded(tmp_path, config_path, command):
+    """Nor PyYAML, concurrent.futures, logging or statistics."""
     argv, code = {
         "plan": (["plan", "--config", str(config_path), "--out", str(tmp_path)], 0),
         "plan-help": (["plan", "--help"], 0),
         "version": (["--version"], 0),
         "unknown-option": (["plan", "--config", str(config_path), "--bogus"], 2),
     }[command]
-    assert _run_numpy_loaded(*argv) == (code, False)
+    assert _run_loaded(*argv) == (code, set())
     if command == "plan":
         assert (tmp_path / "plan.yaml").is_file()
 
@@ -526,8 +535,17 @@ def test_report_compare_leaves_numpy_unloaded(tmp_path, synth_dir):
     out = tmp_path / "score"
     argv = ["report-compare", "--manifest", str(synth_dir / "manifest.yaml"),
             "--out", str(out), str(report)]
-    assert _run_numpy_loaded(*argv) == (0, False)
+    # it reads YAML and takes means and deviations, on use
+    assert _run_loaded(*argv) == (0, {"yaml", "statistics"})
     assert (out / "compare.csv").is_file()
+
+
+def test_inspect_loads_its_modules_on_use(tmp_path, synth_dir):
+    out = tmp_path / "o"
+    argv = ["inspect", "--manifest", str(synth_dir / "manifest.yaml"),
+            "--out", str(out), "--threads", "2"]
+    assert _run_loaded(*argv) == (0, set(_UNUSED_BY_PLAN))
+    assert read_report(out / "report.yaml")["records"]
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

@@ -1,7 +1,12 @@
 """Manifest serialization and defect reports."""
 
+import dataclasses
+
+import numpy as np
 import yaml
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from borescan.errors import DomainError, ParseError
 from borescan.geometry import HoleSpec, OpticsConfig
@@ -18,7 +23,7 @@ from borescan.manifest import (
     save_manifest,
     write_report,
 )
-from borescan.scanplan import EffectiveRegion, plan_scan
+from borescan.scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan
 from borescan.synth import DefectSpec
 
 HOLE = HoleSpec(0.9, 2.0)
@@ -279,3 +284,127 @@ class TestReports:
         path.write_text(yaml.safe_dump({"summary": {}}))
         with pytest.raises(ParseError):
             read_report(path)
+
+
+def _unchecked(cls, **values):
+    """A ``cls`` holding ``values`` as they are, past its checks: the
+    manifest writer takes any value PyYAML's safe dumper takes."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _drawn(cls, **strategies):
+    """A ``cls`` with every field drawn from ``SLOT`` but those named."""
+    fields = {f.name: SLOT for f in dataclasses.fields(cls)}
+    return st.builds(lambda **v: _unchecked(cls, **v), **{**fields, **strategies})
+
+
+# what a number slot may hold: every float st.floats() draws (inf, nan, -0.0,
+# subnormals), floats around 1e16, where repr() turns to an exponent, and
+# ints, bools and None
+SLOT = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e15, max_value=1e17),
+    st.sampled_from([1e16, -1e16, 5e-324, 1e-5, 1e-4, 2.5e-07, 1e22, -0.0]),
+    st.integers(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+)
+DEFECTS = st.one_of(
+    _drawn(DefectSpec, kind=st.just("disc"), length_mm=st.none()),
+    _drawn(DefectSpec, kind=st.just("line")),
+)
+EVENTS = st.lists(_drawn(CaptureEvent), max_size=4).map(tuple)
+MANIFESTS = st.builds(
+    RunManifest,
+    hole=_drawn(HoleSpec),
+    optics=_drawn(OpticsConfig),
+    region=_drawn(EffectiveRegion),
+    plan=_drawn(
+        ScanPlan, schedule=st.one_of(EVENTS, st.just(sample_manifest().plan.schedule))
+    ),
+    truth=st.lists(DEFECTS, max_size=4),
+    seed=SLOT,
+    noise_sigma=SLOT,
+    format=SLOT,
+)
+
+
+class _Int(int):
+    """An int subclass: PyYAML's safe dumper takes only ints themselves."""
+
+
+def _oracles():
+    """PyYAML's safe dumper and libyaml's, when PyYAML has it."""
+    return [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
+
+
+class TestManifestEmitter:
+    """save_manifest writes a manifest with its own emitter; yaml.safe_dump
+    is its oracle."""
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(manifest=MANIFESTS)
+    def test_bytes_equal_safe_dump(self, tmp_path, manifest):
+        path = tmp_path / "manifest.yaml"
+        save_manifest(manifest, path)
+        data = manifest_to_dict(manifest)
+        for dumper in _oracles():
+            assert path.read_text(encoding="ascii") == yaml.dump(
+                data, Dumper=dumper, sort_keys=False, width=_WIDTH
+            ), dumper.__name__
+
+    @staticmethod
+    def with_value(section, key, value):
+        """The sample manifest with ``value`` at ``key`` of ``section``, or of
+        its first truth entry."""
+        manifest = sample_manifest()
+        if section == "truth":
+            manifest.truth[0] = _unchecked(
+                DefectSpec, **{**dataclasses.asdict(manifest.truth[0]), key: value}
+            )
+        else:
+            old = getattr(manifest, section)
+            setattr(manifest, section, _unchecked(
+                type(old), **{**dataclasses.asdict(old), key: value}
+            ))
+        return manifest
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("hole", "radius_mm", np.float64(1.5)),
+            ("plan", "n_rot", np.int64(8)),
+            ("truth", "size_mm", np.float32(0.25)),
+            ("truth", "contrast", _Int(-120)),
+        ],
+        ids=["float64", "int64", "float32", "int-subclass"],
+    )
+    def test_value_safe_dump_refuses_raises(self, tmp_path, section, key, value):
+        manifest = self.with_value(section, key, value)
+        data = manifest_to_dict(manifest)
+        for dumper in _oracles():
+            with pytest.raises(yaml.YAMLError):
+                yaml.dump(data, Dumper=dumper, sort_keys=False, width=_WIDTH)
+        path = tmp_path / "manifest.yaml"
+        with pytest.raises(TypeError):
+            save_manifest(manifest, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("kind", "crack"), ("kind", "null"), ("length_mm", [1.0]), ("length_mm", {1.0})],
+    )
+    def test_value_outside_a_manifest_raises(self, tmp_path, key, value):
+        # PyYAML would quote the string or nest the list or set; a manifest holds
+        # only numbers, null and the defect kinds, so the emitter refuses
+        path = tmp_path / "manifest.yaml"
+        with pytest.raises(TypeError):
+            save_manifest(self.with_value("truth", key, value), path)
+        assert not path.exists()
