@@ -31,10 +31,6 @@ __all__ = [
     "relative_fov_error",
 ]
 
-# Device envelope: bore diameters 4..6 mm, depths to 47 mm.
-SUPPORTED_DIAMETER_MM = (4.0, 6.0)
-SUPPORTED_DEPTH_MM = 47.0
-
 DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
 DEFAULT_MIN_AREA = 9  # px; ~13 um equivalent diameter at 2.16 um/pixel
 
@@ -58,16 +54,6 @@ class HoleSpec:
         for name, value in (("radius", self.radius_mm), ("depth", self.depth_mm)):
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"hole {name} must be finite and > 0, got {value}")
-
-    @property
-    def in_supported_range(self) -> bool:
-        """True when the hole fits the physical device envelope.
-
-        Calculations still accept any positive geometry; this flag only
-        records whether a real probe could reach it.
-        """
-        lo, hi = SUPPORTED_DIAMETER_MM
-        return lo <= 2.0 * self.radius_mm <= hi and self.depth_mm <= SUPPORTED_DEPTH_MM
 
 
 @dataclass(frozen=True)

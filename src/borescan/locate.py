@@ -35,7 +35,7 @@ from .detect import (
 from .errors import DomainError, PlanIndexError, ThresholdError
 from .geometry import DEFAULT_MIN_AREA, HoleSpec, OpticsConfig
 from .pgm import write_pgm_header, write_pgm_rows
-from .scanplan import ScanPlan, _placements, _rectangles, _union_area
+from .scanplan import ScanPlan, WallGrid, _placements, _rectangles, _union_area
 from .unwrap import TileImage
 
 __all__ = [
@@ -81,15 +81,15 @@ def record_from_blob(
     """Classify and locate one blob of the panorama.
 
     ``labels`` are the panorama's labelled row runs that ``blob`` was read
-    from, and ``tiles`` the plan positions it came from. As
-    :func:`stitch_panorama` places them, canvas row ``n`` lies ``n`` pixel
-    pitches down the axis from the nozzle plane and column ``m`` at
+    from, and ``tiles`` the plan positions it came from. Its rows are
+    those of the :class:`~borescan.scanplan.WallGrid` that
+    :func:`stitch_panorama` places tiles on, and column ``m`` lies at
     ``m / width`` of a turn. A blob at least 3x taller than wide is a line
     (scratches run along the axis); its size is its mean width, its pixel
     area over the rows of its bounding box, so every row weighs the same.
     Anything else is a disc sized by equivalent diameter.
     """
-    pitch_z_mm = cfg.pixel_pitch_y_um * 1e-3
+    grid = WallGrid.of(hole, cfg)
     col, row = blob.centroid
     col_min, row_min, col_max, row_max = blob.bbox
     axial_px = row_max - row_min + 1
@@ -103,13 +103,13 @@ def record_from_blob(
         size = 2.0 * math.sqrt(area / math.pi)
     return DefectRecord(
         kind=kind,
-        z_mm=hole.depth_mm - row * pitch_z_mm,
+        z_mm=grid.bore_z_mm(row),
         beta_deg=(col * 360.0 / labels.shape[1]) % 360.0,
         size_mm=size,
         area_mm2=area,
         # pixel footprints extend half a pixel past their centers
-        z_min_mm=hole.depth_mm - (row_max + 0.5) * pitch_z_mm,
-        z_max_mm=hole.depth_mm - (row_min - 0.5) * pitch_z_mm,
+        z_min_mm=grid.bore_z_mm(row_max + 0.5),
+        z_max_mm=grid.bore_z_mm(row_min - 0.5),
         source_tiles=tuple(tiles),
     )
 

@@ -6,9 +6,9 @@ return to the bottom, repeat until the wall is covered. Tiles are indexed
 ``(depth step j, rotation step k)`` and centered at ``z' = j * step``
 (measured from the bottom) and ``theta = k * alpha``.
 
-:func:`_placements` puts each tile on the panorama, as ``inspect``
-stitches it, and :func:`plan_uncovered_px` counts the pixels a plan
-leaves bare. Nothing here needs numpy, so ``plan`` runs without it.
+:func:`_placements` puts tiles on the panorama's :class:`WallGrid`, as
+``inspect`` stitches them; :func:`plan_uncovered_px` counts the pixels a
+plan leaves bare. Nothing here needs numpy, so ``plan`` runs without it.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .geometry import HoleSpec, OpticsConfig
 
 __all__ = [
     "EffectiveRegion",
     "CaptureEvent",
+    "WallGrid",
     "ScanPlan",
     "shot_counts",
     "plan_scan",
@@ -145,6 +146,60 @@ def tile_shape_for(cfg: OpticsConfig, region: EffectiveRegion) -> tuple[int, int
     return height, width
 
 
+@dataclass(frozen=True)
+class WallGrid:
+    """The unwrapped bore wall as a raster: the synthetic texture, the
+    tiles rendered from it, their places on the panorama and its records.
+
+    Row ``n`` lies ``n * pitch_y_um`` up the axis from the hole bottom and
+    column ``m`` at ``m / width`` of a turn. The width is rounded so the
+    wrap is seamless: a column spans ``arc_pitch_um``, within one part in
+    the width of ``pitch_x_um``. numpy arrays pass through the maps.
+    """
+
+    radius_mm: float
+    depth_mm: float
+    pitch_x_um: float
+    pitch_y_um: float
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"wall grid {name} must be finite and > 0, got {value}")
+
+    @classmethod
+    def of(cls, hole: HoleSpec, optics: OpticsConfig) -> WallGrid:
+        """The grid of a bore at a rig's pixel pitches."""
+        return cls(
+            hole.radius_mm, hole.depth_mm, optics.pixel_pitch_x_um, optics.pixel_pitch_y_um
+        )
+
+    @property
+    def width(self) -> int:
+        return round(2.0 * math.pi * self.radius_mm * 1e3 / self.pitch_x_um)
+
+    @property
+    def height(self) -> int:
+        return math.floor(self.depth_mm * 1e3 / self.pitch_y_um) + 1
+
+    @property
+    def arc_pitch_um(self) -> float:
+        """Exact arc length per column."""
+        return 2.0 * math.pi * self.radius_mm * 1e3 / self.width
+
+    def column(self, theta_deg, arc_um=0.0):
+        """Fractional column of angle ``theta_deg`` plus ``arc_um`` of arc."""
+        return theta_deg / 360.0 * self.width + arc_um / self.arc_pitch_um
+
+    def row(self, z_mm, offset_um=0.0):
+        """Fractional row ``z_mm`` above the bottom plus ``offset_um``."""
+        return (z_mm * 1e3 + offset_um) / self.pitch_y_um
+
+    def bore_z_mm(self, row):
+        """Axial distance of ``row`` from the nozzle plane, mm."""
+        return self.depth_mm - row * (self.pitch_y_um * 1e-3)
+
+
 def _wrapped_segments(start: int, count: int, width: int) -> list[tuple[slice, slice]]:
     """Split columns [start, start+count) modulo ``width`` at the 360-degree seam.
 
@@ -178,17 +233,17 @@ def _placements(plan: ScanPlan, hole: HoleSpec, cfg: OpticsConfig, tile_shape):
     """The panorama canvas (height, width) and where each plan tile lands
     on it, as :func:`borescan.locate.stitch_panorama` pastes them.
 
-    Canvas dimensions depend only on the hole and the pixel pitch, never on
-    the plan ordering. A tile's middle pixel lands on canvas row
-    ``z_mm / pitch`` and column ``theta_deg / 360`` of the width.
+    The canvas is the :class:`WallGrid` of the hole and the pixel pitches,
+    whatever the plan ordering. A tile's middle pixel lands on the grid's
+    row of ``z_mm`` and column of ``theta_deg``, rounded.
     """
-    width = round(2.0 * math.pi * hole.radius_mm * 1e3 / cfg.pixel_pitch_x_um)
-    height = math.floor(hole.depth_mm * 1e3 / cfg.pixel_pitch_y_um) + 1
+    grid = WallGrid.of(hole, cfg)
+    height, width = grid.height, grid.width
     h, w = tile_shape
     places = {}
     for event in plan.schedule:
-        row0 = round(event.z_mm * 1e3 / cfg.pixel_pitch_y_um) - (h - 1) // 2
-        col0 = round(event.theta_deg / 360.0 * width) - (w - 1) // 2
+        row0 = round(grid.row(event.z_mm)) - (h - 1) // 2
+        col0 = round(grid.column(event.theta_deg)) - (w - 1) // 2
         r_lo, r_hi = max(0, -row0), min(h, height - row0)
         places[(event.depth_step, event.rotation_step)] = _Place(
             row0 + r_lo, row0 + r_hi, slice(r_lo, r_hi),

@@ -8,11 +8,11 @@ truth. A tile starts as the wall background, and each strip of its rows
 resamples only the tile columns that read a stamp meeting the strip; the
 whole wall is rasterized only as a test oracle.
 
-Texture geometry: the grid covers arc length u in [0, circumference) and
-depth z' in [0, depth], z' measured from the hole bottom. The column count
-is rounded so the 360-degree wrap is seamless; the per-column arc pitch
-therefore differs from the nominal pitch by less than one part in the
-width (see :attr:`SurfaceTexture.arc_pitch_um`).
+Texture geometry: the texture is the bore's
+:class:`~borescan.scanplan.WallGrid` at one pitch both ways, arc length u
+in [0, circumference) by depth z' in [0, depth] from the hole bottom. A
+tile reads the wall where the grid puts its rows and, through
+:func:`~borescan.unwrap.tile_arc_px`, its columns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,14 +31,14 @@ from .errors import DomainError, PlacementError
 from .geometry import DefectSpec, HoleSpec, OpticsConfig
 from .pgm import write_pgm
 from .pool import run_forked
-from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan
+from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, WallGrid
 from .scanplan import _wrapped_segments, tile_shape_for
 from .unwrap import (
     STRIP_ROWS,
     TileImage,
     _column_weights,
     _resample_columns,
-    pixel_to_arc,
+    tile_arc_px,
 )
 
 __all__ = [
@@ -73,26 +73,17 @@ class Stamp(NamedTuple):
 class SurfaceTexture:
     """Unwrapped ground-truth intensity map of the bore wall.
 
-    Row v lies at depth ``z' = v * pitch_um`` from the hole bottom, column
-    u at angle ``u / width * 360`` degrees; columns wrap. The wall is the
+    Its pixels are those of ``grid``, and columns wrap. The wall is the
     background with the defect ``stamps`` added in list order. No raster of
     the whole wall is held: :meth:`window` rasterizes any part of it.
     """
 
-    pitch_um: float
+    grid: WallGrid
     background: int
-    radius_mm: float
-    depth_mm: float
-    width: int
-    height: int
     bit_depth: int
     stamps: tuple[Stamp, ...]
 
     def __post_init__(self) -> None:
-        if self.pitch_um <= 0:
-            raise DomainError("texture pitch must be positive")
-        if self.radius_mm <= 0 or self.depth_mm <= 0:
-            raise DomainError("texture radius and depth must be positive")
         # one row per stamp: first row, end row, first column, column count
         self._boxes = np.array(
             [(s.row_lo, s.row_hi, s.col_lo, s.coverage.shape[1]) for s in self.stamps],
@@ -108,18 +99,13 @@ class SurfaceTexture:
         return 255 if self.bit_depth == 8 else 65535
 
     @property
-    def arc_pitch_um(self) -> float:
-        """Exact arc length per column; the wrap at 360 degrees is seamless."""
-        return 2.0 * math.pi * self.radius_mm * 1e3 / self.width
-
-    @property
     def pixels(self) -> np.ndarray:
         """The whole wall as one raster: the test oracle for :meth:`window`.
 
         About 127 MB for the 4 mm x 47 mm reference bore; the render path
         never takes it.
         """
-        return self.window(0, self.height, 0, self.width)
+        return self.window(0, self.grid.height, 0, self.grid.width)
 
     def stamps_meeting(self, top: int, bottom: int, left: int, count: int) -> np.ndarray:
         """Indices, in list order, of the stamps that meet a window.
@@ -129,11 +115,11 @@ class SurfaceTexture:
         """
         row_lo, row_hi, col_lo, n_cols = self._boxes.T
         # each stamp's first column, counted from the window's along the wrap
-        first = (col_lo - left) % self.width
+        first = (col_lo - left) % self.grid.width
         meets = (
             (row_lo < bottom)
             & (row_hi > top)
-            & ((first < count) | (first + n_cols > self.width))
+            & ((first < count) | (first + n_cols > self.grid.width))
         )
         return np.flatnonzero(meets)
 
@@ -151,7 +137,7 @@ class SurfaceTexture:
         for index in self.stamps_meeting(top, bottom, left, count):
             stamp = self.stamps[index]
             for dst, _ in _wrapped_segments(
-                stamp.col_lo - left, stamp.coverage.shape[1], self.width
+                stamp.col_lo - left, stamp.coverage.shape[1], self.grid.width
             ):
                 if dst.start < count:
                     spans.append((dst.start, min(dst.stop, count)))
@@ -178,7 +164,7 @@ class SurfaceTexture:
             cover = stamp.coverage[r_lo - stamp.row_lo : r_hi - stamp.row_lo]
             # the stamp's columns counted from the window's first, along the wrap
             for dst, src in _wrapped_segments(
-                stamp.col_lo - left, cover.shape[1], self.width
+                stamp.col_lo - left, cover.shape[1], self.grid.width
             ):
                 cols = slice(dst.start, min(dst.stop, count))
                 if cols.start >= cols.stop:
@@ -242,9 +228,9 @@ def build_texture(
     max_value = 255 if bit_depth == 8 else 65535
     if not 0 <= background <= max_value:
         raise DomainError("background outside intensity range")
+    grid = WallGrid(hole.radius_mm, hole.depth_mm, pitch_um, pitch_um)
+    width, height = grid.width, grid.height
     circumference_mm = 2.0 * math.pi * hole.radius_mm
-    width = int(round(circumference_mm * 1e3 / pitch_um))
-    height = int(math.floor(hole.depth_mm * 1e3 / pitch_um)) + 1
     arc_pitch_mm = circumference_mm / width
     pitch_mm = pitch_um * 1e-3
 
@@ -259,7 +245,7 @@ def build_texture(
                 f"{spec.kind} at z'={spec.z_mm} mm spans outside the "
                 f"0..{hole.depth_mm} mm surface"
             )
-        u0_px = spec.beta_deg / 360.0 * width  # fractional column
+        u0_px = grid.column(spec.beta_deg)
         c_lo = math.floor(u0_px - half_u / arc_pitch_mm) - 1
         c_hi = math.ceil(u0_px + half_u / arc_pitch_mm) + 1
         if c_hi - c_lo >= width:  # the stamp would overlap itself round the bore
@@ -311,16 +297,7 @@ def build_texture(
             coverage = cov_v[:, None] * cov_u[None, :]
         stamps.append(Stamp(r_lo, r_hi + 1, c_lo, coverage, spec.contrast))
 
-    return SurfaceTexture(
-        pitch_um=pitch_um,
-        background=background,
-        radius_mm=hole.radius_mm,
-        depth_mm=hole.depth_mm,
-        width=width,
-        height=height,
-        bit_depth=bit_depth,
-        stamps=tuple(stamps),
-    )
+    return SurfaceTexture(grid, background, bit_depth, tuple(stamps))
 
 
 class TileBuffers(NamedTuple):
@@ -365,8 +342,8 @@ def render_tile(
 ) -> TileImage:
     """Render what the camera captures at one scheduled position.
 
-    Flat-image column k samples the wall at arc offset
-    ``pixel_to_arc(k) * p_x`` from the tile center: window extraction and
+    Flat-image column k samples the texture's grid at arc offset
+    ``tile_arc_px(width)[k] * p_x`` from the tile center: window extraction and
     forward projection are fused, so the 360-degree seam wraps exactly and
     no sentinel columns appear. Rows outside the surface (the bottom tile
     reaches below z'=0) read as the texture background. The tile starts as
@@ -380,31 +357,19 @@ def render_tile(
     ``buffers.strips``.
     """
     height, width = tile_shape_for(cfg, region)
-    half_width_mm = (width / 2.0) * cfg.pixel_pitch_x_um * 1e-3
-    if half_width_mm >= texture.radius_mm:
-        raise DomainError(
-            f"tile width {width} px exceeds the visible arc of a "
-            f"radius-{texture.radius_mm} mm bore"
-        )
-    cx = (width - 1) / 2.0
-    cy = (height - 1) / 2.0
+    grid = texture.grid
+    arc_px = tile_arc_px(width, grid.radius_mm, cfg.pixel_pitch_x_um)
+    u = grid.column(event.theta_deg, arc_px * cfg.pixel_pitch_x_um)
 
-    k_rel = np.arange(width, dtype=np.float64) - cx
-    arc_um = (
-        pixel_to_arc(k_rel, texture.radius_mm, cfg.pixel_pitch_x_um)
-        * cfg.pixel_pitch_x_um
-    )
-    u = event.theta_deg / 360.0 * texture.width + arc_um / texture.arc_pitch_um
+    n_rel = np.arange(height, dtype=np.float64) - (height - 1) / 2.0
+    v = grid.row(event.z_mm, n_rel * cfg.pixel_pitch_y_um)
+    on_surface = (v >= 0.0) & (v <= grid.height - 1)
 
-    n_rel = np.arange(height, dtype=np.float64) - cy
-    v = (event.z_mm * 1e3 + n_rel * cfg.pixel_pitch_y_um) / texture.pitch_um
-    on_surface = (v >= 0.0) & (v <= texture.height - 1)
-
-    v_cl = np.clip(v, 0.0, float(texture.height - 1))
+    v_cl = np.clip(v, 0.0, float(grid.height - 1))
     v0 = np.floor(v_cl).astype(np.int64)
-    v0 = np.minimum(v0, max(texture.height - 2, 0))
+    v0 = np.minimum(v0, max(grid.height - 2, 0))
     fv = (v_cl - v0)[:, None]
-    v1 = np.minimum(v0 + 1, texture.height - 1)
+    v1 = np.minimum(v0 + 1, grid.height - 1)
 
     # texture columns under the tile, unwrapped across the seam; rows blend first
     base = math.floor(u[0])
@@ -502,12 +467,7 @@ def add_noise(img: TileImage, sigma: float, seed: int, buffers: TileBuffers) -> 
             u = (high << 16) | low.view(np.uint16)[: at.size]
             k = np.searchsorted(bounds, u, side="right") - peak
             flat[at] = np.clip(flat[at] + k, 0, peak)
-    return TileImage(
-        pixels=pixels,
-        pixel_pitch_x_um=img.pixel_pitch_x_um,
-        pixel_pitch_y_um=img.pixel_pitch_y_um,
-        tile_index=img.tile_index,
-    )
+    return replace(img, pixels=pixels)
 
 
 def _noise_chunk(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "TileImage",
     "pixel_to_arc",
     "arc_to_pixel",
+    "tile_arc_px",
     "bilinear_sample",
     "build_remap",
     "correct_tile",
@@ -171,14 +172,11 @@ def bilinear_sample(img: TileImage, x: float, y: float) -> float:
     )
 
 
-def build_remap(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
-    """The source column of every corrected column of a tile ``width`` px wide.
+def _column_offsets(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
+    """The offsets of a tile's columns from its center, ``(width - 1) / 2``.
 
-    Entry ``m`` is the fractional flat-image column feeding corrected
-    column ``m``; both are absolute indices, and the transform's fixed
-    point is the tile center ``(width - 1) / 2``. The whole tile must sit
-    inside the visible half-cylinder: the physical half-width
-    ``(width/2) * pitch`` has to stay below the bore radius.
+    The one visible-arc check: the whole tile must sit inside the visible
+    half-cylinder, its half-width ``(width/2) * pitch`` below the radius.
     """
     if width < 1:
         raise ConfigError(f"width must be >= 1, got {width}")
@@ -189,9 +187,25 @@ def build_remap(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
             f"tile width {width} px ({width * pitch_mm:.3f} mm) does not fit "
             f"the visible arc of a radius-{radius_mm} mm bore"
         )
-    center = (width - 1) / 2.0
-    m_rel = np.arange(width, dtype=np.float64) - center
-    return center + arc_to_pixel(m_rel, radius_mm, pitch_um)
+    return np.arange(width, dtype=np.float64) - (width - 1) / 2.0
+
+
+def tile_arc_px(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
+    """The arc offset, in pixels from the tile center, that every flat
+    column of a tile ``width`` px wide images on the wall."""
+    return pixel_to_arc(_column_offsets(width, radius_mm, pitch_um), radius_mm, pitch_um)
+
+
+def build_remap(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
+    """The source column of every corrected column of a tile ``width`` px wide.
+
+    Entry ``m`` is the fractional flat-image column feeding corrected
+    column ``m``; both are absolute indices, and the transform's fixed
+    point is the tile center ``(width - 1) / 2``. The inverse of
+    :func:`tile_arc_px`, on the same column offsets.
+    """
+    m_rel = _column_offsets(width, radius_mm, pitch_um)
+    return (width - 1) / 2.0 + arc_to_pixel(m_rel, radius_mm, pitch_um)
 
 
 def _column_weights(cols: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
@@ -319,37 +333,22 @@ def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
             q *= w32
             p += np.rint(q, out=q)
         out[lo : lo + n] = p
-    return TileImage(
-        pixels=out,
-        pixel_pitch_x_um=img.pixel_pitch_x_um,
-        pixel_pitch_y_um=img.pixel_pitch_y_um,
-        tile_index=img.tile_index,
-    )
+    return replace(img, pixels=out)
 
 
 def forward_project(texture_window: TileImage, radius_mm: float) -> TileImage:
     """Project an equal-arc-length texture window onto the flat image plane.
 
     Inverse of :func:`correct_tile`: flat column ``k`` samples the texture
-    at ``m = pixel_to_arc(k)``. Near the tile edges ``|m|`` exceeds the
-    window half-width; those columns have no source data and are written
-    as 0.
+    at ``m = pixel_to_arc(k)`` (:func:`tile_arc_px`). Near the tile edges
+    ``|m|`` exceeds the window half-width; those columns have no source
+    data and are written as 0.
     """
     img = texture_window
-    # only for its checks: a tile too wide for the bore fails as in correct_tile
-    build_remap(img.width, radius_mm, img.pixel_pitch_x_um)
-    center = (img.width - 1) / 2.0
-    k_rel = np.arange(img.width, dtype=np.float64) - center
-    m_abs = center + pixel_to_arc(k_rel, radius_mm, img.pixel_pitch_x_um)
+    m_abs = (img.width - 1) / 2.0 + tile_arc_px(img.width, radius_mm, img.pixel_pitch_x_um)
     valid = (m_abs >= 0.0) & (m_abs <= img.width - 1)
     weights = _column_weights(m_abs, img.width)
     rows = img.pixels.astype(np.float64)
     resampled = _resample_columns(rows, weights, np.empty_like(rows), np.empty_like(rows))
     resampled[:, ~valid] = 0.0
-    out = np.rint(resampled).astype(img.pixels.dtype)
-    return TileImage(
-        pixels=out,
-        pixel_pitch_x_um=img.pixel_pitch_x_um,
-        pixel_pitch_y_um=img.pixel_pitch_y_um,
-        tile_index=img.tile_index,
-    )
+    return replace(img, pixels=np.rint(resampled).astype(img.pixels.dtype))

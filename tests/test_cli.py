@@ -351,6 +351,15 @@ class TestSynth:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_tile_wider_than_the_visible_arc_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "narrow.ini"
+        config.write_text("[hole]\nradius_mm = 0.7\ndepth_mm = 2.0\n")
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "does not fit the visible arc of a radius-0.7 mm bore" in err
+        assert "Traceback" not in err
+
     def test_bad_defect_csv_exits_2(self, tmp_path, config_path):
         defects = tmp_path / "defects.csv"
         defects.write_text("kind,z_mm\ndisc,1.0\n")

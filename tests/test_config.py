@@ -124,7 +124,7 @@ class TestDefectList:
         *_, seam, edge = load_defect_list(CONFIGS / "example_defects.csv")
         texture = build_texture(cfg.hole, [seam])
         (stamp,) = texture.stamps
-        assert stamp.col_lo + stamp.coverage.shape[1] > texture.width  # wraps
+        assert stamp.col_lo + stamp.coverage.shape[1] > texture.grid.width  # wraps
         # the edge disc straddles the boundary between two plan rows
         height = tile_shape_for(cfg.optics, cfg.region)[0]
         half_mm = height * cfg.optics.pixel_pitch_y_um * 1e-3 / 2.0

@@ -236,7 +236,7 @@ class TestBlobMetrics:
     def rasterized_diameter(self, size_mm, pitch_um):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=180.0, size_mm=size_mm)
         texture = build_texture(self.HOLE, [spot], pitch_um=pitch_um)
-        img = TileImage(texture.pixels, texture.arc_pitch_um, pitch_um)
+        img = TileImage(texture.pixels, texture.grid.arc_pitch_um, pitch_um)
         labels = labelled(binarize(img, threshold=0.5))
         blobs = connected_components(labels)
         assert len(blobs) == 1

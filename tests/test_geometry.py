@@ -42,13 +42,6 @@ def scaled(cfg: OpticsConfig, factor: float) -> OpticsConfig:
     )
 
 
-def test_hole_spec_supported_range():
-    assert HoleSpec(radius_mm=2.0, depth_mm=47.0).in_supported_range
-    assert HoleSpec(radius_mm=3.0, depth_mm=10.0).in_supported_range
-    assert not HoleSpec(radius_mm=1.5, depth_mm=10.0).in_supported_range
-    assert not HoleSpec(radius_mm=2.0, depth_mm=50.0).in_supported_range
-
-
 def test_hole_spec_rejects_nonpositive():
     with pytest.raises(DomainError):
         HoleSpec(radius_mm=0.0, depth_mm=10.0)

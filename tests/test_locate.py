@@ -53,12 +53,12 @@ def in_plan_rows(plan):
     return sorted(plan.schedule, key=lambda e: (e.depth_step, e.rotation_step))
 
 
-def corrected_tiles(texture, plan, radius_mm, noise_sigma=0.0, seed=0):
+def corrected_tiles(texture, plan, radius_mm, noise_sigma=0.0, seed=0, cfg=CFG):
     """Every scheduled tile in plan-row order, made in one set of buffers and
     arc-corrected."""
-    buffers = TileBuffers.empty(tile_shape_for(CFG, REGION), texture.dtype)
+    buffers = TileBuffers.empty(tile_shape_for(cfg, REGION), texture.dtype)
     for event in in_plan_rows(plan):
-        tile = noisy_tile(texture, event, CFG, REGION, noise_sigma, seed, buffers)
+        tile = noisy_tile(texture, event, cfg, REGION, noise_sigma, seed, buffers)
         yield correct_tile(tile, radius_mm)
 
 
@@ -606,3 +606,32 @@ class TestInspectPipeline:
         assert line.size_mm == pytest.approx(0.3, abs=0.012)
         assert line.z_mm == pytest.approx(3.0, abs=0.01)
         assert len({j for j, _ in line.source_tiles}) >= 3
+
+    def test_rig_with_unequal_pitches_places_and_sizes_every_defect(self):
+        # 2.16 um across and 2.5 um along the axis: 600 x 695 px tiles on a
+        # 1,801 x 5,818 px panorama, rendered, corrected, stitched and
+        # measured, under noise
+        cfg = OpticsConfig(pixel_pitch_y_um=2.5)
+        hole = HoleSpec(2.0, 4.5)
+        plan = plan_scan(hole, REGION)
+        truth = [
+            DefectSpec("disc", z_mm=1.5, beta_deg=100.0, size_mm=0.2),
+            DefectSpec("disc", z_mm=3.0, beta_deg=359.9, size_mm=0.1),
+            DefectSpec("line", z_mm=2.25, beta_deg=200.0, size_mm=0.3, length_mm=3.0),
+        ]
+        texture = build_texture(hole, truth, pitch_um=cfg.pixel_pitch_y_um)
+        with open(os.devnull, "wb") as sink:
+            records, pano = inspect_stack(
+                corrected_tiles(texture, plan, hole.radius_mm, 5.0, 1, cfg),
+                plan, hole, cfg, (600, 695), sink,
+            )
+        assert pano.shape == (1801, 5818)
+        assert pano.meta["uncovered_px"] == 0
+        assert len(records) == len(truth)
+        for spec in truth:
+            rec = min(records, key=lambda r: circular_delta_deg(r.beta_deg, spec.beta_deg))
+            arc_um = math.radians(circular_delta_deg(rec.beta_deg, spec.beta_deg)) * 2e3
+            assert rec.kind == spec.kind
+            assert abs(rec.z_mm - (hole.depth_mm - spec.z_mm)) <= 2.5e-3
+            assert arc_um <= 2.16
+            assert abs(rec.size_mm - spec.size_mm) <= 2e-3

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borescan.errors import ConfigError
-from borescan.geometry import HoleSpec
+from borescan.errors import ConfigError, DomainError
+from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.scanplan import (
     MAX_TILES,
     EffectiveRegion,
+    WallGrid,
     _union_area,
     _wrapped_segments,
     plan_scan,
@@ -24,6 +25,36 @@ def test_region_defaults_and_validation():
     assert (REGION.width_mm, REGION.height_mm) == (1.5, 1.5)
     with pytest.raises(ConfigError):
         EffectiveRegion(width_mm=0.0)
+
+
+def test_wall_grid_of_the_reference_bore():
+    grid = WallGrid.of(HOLE, OpticsConfig())
+    # round(2 pi 2000 / 2.16) = 5818 columns, floor(47000 / 2.16) + 1 rows
+    assert (grid.height, grid.width) == (21760, 5818)
+    assert grid.arc_pitch_um == pytest.approx(2.16, rel=1 / 5818)
+    assert grid.column(90.0) == 5818 / 4
+    assert grid.column(90.0, 3 * grid.arc_pitch_um) == pytest.approx(5818 / 4 + 3)
+    assert grid.row(1.5) == pytest.approx(1500 / 2.16)
+    assert grid.row(1.5, -2 * 2.16) == pytest.approx(1500 / 2.16 - 2)
+    assert grid.bore_z_mm(0) == 47.0
+    assert grid.bore_z_mm(grid.row(1.5)) == pytest.approx(45.5)
+    # the maps take arrays as well as numbers
+    np.testing.assert_allclose(grid.row(np.array([0.0, 1.5])), [0.0, 1500 / 2.16])
+
+
+def test_wall_grid_pitches_apart():
+    grid = WallGrid(2.0, 4.5, 2.16, 2.5)
+    assert (grid.height, grid.width) == (1801, 5818)
+    assert grid.row(4.5) == pytest.approx(1800.0)
+    assert grid.bore_z_mm(1800) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -2.16])
+@pytest.mark.parametrize("field", ["radius_mm", "depth_mm", "pitch_x_um", "pitch_y_um"])
+def test_wall_grid_refuses_a_value_not_finite_and_positive(field, bad):
+    values = {"radius_mm": 2.0, "depth_mm": 47.0, "pitch_x_um": 2.16, "pitch_y_um": 2.16}
+    with pytest.raises(DomainError, match=f"wall grid {field} must be finite and > 0"):
+        WallGrid(**{**values, field: bad})
 
 
 def test_shot_counts_reference():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from borescan import synth
-from borescan.errors import DomainError, PlacementError
+from borescan.errors import ConfigError, DomainError, PlacementError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.pgm import read_pgm
 from borescan.scanplan import CaptureEvent, EffectiveRegion, plan_scan
@@ -28,6 +28,8 @@ from borescan.unwrap import (
     TileImage,
     _column_weights,
     _resample_columns,
+    correct_tile,
+    forward_project,
     pixel_to_arc,
 )
 
@@ -83,12 +85,19 @@ def test_defect_spec_validation():
 
 def test_build_texture_uniform():
     texture = build_texture(SMALL, [])
-    assert texture.width == round(2 * math.pi * 900 / 2.16)
-    assert texture.height == math.floor(2000 / 2.16) + 1
+    assert texture.grid.width == round(2 * math.pi * 900 / 2.16)
+    assert texture.grid.height == math.floor(2000 / 2.16) + 1
     assert np.all(texture.pixels == 180)
-    assert texture.depth_mm == 2.0
+    assert texture.grid.depth_mm == 2.0
     # the wrap is within one pixel of the nominal pitch
-    assert abs(texture.width * texture.pitch_um - 2 * math.pi * 900) < texture.pitch_um
+    grid = texture.grid
+    assert abs(grid.width * grid.pitch_x_um - 2 * math.pi * 900) < grid.pitch_x_um
+
+
+@pytest.mark.parametrize("pitch_um", [0.0, math.nan, math.inf, -2.16])
+def test_build_texture_refuses_a_pitch_not_finite_and_positive(pitch_um):
+    with pytest.raises(DomainError, match="pitch_x_um must be finite and > 0"):
+        build_texture(SMALL, [], pitch_um=pitch_um)
 
 
 def test_disc_pixel_count():
@@ -96,7 +105,7 @@ def test_disc_pixel_count():
     texture = build_texture(SMALL, [spec])
     # half-contrast count estimates the true boundary; ideal area
     # pi (0.05 mm)^2 over the pixel cell area
-    cell_mm2 = (texture.arc_pitch_um * 1e-3) * (texture.pitch_um * 1e-3)
+    cell_mm2 = (texture.grid.arc_pitch_um * 1e-3) * (texture.grid.pitch_y_um * 1e-3)
     ideal = math.pi * 0.05**2 / cell_mm2
     assert fg_count(texture) == pytest.approx(ideal, rel=0.01)
 
@@ -105,7 +114,7 @@ def test_disc_ink_conservation():
     spec = DefectSpec("disc", z_mm=1.0, beta_deg=90.0, size_mm=0.2)
     texture = build_texture(SMALL, [spec])
     ink = (180.0 - texture.pixels.astype(float)).sum() / 120.0
-    cell_mm2 = (texture.arc_pitch_um * 1e-3) * (texture.pitch_um * 1e-3)
+    cell_mm2 = (texture.grid.arc_pitch_um * 1e-3) * (texture.grid.pitch_y_um * 1e-3)
     ideal = math.pi * 0.1**2 / cell_mm2
     assert ink == pytest.approx(ideal, rel=0.01)
 
@@ -170,9 +179,9 @@ def test_overlap_warning():
 
 def mean_disc_coverage(texture, spec, stamp):
     """Oracle: every pixel's 4x4 subsamples tested, as one (R, C, 4, 4) array."""
-    arc_pitch_mm = 2.0 * math.pi * texture.radius_mm / texture.width
-    pitch_mm = texture.pitch_um * 1e-3
-    u0_px = spec.beta_deg / 360.0 * texture.width
+    arc_pitch_mm = 2.0 * math.pi * texture.grid.radius_mm / texture.grid.width
+    pitch_mm = texture.grid.pitch_y_um * 1e-3
+    u0_px = spec.beta_deg / 360.0 * texture.grid.width
     v0_px = spec.z_mm / pitch_mm
     cols = np.arange(stamp.col_lo, stamp.col_lo + stamp.coverage.shape[1])
     rows = np.arange(stamp.row_lo, stamp.row_hi)
@@ -185,7 +194,7 @@ def mean_disc_coverage(texture, spec, stamp):
 
 def test_disc_coverage_matches_the_subsample_mean():
     rng = np.random.default_rng(16)
-    width = build_texture(SMALL, []).width
+    width = build_texture(SMALL, []).grid.width
     pitch_mm = 2.16e-3
     specs = []
     for i in range(60):
@@ -321,6 +330,26 @@ def test_tile_shape_for_defaults():
 BORE = HoleSpec(radius_mm=2.0, depth_mm=3.0)
 
 
+def test_tile_wider_than_the_visible_arc_is_refused_alike():
+    # 695 px * 2.16 um = 1.501 mm: half of it is more than a 0.7 mm radius
+    hole = HoleSpec(radius_mm=0.7, depth_mm=2.0)
+    texture = build_texture(hole, [])
+    event = CaptureEvent(0, 0, 0, 1.0, 0.0)
+    flat = TileImage(np.zeros((4, 695), dtype=np.uint8), 2.16, 2.16)
+    calls = [
+        lambda: render_tile(texture, event, CFG, REGION, tile_buffers(texture)),
+        lambda: correct_tile(flat, hole.radius_mm),
+        lambda: forward_project(flat, hole.radius_mm),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError) as refused:
+            call()
+        assert str(refused.value) == (
+            "tile width 695 px (1.501 mm) does not fit the visible arc of a "
+            "radius-0.7 mm bore"
+        )
+
+
 def test_render_tile_uniform():
     texture = build_texture(BORE, [])
     event = CaptureEvent(0, 0, 0, 0.0, 0.0)
@@ -372,17 +401,17 @@ def whole_tile_render(texture, event):
     height, width = tile_shape_for(CFG, REGION)
     k_rel = np.arange(width, dtype=np.float64) - (width - 1) / 2.0
     pitch_x = CFG.pixel_pitch_x_um
-    arc_um = pixel_to_arc(k_rel, texture.radius_mm, pitch_x) * pitch_x
-    u = event.theta_deg / 360.0 * texture.width + arc_um / texture.arc_pitch_um
+    arc_um = pixel_to_arc(k_rel, texture.grid.radius_mm, pitch_x) * pitch_x
+    u = event.theta_deg / 360.0 * texture.grid.width + arc_um / texture.grid.arc_pitch_um
     n_rel = np.arange(height, dtype=np.float64) - (height - 1) / 2.0
-    v = (event.z_mm * 1e3 + n_rel * CFG.pixel_pitch_y_um) / texture.pitch_um
-    on_surface = (v >= 0.0) & (v <= texture.height - 1)
-    v_cl = np.clip(v, 0.0, float(texture.height - 1))
-    v0 = np.minimum(np.floor(v_cl).astype(np.int64), texture.height - 2)
+    v = (event.z_mm * 1e3 + n_rel * CFG.pixel_pitch_y_um) / texture.grid.pitch_y_um
+    on_surface = (v >= 0.0) & (v <= texture.grid.height - 1)
+    v_cl = np.clip(v, 0.0, float(texture.grid.height - 1))
+    v0 = np.minimum(np.floor(v_cl).astype(np.int64), texture.grid.height - 2)
     fv = (v_cl - v0)[:, None]
     v1 = v0 + 1
     base = math.floor(u[0])
-    band = np.arange(base, math.floor(u[-1]) + 2) % texture.width
+    band = np.arange(base, math.floor(u[-1]) + 2) % texture.grid.width
     tex = texture.pixels
     rows = tex[np.ix_(v0, band)] * (1.0 - fv) + tex[np.ix_(v1, band)] * fv
     weights = _column_weights(u - base, len(band))
@@ -462,8 +491,8 @@ def test_overlap_order_decides_pixels():
     # 180 - 170 + 120 = 130 against min(180 + 120, 255) - 170 = 85
     first = depth_texture(ORACLE_CASES["overlap-dark-first"][0], 8)
     second = depth_texture(ORACLE_CASES["overlap-bright-first"][0], 8)
-    row = round(1.51 / (first.pitch_um * 1e-3))
-    col = round(40.25 / 360.0 * first.width)
+    row = round(1.51 / (first.grid.pitch_y_um * 1e-3))
+    col = round(40.25 / 360.0 * first.grid.width)
     assert first.window(row, row + 1, col, 1)[0, 0] == 130
     assert second.window(row, row + 1, col, 1)[0, 0] == 85
     event = CaptureEvent(0, 0, 0, 1.5, 40.0)
@@ -491,14 +520,14 @@ def test_window_matches_oracle_slices():
     ]
     texture = depth_texture(defects, 8)
     oracle = texture.pixels
-    assert oracle.shape == (texture.height, texture.width)
+    assert oracle.shape == (texture.grid.height, texture.grid.width)
     rng = np.random.default_rng(3)
     for _ in range(40):
-        top = int(rng.integers(0, texture.height))
-        bottom = int(rng.integers(top + 1, texture.height + 1))
-        left = int(rng.integers(-texture.width, 2 * texture.width))
-        count = int(rng.integers(1, texture.width + 1))
-        cols = np.arange(left, left + count) % texture.width
+        top = int(rng.integers(0, texture.grid.height))
+        bottom = int(rng.integers(top + 1, texture.grid.height + 1))
+        left = int(rng.integers(-texture.grid.width, 2 * texture.grid.width))
+        count = int(rng.integers(1, texture.grid.width + 1))
+        cols = np.arange(left, left + count) % texture.grid.width
         expected = oracle[top:bottom][:, cols]
         assert np.array_equal(texture.window(top, bottom, left, count), expected)
 
@@ -512,10 +541,10 @@ def test_stamp_rows_meet_windows_at_their_ends_only():
     assert list(texture.stamps_meeting(stamp.row_lo, stamp.row_lo + 1, left, count)) == [0]
     assert list(texture.stamps_meeting(stamp.row_hi - 1, stamp.row_hi, left, count)) == [0]
     # column arcs, modulo the width
-    assert texture.stamps_meeting(0, texture.height, left + count, 10).size == 0
-    assert texture.stamps_meeting(0, texture.height, left - 10, 10).size == 0
-    wrapped = left + count - 1 + texture.width
-    assert list(texture.stamps_meeting(0, texture.height, wrapped, 1)) == [0]
+    assert texture.stamps_meeting(0, texture.grid.height, left + count, 10).size == 0
+    assert texture.stamps_meeting(0, texture.grid.height, left - 10, 10).size == 0
+    wrapped = left + count - 1 + texture.grid.width
+    assert list(texture.stamps_meeting(0, texture.grid.height, wrapped, 1)) == [0]
 
 
 @pytest.mark.parametrize("bit_depth", [8, 16])
@@ -523,7 +552,7 @@ def test_render_tile_with_stamp_starting_on_a_strip_boundary(bit_depth, monkeypa
     # the strip of tile rows 128..191 begins on the disc's first texture row
     texture = depth_texture([DefectSpec("disc", 1.5, 20.0, 0.2)], bit_depth)
     (stamp,) = texture.stamps
-    z_mm = (stamp.row_lo + 0.25 + 347 - 2 * STRIP_ROWS) * texture.pitch_um * 1e-3
+    z_mm = (stamp.row_lo + 0.25 + 347 - 2 * STRIP_ROWS) * texture.grid.pitch_y_um * 1e-3
     event = CaptureEvent(0, 0, 0, z_mm, 20.0)
     windows = []
     window = synth.SurfaceTexture.window
