@@ -138,17 +138,15 @@ def _inspect_tile(event, manifest, expected, base_dir, out_dir, pgm, unwrap):
         pixels = pgm.read_pgm(path)
     except OSError as exc:
         raise ImageFormatError(f"{path}: {exc}") from exc
-    cfg = manifest.optics
     if pixels.shape != expected:
         raise ImageFormatError(
             f"{path}: tile is {pixels.shape[0]}x{pixels.shape[1]} px, the "
             f"manifest's optics and region give {expected[0]}x{expected[1]}"
         )
-    tile = unwrap.TileImage(
-        pixels, cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um,
-        tile_index=(event.depth_step, event.rotation_step),
+    tile = unwrap.TileImage(pixels, (event.depth_step, event.rotation_step))
+    corrected = unwrap.correct_tile(
+        tile, manifest.hole.radius_mm, manifest.optics.pixel_pitch_x_um
     )
-    corrected = unwrap.correct_tile(tile, manifest.hole.radius_mm)
     pgm.write_pgm(out_dir / name, corrected.pixels)
     return corrected
 
@@ -274,18 +272,9 @@ def cmd_report_compare(args: argparse.Namespace) -> int:
                 "mean_error_mm": round(mean - truth.size_mm, 3) if sizes else "",
             }
         )
-    columns = [
-        "kind",
-        "z_mm",
-        "beta_deg",
-        "true_size_mm",
-        "trials",
-        "mean_size_mm",
-        "std_size_mm",
-        "mean_error_mm",
-    ]
     with open(out / "compare.csv", "w", encoding="ascii", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
+        # rows is not empty: a manifest without truth exited above
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     for row in rows:
@@ -315,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--seed", type=int, default=None, help="master noise seed")
     synth.add_argument(
-        "--noise-sigma", type=float, default=None, help="sensor noise, DN at 8 bit"
+        "--noise-sigma", type=float, default=None,
+        help="sensor noise sigma, in levels of the configured bit depth",
     )
     synth.set_defaults(func=cmd_synth)
 

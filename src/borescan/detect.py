@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ThresholdError
 from .geometry import DEFAULT_MIN_AREA
-from .unwrap import TileImage
+from .pgm import SAMPLE_DTYPES
 
 __all__ = [
     "BlobRecord",
@@ -68,16 +68,17 @@ class RunLabels:
     count: int
 
 
-def otsu_threshold(img: TileImage) -> float:
-    """Threshold maximizing between-class variance of the histogram.
+def otsu_threshold(pixels: np.ndarray) -> float:
+    """Threshold maximizing between-class variance of the histogram of
+    ``pixels``, of any shape and one of :data:`~borescan.pgm.SAMPLE_DTYPES`,
+    over the levels from 0 to their dtype's maximum.
 
     Ties (the variance is flat over empty histogram spans) resolve to the
     middle of the plateau, so a two-level image is cut midway between its
     levels. A single-valued histogram has no two classes to separate.
     """
-    counts = np.bincount(img.pixels.ravel(), minlength=img.max_value + 1).astype(
-        np.float64
-    )
+    full_scale = np.iinfo(pixels.dtype).max
+    counts = np.bincount(pixels.ravel(), minlength=full_scale + 1).astype(np.float64)
     total = counts.sum()
     levels = np.arange(counts.size, dtype=np.float64)
     w0 = np.cumsum(counts)
@@ -98,34 +99,38 @@ def otsu_threshold(img: TileImage) -> float:
 
 
 def binarize(
-    img: TileImage,
+    pixels: np.ndarray,
     method: str = "fixed",
     threshold: float = 0.5,
     polarity: str = "dark",
 ) -> np.ndarray:
-    """Boolean foreground mask of defect-polarity pixels.
+    """Boolean foreground mask of the defect-polarity pixels of ``pixels``.
 
+    ``pixels`` may have any shape, which the mask keeps; their dtype is one
+    of :data:`~borescan.pgm.SAMPLE_DTYPES`, whose maximum is full scale.
     ``fixed`` cuts at ``threshold`` as a fraction of full scale (bit-depth
-    agnostic); ``otsu`` picks the cut from the histogram and raises
-    :class:`ThresholdError` on degenerate input, which the inspect
-    pipeline reads as a featureless strip. Dark polarity (the default)
-    selects pixels at or below the cut.
+    agnostic); ``otsu`` picks the cut from the histogram
+    (:func:`otsu_threshold`) and raises :class:`ThresholdError` on
+    degenerate input, which the inspect pipeline reads as a featureless
+    block. Dark polarity (the default) selects pixels at or below the cut.
     """
+    if pixels.dtype not in SAMPLE_DTYPES:
+        raise DomainError(f"unsupported dtype {pixels.dtype}; expected uint8 or uint16")
     if polarity not in ("dark", "bright"):
         raise DomainError(f"unknown polarity {polarity!r}")
     if method == "fixed":
         if not 0.0 <= threshold <= 1.0:
             raise DomainError("fixed threshold is a fraction of full scale")
-        cut = threshold * img.max_value
+        cut = threshold * np.iinfo(pixels.dtype).max
     elif method == "otsu":
-        cut = otsu_threshold(img)
+        cut = otsu_threshold(pixels)
     else:
         raise DomainError(f"unknown threshold method {method!r}")
     # pixels are integers, so the cut rounds to one without moving it; an
     # integer cut compares in the pixels' own dtype, not in float64
     if polarity == "dark":
-        return img.pixels <= math.floor(cut)
-    return img.pixels >= math.ceil(cut)
+        return pixels <= math.floor(cut)
+    return pixels >= math.ceil(cut)
 
 
 def row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -302,22 +302,17 @@ def inspect_stack(
     Returns the records, ordered by (z, beta) and numbered, and the
     stitch's :class:`Panorama`.
     """
-    pitch = (cfg.pixel_pitch_x_um, cfg.pixel_pitch_y_um)
     runs = [(np.zeros(0, dtype=np.intp),) * 3]
 
     def segment(first_row, pixels, covered):
         whole = covered.all()
         try:
-            found = binarize(
-                TileImage(pixels if whole else pixels[covered][None], *pitch),
-                method,
-                threshold,
-            )
+            found = binarize(pixels if whole else pixels[covered], method, threshold)
         except ThresholdError:
             return  # featureless
         if not whole:
             mask = np.zeros_like(covered)
-            mask[covered] = found[0]
+            mask[covered] = found
             found = mask
         row, start, stop = row_runs(found)
         runs.append((row + first_row, start, stop))

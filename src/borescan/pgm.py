@@ -14,17 +14,18 @@ import numpy as np
 
 from .errors import ImageFormatError
 
-__all__ = ["read_pgm", "write_pgm", "write_pgm_header", "write_pgm_rows"]
+__all__ = ["SAMPLE_DTYPES", "read_pgm", "write_pgm", "write_pgm_header", "write_pgm_rows"]
 
+# The sample formats of every raster the tools make or read. A sample's
+# full scale is its dtype's maximum, which is also its PGM maxval.
+SAMPLE_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 _SWAP_BYTES = 1 << 16
 
 
 def _maxval(dtype) -> int:
-    if dtype == np.uint8:
-        return 255
-    if dtype == np.uint16:
-        return 65535
-    raise ImageFormatError(f"unsupported dtype {dtype} for PGM")
+    if dtype not in SAMPLE_DTYPES:
+        raise ImageFormatError(f"unsupported dtype {dtype} for PGM")
+    return np.iinfo(dtype).max
 
 
 def write_pgm_header(handle, height: int, width: int, dtype) -> None:
@@ -85,7 +86,8 @@ def _tokens(data: memoryview):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM: uint8 at maxval 255, uint16 at maxval 65535.
+    """Read a binary PGM whose maxval is the full scale of one of
+    :data:`SAMPLE_DTYPES`: uint8 at 255, uint16 at 65535.
 
     Any other maxval is refused, because every stage reads a sample as a
     fraction of its dtype's full scale. A regular file is read once, into
@@ -112,21 +114,20 @@ def read_pgm(path) -> np.ndarray:
         raise ImageFormatError(f"{path}: malformed PGM header") from exc
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise ImageFormatError(f"{path}: bad PGM dimensions {width}x{height}/{maxval}")
-    if maxval not in (255, 65535):
+    dtype = next((d for d in SAMPLE_DTYPES if _maxval(d) == maxval), None)
+    if dtype is None:
         raise ImageFormatError(
             f"{path}: PGM maxval {maxval}; tiles are 8-bit at maxval 255 "
             "or 16-bit at maxval 65535"
         )
     # exactly one whitespace byte separates the header from the raster
     start = end + 1
-    dtype = np.dtype(np.uint8) if maxval == 255 else np.dtype(">u2")
     expected = width * height * dtype.itemsize
     available = max(len(data) - start, 0)
     if available < expected:
         raise ImageFormatError(
             f"{path}: raster truncated ({available} of {expected} bytes)"
         )
-    pixels = data[start : start + expected].view(dtype).reshape(height, width)
-    if maxval == 65535:
-        return pixels.astype(np.uint16)
-    return pixels
+    # samples are big-endian; an 8-bit raster is returned as a view
+    pixels = data[start : start + expected].view(dtype.newbyteorder(">"))
+    return pixels.reshape(height, width).astype(dtype, copy=False)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, PlacementError
 from .geometry import DefectSpec, HoleSpec, OpticsConfig
-from .pgm import write_pgm
+from .pgm import SAMPLE_DTYPES, write_pgm
 from .pool import run_forked
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, WallGrid
 from .scanplan import _wrapped_segments, tile_shape_for
@@ -73,14 +73,15 @@ class Stamp(NamedTuple):
 class SurfaceTexture:
     """Unwrapped ground-truth intensity map of the bore wall.
 
-    Its pixels are those of ``grid``, and columns wrap. The wall is the
-    background with the defect ``stamps`` added in list order. No raster of
-    the whole wall is held: :meth:`window` rasterizes any part of it.
+    Its pixels are those of ``grid``, of ``dtype``, and columns wrap. The
+    wall is the background with the defect ``stamps`` added in list order.
+    No raster of the whole wall is held: :meth:`window` rasterizes any part
+    of it.
     """
 
     grid: WallGrid
     background: int
-    bit_depth: int
+    dtype: np.dtype
     stamps: tuple[Stamp, ...]
 
     def __post_init__(self) -> None:
@@ -89,14 +90,6 @@ class SurfaceTexture:
             [(s.row_lo, s.row_hi, s.col_lo, s.coverage.shape[1]) for s in self.stamps],
             dtype=np.int64,
         ).reshape(-1, 4)
-
-    @property
-    def dtype(self) -> type:
-        return np.uint8 if self.bit_depth == 8 else np.uint16
-
-    @property
-    def max_value(self) -> int:
-        return 255 if self.bit_depth == 8 else 65535
 
     @property
     def pixels(self) -> np.ndarray:
@@ -172,7 +165,7 @@ class SurfaceTexture:
                 block = pixels[rows, cols].astype(np.float64)
                 block += stamp.contrast * cover[:, src][:, : cols.stop - cols.start]
                 pixels[rows, cols] = np.rint(
-                    np.clip(block, 0, self.max_value)
+                    np.clip(block, 0, np.iinfo(self.dtype).max)
                 ).astype(self.dtype)
         return pixels
 
@@ -223,10 +216,10 @@ def build_texture(
     overlap makes the per-defect truth areas ambiguous. Only each defect's
     coverage is computed here; :meth:`SurfaceTexture.window` rasterizes.
     """
-    if bit_depth not in (8, 16):
+    dtype = {d.itemsize * 8: d for d in SAMPLE_DTYPES}.get(bit_depth)
+    if dtype is None:
         raise DomainError("bit depth must be 8 or 16")
-    max_value = 255 if bit_depth == 8 else 65535
-    if not 0 <= background <= max_value:
+    if not 0 <= background <= np.iinfo(dtype).max:
         raise DomainError("background outside intensity range")
     grid = WallGrid(hole.radius_mm, hole.depth_mm, pitch_um, pitch_um)
     width, height = grid.width, grid.height
@@ -297,7 +290,7 @@ def build_texture(
             coverage = cov_v[:, None] * cov_u[None, :]
         stamps.append(Stamp(r_lo, r_hi + 1, c_lo, coverage, spec.contrast))
 
-    return SurfaceTexture(grid, background, bit_depth, tuple(stamps))
+    return SurfaceTexture(grid, background, dtype, tuple(stamps))
 
 
 class TileBuffers(NamedTuple):
@@ -365,11 +358,8 @@ def render_tile(
     v = grid.row(event.z_mm, n_rel * cfg.pixel_pitch_y_um)
     on_surface = (v >= 0.0) & (v <= grid.height - 1)
 
-    v_cl = np.clip(v, 0.0, float(grid.height - 1))
-    v0 = np.floor(v_cl).astype(np.int64)
-    v0 = np.minimum(v0, max(grid.height - 2, 0))
-    fv = (v_cl - v0)[:, None]
-    v1 = np.minimum(v0 + 1, grid.height - 1)
+    # the two texture rows each tile row blends, weighed as columns are
+    v0, v1, w0_rows, w1_rows = _column_weights(v, grid.height)
 
     # texture columns under the tile, unwrapped across the seam; rows blend first
     base = math.floor(u[0])
@@ -377,9 +367,10 @@ def render_tile(
     # a blend of equal integers rounds back to them
     pixels = _tile_out(buffers, (height, width), texture.dtype)
     pixels.fill(texture.background)
+    tile = TileImage(pixels, (event.depth_step, event.rotation_step))
     # v0 and v1 rise with the row, so the tile reads texture rows v0[0]..v1[-1]
     if not texture.stamps_meeting(int(v0[0]), int(v1[-1]) + 1, base, count).size:
-        return _tile_image(pixels, cfg, event)
+        return tile
     c0, c1, w0, w1 = _column_weights(u - base, count)
     for lo in range(0, height, STRIP_ROWS):
         rows = slice(lo, lo + STRIP_ROWS)
@@ -392,7 +383,10 @@ def render_tile(
             run = slice(m_lo, m_hi)
             first = int(c0[m_lo])
             tex = texture.window(top, bottom, base + first, int(c1[m_hi - 1]) + 1 - first)
-            blend = tex[v0[rows] - top] * (1.0 - fv[rows]) + tex[v1[rows] - top] * fv[rows]
+            blend = (
+                tex[v0[rows] - top] * w0_rows[rows, None]
+                + tex[v1[rows] - top] * w1_rows[rows, None]
+            )
             n = len(blend) * (m_hi - m_lo)
             sampled = _resample_columns(
                 blend,
@@ -402,16 +396,7 @@ def render_tile(
             )
             sampled[~on_surface[rows], :] = float(texture.background)
             pixels[rows, run] = np.rint(sampled, out=sampled)
-    return _tile_image(pixels, cfg, event)
-
-
-def _tile_image(pixels: np.ndarray, cfg: OpticsConfig, event: CaptureEvent) -> TileImage:
-    return TileImage(
-        pixels=pixels,
-        pixel_pitch_x_um=cfg.pixel_pitch_x_um,
-        pixel_pitch_y_um=cfg.pixel_pitch_y_um,
-        tile_index=(event.depth_step, event.rotation_step),
-    )
+    return tile
 
 
 def add_noise(img: TileImage, sigma: float, seed: int, buffers: TileBuffers) -> TileImage:
@@ -441,7 +426,7 @@ def add_noise(img: TileImage, sigma: float, seed: int, buffers: TileBuffers) -> 
     if pixels is not img.pixels:
         np.copyto(pixels, img.pixels)
     if sigma > 0:
-        peak = img.max_value
+        peak = np.iinfo(img.pixels.dtype).max
         bounds, table = _noise_table(float(sigma), peak)
         seeds = np.random.SeedSequence(seed)
         stream = np.random.PCG64(seeds)
@@ -590,7 +575,7 @@ def write_stack(
         write_pgm(parts[i], tile.pixels)
 
     if noise_sigma > 0:  # built before the fork, so the workers share one table
-        _noise_table(float(noise_sigma), texture.max_value)
+        _noise_table(float(noise_sigma), np.iinfo(texture.dtype).max)
     try:
         failure = run_forked(write, len(schedule), processes)
         written = len(schedule) if failure is None else failure[0]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .pgm import SAMPLE_DTYPES
 
 __all__ = [
     "TileImage",
@@ -37,7 +38,6 @@ __all__ = [
     "forward_project",
 ]
 
-_ALLOWED_DTYPES = (np.uint8, np.uint16)
 # Rows per strip in render_tile, add_noise and correct_tile: a strip's
 # float64 work arrays (~350 KB at 695 px) stay in cache. render and noise
 # work in the strip scratch of synth.TileBuffers, which a process allocates
@@ -47,36 +47,34 @@ STRIP_ROWS = 64
 
 @dataclass(eq=False)
 class TileImage:
-    """One grayscale capture (or corrected tile) plus its physical metadata.
+    """One grayscale capture (or corrected tile) and its plan position.
 
     Attributes
     ----------
     pixels:
-        Row-major intensity grid, ``uint8`` or ``uint16``, shape
-        ``(height, width)``. Row index grows with depth from the hole
-        bottom; column index grows with rotation angle.
-    pixel_pitch_x_um, pixel_pitch_y_um:
-        Surface length per pixel (µm/pixel).
+        Row-major intensity grid of one of :data:`~borescan.pgm.SAMPLE_DTYPES`,
+        whose maximum is full scale, shape ``(height, width)``. Row index
+        grows with depth from the hole bottom; column index grows with
+        rotation angle.
     tile_index:
         ``(depth step, rotation step)`` of the capture event, or None for
-        images outside a scan (textures, panoramas).
+        images outside a scan (textures).
+
+    The pixel pitches and the bore radius belong to the rig, not to a
+    tile: :func:`correct_tile` and :func:`forward_project` take them.
     """
 
     pixels: np.ndarray
-    pixel_pitch_x_um: float
-    pixel_pitch_y_um: float
     tile_index: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels)
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise DomainError("pixel grid must be 2-D and non-empty")
-        if self.pixels.dtype not in _ALLOWED_DTYPES:
+        if self.pixels.dtype not in SAMPLE_DTYPES:
             raise DomainError(
                 f"unsupported dtype {self.pixels.dtype}; expected uint8 or uint16"
             )
-        if self.pixel_pitch_x_um <= 0 or self.pixel_pitch_y_um <= 0:
-            raise DomainError("pixel pitches must be positive")
 
     @property
     def width(self) -> int:
@@ -85,14 +83,6 @@ class TileImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @property
-    def bit_depth(self) -> int:
-        return 8 if self.pixels.dtype == np.uint8 else 16
-
-    @property
-    def max_value(self) -> int:
-        return 255 if self.bit_depth == 8 else 65535
 
 
 def _as_float_array(value) -> tuple[np.ndarray, bool]:
@@ -139,10 +129,9 @@ def arc_to_pixel(m, radius_mm: float, pitch_um: float):
 
 
 def _check_remap_args(radius_mm: float, pitch_um: float) -> None:
-    if radius_mm <= 0:
-        raise DomainError(f"radius must be positive, got {radius_mm}")
-    if pitch_um <= 0:
-        raise DomainError(f"pixel pitch must be positive, got {pitch_um}")
+    for name, value in (("radius", radius_mm), ("pixel pitch", pitch_um)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 def bilinear_sample(img: TileImage, x: float, y: float) -> float:
@@ -297,21 +286,22 @@ def _uint8_weights(width: int, radius_mm: float, pitch_um: float) -> np.ndarray 
     return w32
 
 
-def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
+def correct_tile(img: TileImage, radius_mm: float, pitch_um: float) -> TileImage:
     """Resample a flat capture onto the equal-arc-length corrected plane.
 
-    Output has the same shape, dtype, and pixel pitches; after correction
-    every column step spans the same physical arc on the bore wall. All
-    source coordinates fall inside the input (the flat image is a
-    compressed view of the arc), so no fill is needed. Every sample is
-    ``rint(p0 * w0 + p1 * w1)`` in float64. Each strip of rows is widened
-    once and gathered from there: to float32 for an 8-bit tile on a rig
-    ``_uint8_weights`` has proved, which computes ``p0 + rint(float32(p1 -
-    p0) * w32)`` and so gets the same bytes, and to float64 otherwise.
-    numpy's loops that mix uint8 and float operands cost more than all the
-    float32 arithmetic together.
+    ``radius_mm`` is the bore's radius and ``pitch_um`` the rig's pixel
+    pitch across the tile's columns. Output has the same shape, dtype and
+    tile index; after correction every column step spans the same arc,
+    ``pitch_um``, on the bore wall. All source coordinates fall inside the
+    input (the flat image is a compressed view of the arc), so no fill is
+    needed. Every sample is ``rint(p0 * w0 + p1 * w1)`` in float64. Each
+    strip of rows is widened once and gathered from there: to float32 for
+    an 8-bit tile on a rig ``_uint8_weights`` has proved, which computes
+    ``p0 + rint(float32(p1 - p0) * w32)`` and so gets the same bytes, and
+    to float64 otherwise. numpy's loops that mix uint8 and float operands
+    cost more than all the float32 arithmetic together.
     """
-    rig = (img.width, radius_mm, img.pixel_pitch_x_um)
+    rig = (img.width, radius_mm, pitch_um)
     weights = _correction_weights(*rig)
     w32 = _uint8_weights(*rig) if img.pixels.dtype == np.uint8 else None
     shape = (min(img.height, STRIP_ROWS), img.width)
@@ -336,16 +326,18 @@ def correct_tile(img: TileImage, radius_mm: float) -> TileImage:
     return replace(img, pixels=out)
 
 
-def forward_project(texture_window: TileImage, radius_mm: float) -> TileImage:
+def forward_project(
+    texture_window: TileImage, radius_mm: float, pitch_um: float
+) -> TileImage:
     """Project an equal-arc-length texture window onto the flat image plane.
 
-    Inverse of :func:`correct_tile`: flat column ``k`` samples the texture
-    at ``m = pixel_to_arc(k)`` (:func:`tile_arc_px`). Near the tile edges
-    ``|m|`` exceeds the window half-width; those columns have no source
-    data and are written as 0.
+    Inverse of :func:`correct_tile` at the same radius and column pitch:
+    flat column ``k`` samples the texture at ``m = pixel_to_arc(k)``
+    (:func:`tile_arc_px`). Near the tile edges ``|m|`` exceeds the window
+    half-width; those columns have no source data and are written as 0.
     """
     img = texture_window
-    m_abs = (img.width - 1) / 2.0 + tile_arc_px(img.width, radius_mm, img.pixel_pitch_x_um)
+    m_abs = (img.width - 1) / 2.0 + tile_arc_px(img.width, radius_mm, pitch_um)
     valid = (m_abs >= 0.0) & (m_abs <= img.width - 1)
     weights = _column_weights(m_abs, img.width)
     rows = img.pixels.astype(np.float64)

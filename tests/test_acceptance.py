@@ -101,7 +101,7 @@ def _band_limited_texture(seed, height=40, width=695):
     spectrum[(np.abs(fy) > 0.25) | (fx > 0.25)] = 0.0
     smooth = np.fft.irfft2(spectrum, s=(height, width))
     smooth = (smooth - smooth.min()) / (smooth.max() - smooth.min())
-    return TileImage((30 + smooth * 190).astype(np.uint8), PITCH, PITCH)
+    return TileImage((30 + smooth * 190).astype(np.uint8))
 
 
 def test_05_unwrap_round_trip(capsys):
@@ -110,7 +110,7 @@ def test_05_unwrap_round_trip(capsys):
     worst_mean = worst_max = 0.0
     for seed in range(20):
         texture = _band_limited_texture(seed)
-        recovered = correct_tile(forward_project(texture, RADIUS), RADIUS)
+        recovered = correct_tile(forward_project(texture, RADIUS, PITCH), RADIUS, PITCH)
         diff = np.abs(
             recovered.pixels[:, lo:hi].astype(float)
             - texture.pixels[:, lo:hi].astype(float)
@@ -243,7 +243,7 @@ def _inspect_rendered(texture, plan, hole, noise_sigma=0.0, seed=0):
     with open(os.devnull, "wb") as sink:
         return inspect_stack(
             (correct_tile(noisy_tile(texture, event, OPTICS, REGION, noise_sigma,
-                                     seed, buffers), hole.radius_mm)
+                                     seed, buffers), hole.radius_mm, OPTICS.pixel_pitch_x_um)
              for event in in_rows),
             plan, hole, OPTICS, shape, sink,
         )

@@ -1056,6 +1056,55 @@ class TestReportCompare:
         assert code == 6
 
 
+def test_16_bit_run_from_synth_to_report_compare(tmp_path):
+    """A 16-bit run through every command: background, contrast and sigma
+    are 16-bit levels, the tiles are corrected on the float64 path, and
+    the panorama is written at maxval 65535."""
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG + "[synth]\nbit_depth = 16\nbackground = 46000\n")
+    defects = tmp_path / "defects.csv"
+    defects.write_text(
+        "kind,z_mm,beta_deg,size_mm,length_mm,contrast\n"
+        "disc,1.0,100.0,0.2,,-30000\n"
+        "disc,0.6,250.0,0.1,,-30000\n"
+        "line,1.2,10.0,0.05,0.6,-30000\n"
+    )
+    tiles = tmp_path / "tiles"
+    assert main(
+        ["synth", "--config", str(config), "--defects", str(defects),
+         "--noise-sigma", "5", "--seed", "3", "--out", str(tiles)]
+    ) == 0
+    manifest = str(tiles / "manifest.yaml")
+    for name, spec in (("fixed", "fixed:0.5"), ("otsu", "otsu")):
+        assert main(
+            ["inspect", "--manifest", manifest, "--out", str(tmp_path / name),
+             "--threshold", spec]
+        ) == 0
+    # (kind, z from the nozzle, beta, size) in report order
+    planted = [
+        ("line", 0.8, 10.0, 0.05), ("disc", 1.0, 100.0, 0.2), ("disc", 1.4, 250.0, 0.1)
+    ]
+    records = read_report(tmp_path / "fixed" / "report.yaml")["records"]
+    assert len(records) == len(planted)
+    for rec, (kind, z_mm, beta_deg, size_mm) in zip(records, planted):
+        assert rec["kind"] == kind
+        assert rec["z_mm"] == pytest.approx(z_mm, abs=0.01)
+        assert rec["beta_deg"] == pytest.approx(beta_deg, abs=0.2)
+        assert rec["size_mm"] == pytest.approx(size_mm, abs=0.003)
+    # otsu also cuts the noise of featureless blocks, so only its recall is
+    # checked: report-compare matches every planted defect in its report
+    assert main(
+        ["report-compare", "--manifest", manifest, "--out", str(tmp_path / "compare"),
+         str(tmp_path / "otsu" / "report.yaml")]
+    ) == 0
+    rows = (tmp_path / "compare" / "compare.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(planted)
+    assert all(row.split(",")[4] == "1" for row in rows)
+    panorama = tmp_path / "fixed" / "panorama.pgm"
+    assert panorama.read_bytes()[:32].split()[3] == b"65535"
+    assert read_pgm(panorama).dtype == np.uint16
+
+
 @pytest.mark.parametrize("error", [PlanIndexError, ThresholdError])
 def test_unmapped_library_error_exits_3(
     tmp_path, config_path, capsys, monkeypatch, error

@@ -18,13 +18,8 @@ from borescan.errors import ConfigError, DomainError, ThresholdError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import record_from_blob
 from borescan.synth import DefectSpec, build_texture
-from borescan.unwrap import TileImage
 
 PITCH = 2.16
-
-
-def tile(pixels):
-    return TileImage(np.asarray(pixels), PITCH, PITCH)
 
 
 def flood_fill_labels(mask):
@@ -80,30 +75,37 @@ def partition(labels):
 
 class TestBinarize:
     def test_fixed_dark_selects_at_or_below_cut(self):
-        img = tile(np.array([[0, 127, 128, 255]], dtype=np.uint8))
+        img = np.array([[0, 127, 128, 255]], dtype=np.uint8)
         mask = binarize(img, method="fixed", threshold=0.5)
         assert mask.tolist() == [[True, True, False, False]]
 
     def test_fixed_bright_polarity(self):
-        img = tile(np.array([[0, 127, 128, 255]], dtype=np.uint8))
+        img = np.array([[0, 127, 128, 255]], dtype=np.uint8)
         mask = binarize(img, method="fixed", threshold=0.5, polarity="bright")
         assert mask.tolist() == [[False, False, True, True]]
 
     def test_fixed_cut_scales_with_bit_depth(self):
-        img8 = tile(np.full((4, 4), 100, dtype=np.uint8))
-        img16 = TileImage(np.full((4, 4), 100 * 257, dtype=np.uint16), PITCH, PITCH)
+        img8 = np.full((4, 4), 100, dtype=np.uint8)
+        img16 = np.full((4, 4), 100 * 257, dtype=np.uint16)
         assert binarize(img8, threshold=0.5).all()
         assert binarize(img16, threshold=0.5).all()
         assert not binarize(img8, threshold=0.3).any()
         assert not binarize(img16, threshold=0.3).any()
 
     def test_threshold_must_be_fraction(self):
-        img = tile(np.zeros((2, 2), dtype=np.uint8))
+        img = np.zeros((2, 2), dtype=np.uint8)
         with pytest.raises(DomainError):
             binarize(img, threshold=128.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16, np.uint32])
+    @pytest.mark.parametrize("method", ["fixed", "otsu"])
+    def test_pixels_of_another_sample_dtype_are_refused(self, dtype, method):
+        # a uint32 histogram would take 2**32 bins
+        with pytest.raises(DomainError, match="unsupported dtype"):
+            binarize(np.zeros((2, 2), dtype=dtype), method=method)
+
     def test_unknown_method_and_polarity_rejected(self):
-        img = tile(np.zeros((2, 2), dtype=np.uint8))
+        img = np.zeros((2, 2), dtype=np.uint8)
         with pytest.raises(DomainError):
             binarize(img, method="adaptive")
         with pytest.raises(DomainError):
@@ -116,17 +118,17 @@ class TestOtsu:
         pixels[:5, :5] = 50
         # between-class variance is flat over the empty span 50..199,
         # so the plateau rule must land in the middle
-        assert otsu_threshold(tile(pixels)) == pytest.approx(124.5)
+        assert otsu_threshold(pixels) == pytest.approx(124.5)
 
     def test_two_level_mask_separates_classes(self):
         pixels = np.full((20, 20), 200, dtype=np.uint8)
         pixels[:5, :5] = 50
-        mask = binarize(tile(pixels), method="otsu")
+        mask = binarize(pixels, method="otsu")
         assert mask.sum() == 25
         assert mask[:5, :5].all()
 
     def test_flat_histogram_raises(self):
-        img = tile(np.full((8, 8), 77, dtype=np.uint8))
+        img = np.full((8, 8), 77, dtype=np.uint8)
         with pytest.raises(ThresholdError):
             binarize(img, method="otsu")
 
@@ -134,15 +136,14 @@ class TestOtsu:
         hole = HoleSpec(0.9, 2.0)
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=180.0, size_mm=0.2)
         texture = build_texture(hole, [spot], background=180)
-        img = TileImage(texture.pixels, PITCH, PITCH)
-        truth_count = int(binarize(img, threshold=0.5).sum())
+        truth_count = int(binarize(texture.pixels, threshold=0.5).sum())
         rng = np.random.default_rng(11)
         noisy = np.clip(
             np.rint(texture.pixels.astype(np.float64) + rng.normal(0, 5, texture.pixels.shape)),
             0,
             255,
         ).astype(np.uint8)
-        count = int(binarize(TileImage(noisy, PITCH, PITCH), method="otsu").sum())
+        count = int(binarize(noisy, method="otsu").sum())
         assert abs(count - truth_count) / truth_count < 0.03
 
 
@@ -236,11 +237,10 @@ class TestBlobMetrics:
     def rasterized_diameter(self, size_mm, pitch_um):
         spot = DefectSpec("disc", z_mm=1.0, beta_deg=180.0, size_mm=size_mm)
         texture = build_texture(self.HOLE, [spot], pitch_um=pitch_um)
-        img = TileImage(texture.pixels, texture.grid.arc_pitch_um, pitch_um)
-        labels = labelled(binarize(img, threshold=0.5))
+        labels = labelled(binarize(texture.pixels, threshold=0.5))
         blobs = connected_components(labels)
         assert len(blobs) == 1
-        rec = self.record(blobs[0], labels, img.pixel_pitch_x_um, img.pixel_pitch_y_um)
+        rec = self.record(blobs[0], labels, texture.grid.arc_pitch_um, pitch_um)
         assert rec.kind == "disc"
         return rec.size_mm
 

@@ -59,7 +59,7 @@ def corrected_tiles(texture, plan, radius_mm, noise_sigma=0.0, seed=0, cfg=CFG):
     buffers = TileBuffers.empty(tile_shape_for(cfg, REGION), texture.dtype)
     for event in in_plan_rows(plan):
         tile = noisy_tile(texture, event, cfg, REGION, noise_sigma, seed, buffers)
-        yield correct_tile(tile, radius_mm)
+        yield correct_tile(tile, radius_mm, cfg.pixel_pitch_x_um)
 
 
 def labelled(mask):
@@ -96,7 +96,7 @@ class TestDefectLocation:
                 pixels[345:350, 345:350] = 20
                 z_mm, theta_deg = event.z_mm, event.theta_deg
             index = (event.depth_step, event.rotation_step)
-            tiles.append(TileImage(pixels, 2.16, 2.16, tile_index=index))
+            tiles.append(TileImage(pixels, tile_index=index))
         with open(os.devnull, "wb") as sink:
             [rec], _ = inspect_stack(tiles, plan, hole, CFG, TILE_SHAPE, sink)
         # to the rounding of the tile's placement: half a pixel each way
@@ -273,8 +273,6 @@ class TestStitchPanorama:
             tiles.append(
                 TileImage(
                     np.full((695, 695), 180, dtype=np.uint8),
-                    2.16,
-                    2.16,
                     tile_index=(event.depth_step, event.rotation_step),
                 )
             )
@@ -310,7 +308,7 @@ class TestStitchPanorama:
         rng = np.random.default_rng(3)
         tiles = [
             TileImage(
-                rng.integers(1, 256, (695, 695), dtype=np.uint8), 2.16, 2.16,
+                rng.integers(1, 256, (695, 695), dtype=np.uint8),
                 tile_index=(event.depth_step, event.rotation_step),
             )
             for event in in_plan_rows(self.PLAN)
@@ -337,7 +335,7 @@ class TestStitchPanorama:
         rng = np.random.default_rng(3)
         tiles = [
             TileImage(
-                rng.integers(1, 256, shape, dtype=np.uint8), 2.16, 2.16,
+                rng.integers(1, 256, shape, dtype=np.uint8),
                 tile_index=(event.depth_step, event.rotation_step),
             )
             for event in plan.schedule
@@ -367,19 +365,19 @@ class TestStitchPanorama:
 
     def test_out_of_plan_tile_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
-        tiles[3] = TileImage(tiles[3].pixels, 2.16, 2.16, tile_index=(5, 0))
+        tiles[3] = TileImage(tiles[3].pixels, tile_index=(5, 0))
         with pytest.raises(PlanIndexError, match=r"\(5, 0\)"):
             stitched(iter(tiles), self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
     def test_unindexed_tile_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
-        tiles[0] = TileImage(tiles[0].pixels, 2.16, 2.16)
+        tiles[0] = TileImage(tiles[0].pixels)
         with pytest.raises(DomainError):
             stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
     def test_tile_of_another_shape_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
-        tiles[5] = TileImage(tiles[5].pixels[:-1], 2.16, 2.16, tile_index=tiles[5].tile_index)
+        tiles[5] = TileImage(tiles[5].pixels[:-1], tile_index=tiles[5].tile_index)
         with pytest.raises(DomainError, match="694x695 px, not the run's 695x695"):
             stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
@@ -397,7 +395,7 @@ class TestStitchPanorama:
 
     def test_sixteen_bit_tiles_give_a_sixteen_bit_panorama(self, tmp_path):
         tiles = [
-            TileImage(tile.pixels.astype(np.uint16) * 257, 2.16, 2.16,
+            TileImage(tile.pixels.astype(np.uint16) * 257,
                       tile_index=tile.tile_index)
             for tile in self.uniform_tiles()
         ]
@@ -408,7 +406,7 @@ class TestStitchPanorama:
         h, w = 4, 9
         gradient = np.tile(np.arange(1, w + 1, dtype=np.uint8), (h, 1))
         plan = ScanPlan(1, 1, 360.0, 1.5, (CaptureEvent(0, 0, 0, 1.0, 0.0),))
-        tile = TileImage(gradient, 2.16, 2.16, tile_index=(0, 0))
+        tile = TileImage(gradient, tile_index=(0, 0))
         pixels, pano = stitched([tile], plan, self.HOLE, (h, w), tmp_path / "p.pgm")
         row0 = round(1000.0 / 2.16) - (h - 1) // 2
         unwrapped = np.zeros((926, 2618), dtype=np.uint8)
@@ -434,7 +432,7 @@ class TestStitchPanorama:
             events.append(CaptureEvent(order, 0, order, z_mm, theta_deg))
             if has_tile:
                 ones = np.ones(shape, dtype=np.uint8)
-                tiles.append(TileImage(ones, 2.16, 2.16, tile_index=(0, order)))
+                tiles.append(TileImage(ones, tile_index=(0, order)))
         plan = ScanPlan(len(events), 1, 1.0, 1.5, tuple(events))
         pixels, pano = stitched(tiles, plan, self.HOLE, shape, tmp_path / "p.pgm")
         uncovered = pixels == 0  # every tile pixel is 1
@@ -456,7 +454,7 @@ class TestStitchPanorama:
             shape = TILE_SHAPE if plan is self.PLAN else (40, 60)
         pixels = np.ones(shape, dtype=np.uint8)
         tiles = (
-            TileImage(pixels, 2.16, 2.16, tile_index=(event.depth_step, event.rotation_step))
+            TileImage(pixels, tile_index=(event.depth_step, event.rotation_step))
             for event in in_plan_rows(plan)
         )
         with open(os.devnull, "wb") as sink:
@@ -472,8 +470,7 @@ class TestStitchPanorama:
         texture = build_texture(self.HOLE, [spot])
         corrected = list(corrected_tiles(texture, self.PLAN, self.HOLE.radius_mm))
         pixels, _ = stitched(corrected, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
-        pano = TileImage(pixels, 2.16, 2.16)
-        blobs = connected_components(labelled(binarize(pano, threshold=0.5)))
+        blobs = connected_components(labelled(binarize(pixels, threshold=0.5)))
         assert len(blobs) == 1
         u, v = blobs[0].centroid
         assert u == pytest.approx(100.0 / 360.0 * 2618, abs=3.0)
@@ -486,7 +483,7 @@ class TestStitchPanorama:
         ``missing``, and its traced peak in bytes."""
         pixels = np.full(TILE_SHAPE, 180, dtype=np.uint8)
         tiles = (
-            TileImage(pixels, 2.16, 2.16, tile_index=(event.depth_step, event.rotation_step))
+            TileImage(pixels, tile_index=(event.depth_step, event.rotation_step))
             for event in in_plan_rows(PLAN)
             if (event.depth_step, event.rotation_step) != missing
         )
@@ -523,7 +520,7 @@ class TestInspectPipeline:
     def flat_tiles(self, level=128):
         return [
             TileImage(
-                np.full(TILE_SHAPE, level, dtype=np.uint8), 2.16, 2.16,
+                np.full(TILE_SHAPE, level, dtype=np.uint8),
                 tile_index=(event.depth_step, event.rotation_step),
             )
             for event in in_plan_rows(self.PLAN)
@@ -539,7 +536,7 @@ class TestInspectPipeline:
 
     def test_unindexed_tile_rejected(self):
         tiles = self.flat_tiles()
-        tiles[2] = TileImage(tiles[2].pixels, 2.16, 2.16)
+        tiles[2] = TileImage(tiles[2].pixels)
         with open(os.devnull, "wb") as sink, pytest.raises(DomainError, match="index"):
             inspect_stack(tiles, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink)
 

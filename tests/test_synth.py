@@ -335,11 +335,11 @@ def test_tile_wider_than_the_visible_arc_is_refused_alike():
     hole = HoleSpec(radius_mm=0.7, depth_mm=2.0)
     texture = build_texture(hole, [])
     event = CaptureEvent(0, 0, 0, 1.0, 0.0)
-    flat = TileImage(np.zeros((4, 695), dtype=np.uint8), 2.16, 2.16)
+    flat = TileImage(np.zeros((4, 695), dtype=np.uint8))
     calls = [
         lambda: render_tile(texture, event, CFG, REGION, tile_buffers(texture)),
-        lambda: correct_tile(flat, hole.radius_mm),
-        lambda: forward_project(flat, hole.radius_mm),
+        lambda: correct_tile(flat, hole.radius_mm, CFG.pixel_pitch_x_um),
+        lambda: forward_project(flat, hole.radius_mm, CFG.pixel_pitch_x_um),
     ]
     for call in calls:
         with pytest.raises(ConfigError) as refused:
@@ -680,7 +680,7 @@ def test_add_noise_zero_sigma_identity():
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
 def test_add_noise_refuses_sigma_not_finite_and_non_negative(sigma):
     # nan once cast to an all-zero tile, and inf saturated it
-    clean = TileImage(np.full((8, 8), 128, dtype=np.uint8), 2.16, 2.16)
+    clean = TileImage(np.full((8, 8), 128, dtype=np.uint8))
     with pytest.raises(DomainError, match="finite"):
         add_noise(clean, sigma, 1, buffers_like(clean))
 
@@ -730,7 +730,7 @@ def test_add_noise_strips_match_whole_tile_draw(dtype, peak, sigma, seed):
     # 695 rows: ten full strips and a short one
     assert 695 % STRIP_ROWS != 0
     pixels = np.random.default_rng(4).integers(0, peak + 1, (695, 301)).astype(dtype)
-    clean = TileImage(pixels, 2.16, 2.16)
+    clean = TileImage(pixels)
     noisy = add_noise(clean, sigma, seed, buffers_like(clean))
     expected = whole_tile_noise(pixels, sigma, seed, peak)
     assert noisy.pixels.dtype == dtype
@@ -746,7 +746,7 @@ def test_add_noise_does_not_depend_on_the_strip_size(
 ):
     # 15 x 301 pixels is no whole number of 64-bit words
     pixels = np.random.default_rng(5).integers(0, peak + 1, (695, 301)).astype(dtype)
-    clean = TileImage(pixels, 2.16, 2.16)
+    clean = TileImage(pixels)
     expected = add_noise(clean, sigma, 8, buffers_like(clean)).pixels
     monkeypatch.setattr(synth, "STRIP_ROWS", strip_rows)
     buffers = buffers_like(clean)
@@ -773,7 +773,7 @@ def test_noise_bounds_are_the_rounded_normal_cdf(sigma, peak):
 
 def test_add_noise_draws_the_rounded_gaussian():
     sigma, level = 5.0, 128
-    clean = TileImage(np.full((2000, 2000), level, dtype=np.uint8), 2.16, 2.16)
+    clean = TileImage(np.full((2000, 2000), level, dtype=np.uint8))
     noisy = add_noise(clean, sigma, 2024, buffers_like(clean))
     k = noisy.pixels.astype(np.int64) - level
     # P(K=k) = Phi((k+1/2)/sigma) - Phi((k-1/2)/sigma), tails past 23 lumped
@@ -800,17 +800,13 @@ def test_noise_table_is_read_only():
 
 @pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 65535)])
 def test_add_noise_huge_sigma_saturates(dtype, peak):
-    clean = TileImage(np.full((64, 64), peak // 2, dtype=dtype), 2.16, 2.16)
+    clean = TileImage(np.full((64, 64), peak // 2, dtype=dtype))
     noisy = add_noise(clean, 1e308, 3, buffers_like(clean)).pixels
     assert set(np.unique(noisy).tolist()) == {0, peak}
 
 
 def test_add_noise_sample_std():
-    clean = TileImage(
-        np.full((512, 512), 128, dtype=np.uint8),
-        pixel_pitch_x_um=2.16,
-        pixel_pitch_y_um=2.16,
-    )
+    clean = TileImage(np.full((512, 512), 128, dtype=np.uint8))
     noisy = add_noise(clean, 5.0, 99, buffers_like(clean))
     diff = noisy.pixels.astype(float) - 128.0
     assert 4.8 <= diff.std(ddof=1) <= 5.2
@@ -870,7 +866,7 @@ def test_add_noise_leaves_its_input():
     # it may write in place, onto the buffer's own pixels
     buffers = buffers_like(tile)
     np.copyto(buffers.pixels, clean)
-    in_place = add_noise(TileImage(buffers.pixels, 2.16, 2.16), 5.0, 1, buffers)
+    in_place = add_noise(TileImage(buffers.pixels), 5.0, 1, buffers)
     assert in_place.pixels is buffers.pixels
     assert np.array_equal(in_place.pixels, noisy.pixels)
 

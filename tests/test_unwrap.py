@@ -23,16 +23,15 @@ from borescan.unwrap import (
     correct_tile,
     forward_project,
     pixel_to_arc,
+    tile_arc_px,
 )
 
 R = 2.0
 PITCH = 2.16
 
 
-def tile_from(arr, pitch=PITCH):
-    return TileImage(
-        pixels=np.asarray(arr), pixel_pitch_x_um=pitch, pixel_pitch_y_um=pitch
-    )
+def tile_from(arr):
+    return TileImage(np.asarray(arr))
 
 
 def random_tile(rng, width=101, height=40, dtype=np.uint8):
@@ -46,9 +45,29 @@ def test_tile_image_validation():
     with pytest.raises(DomainError):
         tile_from(np.zeros(16, dtype=np.uint8))
     with pytest.raises(DomainError):
-        TileImage(np.zeros((4, 4), np.uint8), pixel_pitch_x_um=0.0, pixel_pitch_y_um=2.16)
+        correct_tile(tile_from(np.zeros((4, 4), np.uint8)), R, 0.0)
     img = tile_from(np.zeros((4, 6), dtype=np.uint16))
-    assert (img.width, img.height, img.bit_depth, img.max_value) == (6, 4, 16, 65535)
+    assert (img.width, img.height) == (6, 4)
+
+
+RESAMPLERS = {
+    "correct_tile": lambda r, p: correct_tile(tile_from(np.zeros((4, 101), np.uint8)), r, p),
+    "forward_project": lambda r, p: forward_project(
+        tile_from(np.zeros((4, 101), np.uint8)), r, p
+    ),
+    "tile_arc_px": lambda r, p: tile_arc_px(101, r, p),
+    "build_remap": lambda r, p: build_remap(101, r, p),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["radius", "pixel pitch"])
+@pytest.mark.parametrize("resampler", RESAMPLERS.values(), ids=RESAMPLERS.keys())
+def test_radius_and_pitch_must_be_finite_and_positive(resampler, name, bad):
+    # unchecked, a NaN or infinite radius or pitch resamples to an all-zero tile
+    radius, pitch = (bad, PITCH) if name == "radius" else (R, bad)
+    with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+        resampler(radius, pitch)
 
 
 def test_pixel_to_arc_center_fixed():
@@ -174,14 +193,14 @@ def test_build_remap_rejects_oversized_tile():
 
 def test_correct_tile_constant_unchanged():
     img = tile_from(np.full((16, 695), 180, dtype=np.uint8))
-    out = correct_tile(img, R)
+    out = correct_tile(img, R, PITCH)
     assert np.array_equal(out.pixels, img.pixels)
 
 
 def test_correct_tile_center_column_fixed():
     img = tile_from(np.full((8, 101), 10, dtype=np.uint8))
     img.pixels[:, 50] = 240
-    out = correct_tile(img, R)
+    out = correct_tile(img, R, PITCH)
     assert np.all(out.pixels[:, 50] == 240)
 
 
@@ -190,7 +209,7 @@ def test_correct_tile_matches_scalar_bilinear():
     rng = np.random.default_rng(11)
     img = random_tile(rng, width=61, height=9)
     source = build_remap(61, R, PITCH)
-    out = correct_tile(img, R)
+    out = correct_tile(img, R, PITCH)
     for n in range(img.height):
         for m in range(img.width):
             expected = bilinear_sample(img, float(source[m]), float(n))
@@ -200,7 +219,7 @@ def test_correct_tile_matches_scalar_bilinear():
 def test_correct_tile_preserves_uint16():
     rng = np.random.default_rng(5)
     img = random_tile(rng, width=61, height=9, dtype=np.uint16)
-    out = correct_tile(img, R)
+    out = correct_tile(img, R, PITCH)
     assert out.pixels.dtype == np.uint16
 
 
@@ -239,7 +258,7 @@ def test_correct_tile_strips_match_whole_tile(
         monkeypatch.setattr(unwrap, "_correction_weights", lambda *key: weights)
         assert _uint8_weights(695, R, PITCH) is None
     expected = np.rint(resampled(img.pixels, weights)).astype(dtype)
-    out = correct_tile(img, R)
+    out = correct_tile(img, R, PITCH)
     assert out.pixels.dtype == dtype
     assert np.array_equal(out.pixels, expected)
 
@@ -268,7 +287,7 @@ def test_correct_tile_matches_formula(width, height, dtype):
     _correction_weights.cache_clear()
     # the first call builds the weights, the second reuses them
     for _ in range(2):
-        out = correct_tile(img, R)
+        out = correct_tile(img, R, PITCH)
         assert out.pixels.dtype == dtype
         assert np.array_equal(out.pixels, expected)
         assert np.array_equal(img.pixels, before)
@@ -289,7 +308,7 @@ def test_correct_tile_threads_at_once_match_formula():
     def work(n):
         barrier.wait(timeout=30)
         for _ in range(3):
-            results[n].append(correct_tile(tiles[n], R).pixels)
+            results[n].append(correct_tile(tiles[n], R, PITCH).pixels)
 
     _correction_weights.cache_clear()
     _uint8_weights.cache_clear()
@@ -310,7 +329,7 @@ def test_correct_tile_threads_at_once_match_formula():
 
 
 def test_cached_correction_weights_are_read_only():
-    correct_tile(tile_from(np.zeros((2, 695), dtype=np.uint8)), R)
+    correct_tile(tile_from(np.zeros((2, 695), dtype=np.uint8)), R, PITCH)
     weights = _correction_weights(695, R, PITCH)
     assert len(weights) == 4
     for array in (*weights, _uint8_weights(695, R, PITCH)):
@@ -366,7 +385,7 @@ def test_uint8_correction_matches_float64_on_every_sample_pair(rig, proved):
         assert np.array_equal(w32, nearest)
     for first in range(0, 256, 8):
         pixels = every_sample_pair(width, first)
-        out = correct_tile(tile_from(pixels, pitch), radius)
+        out = correct_tile(tile_from(pixels), radius, pitch)
         assert np.array_equal(out.pixels, corrected_by_formula(pixels, radius, pitch))
 
 
@@ -379,7 +398,7 @@ def test_uint8_correction_falls_back_to_float64_on_a_half_integer(
     assert _uint8_weights(*rig) is None
     pixels = every_sample_pair(rig[0], 0)
     expected = np.rint(resampled(pixels, weights)).astype(np.uint8)
-    assert np.array_equal(correct_tile(tile_from(pixels, PITCH), R).pixels, expected)
+    assert np.array_equal(correct_tile(tile_from(pixels), R, PITCH).pixels, expected)
     # the float32 formula would round the tie (1, 2) down where float64
     # rounds 1.5 to even, so the float64 path is what gives these bytes
     p0 = pixels[:, c0[100]].astype(np.float32)
@@ -409,15 +428,15 @@ def test_resample_columns_allocates_less_than_its_output():
 def test_correct_tile_row_independence():
     rng = np.random.default_rng(7)
     img = random_tile(rng, width=61, height=12)
-    whole = correct_tile(img, R)
+    whole = correct_tile(img, R, PITCH)
     row = tile_from(img.pixels[7:8, :])
-    alone = correct_tile(row, R)
+    alone = correct_tile(row, R, PITCH)
     assert np.array_equal(whole.pixels[7], alone.pixels[0])
 
 
 def test_forward_project_constant_valid_region():
     img = tile_from(np.full((6, 695), 99, dtype=np.uint8))
-    out = forward_project(img, R)
+    out = forward_project(img, R, PITCH)
     # the columns with no source data are written as 0, the rest keep 99
     sentinel = np.flatnonzero(out.pixels[0] == 0).tolist()
     assert sentinel, "extreme columns always fall outside the window"
@@ -432,7 +451,7 @@ def test_forward_project_constant_valid_region():
 def test_forward_project_center_column_fixed():
     img = tile_from(np.full((6, 101), 10, dtype=np.uint8))
     img.pixels[:, 50] = 250
-    out = forward_project(img, R)
+    out = forward_project(img, R, PITCH)
     assert np.all(out.pixels[:, 50] == 250)
 
 
@@ -443,7 +462,7 @@ def test_forward_project_compresses_offaxis_band():
     img = tile_from(np.full((4, 695), 200, dtype=np.uint8))
     c = 347
     img.pixels[:, c + 150 : c + 250] = 20
-    out = forward_project(img, R)
+    out = forward_project(img, R, PITCH)
     row = out.pixels[0].astype(int)
     dark = np.nonzero(row < 110)[0]
     dark = dark[(dark > 8) & (dark < 686)]  # ignore sentinel zeros
@@ -473,7 +492,7 @@ def band_limited_texture(seed, height=32, width=695):
 
 def test_round_trip_band_limited():
     texture = band_limited_texture(42)
-    recovered = correct_tile(forward_project(texture, R), R)
+    recovered = correct_tile(forward_project(texture, R, PITCH), R, PITCH)
     lo, hi = 35, 660  # central 90% of columns
     diff = (
         recovered.pixels[:, lo:hi].astype(float)
