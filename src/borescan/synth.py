@@ -4,9 +4,9 @@ Software stand-in for a machined test piece: defects of known size and
 position become anti-aliased stamps on an unwrapped wall texture, and
 per-tile captures are produced by the exact forward projection of the
 imaging model, so every downstream measurement can be checked against
-truth. A tile starts as the wall background, and each strip of its rows
-resamples only the tile columns that read a stamp meeting the strip; the
-whole wall is rasterized only as a test oracle.
+truth. A tile starts as the wall background, and each stamp that meets it
+resamples only the tile pixels that read the stamp; the whole wall is
+rasterized only as a test oracle.
 
 Texture geometry: the texture is the bore's
 :class:`~borescan.scanplan.WallGrid` at one pitch both ways, arc length u
@@ -115,32 +115,6 @@ class SurfaceTexture:
             & ((first < count) | (first + n_cols > self.grid.width))
         )
         return np.flatnonzero(meets)
-
-    def stamp_columns(
-        self, top: int, bottom: int, left: int, count: int
-    ) -> list[list[int]]:
-        """Column ranges ``[a, b)`` of a window that the stamps meeting it cover.
-
-        The window is as for :meth:`stamps_meeting`, and columns are
-        counted from ``left``. Ranges that overlap or touch are merged, so
-        they come out disjoint and in column order; every other column of
-        the window is the background.
-        """
-        spans = []
-        for index in self.stamps_meeting(top, bottom, left, count):
-            stamp = self.stamps[index]
-            for dst, _ in _wrapped_segments(
-                stamp.col_lo - left, stamp.coverage.shape[1], self.grid.width
-            ):
-                if dst.start < count:
-                    spans.append((dst.start, min(dst.stop, count)))
-        merged: list[list[int]] = []
-        for a, b in sorted(spans):
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return merged
 
     def window(self, top: int, bottom: int, left: int, count: int) -> np.ndarray:
         """Pixels of rows ``top`` to ``bottom`` and ``count`` columns from ``left``.
@@ -298,10 +272,10 @@ class TileBuffers(NamedTuple):
 
     ``pixels`` is the C-contiguous tile, and ``strips`` the float64
     scratch of a strip of rows: two rows of ``min(height, STRIP_ROWS) *
-    width`` values, which :func:`render_tile` resamples in and
-    :func:`add_noise` draws in. A worker that reuses them allocates no
-    tile-sized array after its first tile, so the heap is not trimmed and
-    faulted back in per tile.
+    width`` values. :func:`render_tile` resamples a stamp's tile columns
+    there in row blocks that fit, and :func:`add_noise` draws there. A
+    worker that reuses them allocates no tile-sized array after its first
+    tile, so the heap is not trimmed and faulted back in per tile.
     """
 
     pixels: np.ndarray
@@ -341,13 +315,14 @@ def render_tile(
     no sentinel columns appear. Rows outside the surface (the bottom tile
     reaches below z'=0) read as the texture background. The tile starts as
     the background, which is what a blend of background pixels rounds back
-    to. Each strip of rows then resamples only the runs of tile columns
-    that read a texture column a stamp meeting the strip covers, and
-    rasterizes only the texture window under each run; a tile that no
+    to. Then each stamp that meets the tile, in list order, resamples the
+    tile rows and columns that read one of its texture pixels, in row
+    blocks that fit ``buffers.strips``, from the texture window under each
+    block. A pixel that two stamps reach is computed for each, to the same
+    bytes, since a window adds every stamp that meets it; a tile that no
     stamp meets is the background alone.
 
-    The tile is rendered into ``buffers.pixels`` and resampled in
-    ``buffers.strips``.
+    The tile is rendered into ``buffers.pixels``.
     """
     height, width = tile_shape_for(cfg, region)
     grid = texture.grid
@@ -369,33 +344,43 @@ def render_tile(
     pixels.fill(texture.background)
     tile = TileImage(pixels, (event.depth_step, event.rotation_step))
     # v0 and v1 rise with the row, so the tile reads texture rows v0[0]..v1[-1]
-    if not texture.stamps_meeting(int(v0[0]), int(v1[-1]) + 1, base, count).size:
+    meeting = texture.stamps_meeting(int(v0[0]), int(v1[-1]) + 1, base, count)
+    if not meeting.size:  # most tiles: spare them the column weights
         return tile
     c0, c1, w0, w1 = _column_weights(u - base, count)
-    for lo in range(0, height, STRIP_ROWS):
-        rows = slice(lo, lo + STRIP_ROWS)
-        top, bottom = int(v0[rows][0]), int(v1[rows][-1]) + 1
-        for a, b in texture.stamp_columns(top, bottom, base, count):
-            # the tile columns with c0 or c1 in [a, b): c0 rises, c1 = c0 + 1
-            m_lo, m_hi = np.searchsorted(c0, (a - 1, b))
+    for index in meeting:
+        stamp = texture.stamps[index]
+        # the tile rows with v0 or v1 in the stamp's rows
+        r_lo = np.searchsorted(v1, stamp.row_lo)
+        r_hi = np.searchsorted(v0, stamp.row_hi)
+        for dst, _ in _wrapped_segments(
+            stamp.col_lo - base, stamp.coverage.shape[1], grid.width
+        ):
+            # the tile columns with c0 or c1 in dst: c0 rises, c1 = c0 + 1
+            m_lo, m_hi = np.searchsorted(c0, (dst.start - 1, dst.stop))
             if m_lo == m_hi:
                 continue
             run = slice(m_lo, m_hi)
             first = int(c0[m_lo])
-            tex = texture.window(top, bottom, base + first, int(c1[m_hi - 1]) + 1 - first)
-            blend = (
-                tex[v0[rows] - top] * w0_rows[rows, None]
-                + tex[v1[rows] - top] * w1_rows[rows, None]
-            )
-            n = len(blend) * (m_hi - m_lo)
-            sampled = _resample_columns(
-                blend,
-                (c0[run] - first, c1[run] - first, w0[run], w1[run]),
-                buffers.strips[0, :n].reshape(len(blend), -1),
-                buffers.strips[1, :n].reshape(len(blend), -1),
-            )
-            sampled[~on_surface[rows], :] = float(texture.background)
-            pixels[rows, run] = np.rint(sampled, out=sampled)
+            n_cols = int(c1[m_hi - 1]) + 1 - first
+            step = buffers.strips.shape[1] // (m_hi - m_lo)
+            for lo in range(r_lo, r_hi, step):
+                rows = slice(lo, min(lo + step, r_hi))
+                top, bottom = int(v0[lo]), int(v1[rows.stop - 1]) + 1
+                tex = texture.window(top, bottom, base + first, n_cols)
+                blend = (
+                    tex[v0[rows] - top] * w0_rows[rows, None]
+                    + tex[v1[rows] - top] * w1_rows[rows, None]
+                )
+                n = len(blend) * (m_hi - m_lo)
+                sampled = _resample_columns(
+                    blend,
+                    (c0[run] - first, c1[run] - first, w0[run], w1[run]),
+                    buffers.strips[0, :n].reshape(len(blend), -1),
+                    buffers.strips[1, :n].reshape(len(blend), -1),
+                )
+                sampled[~on_surface[rows], :] = float(texture.background)
+                pixels[rows, run] = np.rint(sampled, out=sampled)
     return tile
 
 

@@ -38,10 +38,11 @@ __all__ = [
     "forward_project",
 ]
 
-# Rows per strip in render_tile, add_noise and correct_tile: a strip's
-# float64 work arrays (~350 KB at 695 px) stay in cache. render and noise
-# work in the strip scratch of synth.TileBuffers, which a process allocates
-# once for all its tiles; correct_tile allocates its strips once per tile.
+# Rows per strip in add_noise and correct_tile: a strip's float64 work
+# arrays (~350 KB at 695 px) stay in cache. synth.TileBuffers holds one
+# strip of scratch, which a process allocates once for all its tiles:
+# noise draws there, and a stamp's render resamples there in row blocks of
+# as many pixels. correct_tile allocates its strips once per tile.
 STRIP_ROWS = 64
 
 

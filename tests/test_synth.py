@@ -547,33 +547,9 @@ def test_stamp_rows_meet_windows_at_their_ends_only():
     assert list(texture.stamps_meeting(0, texture.grid.height, wrapped, 1)) == [0]
 
 
-@pytest.mark.parametrize("bit_depth", [8, 16])
-def test_render_tile_with_stamp_starting_on_a_strip_boundary(bit_depth, monkeypatch):
-    # the strip of tile rows 128..191 begins on the disc's first texture row
-    texture = depth_texture([DefectSpec("disc", 1.5, 20.0, 0.2)], bit_depth)
-    (stamp,) = texture.stamps
-    z_mm = (stamp.row_lo + 0.25 + 347 - 2 * STRIP_ROWS) * texture.grid.pitch_y_um * 1e-3
-    event = CaptureEvent(0, 0, 0, z_mm, 20.0)
-    windows = []
-    window = synth.SurfaceTexture.window
-
-    def spy(self, top, bottom, left, count):
-        windows.append((top, bottom))
-        return window(self, top, bottom, left, count)
-
-    monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
-    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-    # the strip above reads the disc's first row only as its last v1 row
-    assert windows[:2] == [
-        (stamp.row_lo - STRIP_ROWS, stamp.row_lo + 1),
-        (stamp.row_lo, stamp.row_lo + STRIP_ROWS + 1),
-    ]
-    monkeypatch.undo()
-    assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
-
-
-def test_render_tile_rasterizes_only_strips_a_stamp_meets(monkeypatch):
-    texture = depth_texture([DefectSpec("disc", 1.5, 40.0, 0.2)], 8)
+def render_windows(texture, event, monkeypatch):
+    """The rendered tile, and the ``(top, bottom, left, count)`` of every
+    texture window ``render_tile`` asks for, in order."""
     windows = []
     window = synth.SurfaceTexture.window
 
@@ -582,33 +558,96 @@ def test_render_tile_rasterizes_only_strips_a_stamp_meets(monkeypatch):
         return window(self, *args)
 
     monkeypatch.setattr(synth.SurfaceTexture, "window", spy)
-    event = CaptureEvent(0, 1, 1, 1.5, 40.0)
-    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-    # the 0.2 mm disc's 96 stamp rows meet two of the 11 strips, or three
-    assert 2 <= len(windows) <= 3
-    assert all(bottom - top == STRIP_ROWS + 1 for top, bottom, _, _ in windows)
-    monkeypatch.undo()
-    expected = whole_tile_render(texture, event)
-    assert np.array_equal(tile.pixels, expected)
-
-
-def test_render_tile_resamples_only_the_columns_a_stamp_reaches(monkeypatch):
-    texture = depth_texture([DefectSpec("disc", 1.5, 40.0, 0.1)], 8)
-    event = CaptureEvent(0, 1, 1, 1.5, 40.0)
-    shapes = []
-    resample = synth._resample_columns
-
-    def spy(pixels, weights, out, scratch):
-        shapes.append(out.shape)
-        return resample(pixels, weights, out, scratch)
-
-    monkeypatch.setattr(synth, "_resample_columns", spy)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     monkeypatch.undo()
-    # the 0.1 mm disc is 46 px across; one run per strip it meets
-    assert 1 <= len(shapes) <= 2
-    assert all(rows == STRIP_ROWS and 46 < cols < 100 for rows, cols in shapes)
+    return tile, windows
+
+
+def spans_only(texture, stamp, window):
+    """Whether a window spans only texture rows and columns of ``stamp``,
+    or the one row or column each side that a tile pixel blends with them."""
+    top, bottom, left, count = window
+    first = (left - stamp.col_lo + 1) % texture.grid.width
+    return (
+        stamp.row_lo - 1 <= top < bottom <= stamp.row_hi + 1
+        and first + count <= stamp.coverage.shape[1] + 2
+    )
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_render_tile_window_reaches_the_rows_that_blend_with_a_stamp(
+    bit_depth, monkeypatch
+):
+    # tile rows read the texture 0.25 rows past a whole row: the tile row
+    # whose v1 is the disc's first row also reads the row below it, and the
+    # one whose v0 is the disc's last row the row above it. The tile's
+    # columns, about one texture column apart, reach the column each side
+    texture = depth_texture([DefectSpec("disc", 1.5, 20.0, 0.2)], bit_depth)
+    (stamp,) = texture.stamps
+    z_mm = (stamp.row_lo + 0.25) * texture.grid.pitch_y_um * 1e-3
+    event = CaptureEvent(0, 0, 0, z_mm, 20.0)
+    tile, windows = render_windows(texture, event, monkeypatch)
+    # the 0.2 mm disc's 96 rows fit one row block
+    assert windows == [
+        (stamp.row_lo - 1, stamp.row_hi + 1, stamp.col_lo - 1, stamp.coverage.shape[1] + 2)
+    ]
     assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
+
+
+# (defects, tile centre z' mm, tile angle deg, windows render_tile asks
+# for): layouts at the edges of render_tile's loop over stamps, seam
+# segments and row blocks. 144 tile columns read a 0.3 mm line's 143
+# texture columns, which leaves row blocks of 44,480 // 144 = 308 tile rows
+LINE = DefectSpec("line", 1.5, 40.0, 0.3, length_mm=2.5, contrast=120)
+INNER_DISC = DefectSpec("disc", 1.5, 40.0, 0.1, contrast=-170)
+STAMP_LOOP_CASES = {
+    "small-disc": ([DefectSpec("disc", 1.5, 40.0, 0.1)], 1.5, 40.0, 1),
+    "line-longer-than-a-row-block": ([LINE], 1.5, 40.0, 3),
+    # the clip makes the sum order-dependent inside the disc
+    "disc-inside-line": ([LINE, INNER_DISC], 1.5, 40.0, 4),
+    "line-around-disc": ([INNER_DISC, LINE], 1.5, 40.0, 4),
+    # the tile's columns run from about 346 to 30 degrees
+    "seam-in-tile": ([DefectSpec("disc", 1.5, 0.0, 0.2)], 1.5, 8.0, 1),
+    # half the bottom tile's rows lie below z'=0, and all of them read
+    # the disc's first texture rows
+    "below-hole-bottom": ([DefectSpec("disc", 0.1, 30.0, 0.2)], 0.0, 30.0, 1),
+}
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+@pytest.mark.parametrize("case", list(STAMP_LOOP_CASES))
+def test_render_tile_windows_span_only_the_stamp_they_serve(case, bit_depth, monkeypatch):
+    defects, z_mm, theta_deg, n_windows = STAMP_LOOP_CASES[case]
+    texture = depth_texture(defects, bit_depth)
+    event = CaptureEvent(0, 0, 0, z_mm, theta_deg)
+    tile, windows = render_windows(texture, event, monkeypatch)
+    assert len(windows) == n_windows
+    for window in windows:
+        assert any(spans_only(texture, stamp, window) for stamp in texture.stamps)
+    expected = whole_tile_render(texture, event)
+    assert tile.pixels.dtype == expected.dtype
+    assert np.array_equal(tile.pixels, expected)
+    assert np.any(tile.pixels != texture.background)
+
+
+def test_disc_inside_line_order_decides_pixels():
+    # 180 + 120 clips at 255 before the disc takes 170 off, and not after
+    centres = []
+    for case in ("disc-inside-line", "line-around-disc"):
+        defects, z_mm, theta_deg, _ = STAMP_LOOP_CASES[case]
+        texture = depth_texture(defects, 8)
+        event = CaptureEvent(0, 0, 0, z_mm, theta_deg)
+        tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
+        centres.append(tile.pixels[347, 347])
+    assert centres == [85, 130]
+
+
+def test_render_tile_asks_no_window_of_a_tile_no_stamp_meets(monkeypatch):
+    texture = depth_texture([DefectSpec("disc", 1.5, 40.0, 0.2)], 8)
+    event = CaptureEvent(0, 1, 1, 1.5, 200.0)
+    tile, windows = render_windows(texture, event, monkeypatch)
+    assert windows == []
+    assert np.all(tile.pixels == texture.background)
 
 
 # tile half-width in degrees: column 0 and 694 lie this far from the centre
@@ -884,26 +923,6 @@ def test_buffers_of_another_tile_are_refused(shape, dtype):
         add_noise(tile, 5.0, 1, buffers)
 
 
-def test_render_tile_scans_no_strip_of_a_tile_no_stamp_meets(monkeypatch):
-    texture = depth_texture([DefectSpec("disc", 1.5, 40.0, 0.2)], 8)
-    calls = []
-    meeting = synth.SurfaceTexture.stamps_meeting
-
-    def spy_meeting(self, *args):
-        calls.append("stamps_meeting")
-        return meeting(self, *args)
-
-    def spy_columns(self, *args):
-        calls.append("stamp_columns")
-
-    monkeypatch.setattr(synth.SurfaceTexture, "stamps_meeting", spy_meeting)
-    monkeypatch.setattr(synth.SurfaceTexture, "stamp_columns", spy_columns)
-    event = CaptureEvent(0, 1, 1, 1.5, 200.0)
-    tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-    assert calls == ["stamps_meeting"]
-    assert np.all(tile.pixels == texture.background)
-
-
 @pytest.mark.parametrize("stamped", [False, True], ids=["background", "stamped"])
 @pytest.mark.parametrize("bit_depth", [8, 16])
 def test_write_stack_allocates_no_tile_after_its_first(
@@ -932,9 +951,9 @@ def test_write_stack_allocates_no_tile_after_its_first(
         tracemalloc.stop()
     # tiles 2..9 render, draw and write in the first tile's buffers. A
     # background tile allocates its row and column maps and one strip's
-    # draw; a stamped strip adds float64 work arrays (the row blend and
-    # numpy's broadcast buffers) the size of the texture window under the
-    # stamp, which a tile bounds but a small stamp keeps far smaller
+    # draw; a stamp's row block adds float64 work arrays (the window's
+    # clip, the row blend and numpy's broadcast buffers) a few times the
+    # block, which this stack's small stamps keep under a tile's bytes
     assert len(plan.schedule) == 9
     assert peak - after_first[0] < tile_bytes / (1 if stamped else 2)
 
