@@ -72,13 +72,13 @@ def _tile_name(depth_step: int, rotation_step: int) -> str:
 def cmd_plan(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     plan = plan_scan(cfg.hole, cfg.region)
+    tile_shape = tile_shape_for(cfg.optics, cfg.region)
+    uncovered = plan_uncovered_px(plan, cfg.hole, cfg.optics, tile_shape)
     out = _outdir(args.out)
     save_manifest(
         RunManifest(hole=cfg.hole, optics=cfg.optics, region=cfg.region, plan=plan),
         out / "plan.yaml",
     )
-    tile_shape = tile_shape_for(cfg.optics, cfg.region)
-    uncovered = plan_uncovered_px(plan, cfg.hole, cfg.optics, tile_shape)
     print(
         f"plan: {plan.n_rot} rotations x {plan.n_depth} depths = "
         f"{len(plan.schedule)} tiles"

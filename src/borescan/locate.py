@@ -24,14 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import (
-    BlobRecord,
-    RunLabels,
-    binarize,
-    connected_components,
-    label_mask,
-    row_runs,
-)
+from .detect import BlobRecord, binarize, connected_components, label_mask, row_runs
 from .errors import DomainError, PlanIndexError, ThresholdError
 from .geometry import DEFAULT_MIN_AREA, HoleSpec, OpticsConfig
 from .pgm import write_pgm_header, write_pgm_rows
@@ -72,39 +65,35 @@ class DefectRecord:
 
 
 def record_from_blob(
-    blob: BlobRecord,
-    labels: RunLabels,
-    hole: HoleSpec,
-    cfg: OpticsConfig,
-    tiles: Iterable[tuple[int, int]],
+    blob: BlobRecord, grid: WallGrid, tiles: Iterable[tuple[int, int]]
 ) -> DefectRecord:
     """Classify and locate one blob of the panorama.
 
-    ``labels`` are the panorama's labelled row runs that ``blob`` was read
-    from, and ``tiles`` the plan positions it came from. Its rows are
-    those of the :class:`~borescan.scanplan.WallGrid` that
-    :func:`stitch_panorama` places tiles on, and column ``m`` lies at
-    ``m / width`` of a turn. A blob at least 3x taller than wide is a line
-    (scratches run along the axis); its size is its mean width, its pixel
-    area over the rows of its bounding box, so every row weighs the same.
-    Anything else is a disc sized by equivalent diameter.
+    ``blob`` was read from the :class:`~borescan.scanplan.WallGrid`
+    ``grid`` that :func:`stitch_panorama` places tiles on, and ``tiles``
+    are the plan positions it came from. Its pitches, width and nozzle
+    distances are all the record reads: row ``n`` lies at
+    ``grid.bore_z_mm(n)`` and column ``m`` at ``m / grid.width`` of a turn.
+    A blob at least 3x taller than wide is a line (scratches run along the
+    axis); its size is its mean width, its pixel area over the rows of its
+    bounding box, so every row weighs the same. Anything else is a disc
+    sized by equivalent diameter.
     """
-    grid = WallGrid.of(hole, cfg)
     col, row = blob.centroid
     col_min, row_min, col_max, row_max = blob.bbox
     axial_px = row_max - row_min + 1
     arc_px = col_max - col_min + 1
-    area = blob.pixel_area * cfg.pixel_pitch_x_um * cfg.pixel_pitch_y_um * 1e-6
+    area = blob.pixel_area * grid.pitch_x_um * grid.pitch_y_um * 1e-6
     if axial_px >= LINE_ASPECT * arc_px:
         kind = "line"
-        size = blob.pixel_area / axial_px * cfg.pixel_pitch_x_um * 1e-3
+        size = blob.pixel_area / axial_px * grid.pitch_x_um * 1e-3
     else:
         kind = "disc"
         size = 2.0 * math.sqrt(area / math.pi)
     return DefectRecord(
         kind=kind,
         z_mm=grid.bore_z_mm(row),
-        beta_deg=(col * 360.0 / labels.shape[1]) % 360.0,
+        beta_deg=(col * 360.0 / grid.width) % 360.0,
         size_mm=size,
         area_mm2=area,
         # pixel footprints extend half a pixel past their centers
@@ -321,6 +310,7 @@ def inspect_stack(
         corrected_tiles, plan, hole, cfg, tile_shape, sink, segment
     )
     labels = label_mask(panorama.shape, *(np.concatenate(part) for part in zip(*runs)))
+    grid = WallGrid.of(hole, cfg)
     _, width, places = _placements(plan, hole, cfg, tile_shape)
     pasted = places.keys() - set(panorama.meta["missing_tiles"])
     owners, rects = _rectangles(places, pasted)
@@ -337,7 +327,7 @@ def inspect_stack(
 
     records = sorted(
         (
-            record_from_blob(blob, labels, hole, cfg, tiles_of(blob))
+            record_from_blob(blob, grid, tiles_of(blob))
             for blob in connected_components(labels, min_area)
         ),
         key=lambda rec: (rec.z_mm, rec.beta_deg),

@@ -166,6 +166,11 @@ class WallGrid:
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"wall grid {name} must be finite and > 0, got {value}")
+        if self.width < 1:
+            raise DomainError(
+                f"the wall grid of a radius-{self.radius_mm} mm bore at "
+                f"{self.pitch_x_um} um/pixel is narrower than one column"
+            )
 
     @classmethod
     def of(cls, hole: HoleSpec, optics: OpticsConfig) -> WallGrid:

@@ -8,8 +8,10 @@ row onto a grid where every pixel spans an equal arc length: with pitch
     corrected column  m = (r/p) * asin(k p / r)      (flat -> arc)
     source column     k = (r/p) * sin(m p / r)       (arc -> flat)
 
-both measured from the tile center. Rows are unaffected (the cylinder is
-straight axially), so the remap is separable and purely horizontal.
+both measured from the tile center; :func:`tile_arc_px` and
+:func:`build_remap` compute them for every column of a tile. Rows are
+unaffected (the cylinder is straight axially), so the remap is separable
+and purely horizontal.
 
 :func:`forward_project` is the exact inverse transform. It exists so that
 synthetic renders and round-trip tests exercise the correction against an
@@ -29,8 +31,6 @@ from .pgm import SAMPLE_DTYPES
 
 __all__ = [
     "TileImage",
-    "pixel_to_arc",
-    "arc_to_pixel",
     "tile_arc_px",
     "bilinear_sample",
     "build_remap",
@@ -86,55 +86,6 @@ class TileImage:
         return self.pixels.shape[0]
 
 
-def _as_float_array(value) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr, arr.ndim == 0
-
-
-def pixel_to_arc(k, radius_mm: float, pitch_um: float):
-    """Map flat-image column offset ``k`` to its corrected-plane offset.
-
-    Offsets are in fractional pixels from the tile center, sign-preserving.
-    The result magnitude is always >= ``|k|`` (arcs are longer than their
-    chords). Accepts scalars or arrays.
-    """
-    _check_remap_args(radius_mm, pitch_um)
-    k_arr, scalar = _as_float_array(k)
-    pitch_mm = pitch_um * 1e-3
-    x = k_arr * pitch_mm / radius_mm
-    if np.any(np.abs(x) >= 1.0):
-        raise DomainError(
-            "pixel offset maps beyond the visible tangent limit "
-            f"(|k| must stay below {radius_mm / pitch_mm:.1f} px)"
-        )
-    m = (radius_mm / pitch_mm) * np.arcsin(x)
-    return float(m) if scalar else m
-
-
-def arc_to_pixel(m, radius_mm: float, pitch_um: float):
-    """Map corrected-plane column offset ``m`` back to the flat image.
-
-    Inverse of :func:`pixel_to_arc`; result magnitude <= ``|m|``.
-    """
-    _check_remap_args(radius_mm, pitch_um)
-    m_arr, scalar = _as_float_array(m)
-    pitch_mm = pitch_um * 1e-3
-    angle = m_arr * pitch_mm / radius_mm
-    if np.any(np.abs(angle) > math.pi / 2.0):
-        raise DomainError(
-            "corrected offset exceeds a quarter turn of the bore "
-            f"(|m| must stay within {(math.pi / 2) * radius_mm / pitch_mm:.1f} px)"
-        )
-    k = (radius_mm / pitch_mm) * np.sin(angle)
-    return float(k) if scalar else k
-
-
-def _check_remap_args(radius_mm: float, pitch_um: float) -> None:
-    for name, value in (("radius", radius_mm), ("pixel pitch", pitch_um)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {value}")
-
-
 def bilinear_sample(img: TileImage, x: float, y: float) -> float:
     """Intensity at fractional coordinates (x, y), standard bilinear weights.
 
@@ -165,12 +116,17 @@ def bilinear_sample(img: TileImage, x: float, y: float) -> float:
 def _column_offsets(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
     """The offsets of a tile's columns from its center, ``(width - 1) / 2``.
 
-    The one visible-arc check: the whole tile must sit inside the visible
+    The one check of the maps' arguments: the radius and pitch must be
+    finite and positive, and the whole tile must sit inside the visible
     half-cylinder, its half-width ``(width/2) * pitch`` below the radius.
+    Every offset ``k`` then has ``|k p / r| < 1``, inside the domain of
+    ``asin`` and within the quarter turn on which ``sin`` inverts it.
     """
     if width < 1:
         raise ConfigError(f"width must be >= 1, got {width}")
-    _check_remap_args(radius_mm, pitch_um)
+    for name, value in (("radius", radius_mm), ("pixel pitch", pitch_um)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
     pitch_mm = pitch_um * 1e-3
     if (width / 2.0) * pitch_mm >= radius_mm:
         raise ConfigError(
@@ -181,21 +137,25 @@ def _column_offsets(width: int, radius_mm: float, pitch_um: float) -> np.ndarray
 
 
 def tile_arc_px(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
-    """The arc offset, in pixels from the tile center, that every flat
-    column of a tile ``width`` px wide images on the wall."""
-    return pixel_to_arc(_column_offsets(width, radius_mm, pitch_um), radius_mm, pitch_um)
+    """The arc offset ``m = (r/p) asin(k p / r)``, in pixels from the tile
+    center, that every flat column ``k`` of a tile ``width`` px wide images
+    on the wall; ``|m| >= |k|``, with the sign of ``k``."""
+    k = _column_offsets(width, radius_mm, pitch_um)
+    pitch_mm = pitch_um * 1e-3
+    return (radius_mm / pitch_mm) * np.arcsin(k * pitch_mm / radius_mm)
 
 
 def build_remap(width: int, radius_mm: float, pitch_um: float) -> np.ndarray:
     """The source column of every corrected column of a tile ``width`` px wide.
 
-    Entry ``m`` is the fractional flat-image column feeding corrected
-    column ``m``; both are absolute indices, and the transform's fixed
-    point is the tile center ``(width - 1) / 2``. The inverse of
-    :func:`tile_arc_px`, on the same column offsets.
+    Entry ``i`` is the fractional flat-image column feeding corrected
+    column ``i``, ``(width - 1) / 2 + (r/p) sin(m p / r)`` for the
+    column's offset ``m`` from the tile center, the transform's fixed
+    point. The inverse of :func:`tile_arc_px`, on the same column offsets.
     """
-    m_rel = _column_offsets(width, radius_mm, pitch_um)
-    return (width - 1) / 2.0 + arc_to_pixel(m_rel, radius_mm, pitch_um)
+    m = _column_offsets(width, radius_mm, pitch_um)
+    pitch_mm = pitch_um * 1e-3
+    return (width - 1) / 2.0 + (radius_mm / pitch_mm) * np.sin(m * pitch_mm / radius_mm)
 
 
 def _column_weights(cols: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
@@ -333,8 +293,8 @@ def forward_project(
     """Project an equal-arc-length texture window onto the flat image plane.
 
     Inverse of :func:`correct_tile` at the same radius and column pitch:
-    flat column ``k`` samples the texture at ``m = pixel_to_arc(k)``
-    (:func:`tile_arc_px`). Near the tile edges ``|m|`` exceeds the window
+    flat column ``k`` samples the texture at its arc offset ``m``,
+    :func:`tile_arc_px`. Near the tile edges ``|m|`` exceeds the window
     half-width; those columns have no source data and are written as 0.
     """
     img = texture_window

@@ -153,6 +153,16 @@ class TestPlan:
         err = capsys.readouterr().err
         assert f"more than the {scanplan.MAX_TILES}" in err and "Traceback" not in err
 
+    def test_wall_narrower_than_one_column_exits_3(self, tmp_path, capsys):
+        # the 0.9 mm bore's 5,655 um circumference rounds to no 30 mm column
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG + "[optics]\npixel_pitch_x_um = 30000\n")
+        out = tmp_path / "o"
+        assert main(["plan", "--config", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "narrower than one column" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_uncountable_plan_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[hole]\nradius_mm = 1e308\ndepth_mm = 2.0\n")
@@ -349,6 +359,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "line at (z'=1.0, beta=0.0)" in err and "more than the 2618" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_wall_narrower_than_one_column_exits_3(self, tmp_path, capsys):
+        # the texture's columns take the axial pitch, as its rows do
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG + "[optics]\npixel_pitch_y_um = 30000\n")
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "narrower than one column" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_tile_wider_than_the_visible_arc_exits_3(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from borescan.detect import (
 from borescan.errors import ConfigError, DomainError, ThresholdError
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import record_from_blob
+from borescan.scanplan import WallGrid
 from borescan.synth import DefectSpec, build_texture
 
 PITCH = 2.16
@@ -216,15 +217,12 @@ class TestBlobMetrics:
 
     HOLE = HoleSpec(0.9, 2.0)
 
-    def record(self, blob, labels, pitch_x_um=PITCH, pitch_y_um=PITCH):
+    def record(self, blob, pitch_x_um=PITCH, pitch_y_um=PITCH):
         cfg = OpticsConfig(pixel_pitch_x_um=pitch_x_um, pixel_pitch_y_um=pitch_y_um)
-        return record_from_blob(blob, labels, self.HOLE, cfg, ())
+        return record_from_blob(blob, WallGrid.of(self.HOLE, cfg), ())
 
     def test_single_pixel_area(self):
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[5, 5] = True
-        labels = labelled(mask)
-        rec = self.record(BlobRecord(1, 1, (5.0, 5.0), (5, 5, 5, 5)), labels)
+        rec = self.record(BlobRecord(1, 1, (5.0, 5.0), (5, 5, 5, 5)))
         # one 2.16 x 2.16 um cell
         assert rec.area_mm2 == pytest.approx(4.6656e-6)
         assert rec.size_mm == pytest.approx(2 * math.sqrt(4.6656e-6 / math.pi))
@@ -240,7 +238,7 @@ class TestBlobMetrics:
         labels = labelled(binarize(texture.pixels, threshold=0.5))
         blobs = connected_components(labels)
         assert len(blobs) == 1
-        rec = self.record(blobs[0], labels, texture.grid.arc_pitch_um, pitch_um)
+        rec = self.record(blobs[0], texture.grid.arc_pitch_um, pitch_um)
         assert rec.kind == "disc"
         return rec.size_mm
 

@@ -24,6 +24,7 @@ from borescan.detect import (
 )
 from borescan.geometry import HoleSpec, OpticsConfig
 from borescan.locate import LINE_ASPECT, record_from_blob
+from borescan.scanplan import WallGrid
 
 
 def labelled(mask):
@@ -201,8 +202,8 @@ class TestRecordFromBlob:
     """Line widths from runs equal the label-image crop's pixels of the
     blob over the crop's rows."""
 
-    HOLE = HoleSpec(2.0, 47.0)
     OPTICS = OpticsConfig()
+    GRID = WallGrid.of(HoleSpec(2.0, 47.0), OPTICS)
 
     @settings(max_examples=100, deadline=None)
     @given(mask=masks())
@@ -210,7 +211,7 @@ class TestRecordFromBlob:
         want = unwrapped(scipy_label(mask)[0])
         runs = labelled(mask)
         for blob in connected_components(runs, 1):
-            rec = record_from_blob(blob, runs, self.HOLE, self.OPTICS, ())
+            rec = record_from_blob(blob, self.GRID, ())
             col_min, row_min, col_max, row_max = blob.bbox
             if row_max - row_min + 1 < LINE_ASPECT * (col_max - col_min + 1):
                 assert rec.kind == "disc"

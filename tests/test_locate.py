@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borescan.detect import (
     BlobRecord,
@@ -24,6 +26,7 @@ from borescan.scanplan import (
     CaptureEvent,
     EffectiveRegion,
     ScanPlan,
+    WallGrid,
     plan_scan,
     plan_uncovered_px,
     tile_shape_for,
@@ -44,7 +47,7 @@ REGION = EffectiveRegion()
 HOLE = HoleSpec(2.0, 47.0)
 PLAN = plan_scan(HOLE, REGION)  # 32 depths x 9 rotations
 TILE_SHAPE = (695, 695)
-CANVAS = (21760, 5818)  # the reference bore's panorama
+GRID = WallGrid.of(HOLE, CFG)  # the reference bore's panorama, 21760 x 5818 px
 
 
 def in_plan_rows(plan):
@@ -70,8 +73,7 @@ def canvas_record(col, row, bbox=None, area=1, tiles=()):
     """The record of a blob centred on (column, row) of the reference canvas."""
     col_min, row_min = math.floor(col), math.floor(row)
     blob = BlobRecord(1, area, (col, row), bbox or (col_min, row_min, col_min, row_min))
-    labels = label_mask(CANVAS, [], [], [])
-    return record_from_blob(blob, labels, HOLE, CFG, tiles)
+    return record_from_blob(blob, GRID, tiles)
 
 
 class TestCircularDelta:
@@ -109,7 +111,7 @@ class TestDefectLocation:
         event = next(
             e for e in PLAN.schedule if (e.depth_step, e.rotation_step) == (10, 3)
         )
-        rec = canvas_record(event.theta_deg / 360.0 * CANVAS[1], event.z_mm / 2.16e-3)
+        rec = canvas_record(event.theta_deg / 360.0 * GRID.width, event.z_mm / 2.16e-3)
         assert rec.z_mm == pytest.approx(47.0 - 15.0)
         assert rec.beta_deg == pytest.approx(120.0)
 
@@ -123,6 +125,12 @@ class TestDefectLocation:
     def test_row_offset_subtracts_axial_travel(self):
         z0 = canvas_record(347.0, 347.0).z_mm
         assert canvas_record(347.0, 447.0).z_mm == pytest.approx(z0 - 0.216)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 360.0, exclude_max=True))
+    def test_blob_on_a_grid_column_reads_its_angle(self, theta_deg):
+        rec = canvas_record(GRID.column(theta_deg), 347.0)
+        assert circular_delta_deg(rec.beta_deg, theta_deg) <= 1e-9
 
     def test_angle_wraps_below_zero(self):
         # a blob across the seam has unwrapped columns past the last one
@@ -159,30 +167,30 @@ class TestDefectArea:
 
 
 class TestRecordFromBlob:
-    def blob_from(self, mask):
-        labels = labelled(mask)
-        blobs = connected_components(labels, min_area=1)
+    def record(self, mask, tiles=()):
+        """The record of the one blob of ``mask``, rows and columns of GRID."""
+        blobs = connected_components(labelled(mask), min_area=1)
         assert len(blobs) == 1
-        return blobs[0], labels
+        return record_from_blob(blobs[0], GRID, tiles)
 
     def test_square_blob_is_disc_with_equivalent_diameter(self):
-        mask = np.zeros((100, 360), dtype=bool)  # one column per degree
+        mask = np.zeros((100, 360), dtype=bool)
         mask[40:60, 90:110] = True
-        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, [(0, 2), (1, 2)])
+        rec = self.record(mask, [(0, 2), (1, 2)])
         assert rec.kind == "disc"
         assert rec.area_mm2 == pytest.approx(400 * 4.6656e-6)
         assert rec.size_mm == pytest.approx(2 * math.sqrt(rec.area_mm2 / math.pi))
         assert rec.z_mm == pytest.approx(47.0 - 49.5 * 2.16e-3)
-        assert rec.beta_deg == pytest.approx(99.5)
+        assert rec.beta_deg == pytest.approx(99.5 * 360.0 / GRID.width)
         assert rec.source_tiles == ((0, 2), (1, 2))
 
     def test_tall_blob_is_line_with_measured_width(self):
         mask = np.zeros(TILE_SHAPE, dtype=bool)
         mask[:, 278:417] = True  # 139 px wide, full height
-        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, ())
+        rec = self.record(mask)
         assert rec.kind == "line"
         assert rec.size_mm == pytest.approx(0.30024)
-        assert rec.beta_deg == pytest.approx(347.0 * 360.0 / 695)
+        assert rec.beta_deg == pytest.approx(347.0 * 360.0 / GRID.width)
         # 695 rows cover 695 * 2.16 um of axis
         assert rec.z_max_mm - rec.z_min_mm == pytest.approx(0.69500 * 2.16)
         assert rec.z_min_mm == pytest.approx(47.0 - 694.5 * 2.16e-3)
@@ -196,7 +204,7 @@ class TestRecordFromBlob:
         labels = labelled(mask)
         line = max(connected_components(labels, min_area=1), key=lambda b: b.pixel_area)
         assert line.bbox == (300, 100, 309, 399)
-        rec = record_from_blob(line, labels, HOLE, CFG, ())
+        rec = record_from_blob(line, GRID, ())
         assert rec.kind == "line"
         # 2,616 px over 300 rows, 8.72 px; the disc adds nothing
         assert rec.size_mm == pytest.approx(8.72 * 2.16e-3)
@@ -204,20 +212,20 @@ class TestRecordFromBlob:
     def test_interval_halves_cover_bbox(self):
         mask = np.zeros(TILE_SHAPE, dtype=bool)
         mask[100:120, 600:640] = True
-        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, ())
+        rec = self.record(mask)
         assert rec.z_max_mm - rec.z_min_mm == pytest.approx(20 * 2.16e-3)
         assert rec.z_min_mm < rec.z_mm < rec.z_max_mm
 
     def test_line_across_the_seam_is_measured_on_unwrapped_columns(self):
         # 6 columns each side of the seam, 200 rows: one 12 px wide line
-        mask = np.zeros((300, 720), dtype=bool)
+        mask = np.zeros((300, GRID.width), dtype=bool)
         mask[50:250, :6] = True
         mask[50:250, -6:] = True
-        rec = record_from_blob(*self.blob_from(mask), HOLE, CFG, ())
+        rec = self.record(mask)
         assert rec.kind == "line"
         assert rec.size_mm == pytest.approx(12 * 2.16e-3)
         # centred between the last column and the first
-        assert rec.beta_deg == pytest.approx(719.5 * 360.0 / 720)
+        assert rec.beta_deg == pytest.approx((GRID.width - 0.5) * 360.0 / GRID.width)
 
 
 def ignore_blocks(first_row, pixels, covered):

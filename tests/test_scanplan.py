@@ -57,6 +57,14 @@ def test_wall_grid_refuses_a_value_not_finite_and_positive(field, bad):
         WallGrid(**{**values, field: bad})
 
 
+def test_wall_grid_refuses_a_grid_narrower_than_one_column():
+    # the reference bore's circumference is 12,566 um: at 20,000 um a column
+    # it rounds to one column, at 30,000 um to none
+    assert WallGrid(2.0, 47.0, 20000.0, 2.16).width == 1
+    with pytest.raises(DomainError, match="narrower than one column"):
+        WallGrid(2.0, 47.0, 30000.0, 2.16)
+
+
 def test_shot_counts_reference():
     # ceil(2 pi 2 / 1.5) = ceil(8.378) = 9; floor(47/1.5) + 1 = 32
     assert shot_counts(HOLE, REGION) == (9, 32)

@@ -30,7 +30,7 @@ from borescan.unwrap import (
     _resample_columns,
     correct_tile,
     forward_project,
-    pixel_to_arc,
+    tile_arc_px,
 )
 
 CFG = OpticsConfig(
@@ -399,9 +399,8 @@ def test_render_tile_bottom_overhang_background():
 def whole_tile_render(texture, event):
     """Reference render: the row blend and resample over the whole tile at once."""
     height, width = tile_shape_for(CFG, REGION)
-    k_rel = np.arange(width, dtype=np.float64) - (width - 1) / 2.0
     pitch_x = CFG.pixel_pitch_x_um
-    arc_um = pixel_to_arc(k_rel, texture.grid.radius_mm, pitch_x) * pitch_x
+    arc_um = tile_arc_px(width, texture.grid.radius_mm, pitch_x) * pitch_x
     u = event.theta_deg / 360.0 * texture.grid.width + arc_um / texture.grid.arc_pitch_um
     n_rel = np.arange(height, dtype=np.float64) - (height - 1) / 2.0
     v = (event.z_mm * 1e3 + n_rel * CFG.pixel_pitch_y_um) / texture.grid.pitch_y_um
@@ -652,7 +651,7 @@ def test_render_tile_asks_no_window_of_a_tile_no_stamp_meets(monkeypatch):
 
 # tile half-width in degrees: column 0 and 694 lie this far from the centre
 EDGE_DEG = math.degrees(
-    pixel_to_arc(347.0, BORE.radius_mm, CFG.pixel_pitch_x_um)
+    tile_arc_px(695, BORE.radius_mm, CFG.pixel_pitch_x_um)[-1]
     * CFG.pixel_pitch_x_um * 1e-3 / BORE.radius_mm
 )
 

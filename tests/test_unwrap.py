@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from borescan import unwrap
 from borescan.errors import ConfigError, DomainError
+from borescan.geometry import arc_expansion
 from borescan.unwrap import (
     STRIP_ROWS,
     TileImage,
@@ -17,12 +18,10 @@ from borescan.unwrap import (
     _correction_weights,
     _resample_columns,
     _uint8_weights,
-    arc_to_pixel,
     bilinear_sample,
     build_remap,
     correct_tile,
     forward_project,
-    pixel_to_arc,
     tile_arc_px,
 )
 
@@ -70,55 +69,61 @@ def test_radius_and_pitch_must_be_finite_and_positive(resampler, name, bad):
         resampler(radius, pitch)
 
 
-def test_pixel_to_arc_center_fixed():
-    assert pixel_to_arc(0.0, R, PITCH) == 0.0
+def test_tile_arc_px_reference():
+    # frozen 50-digit evaluation of (r/p) asin(200 p / r): column k = 200
+    arc = tile_arc_px(401, R, PITCH)
+    assert arc[200] == 0.0
+    assert arc[400] == pytest.approx(201.588788339, abs=1e-6)
 
 
-def test_pixel_to_arc_reference():
-    # frozen 50-digit evaluation
-    assert pixel_to_arc(200.0, R, PITCH) == pytest.approx(201.588788339, abs=1e-6)
-
-
-def test_pixel_to_arc_expands_and_preserves_sign():
-    for k in [1.0, 50.0, 333.3, -50.0, -420.0]:
-        m = pixel_to_arc(k, R, PITCH)
-        assert abs(m) >= abs(k)
-        assert math.copysign(1, m) == math.copysign(1, k)
-
-
-def test_pixel_to_arc_tangent_limit():
-    limit = R / (PITCH * 1e-3)  # 925.9 px
-    with pytest.raises(DomainError):
-        pixel_to_arc(limit, R, PITCH)
-    with pytest.raises(DomainError):
-        pixel_to_arc(-limit - 1, R, PITCH)
-
-
-def test_arc_to_pixel_reference():
-    assert arc_to_pixel(0.0, R, PITCH) == 0.0
-    assert arc_to_pixel(300.0, R, PITCH) == pytest.approx(294.778681143, abs=1e-6)
-
-
-def test_arc_to_pixel_small_angle():
-    m = 5.0
-    k = arc_to_pixel(m, R, PITCH)
-    bound = (m * PITCH * 1e-3 / R) ** 3 / 6.0 * (R / (PITCH * 1e-3))
-    assert abs(k - m) <= bound + 1e-12
-
-
-def test_arc_to_pixel_quarter_turn_limit():
-    limit = (math.pi / 2.0) * R / (PITCH * 1e-3)
-    assert arc_to_pixel(limit, R, PITCH) == pytest.approx(R / (PITCH * 1e-3), rel=1e-9)
-    with pytest.raises(DomainError):
-        arc_to_pixel(limit * 1.001, R, PITCH)
-
-
-@given(st.floats(min_value=-330.0, max_value=330.0))
-@settings(max_examples=200, deadline=None)
-def test_inverse_pair_round_trip(m):
-    assert pixel_to_arc(arc_to_pixel(m, R, PITCH), R, PITCH) == pytest.approx(
-        m, abs=1e-9
+def test_build_remap_reference():
+    # frozen 50-digit evaluation of (r/p) sin(300 p / r): column m = 300
+    assert build_remap(601, R, PITCH)[600] - 300.0 == pytest.approx(
+        294.778681143, abs=1e-6
     )
+
+
+def assert_maps_match_arc_expansion(width, radius, pitch):
+    """Both column maps against the paper's chord-to-arc formula, which
+    computes the wall arc a chord of the flat image spans: a column ``k``
+    px from the centre sees the arc of the chord ``2|k|p``, and
+    ``build_remap``'s source column that of arc ``2|m|p``."""
+    p = pitch * 1e-3
+    centre = (width - 1) / 2.0
+    offsets = np.arange(width) - centre
+    arc = tile_arc_px(width, radius, pitch)
+    source = build_remap(width, radius, pitch) - centre
+    for k, m, k_src in zip(offsets, arc, source):
+        if k == 0:
+            assert m == 0.0 and k_src == 0.0
+            continue
+        assert np.sign(m) == np.sign(k) and abs(m) >= abs(k)
+        assert 2.0 * abs(m) * p == pytest.approx(
+            arc_expansion(radius, 2.0 * abs(k) * p), rel=1e-12
+        )
+        assert arc_expansion(radius, 2.0 * abs(k_src) * p) == pytest.approx(
+            2.0 * abs(k) * p, rel=1e-12
+        )
+
+
+def test_maps_match_arc_expansion_on_the_reference_tile():
+    assert_maps_match_arc_expansion(695, R, PITCH)
+
+
+@st.composite
+def rigs(draw):
+    """A tile width, bore radius and pitch whose tile fits the visible arc."""
+    radius = draw(st.floats(0.3, 10.0))
+    pitch = draw(st.floats(0.5, 10.0))
+    # a column inside the visible arc's limit, clear of its rounding
+    widest = math.ceil(2.0 * radius / (pitch * 1e-3)) - 2
+    return draw(st.integers(1, min(widest, 1500))), radius, pitch
+
+
+@given(rigs())
+@settings(max_examples=50, deadline=None)
+def test_maps_match_arc_expansion_on_drawn_rigs(rig):
+    assert_maps_match_arc_expansion(*rig)
 
 
 def test_bilinear_exact_at_nodes():
@@ -444,7 +449,7 @@ def test_forward_project_constant_valid_region():
     assert np.all(out.pixels[:, valid] == 99)
     assert np.all(out.pixels[:, sentinel] == 0)
     # columns with |center offset| >= 339 sample beyond arc offset 347
-    # (arc_to_pixel(347) = 338.93): nine columns on each side
+    # (its source column lies 338.93 px out): nine columns on each side
     assert sentinel == list(range(0, 9)) + list(range(686, 695))
 
 
@@ -457,7 +462,7 @@ def test_forward_project_center_column_fixed():
 
 def test_forward_project_compresses_offaxis_band():
     # 100 px band over corrected columns [150, 250) relative to center:
-    # its projected edges land at arc_to_pixel of the half-intensity
+    # its projected edges land at the source columns of the half-intensity
     # crossings, and the extent shrinks by ~cos(m p/r) at the band middle
     img = tile_from(np.full((4, 695), 200, dtype=np.uint8))
     c = 347
@@ -466,8 +471,11 @@ def test_forward_project_compresses_offaxis_band():
     row = out.pixels[0].astype(int)
     dark = np.nonzero(row < 110)[0]
     dark = dark[(dark > 8) & (dark < 686)]  # ignore sentinel zeros
-    assert dark.min() == pytest.approx(c + arc_to_pixel(149.5, R, PITCH), abs=2)
-    assert dark.max() == pytest.approx(c + arc_to_pixel(249.5, R, PITCH), abs=2)
+    # the source columns of corrected offsets 149.5 and 249.5 from the
+    # centre of a 694 px tile, 346.5
+    source = build_remap(694, R, PITCH) - 346.5
+    assert dark.min() == pytest.approx(c + source[496], abs=2)
+    assert dark.max() == pytest.approx(c + source[596], abs=2)
     measured = dark.max() - dark.min() + 1
     predicted = 100 * math.cos(200 * PITCH * 1e-3 / R)
     assert measured == pytest.approx(predicted, abs=3)
