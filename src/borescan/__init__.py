@@ -29,7 +29,7 @@ from .manifest import RunManifest, load_manifest, save_manifest
 _LAZY = {
     name: layer
     for layer, names in (
-        ("unwrap", ("TileImage", "build_remap", "correct_tile", "forward_project")),
+        ("unwrap", ("build_remap", "correct_tile", "forward_project")),
         ("synth", ("SurfaceTexture", "build_texture")),
         ("detect", ("BlobRecord", "binarize", "connected_components")),
         ("locate", ("DefectRecord", "stitch_panorama")),
@@ -62,7 +62,6 @@ __all__ = [
     "ScanPlan",
     "plan_scan",
     "shot_counts",
-    "TileImage",
     "build_remap",
     "correct_tile",
     "forward_project",

@@ -129,7 +129,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _inspect_tile(event, manifest, expected, base_dir, out_dir, pgm, unwrap):
     """Read one tile, check it is ``expected`` (height, width) px, correct it
-    and write the corrected tile. Runs on a worker thread. ``pgm`` and
+    and write the corrected tile. Returns its plan position and corrected
+    pixels, the pair the stitch takes. Runs on a worker thread. ``pgm`` and
     ``unwrap`` are those modules, which :func:`cmd_inspect` imports once a
     run, not once a tile."""
     name = _tile_name(event.depth_step, event.rotation_step)
@@ -143,27 +144,27 @@ def _inspect_tile(event, manifest, expected, base_dir, out_dir, pgm, unwrap):
             f"{path}: tile is {pixels.shape[0]}x{pixels.shape[1]} px, the "
             f"manifest's optics and region give {expected[0]}x{expected[1]}"
         )
-    tile = unwrap.TileImage(pixels, (event.depth_step, event.rotation_step))
     corrected = unwrap.correct_tile(
-        tile, manifest.hole.radius_mm, manifest.optics.pixel_pitch_x_um
+        pixels, manifest.hole.radius_mm, manifest.optics.pixel_pitch_x_um
     )
-    pgm.write_pgm(out_dir / name, corrected.pixels)
-    return corrected
+    pgm.write_pgm(out_dir / name, corrected)
+    return (event.depth_step, event.rotation_step), corrected
 
 
 def _one_bit_depth(tiles, base_dir):
-    """Pass ``tiles`` on, refusing one of another bit depth than the first."""
+    """Pass the (plan position, pixels) pairs ``tiles`` on, refusing a tile
+    of another bit depth than the first."""
     depth = None
-    for tile in tiles:
-        bits = tile.pixels.dtype.itemsize * 8
+    for index, pixels in tiles:
+        bits = pixels.dtype.itemsize * 8
         if depth is None:
             depth = bits
         elif bits != depth:
             raise ImageFormatError(
-                f"{base_dir / _tile_name(*tile.tile_index)}: tile is {bits}-bit, "
+                f"{base_dir / _tile_name(*index)}: tile is {bits}-bit, "
                 f"the tiles before it {depth}-bit"
             )
-        yield tile
+        yield index, pixels
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -102,9 +102,8 @@ def binarize(
     pixels: np.ndarray,
     method: str = "fixed",
     threshold: float = 0.5,
-    polarity: str = "dark",
 ) -> np.ndarray:
-    """Boolean foreground mask of the defect-polarity pixels of ``pixels``.
+    """Boolean foreground mask of the dark (defect) pixels of ``pixels``.
 
     ``pixels`` may have any shape, which the mask keeps; their dtype is one
     of :data:`~borescan.pgm.SAMPLE_DTYPES`, whose maximum is full scale.
@@ -112,12 +111,10 @@ def binarize(
     agnostic); ``otsu`` picks the cut from the histogram
     (:func:`otsu_threshold`) and raises :class:`ThresholdError` on
     degenerate input, which the inspect pipeline reads as a featureless
-    block. Dark polarity (the default) selects pixels at or below the cut.
+    block. The mask selects the pixels at or below the cut.
     """
     if pixels.dtype not in SAMPLE_DTYPES:
         raise DomainError(f"unsupported dtype {pixels.dtype}; expected uint8 or uint16")
-    if polarity not in ("dark", "bright"):
-        raise DomainError(f"unknown polarity {polarity!r}")
     if method == "fixed":
         if not 0.0 <= threshold <= 1.0:
             raise DomainError("fixed threshold is a fraction of full scale")
@@ -128,9 +125,7 @@ def binarize(
         raise DomainError(f"unknown threshold method {method!r}")
     # pixels are integers, so the cut rounds to one without moving it; an
     # integer cut compares in the pixels' own dtype, not in float64
-    if polarity == "dark":
-        return pixels <= math.floor(cut)
-    return pixels >= math.ceil(cut)
+    return pixels <= math.floor(cut)
 
 
 def row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Stitching the bore wall and mapping its defects into bore coordinates.
 
-:func:`stitch_panorama` pastes corrected tiles, taken in plan-row order,
+:func:`stitch_panorama` pastes corrected tiles, each a plan position
+``(depth_step, rotation_step)`` and its pixels, taken in plan-row order,
 into an unwrapped panorama of the wall and writes it out in row bands as
 they become final.
 :func:`inspect_stack` is the inspect pipeline built on it: it binarises
@@ -29,7 +30,6 @@ from .errors import DomainError, PlanIndexError, ThresholdError
 from .geometry import DEFAULT_MIN_AREA, HoleSpec, OpticsConfig
 from .pgm import write_pgm_header, write_pgm_rows
 from .scanplan import ScanPlan, WallGrid, _placements, _rectangles, _union_area
-from .unwrap import TileImage
 
 __all__ = [
     "DefectRecord",
@@ -166,7 +166,7 @@ class _RowBand:
 
 
 def stitch_panorama(
-    tiles: Iterable[TileImage],
+    tiles: Iterable[tuple[tuple[int, int], np.ndarray]],
     plan: ScanPlan,
     hole: HoleSpec,
     cfg: OpticsConfig,
@@ -177,15 +177,16 @@ def stitch_panorama(
     """Paste corrected tiles into an unwrapped panorama of the bore wall,
     written to ``sink`` (a binary file) as a PGM in row bands.
 
-    ``tiles`` come in plan-row order, ``(depth_step, rotation_step)``, each
-    plan position at most once, from a generator too: each tile is pasted
-    whole as it arrives and not kept, so where tiles overlap, the one later
-    in plan-row order wins. In a :func:`~borescan.scanplan.plan_scan` plan
-    a tile's rows follow its depth step and its columns its rotation step,
-    so that tile is also the one latest in the schedule. Only the open band
-    of rows is held: the 128-row blocks that a tile still to come can
-    reach, about one depth row of tiles. Blocks above it are final; they
-    are written and dropped.
+    ``tiles`` are ``((depth_step, rotation_step), pixels)`` pairs, a plan
+    position and its tile, in plan-row order, each plan position at most
+    once, from a generator too: each tile is pasted whole as it arrives
+    and not kept, so where tiles overlap, the one later in plan-row order
+    wins. In a :func:`~borescan.scanplan.plan_scan` plan a tile's rows
+    follow its depth step and its columns its rotation step, so that tile
+    is also the one latest in the schedule. Only the open band of rows is
+    held: the 128-row blocks that a tile still to come can reach, about
+    one depth row of tiles. Blocks above it are final; they are written
+    and dropped.
 
     ``on_block(first_row, pixels, covered)`` sees each final block that a
     tile reached, top to bottom, with the mask of its pixels that some
@@ -219,37 +220,35 @@ def stitch_panorama(
                         covered[lo:hi, cols] = True
             on_block(first, pixels, covered)
 
-    for img in tiles:
-        if img.tile_index is None:
-            raise DomainError("tiles must carry a (depth_step, rotation_step) index")
-        place = places.get(img.tile_index)
+    for index, pixels in tiles:
+        place = places.get(index)
         if place is None:
-            raise PlanIndexError(f"tile {img.tile_index} is not in the plan")
-        if pasted and img.tile_index <= pasted[-1]:
+            raise PlanIndexError(f"tile {index} is not in the plan")
+        if pasted and index <= pasted[-1]:
             raise DomainError(
-                f"tile {img.tile_index} came after tile {pasted[-1]}: tiles must "
+                f"tile {index} came after tile {pasted[-1]}: tiles must "
                 "come in plan-row order, (depth_step, rotation_step), each once"
             )
-        if img.pixels.shape != tile_shape:
+        if pixels.shape != tile_shape:
             raise DomainError(
-                f"tile {img.tile_index} is {img.pixels.shape[0]}x"
-                f"{img.pixels.shape[1]} px, not the run's {h}x{w}"
+                f"tile {index} is {pixels.shape[0]}x{pixels.shape[1]} px, "
+                f"not the run's {h}x{w}"
             )
         if band.blank is None:
-            band.open(img.pixels.dtype)
-        elif img.pixels.dtype != band.blank.dtype:
+            band.open(pixels.dtype)
+        elif pixels.dtype != band.blank.dtype:
             raise DomainError(
-                f"tiles mix bit depths: tile {img.tile_index} is "
-                f"{img.pixels.dtype}, the tiles before it {band.blank.dtype}"
+                f"tiles mix bit depths: tile {index} is "
+                f"{pixels.dtype}, the tiles before it {band.blank.dtype}"
             )
-        pasted.append(img.tile_index)
+        pasted.append(index)
         if place.start < place.stop:
-            pixels = img.pixels[place.tile_rows]
+            pixels = pixels[place.tile_rows]
             for block, rows, src_rows in band.pieces(place.start, place.stop):
                 for cols, src in place.segments:
                     block[rows, cols] = pixels[src_rows, src]
             live.append(place)
-        finish(band.flush(following[img.tile_index]))
+        finish(band.flush(following[index]))
         live = [other for other in live if other.stop > band.top]
     if band.blank is None:
         band.open(np.uint8)
@@ -265,7 +264,7 @@ def stitch_panorama(
 
 
 def inspect_stack(
-    corrected_tiles: Iterable[TileImage],
+    corrected_tiles: Iterable[tuple[tuple[int, int], np.ndarray]],
     plan: ScanPlan,
     hole: HoleSpec,
     cfg: OpticsConfig,
@@ -277,9 +276,9 @@ def inspect_stack(
 ) -> tuple[list[DefectRecord], Panorama]:
     """Stitch a run's corrected tiles and measure the defects on the panorama.
 
-    ``corrected_tiles`` come in plan-row order, from a generator if need
-    be: :func:`stitch_panorama` pastes each one and writes the panorama to
-    ``sink`` in row bands. Each final 128-row block is binarised once by
+    ``corrected_tiles`` are (plan position, pixels) pairs in plan-row
+    order, from a generator if need be: :func:`stitch_panorama` pastes
+    each one and writes the panorama to ``sink`` in row bands. Each final 128-row block is binarised once by
     :func:`binarize` with ``method`` and ``threshold`` (which ``otsu``
     ignores), over the pixels some tile covered only, so ``otsu`` takes
     one cut per block, and a block it finds featureless has no

@@ -4,7 +4,8 @@ Software stand-in for a machined test piece: defects of known size and
 position become anti-aliased stamps on an unwrapped wall texture, and
 per-tile captures are produced by the exact forward projection of the
 imaging model, so every downstream measurement can be checked against
-truth. A tile starts as the wall background, and each stamp that meets it
+truth. A tile is a 2-D array of pixels; its plan position is its capture
+event's. A tile starts as the wall background, and each stamp that meets it
 resamples only the tile pixels that read the stamp; the whole wall is
 rasterized only as a test oracle.
 
@@ -21,7 +22,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,7 +36,7 @@ from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, WallGrid
 from .scanplan import _wrapped_segments, tile_shape_for
 from .unwrap import (
     STRIP_ROWS,
-    TileImage,
+    _check_tile,
     _column_weights,
     _resample_columns,
     tile_arc_px,
@@ -306,7 +307,7 @@ def render_tile(
     cfg: OpticsConfig,
     region: EffectiveRegion,
     buffers: TileBuffers,
-) -> TileImage:
+) -> np.ndarray:
     """Render what the camera captures at one scheduled position.
 
     Flat-image column k samples the texture's grid at arc offset
@@ -322,7 +323,7 @@ def render_tile(
     bytes, since a window adds every stamp that meets it; a tile that no
     stamp meets is the background alone.
 
-    The tile is rendered into ``buffers.pixels``.
+    The tile is rendered into ``buffers.pixels``, which is returned.
     """
     height, width = tile_shape_for(cfg, region)
     grid = texture.grid
@@ -342,11 +343,10 @@ def render_tile(
     # a blend of equal integers rounds back to them
     pixels = _tile_out(buffers, (height, width), texture.dtype)
     pixels.fill(texture.background)
-    tile = TileImage(pixels, (event.depth_step, event.rotation_step))
     # v0 and v1 rise with the row, so the tile reads texture rows v0[0]..v1[-1]
     meeting = texture.stamps_meeting(int(v0[0]), int(v1[-1]) + 1, base, count)
     if not meeting.size:  # most tiles: spare them the column weights
-        return tile
+        return pixels
     c0, c1, w0, w1 = _column_weights(u - base, count)
     for index in meeting:
         stamp = texture.stamps[index]
@@ -381,10 +381,12 @@ def render_tile(
                 )
                 sampled[~on_surface[rows], :] = float(texture.background)
                 pixels[rows, run] = np.rint(sampled, out=sampled)
-    return tile
+    return pixels
 
 
-def add_noise(img: TileImage, sigma: float, seed: int, buffers: TileBuffers) -> TileImage:
+def add_noise(
+    tile: np.ndarray, sigma: float, seed: int, buffers: TileBuffers
+) -> np.ndarray:
     """Additive zero-mean Gaussian noise, rounded and clamped to the
     intensity range.
 
@@ -401,17 +403,19 @@ def add_noise(img: TileImage, sigma: float, seed: int, buffers: TileBuffers) -> 
     spawned child, and search the bounds with all 32 bits. The halves are
     independent and uniform, so ``K`` has exactly the law above.
 
-    The result's pixels are ``buffers.pixels``, which may be ``img.pixels``
-    itself, and the draw works in ``buffers.strips``. ``img`` is not
-    changed unless its pixels are ``buffers.pixels``.
+    ``tile`` is a tile, which :func:`~borescan.unwrap._check_tile` checks.
+    The result is ``buffers.pixels``, which may be ``tile`` itself, and the
+    draw works in ``buffers.strips``. ``tile`` is not changed unless it is
+    ``buffers.pixels``.
     """
+    tile = _check_tile(tile)
     if not (math.isfinite(sigma) and sigma >= 0):
         raise DomainError(f"noise sigma must be finite and >= 0, got {sigma}")
-    pixels = _tile_out(buffers, img.pixels.shape, img.pixels.dtype)
-    if pixels is not img.pixels:
-        np.copyto(pixels, img.pixels)
+    pixels = _tile_out(buffers, tile.shape, tile.dtype)
+    if pixels is not tile:
+        np.copyto(pixels, tile)
     if sigma > 0:
-        peak = np.iinfo(img.pixels.dtype).max
+        peak = np.iinfo(tile.dtype).max
         bounds, table = _noise_table(float(sigma), peak)
         seeds = np.random.SeedSequence(seed)
         stream = np.random.PCG64(seeds)
@@ -437,7 +441,7 @@ def add_noise(img: TileImage, sigma: float, seed: int, buffers: TileBuffers) -> 
             u = (high << 16) | low.view(np.uint16)[: at.size]
             k = np.searchsorted(bounds, u, side="right") - peak
             flat[at] = np.clip(flat[at] + k, 0, peak)
-    return replace(img, pixels=pixels)
+    return pixels
 
 
 def _noise_chunk(
@@ -512,7 +516,7 @@ def noisy_tile(
     noise_sigma: float,
     seed: int,
     buffers: TileBuffers,
-) -> TileImage:
+) -> np.ndarray:
     """The tile of one capture event, rendered and noisy: the recipe
     :func:`write_stack` makes every tile with, in ``buffers``.
 
@@ -557,7 +561,7 @@ def write_stack(
         if buffers is None:
             buffers = TileBuffers.empty(tile_shape_for(cfg, region), texture.dtype)
         tile = noisy_tile(texture, schedule[i], cfg, region, noise_sigma, seed, buffers)
-        write_pgm(parts[i], tile.pixels)
+        write_pgm(parts[i], tile)
 
     if noise_sigma > 0:  # built before the fork, so the workers share one table
         _noise_table(float(noise_sigma), np.iinfo(texture.dtype).max)

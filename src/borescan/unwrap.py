@@ -11,7 +11,8 @@ row onto a grid where every pixel spans an equal arc length: with pitch
 both measured from the tile center; :func:`tile_arc_px` and
 :func:`build_remap` compute them for every column of a tile. Rows are
 unaffected (the cylinder is straight axially), so the remap is separable
-and purely horizontal.
+and purely horizontal. A tile is a plain 2-D array of pixels; where it was
+captured is the caller's business.
 
 :func:`forward_project` is the exact inverse transform. It exists so that
 synthetic renders and round-trip tests exercise the correction against an
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import ConfigError, DomainError
 from .pgm import SAMPLE_DTYPES
 
 __all__ = [
-    "TileImage",
     "tile_arc_px",
     "bilinear_sample",
     "build_remap",
@@ -46,47 +45,23 @@ __all__ = [
 STRIP_ROWS = 64
 
 
-@dataclass(eq=False)
-class TileImage:
-    """One grayscale capture (or corrected tile) and its plan position.
+def _check_tile(pixels) -> np.ndarray:
+    """``pixels`` as a tile: a non-empty 2-D array of one of
+    :data:`~borescan.pgm.SAMPLE_DTYPES`, whose maximum is full scale.
 
-    Attributes
-    ----------
-    pixels:
-        Row-major intensity grid of one of :data:`~borescan.pgm.SAMPLE_DTYPES`,
-        whose maximum is full scale, shape ``(height, width)``. Row index
-        grows with depth from the hole bottom; column index grows with
-        rotation angle.
-    tile_index:
-        ``(depth step, rotation step)`` of the capture event, or None for
-        images outside a scan (textures).
-
-    The pixel pitches and the bore radius belong to the rig, not to a
-    tile: :func:`correct_tile` and :func:`forward_project` take them.
+    Rows grow with depth from the hole bottom and columns with rotation
+    angle. The pixel pitches and the bore radius belong to the rig, not to
+    a tile: :func:`correct_tile` and :func:`forward_project` take them.
     """
-
-    pixels: np.ndarray
-    tile_index: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels)
-        if self.pixels.ndim != 2 or self.pixels.size == 0:
-            raise DomainError("pixel grid must be 2-D and non-empty")
-        if self.pixels.dtype not in SAMPLE_DTYPES:
-            raise DomainError(
-                f"unsupported dtype {self.pixels.dtype}; expected uint8 or uint16"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 2 or pixels.size == 0:
+        raise DomainError("pixel grid must be 2-D and non-empty")
+    if pixels.dtype not in SAMPLE_DTYPES:
+        raise DomainError(f"unsupported dtype {pixels.dtype}; expected uint8 or uint16")
+    return pixels
 
 
-def bilinear_sample(img: TileImage, x: float, y: float) -> float:
+def bilinear_sample(pixels: np.ndarray, x: float, y: float) -> float:
     """Intensity at fractional coordinates (x, y), standard bilinear weights.
 
     Exact at integer coordinates. Out-of-bounds points raise; padding policy
@@ -94,22 +69,20 @@ def bilinear_sample(img: TileImage, x: float, y: float) -> float:
     ``_resample_columns``; this scalar form is its test oracle
     (``test_correct_tile_matches_scalar_bilinear``).
     """
-    if not (0.0 <= x <= img.width - 1) or not (0.0 <= y <= img.height - 1):
-        raise DomainError(
-            f"sample point ({x}, {y}) outside image {img.width}x{img.height}"
-        )
+    height, width = pixels.shape
+    if not (0.0 <= x <= width - 1) or not (0.0 <= y <= height - 1):
+        raise DomainError(f"sample point ({x}, {y}) outside image {width}x{height}")
     x0 = int(math.floor(x))
     y0 = int(math.floor(y))
-    x1 = min(x0 + 1, img.width - 1)
-    y1 = min(y0 + 1, img.height - 1)
+    x1 = min(x0 + 1, width - 1)
+    y1 = min(y0 + 1, height - 1)
     fx = x - x0
     fy = y - y0
-    p = img.pixels
     return float(
-        p[y0, x0] * (1 - fx) * (1 - fy)
-        + p[y0, x1] * fx * (1 - fy)
-        + p[y1, x0] * (1 - fx) * fy
-        + p[y1, x1] * fx * fy
+        pixels[y0, x0] * (1 - fx) * (1 - fy)
+        + pixels[y0, x1] * fx * (1 - fy)
+        + pixels[y1, x0] * (1 - fx) * fy
+        + pixels[y1, x1] * fx * fy
     )
 
 
@@ -247,32 +220,35 @@ def _uint8_weights(width: int, radius_mm: float, pitch_um: float) -> np.ndarray 
     return w32
 
 
-def correct_tile(img: TileImage, radius_mm: float, pitch_um: float) -> TileImage:
+def correct_tile(pixels: np.ndarray, radius_mm: float, pitch_um: float) -> np.ndarray:
     """Resample a flat capture onto the equal-arc-length corrected plane.
 
-    ``radius_mm`` is the bore's radius and ``pitch_um`` the rig's pixel
-    pitch across the tile's columns. Output has the same shape, dtype and
-    tile index; after correction every column step spans the same arc,
-    ``pitch_um``, on the bore wall. All source coordinates fall inside the
-    input (the flat image is a compressed view of the arc), so no fill is
-    needed. Every sample is ``rint(p0 * w0 + p1 * w1)`` in float64. Each
-    strip of rows is widened once and gathered from there: to float32 for
-    an 8-bit tile on a rig ``_uint8_weights`` has proved, which computes
-    ``p0 + rint(float32(p1 - p0) * w32)`` and so gets the same bytes, and
-    to float64 otherwise. numpy's loops that mix uint8 and float operands
+    ``pixels`` is a tile, which :func:`_check_tile` checks, ``radius_mm``
+    the bore's radius and ``pitch_um`` the rig's pixel pitch across the
+    tile's columns. Output is a new array of the same shape and dtype;
+    after correction every column step spans the same arc, ``pitch_um``,
+    on the bore wall. All source coordinates fall inside the input (the
+    flat image is a compressed view of the arc), so no fill is needed.
+    Every sample is ``rint(p0 * w0 + p1 * w1)`` in float64. Each strip of
+    rows is widened once and gathered from there: to float32 for an 8-bit
+    tile on a rig ``_uint8_weights`` has proved, which computes ``p0 +
+    rint(float32(p1 - p0) * w32)`` and so gets the same bytes, and to
+    float64 otherwise. numpy's loops that mix uint8 and float operands
     cost more than all the float32 arithmetic together.
     """
-    rig = (img.width, radius_mm, pitch_um)
+    pixels = _check_tile(pixels)
+    height, width = pixels.shape
+    rig = (width, radius_mm, pitch_um)
     weights = _correction_weights(*rig)
-    w32 = _uint8_weights(*rig) if img.pixels.dtype == np.uint8 else None
-    shape = (min(img.height, STRIP_ROWS), img.width)
+    w32 = _uint8_weights(*rig) if pixels.dtype == np.uint8 else None
+    shape = (min(height, STRIP_ROWS), width)
     dtype = np.float64 if w32 is None else np.float32
     buffers = [np.empty(shape, dtype=dtype) for _ in range(3)]
-    out = np.empty_like(img.pixels)
-    for lo in range(0, img.height, STRIP_ROWS):
-        n = min(STRIP_ROWS, img.height - lo)
+    out = np.empty_like(pixels)
+    for lo in range(0, height, STRIP_ROWS):
+        n = min(STRIP_ROWS, height - lo)
         rows, p, q = (buffer[:n] for buffer in buffers)
-        np.copyto(rows, img.pixels[lo : lo + n])
+        np.copyto(rows, pixels[lo : lo + n])
         if w32 is None:
             np.rint(_resample_columns(rows, weights, p, q), out=p)
         else:
@@ -284,12 +260,12 @@ def correct_tile(img: TileImage, radius_mm: float, pitch_um: float) -> TileImage
             q *= w32
             p += np.rint(q, out=q)
         out[lo : lo + n] = p
-    return replace(img, pixels=out)
+    return out
 
 
 def forward_project(
-    texture_window: TileImage, radius_mm: float, pitch_um: float
-) -> TileImage:
+    texture_window: np.ndarray, radius_mm: float, pitch_um: float
+) -> np.ndarray:
     """Project an equal-arc-length texture window onto the flat image plane.
 
     Inverse of :func:`correct_tile` at the same radius and column pitch:
@@ -297,11 +273,11 @@ def forward_project(
     :func:`tile_arc_px`. Near the tile edges ``|m|`` exceeds the window
     half-width; those columns have no source data and are written as 0.
     """
-    img = texture_window
-    m_abs = (img.width - 1) / 2.0 + tile_arc_px(img.width, radius_mm, pitch_um)
-    valid = (m_abs >= 0.0) & (m_abs <= img.width - 1)
-    weights = _column_weights(m_abs, img.width)
-    rows = img.pixels.astype(np.float64)
+    width = texture_window.shape[1]
+    m_abs = (width - 1) / 2.0 + tile_arc_px(width, radius_mm, pitch_um)
+    valid = (m_abs >= 0.0) & (m_abs <= width - 1)
+    weights = _column_weights(m_abs, width)
+    rows = texture_window.astype(np.float64)
     resampled = _resample_columns(rows, weights, np.empty_like(rows), np.empty_like(rows))
     resampled[:, ~valid] = 0.0
-    return replace(img, pixels=np.rint(resampled).astype(img.pixels.dtype))
+    return np.rint(resampled).astype(texture_window.dtype)

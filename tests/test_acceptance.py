@@ -43,7 +43,7 @@ from borescan.scanplan import (
     tile_shape_for,
 )
 from borescan.synth import TileBuffers, build_texture, noisy_tile
-from borescan.unwrap import TileImage, correct_tile, forward_project
+from borescan.unwrap import correct_tile, forward_project
 
 RADIUS = 2.0  # reference 4 mm bore
 PITCH = 2.16  # um per pixel, both axes
@@ -101,7 +101,7 @@ def _band_limited_texture(seed, height=40, width=695):
     spectrum[(np.abs(fy) > 0.25) | (fx > 0.25)] = 0.0
     smooth = np.fft.irfft2(spectrum, s=(height, width))
     smooth = (smooth - smooth.min()) / (smooth.max() - smooth.min())
-    return TileImage((30 + smooth * 190).astype(np.uint8))
+    return (30 + smooth * 190).astype(np.uint8)
 
 
 def test_05_unwrap_round_trip(capsys):
@@ -112,8 +112,8 @@ def test_05_unwrap_round_trip(capsys):
         texture = _band_limited_texture(seed)
         recovered = correct_tile(forward_project(texture, RADIUS, PITCH), RADIUS, PITCH)
         diff = np.abs(
-            recovered.pixels[:, lo:hi].astype(float)
-            - texture.pixels[:, lo:hi].astype(float)
+            recovered[:, lo:hi].astype(float)
+            - texture[:, lo:hi].astype(float)
         )
         worst_mean = max(worst_mean, float(diff.mean()))
         worst_max = max(worst_max, float(diff.max()))
@@ -240,13 +240,19 @@ def _inspect_rendered(texture, plan, hole, noise_sigma=0.0, seed=0):
     shape = tile_shape_for(OPTICS, REGION)
     buffers = TileBuffers.empty(shape, texture.dtype)
     in_rows = sorted(plan.schedule, key=lambda e: (e.depth_step, e.rotation_step))
-    with open(os.devnull, "wb") as sink:
-        return inspect_stack(
-            (correct_tile(noisy_tile(texture, event, OPTICS, REGION, noise_sigma,
-                                     seed, buffers), hole.radius_mm, OPTICS.pixel_pitch_x_um)
-             for event in in_rows),
-            plan, hole, OPTICS, shape, sink,
+    tiles = (
+        (
+            (event.depth_step, event.rotation_step),
+            correct_tile(
+                noisy_tile(texture, event, OPTICS, REGION, noise_sigma, seed, buffers),
+                hole.radius_mm,
+                OPTICS.pixel_pitch_x_um,
+            ),
         )
+        for event in in_rows
+    )
+    with open(os.devnull, "wb") as sink:
+        return inspect_stack(tiles, plan, hole, OPTICS, shape, sink)
 
 
 def _nearest(records, kind, z_mm, beta_deg):

@@ -80,11 +80,6 @@ class TestBinarize:
         mask = binarize(img, method="fixed", threshold=0.5)
         assert mask.tolist() == [[True, True, False, False]]
 
-    def test_fixed_bright_polarity(self):
-        img = np.array([[0, 127, 128, 255]], dtype=np.uint8)
-        mask = binarize(img, method="fixed", threshold=0.5, polarity="bright")
-        assert mask.tolist() == [[False, False, True, True]]
-
     def test_fixed_cut_scales_with_bit_depth(self):
         img8 = np.full((4, 4), 100, dtype=np.uint8)
         img16 = np.full((4, 4), 100 * 257, dtype=np.uint16)
@@ -105,12 +100,10 @@ class TestBinarize:
         with pytest.raises(DomainError, match="unsupported dtype"):
             binarize(np.zeros((2, 2), dtype=dtype), method=method)
 
-    def test_unknown_method_and_polarity_rejected(self):
+    def test_unknown_method_rejected(self):
         img = np.zeros((2, 2), dtype=np.uint8)
         with pytest.raises(DomainError):
             binarize(img, method="adaptive")
-        with pytest.raises(DomainError):
-            binarize(img, polarity="auto")
 
 
 class TestOtsu:

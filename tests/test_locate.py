@@ -32,7 +32,7 @@ from borescan.scanplan import (
     tile_shape_for,
 )
 from borescan.synth import TileBuffers, build_texture, noisy_tile
-from borescan.unwrap import TileImage, correct_tile
+from borescan.unwrap import correct_tile
 
 CFG = OpticsConfig(
     mirror_diameter_mm=1.0,
@@ -58,11 +58,12 @@ def in_plan_rows(plan):
 
 def corrected_tiles(texture, plan, radius_mm, noise_sigma=0.0, seed=0, cfg=CFG):
     """Every scheduled tile in plan-row order, made in one set of buffers and
-    arc-corrected."""
+    arc-corrected, after its plan position."""
     buffers = TileBuffers.empty(tile_shape_for(cfg, REGION), texture.dtype)
     for event in in_plan_rows(plan):
         tile = noisy_tile(texture, event, cfg, REGION, noise_sigma, seed, buffers)
-        yield correct_tile(tile, radius_mm, cfg.pixel_pitch_x_um)
+        index = (event.depth_step, event.rotation_step)
+        yield index, correct_tile(tile, radius_mm, cfg.pixel_pitch_x_um)
 
 
 def labelled(mask):
@@ -98,7 +99,7 @@ class TestDefectLocation:
                 pixels[345:350, 345:350] = 20
                 z_mm, theta_deg = event.z_mm, event.theta_deg
             index = (event.depth_step, event.rotation_step)
-            tiles.append(TileImage(pixels, tile_index=index))
+            tiles.append((index, pixels))
         with open(os.devnull, "wb") as sink:
             [rec], _ = inspect_stack(tiles, plan, hole, CFG, TILE_SHAPE, sink)
         # to the rounding of the tile's placement: half a pixel each way
@@ -245,7 +246,7 @@ def pasted_in_schedule_order(tiles, plan, shape):
     order, so that the tile latest in the schedule wins each pixel."""
     height, width = shape
     canvas = np.zeros(shape, dtype=np.uint8)
-    by_index = {tile.tile_index: tile.pixels for tile in tiles}
+    by_index = dict(tiles)
     for event in plan.schedule:
         pixels = by_index.get((event.depth_step, event.rotation_step))
         if pixels is None:
@@ -276,15 +277,11 @@ class TestStitchPanorama:
     )
 
     def uniform_tiles(self):
-        tiles = []
-        for event in in_plan_rows(self.PLAN):
-            tiles.append(
-                TileImage(
-                    np.full((695, 695), 180, dtype=np.uint8),
-                    tile_index=(event.depth_step, event.rotation_step),
-                )
-            )
-        return tiles
+        pixels = np.full(TILE_SHAPE, 180, dtype=np.uint8)
+        return [
+            ((event.depth_step, event.rotation_step), pixels.copy())
+            for event in in_plan_rows(self.PLAN)
+        ]
 
     def test_full_plan_covers_whole_canvas(self, tmp_path):
         pixels, pano = stitched(
@@ -306,7 +303,7 @@ class TestStitchPanorama:
         assert pano.meta["uncovered_px"] == 0
 
     def test_missing_tile_reported_and_leaves_gap(self, tmp_path):
-        tiles = [t for t in self.uniform_tiles() if t.tile_index != (1, 2)]
+        tiles = [tile for tile in self.uniform_tiles() if tile[0] != (1, 2)]
         pixels, pano = stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
         assert pano.meta["missing_tiles"] == [(1, 2)]
         assert pano.meta["uncovered_px"] == np.count_nonzero(pixels == 0) > 0
@@ -315,9 +312,9 @@ class TestStitchPanorama:
         # distinct random tiles, so any change in paste order shows in the overlaps
         rng = np.random.default_rng(3)
         tiles = [
-            TileImage(
+            (
+                (event.depth_step, event.rotation_step),
                 rng.integers(1, 256, (695, 695), dtype=np.uint8),
-                tile_index=(event.depth_step, event.rotation_step),
             )
             for event in in_plan_rows(self.PLAN)
             if (event.depth_step, event.rotation_step) != (0, 3)
@@ -342,13 +339,13 @@ class TestStitchPanorama:
         shape = TILE_SHAPE if plan is self.PLAN else (40, 60)
         rng = np.random.default_rng(3)
         tiles = [
-            TileImage(
+            (
+                (event.depth_step, event.rotation_step),
                 rng.integers(1, 256, shape, dtype=np.uint8),
-                tile_index=(event.depth_step, event.rotation_step),
             )
             for event in plan.schedule
         ]
-        in_rows = sorted(tiles, key=lambda tile: tile.tile_index)
+        in_rows = sorted(tiles, key=lambda tile: tile[0])
         expected = pasted_in_schedule_order(tiles, plan, (926, 2618))
         for method in ("fixed", "otsu"):
             path = tmp_path / f"{method}.pgm"
@@ -367,25 +364,20 @@ class TestStitchPanorama:
         assert stitched_pano == pano
         # schedule, reversed and shuffled orders
         for order in (tiles, in_rows[::-1], [tiles[i] for i in rng.permutation(len(tiles))]):
-            assert [t.tile_index for t in order] != [t.tile_index for t in in_rows]
+            assert [index for index, _ in order] != [index for index, _ in in_rows]
             with pytest.raises(DomainError, match="plan-row order"):
                 stitched(order, plan, self.HOLE, shape, tmp_path / "q.pgm")
 
     def test_out_of_plan_tile_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
-        tiles[3] = TileImage(tiles[3].pixels, tile_index=(5, 0))
+        tiles[3] = ((5, 0), tiles[3][1])
         with pytest.raises(PlanIndexError, match=r"\(5, 0\)"):
             stitched(iter(tiles), self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
-    def test_unindexed_tile_rejected(self, tmp_path):
-        tiles = self.uniform_tiles()
-        tiles[0] = TileImage(tiles[0].pixels)
-        with pytest.raises(DomainError):
-            stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
-
     def test_tile_of_another_shape_rejected(self, tmp_path):
         tiles = self.uniform_tiles()
-        tiles[5] = TileImage(tiles[5].pixels[:-1], tile_index=tiles[5].tile_index)
+        index, pixels = tiles[5]
+        tiles[5] = (index, pixels[:-1])
         with pytest.raises(DomainError, match="694x695 px, not the run's 695x695"):
             stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
 
@@ -403,9 +395,8 @@ class TestStitchPanorama:
 
     def test_sixteen_bit_tiles_give_a_sixteen_bit_panorama(self, tmp_path):
         tiles = [
-            TileImage(tile.pixels.astype(np.uint16) * 257,
-                      tile_index=tile.tile_index)
-            for tile in self.uniform_tiles()
+            (index, pixels.astype(np.uint16) * 257)
+            for index, pixels in self.uniform_tiles()
         ]
         pixels, _ = stitched(tiles, self.PLAN, self.HOLE, TILE_SHAPE, tmp_path / "p.pgm")
         assert pixels.dtype == np.uint16 and (pixels == 180 * 257).all()
@@ -414,7 +405,7 @@ class TestStitchPanorama:
         h, w = 4, 9
         gradient = np.tile(np.arange(1, w + 1, dtype=np.uint8), (h, 1))
         plan = ScanPlan(1, 1, 360.0, 1.5, (CaptureEvent(0, 0, 0, 1.0, 0.0),))
-        tile = TileImage(gradient, tile_index=(0, 0))
+        tile = ((0, 0), gradient)
         pixels, pano = stitched([tile], plan, self.HOLE, (h, w), tmp_path / "p.pgm")
         row0 = round(1000.0 / 2.16) - (h - 1) // 2
         unwrapped = np.zeros((926, 2618), dtype=np.uint8)
@@ -440,7 +431,7 @@ class TestStitchPanorama:
             events.append(CaptureEvent(order, 0, order, z_mm, theta_deg))
             if has_tile:
                 ones = np.ones(shape, dtype=np.uint8)
-                tiles.append(TileImage(ones, tile_index=(0, order)))
+                tiles.append(((0, order), ones))
         plan = ScanPlan(len(events), 1, 1.0, 1.5, tuple(events))
         pixels, pano = stitched(tiles, plan, self.HOLE, shape, tmp_path / "p.pgm")
         uncovered = pixels == 0  # every tile pixel is 1
@@ -462,7 +453,7 @@ class TestStitchPanorama:
             shape = TILE_SHAPE if plan is self.PLAN else (40, 60)
         pixels = np.ones(shape, dtype=np.uint8)
         tiles = (
-            TileImage(pixels, tile_index=(event.depth_step, event.rotation_step))
+            ((event.depth_step, event.rotation_step), pixels)
             for event in in_plan_rows(plan)
         )
         with open(os.devnull, "wb") as sink:
@@ -491,7 +482,7 @@ class TestStitchPanorama:
         ``missing``, and its traced peak in bytes."""
         pixels = np.full(TILE_SHAPE, 180, dtype=np.uint8)
         tiles = (
-            TileImage(pixels, tile_index=(event.depth_step, event.rotation_step))
+            ((event.depth_step, event.rotation_step), pixels)
             for event in in_plan_rows(PLAN)
             if (event.depth_step, event.rotation_step) != missing
         )
@@ -526,11 +517,9 @@ class TestInspectPipeline:
     PLAN = TestStitchPanorama.PLAN
 
     def flat_tiles(self, level=128):
+        pixels = np.full(TILE_SHAPE, level, dtype=np.uint8)
         return [
-            TileImage(
-                np.full(TILE_SHAPE, level, dtype=np.uint8),
-                tile_index=(event.depth_step, event.rotation_step),
-            )
+            ((event.depth_step, event.rotation_step), pixels.copy())
             for event in in_plan_rows(self.PLAN)
         ]
 
@@ -542,20 +531,14 @@ class TestInspectPipeline:
         assert records == []
         assert pano.meta == {"missing_tiles": [], "uncovered_px": 0}
 
-    def test_unindexed_tile_rejected(self):
-        tiles = self.flat_tiles()
-        tiles[2] = TileImage(tiles[2].pixels)
-        with open(os.devnull, "wb") as sink, pytest.raises(DomainError, match="index"):
-            inspect_stack(tiles, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink)
-
     @pytest.mark.parametrize("method", ["fixed", "otsu"])
     def test_missing_tile_gives_no_record_from_its_gap(self, method):
         # the gap is zero-filled, darker than any cut, but no tile covered it
-        tiles = [tile for tile in self.flat_tiles(180) if tile.tile_index != (1, 2)]
-        tiles[0].pixels[400:410, 300:310] = 20  # real defects, on the canvas
+        tiles = [tile for tile in self.flat_tiles(180) if tile[0] != (1, 2)]
+        tiles[0][1][400:410, 300:310] = 20  # real defects, on the canvas
         # one where tile (1, 1)'s last 41 columns meet the missing tile's place
-        [beside] = [tile for tile in tiles if tile.tile_index == (1, 1)]
-        beside.pixels[100:110, 675:685] = 20
+        beside = dict(tiles)[1, 1]
+        beside[100:110, 675:685] = 20
         with open(os.devnull, "wb") as sink:
             records, pano = inspect_stack(
                 tiles, self.PLAN, self.HOLE, CFG, TILE_SHAPE, sink, method

@@ -1,5 +1,7 @@
 """The package's public names."""
 
+import pytest
+
 import borescan
 from borescan import unwrap
 
@@ -13,9 +15,15 @@ def test_every_public_name_resolves():
 
 
 def test_lazy_names_are_the_layers_own():
-    from borescan import TileImage
+    from borescan import correct_tile
 
-    assert borescan.TileImage is unwrap.TileImage is TileImage
+    assert borescan.correct_tile is unwrap.correct_tile is correct_tile
+
+
+def test_the_tile_wrapper_is_gone():
+    assert not hasattr(unwrap, "TileImage")
+    with pytest.raises(AttributeError):
+        borescan.TileImage
 
 
 def test_unknown_name_raises_attribute_error():

@@ -25,7 +25,6 @@ from borescan.synth import (
 )
 from borescan.unwrap import (
     STRIP_ROWS,
-    TileImage,
     _column_weights,
     _resample_columns,
     correct_tile,
@@ -53,7 +52,7 @@ def tile_buffers(texture):
 
 def buffers_like(img):
     """New buffers for a tile shaped and typed like ``img``."""
-    return TileBuffers.empty(img.pixels.shape, img.pixels.dtype)
+    return TileBuffers.empty(img.shape, img.dtype)
 
 
 def fg_count(texture, level=None):
@@ -335,7 +334,7 @@ def test_tile_wider_than_the_visible_arc_is_refused_alike():
     hole = HoleSpec(radius_mm=0.7, depth_mm=2.0)
     texture = build_texture(hole, [])
     event = CaptureEvent(0, 0, 0, 1.0, 0.0)
-    flat = TileImage(np.zeros((4, 695), dtype=np.uint8))
+    flat = np.zeros((4, 695), dtype=np.uint8)
     calls = [
         lambda: render_tile(texture, event, CFG, REGION, tile_buffers(texture)),
         lambda: correct_tile(flat, hole.radius_mm, CFG.pixel_pitch_x_um),
@@ -354,9 +353,8 @@ def test_render_tile_uniform():
     texture = build_texture(BORE, [])
     event = CaptureEvent(0, 0, 0, 0.0, 0.0)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-    assert tile.pixels.shape == (695, 695)
-    assert np.all(tile.pixels == 180)
-    assert tile.tile_index == (0, 0)
+    assert tile.shape == (695, 695)
+    assert np.all(tile == 180)
 
 
 def test_render_tile_centered_disc_stays_centered():
@@ -364,7 +362,7 @@ def test_render_tile_centered_disc_stays_centered():
     texture = build_texture(BORE, [spec])
     event = CaptureEvent(0, 1, 1, 1.5, 40.0)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-    rows, cols = np.nonzero(tile.pixels <= 120)
+    rows, cols = np.nonzero(tile <= 120)
     assert rows.mean() == pytest.approx(347.0, abs=0.5)
     assert cols.mean() == pytest.approx(347.0, abs=0.5)
 
@@ -377,7 +375,7 @@ def test_render_tile_offaxis_compression():
     texture = build_texture(BORE, [spec])
     event = CaptureEvent(0, 1, 1, 1.5, 40.0)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-    center_row = tile.pixels[347].astype(int)
+    center_row = tile[347].astype(int)
     dark = np.nonzero(center_row <= 120)[0]
     measured = dark.max() - dark.min() + 1
     texture_extent = 0.2 * 1e3 / 2.16
@@ -391,9 +389,9 @@ def test_render_tile_bottom_overhang_background():
     event = CaptureEvent(0, 0, 0, 0.0, 0.0)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     # rows below z'=0 (n < cy - z'/p_y) have no surface: background fill
-    overhang = tile.pixels[:346]
+    overhang = tile[:346]
     assert np.all(overhang == 180)
-    assert np.any(tile.pixels[347:] <= 120)
+    assert np.any(tile[347:] <= 120)
 
 
 def whole_tile_render(texture, event):
@@ -433,10 +431,10 @@ def test_render_tile_strips_match_whole_tile_across_bottom_edge(
     event = CaptureEvent(0, 0, 0, z_mm, 0.0)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     expected = whole_tile_render(texture, event)
-    assert tile.pixels.dtype == expected.dtype
-    assert np.array_equal(tile.pixels, expected)
-    assert np.all(tile.pixels[: math.floor(cross_row)] == background)
-    assert np.any(tile.pixels[math.ceil(cross_row) :] != background)
+    assert tile.dtype == expected.dtype
+    assert np.array_equal(tile, expected)
+    assert np.all(tile[: math.floor(cross_row)] == background)
+    assert np.any(tile[math.ceil(cross_row) :] != background)
 
 
 # (defects, tile centre z' mm, tile angle deg): each tile is rendered from
@@ -478,10 +476,10 @@ def test_render_tile_matches_whole_bore_oracle(case, bit_depth):
     event = CaptureEvent(0, 0, 0, z_mm, theta_deg)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     expected = whole_tile_render(texture, event)
-    assert tile.pixels.dtype == expected.dtype == texture.dtype
-    assert np.array_equal(tile.pixels, expected)
+    assert tile.dtype == expected.dtype == texture.dtype
+    assert np.array_equal(tile, expected)
     # every case but the last has a defect in view
-    in_view = np.any(tile.pixels != texture.background)
+    in_view = np.any(tile != texture.background)
     assert in_view == (case != "no-defect-in-view")
 
 
@@ -495,8 +493,8 @@ def test_overlap_order_decides_pixels():
     assert first.window(row, row + 1, col, 1)[0, 0] == 130
     assert second.window(row, row + 1, col, 1)[0, 0] == 85
     event = CaptureEvent(0, 0, 0, 1.5, 40.0)
-    a = render_tile(first, event, CFG, REGION, tile_buffers(first)).pixels
-    b = render_tile(second, event, CFG, REGION, tile_buffers(second)).pixels
+    a = render_tile(first, event, CFG, REGION, tile_buffers(first))
+    b = render_tile(second, event, CFG, REGION, tile_buffers(second))
     assert not np.array_equal(a, b)
 
 
@@ -505,9 +503,9 @@ def test_render_tile_seam_matches_whole_bore_oracle():
     texture = depth_texture(ORACLE_CASES["seam-disc"][0], 8)
     event = CaptureEvent(0, 0, 0, 1.5, 0.0)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-    assert np.any(tile.pixels[:, :347] <= 120)
-    assert np.any(tile.pixels[:, 348:] <= 120)
-    assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
+    assert np.any(tile[:, :347] <= 120)
+    assert np.any(tile[:, 348:] <= 120)
+    assert np.array_equal(tile, whole_tile_render(texture, event))
 
 
 def test_window_matches_oracle_slices():
@@ -590,7 +588,7 @@ def test_render_tile_window_reaches_the_rows_that_blend_with_a_stamp(
     assert windows == [
         (stamp.row_lo - 1, stamp.row_hi + 1, stamp.col_lo - 1, stamp.coverage.shape[1] + 2)
     ]
-    assert np.array_equal(tile.pixels, whole_tile_render(texture, event))
+    assert np.array_equal(tile, whole_tile_render(texture, event))
 
 
 # (defects, tile centre z' mm, tile angle deg, windows render_tile asks
@@ -624,9 +622,9 @@ def test_render_tile_windows_span_only_the_stamp_they_serve(case, bit_depth, mon
     for window in windows:
         assert any(spans_only(texture, stamp, window) for stamp in texture.stamps)
     expected = whole_tile_render(texture, event)
-    assert tile.pixels.dtype == expected.dtype
-    assert np.array_equal(tile.pixels, expected)
-    assert np.any(tile.pixels != texture.background)
+    assert tile.dtype == expected.dtype
+    assert np.array_equal(tile, expected)
+    assert np.any(tile != texture.background)
 
 
 def test_disc_inside_line_order_decides_pixels():
@@ -637,7 +635,7 @@ def test_disc_inside_line_order_decides_pixels():
         texture = depth_texture(defects, 8)
         event = CaptureEvent(0, 0, 0, z_mm, theta_deg)
         tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-        centres.append(tile.pixels[347, 347])
+        centres.append(tile[347, 347])
     assert centres == [85, 130]
 
 
@@ -646,7 +644,7 @@ def test_render_tile_asks_no_window_of_a_tile_no_stamp_meets(monkeypatch):
     event = CaptureEvent(0, 1, 1, 1.5, 200.0)
     tile, windows = render_windows(texture, event, monkeypatch)
     assert windows == []
-    assert np.all(tile.pixels == texture.background)
+    assert np.all(tile == texture.background)
 
 
 # tile half-width in degrees: column 0 and 694 lie this far from the centre
@@ -701,9 +699,9 @@ def test_render_tile_matches_whole_tile_render_on_random_defects(seed, bit_depth
     event = CaptureEvent(0, 0, 0, z_mm, theta)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     expected = whole_tile_render(texture, event)
-    assert tile.pixels.dtype == expected.dtype
-    assert np.array_equal(tile.pixels, expected)
-    assert np.any(tile.pixels != texture.background)
+    assert tile.dtype == expected.dtype
+    assert np.array_equal(tile, expected)
+    assert np.any(tile != texture.background)
 
 
 def test_add_noise_zero_sigma_identity():
@@ -712,13 +710,13 @@ def test_add_noise_zero_sigma_identity():
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     out = add_noise(tile, 0.0, 7, buffers_like(tile))
     assert out is not tile
-    assert np.array_equal(out.pixels, tile.pixels)
+    assert np.array_equal(out, tile)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
 def test_add_noise_refuses_sigma_not_finite_and_non_negative(sigma):
     # nan once cast to an all-zero tile, and inf saturated it
-    clean = TileImage(np.full((8, 8), 128, dtype=np.uint8))
+    clean = np.full((8, 8), 128, dtype=np.uint8)
     with pytest.raises(DomainError, match="finite"):
         add_noise(clean, sigma, 1, buffers_like(clean))
 
@@ -728,8 +726,8 @@ def test_add_noise_deterministic():
     event = CaptureEvent(0, 0, 0, 0.0, 0.0)
     tile = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
     a, b, c = (add_noise(tile, 5.0, n, buffers_like(tile)) for n in (123, 123, 124))
-    assert np.array_equal(a.pixels, b.pixels)
-    assert not np.array_equal(a.pixels, c.pixels)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def whole_tile_noise(pixels, sigma, seed, peak):
@@ -768,11 +766,10 @@ def test_add_noise_strips_match_whole_tile_draw(dtype, peak, sigma, seed):
     # 695 rows: ten full strips and a short one
     assert 695 % STRIP_ROWS != 0
     pixels = np.random.default_rng(4).integers(0, peak + 1, (695, 301)).astype(dtype)
-    clean = TileImage(pixels)
-    noisy = add_noise(clean, sigma, seed, buffers_like(clean))
+    noisy = add_noise(pixels, sigma, seed, buffers_like(pixels))
     expected = whole_tile_noise(pixels, sigma, seed, peak)
-    assert noisy.pixels.dtype == dtype
-    assert np.array_equal(noisy.pixels, expected)
+    assert noisy.dtype == dtype
+    assert np.array_equal(noisy, expected)
 
 
 @pytest.mark.parametrize("strip_rows", [15, 16, 695])
@@ -784,12 +781,11 @@ def test_add_noise_does_not_depend_on_the_strip_size(
 ):
     # 15 x 301 pixels is no whole number of 64-bit words
     pixels = np.random.default_rng(5).integers(0, peak + 1, (695, 301)).astype(dtype)
-    clean = TileImage(pixels)
-    expected = add_noise(clean, sigma, 8, buffers_like(clean)).pixels
+    expected = add_noise(pixels, sigma, 8, buffers_like(pixels))
     monkeypatch.setattr(synth, "STRIP_ROWS", strip_rows)
-    buffers = buffers_like(clean)
+    buffers = buffers_like(pixels)
     assert buffers.strips.shape == (2, min(695, strip_rows) * 301)
-    assert np.array_equal(add_noise(clean, sigma, 8, buffers).pixels, expected)
+    assert np.array_equal(add_noise(pixels, sigma, 8, buffers), expected)
 
 
 @pytest.mark.parametrize("sigma, peak", [(0.37, 255), (5.0, 255), (900.0, 65535)])
@@ -811,9 +807,9 @@ def test_noise_bounds_are_the_rounded_normal_cdf(sigma, peak):
 
 def test_add_noise_draws_the_rounded_gaussian():
     sigma, level = 5.0, 128
-    clean = TileImage(np.full((2000, 2000), level, dtype=np.uint8))
+    clean = np.full((2000, 2000), level, dtype=np.uint8)
     noisy = add_noise(clean, sigma, 2024, buffers_like(clean))
-    k = noisy.pixels.astype(np.int64) - level
+    k = noisy.astype(np.int64) - level
     # P(K=k) = Phi((k+1/2)/sigma) - Phi((k-1/2)/sigma), tails past 23 lumped
     edge = 23
     cdf = NormalDist(0.0, sigma).cdf
@@ -838,15 +834,15 @@ def test_noise_table_is_read_only():
 
 @pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 65535)])
 def test_add_noise_huge_sigma_saturates(dtype, peak):
-    clean = TileImage(np.full((64, 64), peak // 2, dtype=dtype))
-    noisy = add_noise(clean, 1e308, 3, buffers_like(clean)).pixels
+    clean = np.full((64, 64), peak // 2, dtype=dtype)
+    noisy = add_noise(clean, 1e308, 3, buffers_like(clean))
     assert set(np.unique(noisy).tolist()) == {0, peak}
 
 
 def test_add_noise_sample_std():
-    clean = TileImage(np.full((512, 512), 128, dtype=np.uint8))
+    clean = np.full((512, 512), 128, dtype=np.uint8)
     noisy = add_noise(clean, 5.0, 99, buffers_like(clean))
-    diff = noisy.pixels.astype(float) - 128.0
+    diff = noisy.astype(float) - 128.0
     assert 4.8 <= diff.std(ddof=1) <= 5.2
 
 
@@ -863,7 +859,7 @@ def test_write_stack_writes_the_render_stack_tiles(tmp_path, processes):
     buffers = tile_buffers(texture)
     for path, event in zip(paths, plan.schedule):
         tile = noisy_tile(texture, event, CFG, REGION, 4.0, 11, buffers)
-        assert np.array_equal(read_pgm(path), tile.pixels)
+        assert np.array_equal(read_pgm(path), tile)
 
 
 def stamped_stack(bit_depth=8):
@@ -884,29 +880,29 @@ def test_tiles_made_in_reused_buffers_match_new_ones(bit_depth):
     stamped = []
     for event in plan.schedule:
         tile = noisy_tile(texture, event, CFG, REGION, 4.0, 11, buffers)
-        assert tile.pixels is buffers.pixels
+        assert tile is buffers.pixels
         fresh = noisy_tile(texture, event, CFG, REGION, 4.0, 11, tile_buffers(texture))
-        assert np.array_equal(tile.pixels, fresh.pixels)
+        assert np.array_equal(tile, fresh)
         # a background tile after a stamped one keeps none of its pixels
         clean = render_tile(texture, event, CFG, REGION, tile_buffers(texture))
-        stamped.append(bool(np.any(clean.pixels != texture.background)))
+        stamped.append(bool(np.any(clean != texture.background)))
         rendered = render_tile(texture, event, CFG, REGION, buffers)
-        assert np.array_equal(rendered.pixels, clean.pixels)
+        assert np.array_equal(rendered, clean)
     assert any(stamped) and not all(stamped)
 
 
 def test_add_noise_leaves_its_input():
     texture, plan = stamped_stack()
     tile = render_tile(texture, plan.schedule[0], CFG, REGION, tile_buffers(texture))
-    clean = tile.pixels.copy()
+    clean = tile.copy()
     noisy = add_noise(tile, 5.0, 1, buffers_like(tile))
-    assert np.array_equal(tile.pixels, clean)
+    assert np.array_equal(tile, clean)
     # it may write in place, onto the buffer's own pixels
     buffers = buffers_like(tile)
     np.copyto(buffers.pixels, clean)
-    in_place = add_noise(TileImage(buffers.pixels), 5.0, 1, buffers)
-    assert in_place.pixels is buffers.pixels
-    assert np.array_equal(in_place.pixels, noisy.pixels)
+    in_place = add_noise(buffers.pixels, 5.0, 1, buffers)
+    assert in_place is buffers.pixels
+    assert np.array_equal(in_place, noisy)
 
 
 @pytest.mark.parametrize(

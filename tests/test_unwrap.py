@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from borescan import unwrap
 from borescan.errors import ConfigError, DomainError
 from borescan.geometry import arc_expansion
+from borescan.synth import TileBuffers, add_noise
 from borescan.unwrap import (
     STRIP_ROWS,
-    TileImage,
     _column_weights,
     _correction_weights,
     _resample_columns,
@@ -29,30 +29,28 @@ R = 2.0
 PITCH = 2.16
 
 
-def tile_from(arr):
-    return TileImage(np.asarray(arr))
-
-
 def random_tile(rng, width=101, height=40, dtype=np.uint8):
     hi = 256 if dtype == np.uint8 else 65536
-    return tile_from(rng.integers(0, hi, size=(height, width), dtype=dtype))
+    return rng.integers(0, hi, size=(height, width), dtype=dtype)
 
 
 def test_tile_image_validation():
-    with pytest.raises(DomainError):
-        tile_from(np.zeros((4, 4), dtype=np.float32))
-    with pytest.raises(DomainError):
-        tile_from(np.zeros(16, dtype=np.uint8))
-    with pytest.raises(DomainError):
-        correct_tile(tile_from(np.zeros((4, 4), np.uint8)), R, 0.0)
-    img = tile_from(np.zeros((4, 6), dtype=np.uint16))
-    assert (img.width, img.height) == (6, 4)
+    buffers = TileBuffers.empty((4, 4), np.uint8)
+    for pixels in (
+        np.zeros(16, dtype=np.uint8),
+        np.zeros((0, 4), dtype=np.uint8),
+        np.zeros((4, 4), dtype=np.float32),
+    ):
+        with pytest.raises(DomainError, match="2-D and non-empty|unsupported dtype"):
+            correct_tile(pixels, R, PITCH)
+        with pytest.raises(DomainError, match="2-D and non-empty|unsupported dtype"):
+            add_noise(pixels, 5.0, 1, buffers)
 
 
 RESAMPLERS = {
-    "correct_tile": lambda r, p: correct_tile(tile_from(np.zeros((4, 101), np.uint8)), r, p),
+    "correct_tile": lambda r, p: correct_tile(np.zeros((4, 101), np.uint8), r, p),
     "forward_project": lambda r, p: forward_project(
-        tile_from(np.zeros((4, 101), np.uint8)), r, p
+        np.zeros((4, 101), np.uint8), r, p
     ),
     "tile_arc_px": lambda r, p: tile_arc_px(101, r, p),
     "build_remap": lambda r, p: build_remap(101, r, p),
@@ -129,24 +127,24 @@ def test_maps_match_arc_expansion_on_drawn_rigs(rig):
 def test_bilinear_exact_at_nodes():
     rng = np.random.default_rng(3)
     img = random_tile(rng, width=9, height=7)
-    for y in range(img.height):
-        for x in range(img.width):
-            assert bilinear_sample(img, float(x), float(y)) == float(img.pixels[y, x])
+    for y in range(img.shape[0]):
+        for x in range(img.shape[1]):
+            assert bilinear_sample(img, float(x), float(y)) == float(img[y, x])
 
 
 def test_bilinear_symmetric_average():
-    img = tile_from(np.array([[0, 100], [0, 100]], dtype=np.uint8))
+    img = np.array([[0, 100], [0, 100]], dtype=np.uint8)
     assert bilinear_sample(img, 0.5, 0.5) == pytest.approx(50.0)
 
 
 def test_bilinear_constant_image():
-    img = tile_from(np.full((5, 5), 77, dtype=np.uint8))
+    img = np.full((5, 5), 77, dtype=np.uint8)
     for x, y in [(0.3, 0.9), (2.5, 2.5), (3.99, 0.01)]:
         assert bilinear_sample(img, x, y) == pytest.approx(77.0)
 
 
 def test_bilinear_out_of_bounds():
-    img = tile_from(np.zeros((4, 4), dtype=np.uint8))
+    img = np.zeros((4, 4), dtype=np.uint8)
     for x, y in [(-0.1, 0.0), (0.0, -0.1), (3.1, 0.0), (0.0, 3.1)]:
         with pytest.raises(DomainError):
             bilinear_sample(img, x, y)
@@ -163,7 +161,7 @@ def test_bilinear_stays_within_neighbors(x, y, seed):
     img = random_tile(rng, width=4, height=4)
     x0, y0 = int(x), int(y)
     x1, y1 = min(x0 + 1, 3), min(y0 + 1, 3)
-    corners = img.pixels[[y0, y0, y1, y1], [x0, x1, x0, x1]]
+    corners = img[[y0, y0, y1, y1], [x0, x1, x0, x1]]
     value = bilinear_sample(img, x, y)
     assert corners.min() - 1e-9 <= value <= corners.max() + 1e-9
 
@@ -197,16 +195,16 @@ def test_build_remap_rejects_oversized_tile():
 
 
 def test_correct_tile_constant_unchanged():
-    img = tile_from(np.full((16, 695), 180, dtype=np.uint8))
+    img = np.full((16, 695), 180, dtype=np.uint8)
     out = correct_tile(img, R, PITCH)
-    assert np.array_equal(out.pixels, img.pixels)
+    assert np.array_equal(out, img)
 
 
 def test_correct_tile_center_column_fixed():
-    img = tile_from(np.full((8, 101), 10, dtype=np.uint8))
-    img.pixels[:, 50] = 240
+    img = np.full((8, 101), 10, dtype=np.uint8)
+    img[:, 50] = 240
     out = correct_tile(img, R, PITCH)
-    assert np.all(out.pixels[:, 50] == 240)
+    assert np.all(out[:, 50] == 240)
 
 
 def test_correct_tile_matches_scalar_bilinear():
@@ -215,17 +213,17 @@ def test_correct_tile_matches_scalar_bilinear():
     img = random_tile(rng, width=61, height=9)
     source = build_remap(61, R, PITCH)
     out = correct_tile(img, R, PITCH)
-    for n in range(img.height):
-        for m in range(img.width):
+    for n in range(img.shape[0]):
+        for m in range(img.shape[1]):
             expected = bilinear_sample(img, float(source[m]), float(n))
-            assert out.pixels[n, m] == round(expected)
+            assert out[n, m] == round(expected)
 
 
 def test_correct_tile_preserves_uint16():
     rng = np.random.default_rng(5)
     img = random_tile(rng, width=61, height=9, dtype=np.uint16)
     out = correct_tile(img, R, PITCH)
-    assert out.pixels.dtype == np.uint16
+    assert out.dtype == np.uint16
 
 
 def tied_weights():
@@ -262,10 +260,10 @@ def test_correct_tile_strips_match_whole_tile(
         weights = tied_weights()
         monkeypatch.setattr(unwrap, "_correction_weights", lambda *key: weights)
         assert _uint8_weights(695, R, PITCH) is None
-    expected = np.rint(resampled(img.pixels, weights)).astype(dtype)
+    expected = np.rint(resampled(img, weights)).astype(dtype)
     out = correct_tile(img, R, PITCH)
-    assert out.pixels.dtype == dtype
-    assert np.array_equal(out.pixels, expected)
+    assert out.dtype == dtype
+    assert np.array_equal(out, expected)
 
 
 def corrected_by_formula(pixels, radius=R, pitch=PITCH):
@@ -287,15 +285,15 @@ def corrected_by_formula(pixels, radius=R, pitch=PITCH):
 def test_correct_tile_matches_formula(width, height, dtype):
     rng = np.random.default_rng([width, height])
     img = random_tile(rng, width=width, height=height, dtype=dtype)
-    before = img.pixels.copy()
-    expected = corrected_by_formula(img.pixels)
+    before = img.copy()
+    expected = corrected_by_formula(img)
     _correction_weights.cache_clear()
     # the first call builds the weights, the second reuses them
     for _ in range(2):
         out = correct_tile(img, R, PITCH)
-        assert out.pixels.dtype == dtype
-        assert np.array_equal(out.pixels, expected)
-        assert np.array_equal(img.pixels, before)
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
+        assert np.array_equal(img, before)
 
 
 def test_correct_tile_threads_at_once_match_formula():
@@ -306,14 +304,14 @@ def test_correct_tile_threads_at_once_match_formula():
         random_tile(rng, width=695, height=STRIP_ROWS + 1, dtype=dtype)
         for dtype in (np.uint8, np.uint16, np.uint8, np.uint16)
     ]
-    expected = [corrected_by_formula(tile.pixels) for tile in tiles]
+    expected = [corrected_by_formula(tile) for tile in tiles]
     results = [[] for _ in tiles]
     barrier = threading.Barrier(len(tiles))
 
     def work(n):
         barrier.wait(timeout=30)
         for _ in range(3):
-            results[n].append(correct_tile(tiles[n], R, PITCH).pixels)
+            results[n].append(correct_tile(tiles[n], R, PITCH))
 
     _correction_weights.cache_clear()
     _uint8_weights.cache_clear()
@@ -334,7 +332,7 @@ def test_correct_tile_threads_at_once_match_formula():
 
 
 def test_cached_correction_weights_are_read_only():
-    correct_tile(tile_from(np.zeros((2, 695), dtype=np.uint8)), R, PITCH)
+    correct_tile(np.zeros((2, 695), dtype=np.uint8), R, PITCH)
     weights = _correction_weights(695, R, PITCH)
     assert len(weights) == 4
     for array in (*weights, _uint8_weights(695, R, PITCH)):
@@ -390,8 +388,8 @@ def test_uint8_correction_matches_float64_on_every_sample_pair(rig, proved):
         assert np.array_equal(w32, nearest)
     for first in range(0, 256, 8):
         pixels = every_sample_pair(width, first)
-        out = correct_tile(tile_from(pixels), radius, pitch)
-        assert np.array_equal(out.pixels, corrected_by_formula(pixels, radius, pitch))
+        out = correct_tile(pixels, radius, pitch)
+        assert np.array_equal(out, corrected_by_formula(pixels, radius, pitch))
 
 
 def test_uint8_correction_falls_back_to_float64_on_a_half_integer(
@@ -403,7 +401,7 @@ def test_uint8_correction_falls_back_to_float64_on_a_half_integer(
     assert _uint8_weights(*rig) is None
     pixels = every_sample_pair(rig[0], 0)
     expected = np.rint(resampled(pixels, weights)).astype(np.uint8)
-    assert np.array_equal(correct_tile(tile_from(pixels), R, PITCH).pixels, expected)
+    assert np.array_equal(correct_tile(pixels, R, PITCH), expected)
     # the float32 formula would round the tie (1, 2) down where float64
     # rounds 1.5 to even, so the float64 path is what gives these bytes
     p0 = pixels[:, c0[100]].astype(np.float32)
@@ -434,41 +432,41 @@ def test_correct_tile_row_independence():
     rng = np.random.default_rng(7)
     img = random_tile(rng, width=61, height=12)
     whole = correct_tile(img, R, PITCH)
-    row = tile_from(img.pixels[7:8, :])
+    row = img[7:8, :]
     alone = correct_tile(row, R, PITCH)
-    assert np.array_equal(whole.pixels[7], alone.pixels[0])
+    assert np.array_equal(whole[7], alone[0])
 
 
 def test_forward_project_constant_valid_region():
-    img = tile_from(np.full((6, 695), 99, dtype=np.uint8))
+    img = np.full((6, 695), 99, dtype=np.uint8)
     out = forward_project(img, R, PITCH)
     # the columns with no source data are written as 0, the rest keep 99
-    sentinel = np.flatnonzero(out.pixels[0] == 0).tolist()
+    sentinel = np.flatnonzero(out[0] == 0).tolist()
     assert sentinel, "extreme columns always fall outside the window"
     valid = np.setdiff1d(np.arange(695), sentinel)
-    assert np.all(out.pixels[:, valid] == 99)
-    assert np.all(out.pixels[:, sentinel] == 0)
+    assert np.all(out[:, valid] == 99)
+    assert np.all(out[:, sentinel] == 0)
     # columns with |center offset| >= 339 sample beyond arc offset 347
     # (its source column lies 338.93 px out): nine columns on each side
     assert sentinel == list(range(0, 9)) + list(range(686, 695))
 
 
 def test_forward_project_center_column_fixed():
-    img = tile_from(np.full((6, 101), 10, dtype=np.uint8))
-    img.pixels[:, 50] = 250
+    img = np.full((6, 101), 10, dtype=np.uint8)
+    img[:, 50] = 250
     out = forward_project(img, R, PITCH)
-    assert np.all(out.pixels[:, 50] == 250)
+    assert np.all(out[:, 50] == 250)
 
 
 def test_forward_project_compresses_offaxis_band():
     # 100 px band over corrected columns [150, 250) relative to center:
     # its projected edges land at the source columns of the half-intensity
     # crossings, and the extent shrinks by ~cos(m p/r) at the band middle
-    img = tile_from(np.full((4, 695), 200, dtype=np.uint8))
+    img = np.full((4, 695), 200, dtype=np.uint8)
     c = 347
-    img.pixels[:, c + 150 : c + 250] = 20
+    img[:, c + 150 : c + 250] = 20
     out = forward_project(img, R, PITCH)
-    row = out.pixels[0].astype(int)
+    row = out[0].astype(int)
     dark = np.nonzero(row < 110)[0]
     dark = dark[(dark > 8) & (dark < 686)]  # ignore sentinel zeros
     # the source columns of corrected offsets 149.5 and 249.5 from the
@@ -495,7 +493,7 @@ def band_limited_texture(seed, height=32, width=695):
     spectrum[(np.abs(fy) > 0.25) | (fx > 0.25)] = 0.0
     smooth = np.fft.irfft2(spectrum, s=(height, width))
     smooth = (smooth - smooth.min()) / (smooth.max() - smooth.min())
-    return tile_from((30 + smooth * 190).astype(np.uint8))
+    return (30 + smooth * 190).astype(np.uint8)
 
 
 def test_round_trip_band_limited():
@@ -503,7 +501,7 @@ def test_round_trip_band_limited():
     recovered = correct_tile(forward_project(texture, R, PITCH), R, PITCH)
     lo, hi = 35, 660  # central 90% of columns
     diff = (
-        recovered.pixels[:, lo:hi].astype(float)
-        - texture.pixels[:, lo:hi].astype(float)
+        recovered[:, lo:hi].astype(float)
+        - texture[:, lo:hi].astype(float)
     )
     assert np.mean(np.abs(diff)) <= 2.0
