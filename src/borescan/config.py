@@ -102,18 +102,19 @@ def load_defect_list(path) -> list[DefectSpec]:
     for discs; an empty ``contrast`` means ``geometry.DEFAULT_CONTRAST``.
     """
     try:
-        handle = open(path, "r", encoding="ascii", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="ascii", newline="") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"unreadable defect list {path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [col for col in field_types(DefectSpec)[0] if col not in header]
-        if missing:
-            raise ParseError(f"defect list missing column {missing[0]!r}")
-        defects = []
-        for line_no, row in enumerate(reader, start=2):
-            defects.append(
-                read_text(DefectSpec, row.items(), f"defect row {line_no} in {path}")
-            )
+    missing = [col for col in field_types(DefectSpec)[0] if col not in header]
+    if missing:
+        raise ParseError(f"defect list missing column {missing[0]!r}")
+    defects = []
+    for line_no, row in enumerate(rows, start=2):
+        where = f"defect row {line_no} in {path}"
+        if None in row:  # DictReader keeps the cells past the header under None
+            raise ParseError(f"{where} has more fields than the header")
+        defects.append(read_text(DefectSpec, row.items(), where))
     return defects

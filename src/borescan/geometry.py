@@ -18,6 +18,7 @@ __all__ = [
     "OpticsConfig",
     "DeviationSpec",
     "DefectSpec",
+    "DEFECT_KINDS",
     "DEFAULT_CONTRAST",
     "DEFAULT_MIN_AREA",
     "circular_delta_deg",
@@ -31,6 +32,7 @@ __all__ = [
     "relative_fov_error",
 ]
 
+DEFECT_KINDS = ("disc", "line")  # a line runs along the hole axis
 DEFAULT_CONTRAST = -120  # DN at 8 bit; a dark defect on the bright wall
 DEFAULT_MIN_AREA = 9  # px; ~13 um equivalent diameter at 2.16 um/pixel
 
@@ -167,7 +169,7 @@ class DefectSpec:
     contrast: int = DEFAULT_CONTRAST
 
     def __post_init__(self) -> None:
-        if self.kind not in ("disc", "line"):
+        if self.kind not in DEFECT_KINDS:
             raise DomainError(f"unknown defect kind {self.kind!r}")
         for name in ("z_mm", "size_mm", "length_mm"):
             value = getattr(self, name)

@@ -6,7 +6,8 @@ plan is the file ``tile_dJJ_rKK.pgm`` next to the manifest. Serialization
 is plain YAML with stable key order and no timestamps: rerunning the same
 job must write the same bytes. This module writes manifests itself, byte
 for byte as PyYAML does. Reports carry the defect records with per-kind
-statistics, as YAML for machines and CSV for spreadsheets.
+statistics, as YAML for machines and CSV for spreadsheets, both laid out
+by one table of record keys.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ParseError
-from .geometry import DefectSpec, HoleSpec, OpticsConfig
+from .geometry import DEFECT_KINDS, DefectSpec, HoleSpec, OpticsConfig
 from .scanplan import CaptureEvent, EffectiveRegion, ScanPlan, plan_scan, shot_counts
 from .schema import check_keys, field_types, read_fields
 
@@ -170,7 +171,7 @@ def _scalar(value) -> str:
     kind = type(value)
     if value is None or kind is bool:
         return {None: "null", True: "true", False: "false"}[value]
-    if kind is int or (kind is str and value in ("disc", "line")):
+    if kind is int or (kind is str and value in DEFECT_KINDS):
         return str(value)
     if kind is not float:
         raise TypeError(f"cannot write {value!r} ({kind.__name__}) in a manifest")
@@ -206,35 +207,49 @@ def save_manifest(manifest: RunManifest, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def load_manifest(path) -> RunManifest:
+def _read_yaml(path, what: str) -> dict:
+    """The mapping YAML file ``path`` holds; ``what`` names the file in errors."""
     yaml, loader, _ = _yaml()
     try:
         with open(path, "r", encoding="ascii") as handle:
             data = yaml.load(handle, Loader=loader)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise ParseError(f"unreadable manifest {path}: {exc}") from exc
+        raise ParseError(f"unreadable {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError(f"manifest {path} is not a mapping")
-    return manifest_from_dict(data)
+        raise ParseError(f"{what} {path} is not a mapping")
+    return data
 
 
-def _round3(value: float) -> float:
-    return round(float(value), 3)
+def load_manifest(path) -> RunManifest:
+    return manifest_from_dict(_read_yaml(path, "manifest"))
+
+
+# a report record's keys in report.yaml order, each with the decimals its
+# value is rounded to (None: written as it is); report.csv has the same
+# columns, but writes ``tiles`` as their count under ``n_tiles``
+_RECORD_COLUMNS = {
+    "id": None, "kind": None, "z_mm": 3, "z_from_bottom_mm": 3, "beta_deg": 3,
+    "size_mm": 3, "area_mm2": 6, "z_min_mm": 3, "z_max_mm": 3, "tiles": None,
+}
 
 
 def _record_to_dict(rec: DefectRecord, depth_mm: float) -> dict:
-    return {
-        "id": rec.id,
-        "kind": rec.kind,
-        "z_mm": _round3(rec.z_mm),
-        "z_from_bottom_mm": _round3(depth_mm - rec.z_mm),
-        "beta_deg": _round3(rec.beta_deg),
-        "size_mm": _round3(rec.size_mm),
-        "area_mm2": round(float(rec.area_mm2), 6),
-        "z_min_mm": _round3(rec.z_min_mm),
-        "z_max_mm": _round3(rec.z_max_mm),
+    derived = {
+        "z_from_bottom_mm": depth_mm - rec.z_mm,
         "tiles": [list(t) for t in rec.source_tiles],
     }
+    out = {}
+    for key, places in _RECORD_COLUMNS.items():
+        value = derived[key] if key in derived else getattr(rec, key)
+        out[key] = value if places is None else round(float(value), places)
+    return out
+
+
+def _csv_cell(key: str, value, places: int | None):
+    """Record ``key``'s ``value`` as its report.csv cell."""
+    if key == "tiles":
+        return len(value)
+    return value if places is None else f"{value:.{places}f}"
 
 
 def _kind_summary(records: list[DefectRecord], kind: str) -> dict:
@@ -242,9 +257,9 @@ def _kind_summary(records: list[DefectRecord], kind: str) -> dict:
     sizes = [rec.size_mm for rec in records if rec.kind == kind]
     out = {"count": len(sizes)}
     if sizes:
-        out["mean_size_mm"] = _round3(statistics.fmean(sizes))
+        out["mean_size_mm"] = round(float(statistics.fmean(sizes)), 3)
         out["std_size_mm"] = (
-            _round3(statistics.stdev(sizes)) if len(sizes) > 1 else None
+            round(float(statistics.stdev(sizes)), 3) if len(sizes) > 1 else None
         )
     return out
 
@@ -260,26 +275,9 @@ def report_to_dict(
         "source": source,
         "threshold": threshold,
         "hole": {"radius_mm": hole.radius_mm, "depth_mm": hole.depth_mm},
-        "summary": {
-            "disc": _kind_summary(records, "disc"),
-            "line": _kind_summary(records, "line"),
-        },
+        "summary": {kind: _kind_summary(records, kind) for kind in DEFECT_KINDS},
         "records": [_record_to_dict(rec, hole.depth_mm) for rec in records],
     }
-
-
-_CSV_COLUMNS = [
-    "id",
-    "kind",
-    "z_mm",
-    "z_from_bottom_mm",
-    "beta_deg",
-    "size_mm",
-    "area_mm2",
-    "z_min_mm",
-    "z_max_mm",
-    "n_tiles",
-]
 
 
 def write_report(
@@ -297,34 +295,19 @@ def write_report(
         yaml.dump(data, handle, Dumper=dumper, sort_keys=False, width=_WIDTH)
     with open(csv_path, "w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(
+            "n_tiles" if key == "tiles" else key for key in _RECORD_COLUMNS
+        )
         for rec in data["records"]:
             writer.writerow(
-                [
-                    rec["id"],
-                    rec["kind"],
-                    f"{rec['z_mm']:.3f}",
-                    f"{rec['z_from_bottom_mm']:.3f}",
-                    f"{rec['beta_deg']:.3f}",
-                    f"{rec['size_mm']:.3f}",
-                    f"{rec['area_mm2']:.6f}",
-                    f"{rec['z_min_mm']:.3f}",
-                    f"{rec['z_max_mm']:.3f}",
-                    len(rec["tiles"]),
-                ]
+                _csv_cell(key, rec[key], places)
+                for key, places in _RECORD_COLUMNS.items()
             )
 
 
 def read_report(path) -> dict:
     """Load a YAML report, checking the pieces report-compare relies on."""
-    yaml, loader, _ = _yaml()
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            data = yaml.load(handle, Loader=loader)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise ParseError(f"unreadable report {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"report {path} is not a mapping")
+    data = _read_yaml(path, "report")
     records = _list(_need(data, "records", f"report {path}"), f"report {path} records")
     for rec in records:
         values = check_keys(rec, _REPORT_KEYS, f"report {path} record")

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import SynthParams
 from .errors import DomainError, PlacementError
 from .geometry import DefectSpec, HoleSpec, OpticsConfig
 from .pgm import SAMPLE_DTYPES, write_pgm
@@ -179,9 +180,9 @@ def _overlaps_earlier(footprints: np.ndarray, i: int, circumference_mm: float) -
 def build_texture(
     hole: HoleSpec,
     defects: list[DefectSpec],
-    background: int = 180,
-    pitch_um: float = 2.16,
-    bit_depth: int = 8,
+    background: int = SynthParams.background,
+    pitch_um: float = OpticsConfig.pixel_pitch_y_um,
+    bit_depth: int = SynthParams.bit_depth,
 ) -> SurfaceTexture:
     """Stamp anti-aliased defects onto a uniform wall texture.
 
@@ -536,8 +537,8 @@ def write_stack(
     cfg: OpticsConfig,
     region: EffectiveRegion,
     paths: list[Path],
-    noise_sigma: float = 0.0,
-    seed: int = 0,
+    noise_sigma: float = SynthParams.noise_sigma,
+    seed: int = SynthParams.seed,
     processes: int = 1,
 ) -> None:
     """Render, noise and write scheduled tile i to ``paths[i]``, on

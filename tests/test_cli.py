@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -389,6 +390,32 @@ class TestSynth:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xef\xbb\xbf" + DEFECTS.encode(), "unreadable defect list"),
+            (DEFECTS.encode() + b"disc,1.5,100.0,0.2,,-120 \xb5\n",
+             "unreadable defect list"),
+            (DEFECTS.encode() + b"disc,1.5,100.0,0.2,,,3\n",
+             "defect row 3 in .* has more fields than the header"),
+        ],
+        ids=["byte-order-mark", "micro-sign", "long-row"],
+    )
+    def test_unreadable_defect_list_exits_2(self, tmp_path, config_path, capsys,
+                                            data, message):
+        # spreadsheets write a byte-order mark, and a cell may hold a µ
+        defects = tmp_path / "defects.csv"
+        defects.write_bytes(data)
+        out = tmp_path / "o"
+        code = main(
+            ["synth", "--config", str(config_path), "--defects", str(defects),
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err) and str(defects) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "row",

@@ -146,7 +146,8 @@ class TestDefectList:
         [
             ("kind,z_mm,beta_deg,size_mm,length_mm,contrast,depth\n"
              "disc,1.0,0.0,0.1,,,3\n", "'depth' in defect row 2"),
-            (HEADER + "disc,1.0,0.0,0.1,,,3\n", "None in defect row 2"),
+            (HEADER + "disc,1.0,0.0,0.1,,,3\n",
+             "defect row 2 in .* has more fields than the header"),
             (HEADER + "disc,,0.0,0.1,,\n", "'z_mm' in defect row 2"),
         ],
         ids=["unknown-column", "extra-cell", "empty-required-cell"],

@@ -1,5 +1,6 @@
 """Manifest serialization and defect reports."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -284,6 +285,66 @@ class TestReports:
         path.write_text(yaml.safe_dump({"summary": {}}))
         with pytest.raises(ParseError):
             read_report(path)
+
+
+# the decimals report.yaml rounds each record value to, and report.csv
+# writes it at; id, kind and tiles are not rounded
+DECIMALS = {
+    "z_mm": 3, "z_from_bottom_mm": 3, "beta_deg": 3, "size_mm": 3,
+    "area_mm2": 6, "z_min_mm": 3, "z_max_mm": 3,
+}
+# negative and large values, and values on a rounding tie: at 3 decimals
+# 0.0625 exactly, and 1.0005 and 2.0005 as near as a double comes; at 6
+# decimals 0.0078125 exactly
+REPORT_VALUES = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.floats(min_value=1e9, max_value=1e15),
+    st.floats(min_value=-1e15, max_value=-1e9),
+    st.sampled_from([0.0625, -0.0625, 1.0005, 2.0005, -2.0005, 0.0078125,
+                     -0.0078125, 2.5e-07, 1e-07, 0.0]),
+)
+RECORDS = st.lists(
+    st.builds(
+        DefectRecord,
+        kind=st.sampled_from(["disc", "line"]),
+        **{key: REPORT_VALUES for key in DECIMALS if key != "z_from_bottom_mm"},
+        source_tiles=st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=4
+        ).map(tuple),
+        id=st.integers(0, 10**6),
+    ),
+    max_size=6,
+)
+
+
+class TestReportFilesAgree:
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(records=RECORDS)
+    def test_each_csv_row_is_its_yaml_record(self, tmp_path, records):
+        csv_path, yaml_path = tmp_path / "report.csv", tmp_path / "report.yaml"
+        write_report(records, HOLE, "otsu", csv_path, yaml_path)
+        written = yaml.safe_load(yaml_path.read_text(encoding="ascii"))["records"]
+        with open(csv_path, newline="", encoding="ascii") as handle:
+            header, *rows = csv.reader(handle)
+        assert len(written) == len(rows) == len(records)
+        for rec, record, row in zip(records, written, rows):
+            assert header == ["n_tiles" if key == "tiles" else key for key in record]
+            assert record["id"] == rec.id and row[0] == str(rec.id)
+            assert record["kind"] == rec.kind and row[1] == rec.kind
+            assert record["tiles"] == [list(t) for t in rec.source_tiles]
+            assert row[-1] == str(len(rec.source_tiles))
+            for key, cell in zip(header, row):
+                if key not in DECIMALS:
+                    continue
+                places = DECIMALS[key]
+                source = (HOLE.depth_mm - rec.z_mm if key == "z_from_bottom_mm"
+                          else getattr(rec, key))
+                assert record[key] == round(source, places), key
+                assert cell == f"{record[key]:.{places}f}", key
+                assert float(cell) == record[key], key
 
 
 def _unchecked(cls, **values):
